@@ -12,9 +12,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chains import euler_cells, homology, validate_complex
+from .chains import homology
 from .cw import FacetList, Incidence, RegularCW, from_simplicial, cw_to_morse
-from .errors import UnknownExample
+from .errors import InvalidComplex, UnknownExample
 from .invariants import novikov_numbers
 from .morse import (
     CriticalPoint,
@@ -50,18 +50,6 @@ class CatalogEntry:
     expectations: tuple
     cw: RegularCW | None = None
     facets: FacetList | None = None
-
-
-def _system(flavor, class_vector):
-    if flavor == "trivial":
-        return LocalSystem.trivial()
-    if flavor == "unit-rep":
-        return LocalSystem.unit_rep()
-    if flavor == "exp":
-        return LocalSystem.exp(class_vector)
-    if flavor == "nov":
-        return LocalSystem.nov(class_vector)
-    raise ValueError(flavor)
 
 
 # --- the entries ----------------------------------------------------------
@@ -437,7 +425,7 @@ class CheckResult:
 
 def check_expectation(entry: CatalogEntry, exp: Expectation,
                       depth=16, max_iter=10000) -> CheckResult:
-    sys = _system(exp.flavor, exp.class_vector)
+    sys = LocalSystem.named(exp.flavor, exp.class_vector)
     d = entry.datum
     if exp.target == "novikov":
         nn = novikov_numbers(d, exp.class_vector, depth=depth,
@@ -449,10 +437,10 @@ def check_expectation(entry: CatalogEntry, exp: Expectation,
         cpx = build_cochain(d, sys)
     else:
         cpx = build_complex(d, sys)
-    bad = validate_complex(cpx)
-    if bad is not None:
-        return CheckResult(entry.name, exp.provenance, False, bad.describe())
-    summary = homology(cpx, depth=depth, max_iter=max_iter)
+    try:
+        summary = homology(cpx, depth=depth, max_iter=max_iter)
+    except InvalidComplex as exc:
+        return CheckResult(entry.name, exp.provenance, False, str(exc))
     ok = summary.betti == exp.betti
     for k, facs in exp.torsion.items():
         ok = ok and summary.torsion(k) == tuple(facs)

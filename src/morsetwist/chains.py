@@ -9,11 +9,10 @@ homology engine reports H^k from degree-k data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry
-from .linalg import Matrix, nov_reduce, rank_expsum, snf_int
+from .linalg import nov_reduce, rank_expsum, snf_int
 from .rings import ExpSum, NovElem
 
 INT = "INT"
@@ -102,10 +101,6 @@ class DegreeSummary:
     betti: int
     torsion: tuple = ()   # invariant factors (INT) / cyclic orders (NOV)
     status: str = "complete"
-
-    @property
-    def torsion_generators(self) -> int:
-        return len(self.torsion)
 
 
 @dataclass(frozen=True)

@@ -69,22 +69,6 @@ def _load_datum(args) -> MorseDatum:
     return value
 
 
-def _make_system(args) -> LocalSystem:
-    flavor = getattr(args, "system", None) or "trivial"
-    cls = _parse_class(getattr(args, "class_vector", None))
-    if flavor == "trivial":
-        return LocalSystem.trivial()
-    if flavor == "unit-rep":
-        return LocalSystem.unit_rep()
-    if cls is None:
-        raise ParseError(f"--system {flavor} requires --class")
-    if flavor == "exp":
-        return LocalSystem.exp(cls)
-    if flavor == "nov":
-        return LocalSystem.nov(cls)
-    raise ParseError(f"unknown system {flavor!r}")
-
-
 _REGIME_LABEL = {"INT": "Z", "EXPSUM": "R", "NOV": "Nov"}
 
 
@@ -160,7 +144,7 @@ def cmd_validate(args) -> int:
 
 def cmd_homology(args) -> int:
     d = _load_datum(args)
-    sys_ = _make_system(args)
+    sys_ = LocalSystem.named(args.system, _parse_class(args.class_vector))
     summary = homology(build_complex(d, sys_), depth=args.depth,
                        max_iter=args.max_iter)
     return _print_summary(summary, args, symbol="H_")
@@ -168,7 +152,7 @@ def cmd_homology(args) -> int:
 
 def cmd_cohomology(args) -> int:
     d = _load_datum(args)
-    sys_ = _make_system(args)
+    sys_ = LocalSystem.named(args.system, _parse_class(args.class_vector))
     summary = homology(build_cochain(d, sys_), depth=args.depth,
                        max_iter=args.max_iter)
     return _print_summary(summary, args, symbol="H^")  # renders H^0, H^1, ...
@@ -210,7 +194,7 @@ def cmd_novikov(args) -> int:
 
 def cmd_euler(args) -> int:
     d = _load_datum(args)
-    sys_ = _make_system(args)
+    sys_ = LocalSystem.named(args.system, _parse_class(args.class_vector))
     cpx = build_complex(d, sys_)
     chi_cells = euler_cells(cpx)
     summary = homology(cpx, depth=args.depth, max_iter=args.max_iter)
@@ -225,8 +209,8 @@ def cmd_euler(args) -> int:
 
 def cmd_obstructions(args) -> int:
     d = _load_datum(args)
-    sys_ = _make_system(args)
     cls = _parse_class(args.class_vector)
+    sys_ = LocalSystem.named(args.system, cls)
     verdicts = [hspace_obstruction(d, sys_, depth=args.depth,
                                    max_iter=args.max_iter)]
     if cls is not None and any(c != 0 for c in cls):
@@ -295,19 +279,42 @@ def cmd_example(args) -> int:
     return EXIT_OK if ok else EXIT_MATH
 
 
-def _add_common(p, with_system=True, with_class=True):
+def _depth(text) -> Fraction:
+    try:
+        depth = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    if depth <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return depth
+
+
+def _max_iter(text) -> int:
+    try:
+        max_iter = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if max_iter < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return max_iter
+
+
+def _add_budget(p):
+    p.add_argument("--depth", type=_depth, default=Fraction(16),
+                   help="Novikov inversion depth (default 16)")
+    p.add_argument("--max-iter", type=_max_iter, default=10000)
+
+
+def _add_common(p, with_system=True):
     p.add_argument("input", nargs="?", help="input JSON file")
     p.add_argument("--example", help="use a built-in example instead of a file")
     if with_system:
         p.add_argument("--system", choices=["trivial", "unit-rep", "exp", "nov"],
                        default="trivial")
-    if with_class:
-        p.add_argument("--class", dest="class_vector", metavar="C1,C2,...",
-                       help="rational class vector in the datum's form basis")
+    p.add_argument("--class", dest="class_vector", metavar="C1,C2,...",
+                   help="rational class vector in the datum's form basis")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--depth", type=Fraction, default=Fraction(16),
-                   help="Novikov inversion depth (default 16)")
-    p.add_argument("--max-iter", type=int, default=10000)
+    _add_budget(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="list, show, or replay the catalog")
     p.add_argument("action", choices=["list", "show", "run"])
     p.add_argument("name", nargs="?")
-    p.add_argument("--depth", type=Fraction, default=Fraction(16))
-    p.add_argument("--max-iter", type=int, default=10000)
+    _add_budget(p)
 
     return ap
 

@@ -3,20 +3,19 @@ simplicial ingestion, and the correspondence with Morse data.
 
 Regularity is what makes a twisted cellular boundary well defined: every
 incidence number is +-1, each pair of cells two dimensions apart has
-exactly two cells between them, and each 1-cell has two distinct endpoint
-vertices.  Holonomy (periods / unit tags) lives on the incidence records,
-one transport per incident pair.
+exactly two cells between them, whose incidence products cancel, and each
+1-cell has two distinct endpoint vertices.  Holonomy (periods / unit tags)
+lives on the incidence records, one transport per incident pair.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import ChainComplex, validate_complex
-from .errors import MalformedFacets, MissingHolonomy, NotRegular
-from .linalg import Matrix
+from .chains import ChainComplex
+from .errors import MalformedFacets, MissingHolonomy, MissingUnitTag, NotRegular
 from .morse import CriticalPoint, FlowLine, LocalSystem, MorseDatum, build_complex
 
 
@@ -53,12 +52,6 @@ class RegularCW:
                 if c in seen:
                     raise ValueError(f"duplicate cell label {c!r}")
                 seen.add(c)
-
-    def degree_of(self, label) -> int:
-        for k, layer in enumerate(self.cells):
-            if label in layer:
-                return k
-        raise KeyError(label)
 
 
 @dataclass(frozen=True)
@@ -98,49 +91,44 @@ def validate_regular(cw: RegularCW):
             return CWViolation("edge-endpoints", (e,),
                               f"1-cell must have two distinct endpoint "
                               f"vertices with signs -1,+1; got {ends}")
-    # diamond property: exactly two intermediate cells per codimension-2 pair
+    # diamond property: exactly two intermediate cells per codimension-2
+    # pair, whose incidence products cancel.  The summed products are the
+    # (bottom, top) entries of the untwisted boundary squared, duplicate
+    # records included, so this pass is also the check that d.d = 0.
+    squared = None
     for top, faces in below.items():
         count: dict = {}
+        total: dict = {}
         for f in faces:
             for g in below.get(f.lower, []):
                 count[g.lower] = count.get(g.lower, 0) + 1
+                total[g.lower] = total.get(g.lower, 0) + f.incidence * g.incidence
         for bottom, c in count.items():
             if c != 2:
                 return CWViolation("diamond", (bottom, top),
                                    f"{c} intermediate cells, expected 2")
-    # signed incidence matrices must compose to zero
-    cpx = steenrod_boundary(cw, LocalSystem.trivial(), _skip_validation=True)
-    bad = validate_complex(cpx)
-    if bad is not None:
-        return CWViolation("boundary-squared", (), bad.describe())
-    return None
+            if total[bottom] != 0 and squared is None:
+                squared = CWViolation(
+                    "boundary-squared", (bottom, top),
+                    f"incidence products sum to {total[bottom]}, expected 0")
+    return squared
 
 
-def steenrod_boundary(cw: RegularCW, sys: LocalSystem,
-                      _skip_validation: bool = False) -> ChainComplex:
+def steenrod_boundary(cw: RegularCW, sys: LocalSystem) -> ChainComplex:
     """Twisted cellular boundary: entry (lower, upper) = incidence number
     times the system weight of the incidence's holonomy."""
-    if not _skip_validation:
-        bad = validate_regular(cw)
-        if bad is not None:
-            raise NotRegular(bad.describe())
-    datum = cw_to_morse(cw, _skip_validation=True)
     try:
-        return build_complex(datum, sys)
-    except Exception as exc:
-        from .errors import MissingUnitTag
-        if isinstance(exc, MissingUnitTag):
-            raise MissingHolonomy(str(exc)) from exc
-        raise
+        return build_complex(cw_to_morse(cw), sys)
+    except MissingUnitTag as exc:
+        raise MissingHolonomy(str(exc)) from exc
 
 
-def cw_to_morse(cw: RegularCW, _skip_validation: bool = False) -> MorseDatum:
+def cw_to_morse(cw: RegularCW) -> MorseDatum:
     """One critical point per cell (index = dimension), one flow line per
     incidence (sign = incidence number), holonomy copied across."""
-    if not _skip_validation:
-        bad = validate_regular(cw)
-        if bad is not None:
-            raise NotRegular(bad.describe())
+    bad = validate_regular(cw)
+    if bad is not None:
+        raise NotRegular(bad.describe())
     points = tuple(CriticalPoint(id=c, index=k)
                    for k, layer in enumerate(cw.cells) for c in layer)
     nforms = len(cw.basis_forms)

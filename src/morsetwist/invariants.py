@@ -104,11 +104,12 @@ def parallel_form_obstruction(d: MorseDatum, class_vector,
     if all(c == 0 for c in cv):
         raise ZeroClass("parallel-form obstruction needs a nonzero class")
     sys = LocalSystem.exp(cv)
-    summary = homology(build_cochain(d, sys), depth=depth, max_iter=max_iter)
+    cochain = build_cochain(d, sys)
+    summary = homology(cochain, depth=depth, max_iter=max_iter)
     nonzero = [k for k, s in enumerate(summary.degrees) if s.betti > 0]
     if not nonzero:
         return ObstructionVerdict("PARALLEL_FORM", False)
-    chi = euler_cells(build_complex(d, sys))
+    chi = euler_cells(cochain)
     note = ""
     if chi != 0:
         note = (f"; Euler number {chi} != 0 already forces the verdict for "

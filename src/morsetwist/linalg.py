@@ -48,17 +48,9 @@ class Matrix:
     def zero(rows, cols, zero_elem=0) -> "Matrix":
         return Matrix(rows, cols, [[zero_elem] * cols for _ in range(rows)])
 
-    @staticmethod
-    def identity(n, one_elem=1, zero_elem=0) -> "Matrix":
-        return Matrix(n, n, [[one_elem if i == j else zero_elem for j in range(n)]
-                             for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,

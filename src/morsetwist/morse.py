@@ -15,10 +15,10 @@ Weight conventions, pinned by the catalog oracles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .chains import EXPSUM, INT, NOV, ChainComplex, dualize
+from .chains import EXPSUM, INT, NOV, ChainComplex, dualize, regime_zero
 from .errors import (
     Disconnected,
     MissingDeckTag,
@@ -34,6 +34,9 @@ TRIVIAL = "TRIVIAL"
 UNIT_REP = "UNIT_REP"
 EXP = "EXP"
 NOV_SYS = "NOV"
+
+_FLAVOR_NAMES = {"trivial": TRIVIAL, "unit-rep": UNIT_REP, "exp": EXP,
+                 "nov": NOV_SYS}
 
 
 @dataclass(frozen=True)
@@ -76,14 +79,6 @@ class DeckGroup:
         except KeyError:
             raise UnknownGroupElement(f"({a},{b}) not in the deck group") from None
 
-    @property
-    def identity(self):
-        for e in self.elements:
-            if all(self.mul(e, x) == x and self.mul(x, e) == x
-                   for x in self.elements):
-                return e
-        raise ValueError("deck group has no identity element")
-
 
 @dataclass(frozen=True)
 class MorseDatum:
@@ -116,12 +111,6 @@ class MorseDatum:
                     f"flow {f.frm}->{f.to} carries {len(f.periods)} periods "
                     f"for {len(self.basis_forms)} basis forms")
 
-    def point(self, pid) -> CriticalPoint:
-        for p in self.points:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
-
     def points_of_index(self, k):
         return tuple(p for p in self.points if p.index == k)
 
@@ -152,6 +141,19 @@ class LocalSystem:
     @staticmethod
     def nov(class_vector) -> "LocalSystem":
         return LocalSystem(NOV_SYS, tuple(class_vector))
+
+    @staticmethod
+    def named(name, class_vector=None) -> "LocalSystem":
+        """The system a flavor name ("trivial", "unit-rep", "exp", "nov")
+        selects; the twisted flavors need a class vector."""
+        flavor = _FLAVOR_NAMES.get(name)
+        if flavor is None:
+            raise ParseError(f"unknown system {name!r}")
+        if flavor in (TRIVIAL, UNIT_REP):
+            return LocalSystem(flavor)
+        if class_vector is None:
+            raise ParseError(f"--system {name} requires --class")
+        return LocalSystem(flavor, tuple(class_vector))
 
     @property
     def regime(self) -> str:
@@ -196,7 +198,7 @@ def build_complex(d: MorseDatum, sys: LocalSystem) -> ChainComplex:
     the flow lines from q down to p."""
     sys.check_compatible(d)
     regime = sys.regime
-    zero = {INT: 0, EXPSUM: ExpSum.zero(), NOV: NovElem.zero()}[regime]
+    zero = regime_zero(regime)
     gens = tuple(tuple(p.id for p in d.points_of_index(k))
                  for k in range(d.dimension + 1))
     pos = {}
@@ -293,7 +295,7 @@ def lift_cover(d: MorseDatum, group: DeckGroup | None = None) -> MorseDatum:
 
 # --- loop detection and the degree-zero closed forms ----------------------
 
-def _loop_data(d: MorseDatum, sys: LocalSystem | None):
+def _loop_data(d: MorseDatum):
     """Loop units detectable from the datum.
 
     Returns (connected, loops) where each loop is a pair
@@ -361,7 +363,7 @@ def _loop_data(d: MorseDatum, sys: LocalSystem | None):
 
 def loop_periods(d: MorseDatum, class_vector):
     """Scalar periods (class . loop) over all detected loops."""
-    _, loops = _loop_data(d, None)
+    _, loops = _loop_data(d)
     cv = tuple(Fraction(c) for c in class_vector)
     return [sum((c * p for c, p in zip(cv, pv)), Fraction(0)) for pv, _ in loops]
 
@@ -371,7 +373,7 @@ def is_simple(d: MorseDatum, sys: LocalSystem) -> bool:
 
     Sound but incomplete: only parallel-line and 1-skeleton loops are seen."""
     sys.check_compatible(d)
-    _, loops = _loop_data(d, sys)
+    _, loops = _loop_data(d)
     for pv, unit in loops:
         if sys.flavor == UNIT_REP and unit != 1:
             return False
@@ -383,22 +385,22 @@ def is_simple(d: MorseDatum, sys: LocalSystem) -> bool:
 
 
 def _check_connected(d: MorseDatum):
-    connected, loops = _loop_data(d, None)
+    connected, loops = _loop_data(d)
     if not connected:
         raise Disconnected(f"index <= 1 skeleton of {d.name} is not connected")
     return loops
 
 
-def h0_quotient(d: MorseDatum, sys: LocalSystem) -> str:
-    """H_0 as fiber modulo the subgroup generated by (1 - loop unit)."""
+def _h0(d: MorseDatum, sys: LocalSystem, sign_loop: str) -> str:
+    """Degree-zero group of a connected datum; ``sign_loop`` is the answer
+    for a +-1 representation with some loop unit -1."""
     sys.check_compatible(d)
     loops = _check_connected(d)
     if sys.flavor == TRIVIAL:
         return "Z"
     if sys.flavor == UNIT_REP:
-        # fiber Z; 1 - (-1) = 2 whenever some loop unit is -1
         if any(unit == -1 for _, unit in loops):
-            return "Z/2"
+            return sign_loop
         return "Z"
     nontrivial = any(
         sum((c * p for c, p in zip(sys.class_vector, pv)), Fraction(0)) != 0
@@ -409,19 +411,12 @@ def h0_quotient(d: MorseDatum, sys: LocalSystem) -> str:
     return "R" if sys.flavor == EXP else "Nov"
 
 
+def h0_quotient(d: MorseDatum, sys: LocalSystem) -> str:
+    """H_0 as fiber modulo the subgroup generated by (1 - loop unit)."""
+    # fiber Z; 1 - (-1) = 2 whenever some loop unit is -1
+    return _h0(d, sys, "Z/2")
+
+
 def h0_cohomology(d: MorseDatum, sys: LocalSystem) -> str:
     """H^0 as the subgroup of the fiber fixed by every loop unit."""
-    sys.check_compatible(d)
-    loops = _check_connected(d)
-    if sys.flavor == TRIVIAL:
-        return "Z"
-    if sys.flavor == UNIT_REP:
-        if any(unit == -1 for _, unit in loops):
-            return "0"  # fixed points of s -> -s on Z
-        return "Z"
-    nontrivial = any(
-        sum((c * p for c, p in zip(sys.class_vector, pv)), Fraction(0)) != 0
-        for pv, _ in loops)
-    if nontrivial:
-        return "0"
-    return "R" if sys.flavor == EXP else "Nov"
+    return _h0(d, sys, "0")  # fixed points of s -> -s on Z

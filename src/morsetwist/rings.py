@@ -15,13 +15,10 @@ automorphism and changes no rank, unit status, or torsion downstream.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .errors import NonpositiveScale, NotAUnit, ParseError, ZeroElement
-
-Rat = Fraction
 
 
 def _rat(x) -> Fraction:
@@ -139,10 +136,6 @@ class ExpSum:
     def invert_exponents(self) -> "ExpSum":
         """The bar involution t^a -> t^(-a); inverts each unit monomial."""
         return ExpSum([(c, -e) for c, e in self.terms])
-
-    def evaluate(self, base: float = math.e) -> float:
-        """Numeric value at t = base.  Diagnostic only; never used for ranks."""
-        return sum(float(c) * base ** float(e) for c, e in self.terms)
 
     def render(self) -> str:
         return _render_terms(self.terms)
@@ -311,9 +304,6 @@ class NovElem:
             raise NotAUnit("cannot invert exponents of a truncated element")
         return NovElem([(c, -e) for c, e in self.terms])
 
-    def truncate(self, floor) -> "NovElem":
-        return NovElem(self.terms, _max_floor(self.floor, _rat(floor)))
-
     def agrees_with(self, other: "NovElem") -> bool:
         """Equal above the coarser of the two floors."""
         floor = _max_floor(self.floor, other.floor)
@@ -357,32 +347,6 @@ def _max_floor(a, b):
     if b is None:
         return a
     return max(a, b)
-
-
-# --- spec-level operation names -------------------------------------------
-
-def expsum_normalize(raw_terms) -> ExpSum:
-    return ExpSum(raw_terms)
-
-
-def expsum_mul(a: ExpSum, b: ExpSum) -> ExpSum:
-    return a * b
-
-
-def nov_top(e: NovElem):
-    return e.top()
-
-
-def nov_is_unit(e: NovElem) -> bool:
-    return e.is_unit()
-
-
-def nov_invert(e: NovElem, depth) -> NovElem:
-    return e.invert(depth)
-
-
-def rescale_exponents(e, s):
-    return e.rescale(s)
 
 
 # --- textual grammar ------------------------------------------------------
@@ -485,7 +449,3 @@ def parse_rational(text) -> Fraction:
     if not _RAT_RE.match(s):
         raise ParseError(f"bad rational {text!r}: want p/q with integers")
     return Fraction(s)
-
-
-def render_rational(x: Fraction) -> str:
-    return str(x)

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .cw import FacetList, Incidence, RegularCW
-from .errors import MalformedFacets, ParseError
+from .errors import ParseError
 from .morse import CriticalPoint, DeckGroup, FlowLine, MorseDatum
 from .rings import parse_rational
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from morsetwist.catalog import example_names, get_example, run_all
+from morsetwist.catalog import check_expectation, example_names, get_example, run_all
 from morsetwist.chains import validate_complex
 from morsetwist.errors import UnknownExample
 from morsetwist.morse import FlowLine, LocalSystem, build_complex
@@ -51,6 +51,16 @@ def test_mutation_flipped_sign_is_caught():
     # pick a class with every component nonzero so no cancellation hides it
     C = build_complex(broken, LocalSystem.exp((F(1), F(2), F(3), F(4))))
     assert validate_complex(C) is not None
+
+
+def test_check_expectation_reports_nonzero_boundary_squared():
+    entry = get_example("rp2")
+    flows = list(entry.datum.flows)
+    flows[2] = replace(flows[2], sign=-flows[2].sign)
+    broken = replace(entry, datum=replace(entry.datum, flows=tuple(flows)))
+    result = check_expectation(broken, entry.expectations[0])
+    assert not result.ok
+    assert result.detail.startswith("d.d != 0")
 
 
 def test_entries_export_roundtrip():

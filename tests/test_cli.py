@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -146,3 +147,36 @@ def test_homology_from_file_with_system(tmp_path, capsys):
                        "--class", "1,0")
     assert code == 0
     assert out.splitlines() == ["H_0 = 0", "H_1 = 0", "H_2 = 0"]
+
+
+def test_cw_with_flipped_two_cell_incidence(tmp_path, capsys):
+    # one 2-cell record flipped: every diamond keeps two cells, d.d != 0
+    cw = get_example("rp2-triangulated").cw
+    incs = list(cw.incidences)
+    k = next(i for i, inc in enumerate(incs) if inc.upper.count(".") == 2)
+    incs[k] = replace(incs[k], incidence=-incs[k].incidence)
+    path = tmp_path / "flipped.json"
+    path.write_text(dump_json(replace(cw, incidences=tuple(incs))))
+
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out.startswith("FAIL regularity: boundary-squared ")
+
+    code, out, err = run(capsys, "homology", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: boundary-squared ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["novikov", "--example", "torus", "--class=1,0", "--depth", "0"],
+    ["novikov", "--example", "torus", "--class=1,0", "--depth=-1"],
+    ["novikov", "--example", "torus", "--class=1,0", "--max-iter=-1"],
+    ["example", "run", "torus", "--depth", "0"],
+])
+def test_out_of_range_budget_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,13 @@ from morsetwist.cw import (
     validate_regular,
 )
 from morsetwist.errors import MalformedFacets, NotRegular
-from morsetwist.morse import LocalSystem, build_complex
+from morsetwist.morse import (
+    CriticalPoint,
+    FlowLine,
+    LocalSystem,
+    MorseDatum,
+    build_complex,
+)
 
 
 def deformed_circle() -> RegularCW:
@@ -126,3 +133,76 @@ def test_euler_consistency_with_simplex_counts():
     cw = from_simplicial(FacetList(6, RP2_SIX_VERTEX_FACETS))
     counts = tuple(len(layer) for layer in cw.cells)
     assert sum((-1) ** k * c for k, c in enumerate(counts)) == 6 - 15 + 10 == 1
+
+
+def grid_facets(n, klein=False) -> FacetList:
+    """The n x n grid triangulation of the torus; for the Klein bottle,
+    crossing the seam i = n -> 0 reverses the j direction."""
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, (-j if klein else j)
+        return i * n + j % n
+    facets = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
+            facets += [(a, b, d), (a, c, d)]
+    return FacetList(n * n, tuple(facets))
+
+
+def dense_violation(cw: RegularCW):
+    """Reference d.d check: the dense untwisted complex built straight from
+    the incidence records, with no regularity check in between."""
+    datum = MorseDatum(
+        name=cw.name, dimension=cw.dimension, basis_forms=(),
+        points=tuple(CriticalPoint(c, k)
+                     for k, layer in enumerate(cw.cells) for c in layer),
+        flows=tuple(FlowLine(i.upper, i.lower, i.incidence)
+                    for i in cw.incidences))
+    return validate_complex(build_complex(datum, LocalSystem.trivial()))
+
+
+def mutate(cw: RegularCW, rng) -> RegularCW:
+    """One to three sign flips, dropped records or duplicated records."""
+    incs = list(cw.incidences)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(incs))
+        op = rng.choice(["flip", "flip", "drop", "duplicate"])
+        if op == "flip":
+            incs[k] = Incidence(incs[k].upper, incs[k].lower, -incs[k].incidence)
+        elif op == "drop":
+            del incs[k]
+        else:
+            incs.insert(rng.randrange(len(incs) + 1), incs[k])
+    return RegularCW(cw.name, cw.dimension, cw.cells, tuple(incs))
+
+
+def test_boundary_squared_agrees_with_dense_reference():
+    bases = [from_simplicial(grid_facets(n, klein))
+             for n in (3, 4) for klein in (False, True)]
+    bases.append(from_simplicial(FacetList(6, RP2_SIX_VERTEX_FACETS)))
+    for cw in bases:
+        assert validate_regular(cw) is None
+        assert dense_violation(cw) is None
+    rng = random.Random(1911)
+    kinds = Counter()
+    for _ in range(300):
+        cw = mutate(rng.choice(bases), rng)
+        v = validate_regular(cw)
+        dense = dense_violation(cw)
+        kinds[v and v.kind] += 1
+        if dense is not None:
+            assert v is not None, cw.incidences
+        # past the structural checks, boundary-squared is exactly d.d != 0
+        if v is None or v.kind == "boundary-squared":
+            assert (v is not None) == (dense is not None), cw.incidences
+    # the seeded cases reach the d.d check, not only the structural ones
+    assert kinds["boundary-squared"] >= 20 and kinds["diamond"] >= 20, kinds
+
+
+def test_grid_klein_bottle_homology():
+    s = homology(steenrod_boundary(from_simplicial(grid_facets(3, klein=True)),
+                                   LocalSystem.trivial()))
+    assert s.betti == (1, 1, 0)
+    assert s.torsion(1) == (2,)
