@@ -80,19 +80,26 @@ class Violation:
 
 def validate_complex(C: ChainComplex):
     """None if every composable pair of matrices multiplies to zero,
-    else the first Violation found."""
+    else the Violation at the smallest (row, col) of the first nonzero
+    composite.  Each composite sums only the products of nonzero entries."""
     z = C.zero()
     for k in range(len(C.diffs) - 1):
+        left, right = C.diffs[k], C.diffs[k + 1]
         if C.ascending:
-            comp = C.diffs[k + 1].matmul(C.diffs[k], z)
-        else:
-            comp = C.diffs[k].matmul(C.diffs[k + 1], z)
-        for i in range(comp.rows):
-            for j in range(comp.cols):
-                e = comp.entries[i][j]
-                nonzero = bool(e.terms) if isinstance(e, (ExpSum, NovElem)) else e != 0
-                if nonzero:
-                    return Violation(degree=k + 1, row=i, col=j, value=e)
+            left, right = right, left
+        comp: dict = {}
+        for mid in range(left.cols):
+            col = [(i, r[mid]) for i, r in enumerate(left.entries) if r[mid]]
+            if not col:
+                continue
+            row = [(j, e) for j, e in enumerate(right.entries[mid]) if e]
+            for i, a in col:
+                for j, b in row:
+                    comp[i, j] = comp.get((i, j), z) + a * b
+        bad = [ij for ij, e in comp.items() if e]
+        if bad:
+            i, j = min(bad)
+            return Violation(degree=k + 1, row=i, col=j, value=comp[i, j])
     return None
 
 

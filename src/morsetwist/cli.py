@@ -19,8 +19,8 @@ from .chains import (
     homology,
     validate_complex,
 )
-from .cw import RegularCW, cw_to_morse, from_simplicial, validate_regular
-from .errors import MorsetwistError, ParseError
+from .cw import RegularCW, cw_to_morse, from_simplicial
+from .errors import MorsetwistError, NotRegular, ParseError
 from .invariants import (
     check_inequalities,
     hspace_obstruction,
@@ -29,6 +29,7 @@ from .invariants import (
     rank_of_class,
 )
 from .morse import LocalSystem, MorseDatum, build_cochain, build_complex
+from .rings import parse_rational
 from .serial import dump_json, facets_from_text, load_json
 
 EXIT_OK = 0
@@ -40,8 +41,8 @@ def _parse_class(text):
     if text is None:
         return None
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(parse_rational(part) for part in text.split(","))
+    except ParseError as exc:
         raise ParseError(f"bad class vector {text!r}: {exc}") from exc
 
 
@@ -121,11 +122,10 @@ def cmd_validate(args) -> int:
         raise ParseError(f"cannot read {args.input}: {exc}") from exc
     problems = []
     if isinstance(value, RegularCW):
-        bad = validate_regular(value)
-        if bad is not None:
-            problems.append(f"regularity: {bad.describe()}")
-        else:
+        try:
             value = cw_to_morse(value)
+        except NotRegular as exc:
+            problems.append(f"regularity: {exc}")
     if isinstance(value, MorseDatum):
         bad = validate_complex(build_complex(value, LocalSystem.trivial()))
         if bad is not None:
@@ -238,14 +238,15 @@ def cmd_from_triangulation(args) -> int:
     except OSError as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from exc
     cw = from_simplicial(fl)
-    bad = validate_regular(cw)
-    if bad is not None:
-        print(f"FAIL {bad.describe()}")
+    try:
+        datum = cw_to_morse(cw)
+    except NotRegular as exc:
+        print(f"FAIL {exc}")
         return EXIT_MATH
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(dump_json(cw))
-    summary = homology(build_complex(cw_to_morse(cw), LocalSystem.trivial()))
+    summary = homology(build_complex(datum, LocalSystem.trivial()))
     counts = tuple(len(layer) for layer in cw.cells)
     print(f"cells {','.join(str(c) for c in counts)}  "
           f"euler {sum((-1) ** k * c for k, c in enumerate(counts))}")
@@ -281,8 +282,8 @@ def cmd_example(args) -> int:
 
 def _depth(text) -> Fraction:
     try:
-        depth = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        depth = parse_rational(text)
+    except ParseError:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
     if depth <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")

@@ -65,7 +65,7 @@ class NotRegular(MorsetwistError):
     """CW complex failed a regularity check."""
 
 
-class MalformedFacets(MorsetwistError):
+class MalformedFacets(ParseError):
     """Facet list is not a pure simplicial complex."""
 
 

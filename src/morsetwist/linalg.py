@@ -1,7 +1,7 @@
 """Exact matrix reduction over the three coefficient regimes.
 
-* ``snf_int`` — Smith normal form over the integers with tracked unimodular
-  transforms, giving ranks and torsion invariant factors.
+* ``snf_int`` — Smith normal form over the integers, giving ranks and
+  torsion invariant factors.
 * ``rank_expsum`` — fraction-free (Bareiss) rank over the group ring of
   formal exponential sums.  Distinct rational exponents evaluate to
   linearly independent reals, so the formal rank equals the real one.
@@ -57,20 +57,6 @@ class Matrix:
                       [[self.entries[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
 
-    def matmul(self, other: "Matrix", zero_elem=0) -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero_elem
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.rows, other.cols, out)
-
     def map(self, fn) -> "Matrix":
         return Matrix(self.rows, self.cols,
                       [[fn(e) for e in row] for row in self.entries])
@@ -85,45 +71,32 @@ class Matrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    U: Matrix
-    D: Matrix
-    V: Matrix
     rank: int
     invariant_factors: tuple
 
 
 def snf_int(A: Matrix) -> SnfResult:
-    """Smith normal form: U*A*V = D diagonal with d1 | d2 | ..., U,V unimodular."""
+    """Rank and invariant factors d1 | d2 | ... of the Smith normal form.
+
+    Euclidean row and column steps diagonalize A; the Smith form is unique,
+    so the divisibility chain of the absolute diagonal is its answer."""
     m, n = A.rows, A.cols
     a = [[int(x) for x in row] for row in A.entries]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
             r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, c):  # row_dst += c*row_src
         for j in range(n):
             a[dst][j] += c * a[src][j]
-        for j in range(m):
-            U[dst][j] += c * U[src][j]
 
     def add_col(dst, src, c):
         for r in a:
             r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
 
     k = 0
     while k < min(m, n):
@@ -160,32 +133,11 @@ def snf_int(A: Matrix) -> SnfResult:
                         break
             if done:
                 break
-        if a[k][k] < 0:
-            negate_row(k)
-        # enforce divisibility against the rest of the block
-        p = a[k][k]
-        offender = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if a[i][j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(k, offender, 1)
-            continue
         k += 1
 
-    rank = sum(1 for i in range(min(m, n)) if a[i][i] != 0)
-    factors = tuple(a[i][i] for i in range(rank) if a[i][i] > 1)
-    return SnfResult(
-        U=Matrix(m, m, U),
-        D=Matrix(m, n, a),
-        V=Matrix(n, n, V),
-        rank=rank,
-        invariant_factors=factors,
-    )
+    chain = _divisibility_chain(abs(a[i][i]) for i in range(k))
+    return SnfResult(rank=k,
+                     invariant_factors=tuple(v for v in chain if v > 1))
 
 
 def rank_int_bruteforce(A: Matrix) -> int:
@@ -269,13 +221,9 @@ def rank_expsum(A: Matrix) -> int:
 
 @dataclass(frozen=True)
 class NovReduction:
-    diagonal: tuple
     unit_count: int
     nonunit_invariants: tuple
     status: str  # "complete" | "stuck"
-    U: Matrix
-    V: Matrix
-    D: Matrix
 
     @property
     def rank(self) -> int:
@@ -305,10 +253,6 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
         for e in row:
             if e.floor is not None:
                 raise ValueError("nov_reduce requires exact (untruncated) entries")
-    U = [[NovElem.one() if i == j else NovElem.zero() for j in range(m)]
-         for i in range(m)]
-    V = [[NovElem.one() if i == j else NovElem.zero() for j in range(n)]
-         for i in range(n)]
     ops = 0
     stuck = False
     # Non-unit clearing on exact entries can descend in exponent forever;
@@ -319,24 +263,17 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
             r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, c: NovElem):  # row_dst += c*row_src
         for j in range(n):
             a[dst][j] = a[dst][j] + c * a[src][j]
-        for j in range(m):
-            U[dst][j] = U[dst][j] + c * U[src][j]
 
     def add_col(dst, src, c: NovElem):
         for r in a:
-            r[dst] = r[dst] + r[src] * c
-        for r in V:
             r[dst] = r[dst] + r[src] * c
 
     def pick_pivot(k):
@@ -415,7 +352,6 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
             continue  # re-select pivot at the same k
         k += 1
 
-    diag = tuple(a[i][i] for i in range(min(m, n)))
     unit_count = 0
     nonunit = []
     if not stuck:
@@ -425,7 +361,7 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
                 if i != j and not _nov_zero(a[i][j]):
                     stuck = True
     if not stuck:
-        for e in diag:
+        for e in (a[i][i] for i in range(min(m, n))):
             if _nov_zero(e):
                 continue
             c, x = e.top()
@@ -444,13 +380,9 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
         unit_count += sum(1 for v in chain if v == 1)
         nonunit = [v for v in chain if v > 1]
     return NovReduction(
-        diagonal=diag,
         unit_count=unit_count,
         nonunit_invariants=tuple(nonunit) if not stuck else (),
         status="stuck" if stuck else "complete",
-        U=Matrix(m, m, U),
-        V=Matrix(n, n, V),
-        D=Matrix(m, n, a),
     )
 
 

@@ -8,6 +8,7 @@ dropping a typo'd "period" key would change the mathematics.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -31,6 +32,27 @@ def _check_fields(obj: dict, required, optional, where):
     for k in obj:
         if k not in allowed:
             raise ParseError(f"{where}: unknown field {k!r}")
+
+
+def _int(obj: dict, key, where) -> int:
+    """A JSON integer field: bool, str, null and float are rejected."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ParseError(f"{where}: {key!r} must be an integer, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
+def _value_errors_as_parse_errors(fn):
+    """Constructors check their own invariants with ValueError; at the file
+    boundary those are malformed input."""
+    @functools.wraps(fn)
+    def parse(obj):
+        try:
+            return fn(obj)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+    return parse
 
 
 def datum_to_dict(d: MorseDatum) -> dict:
@@ -59,21 +81,24 @@ def datum_to_dict(d: MorseDatum) -> dict:
     return out
 
 
+@_value_errors_as_parse_errors
 def datum_from_dict(obj: dict) -> MorseDatum:
     _check_fields(obj, ["name", "dimension", "basis_forms", "points", "flows"],
                   ["deck_group"], "datum")
     points = []
     for i, p in enumerate(obj["points"]):
         _check_fields(p, ["id", "index"], [], f"points[{i}]")
-        points.append(CriticalPoint(id=str(p["id"]), index=int(p["index"])))
+        points.append(CriticalPoint(id=str(p["id"]),
+                                    index=_int(p, "index", f"points[{i}]")))
     flows = []
     for i, f in enumerate(obj["flows"]):
+        where = f"flows[{i}]"
         _check_fields(f, ["from", "to", "sign", "periods"],
-                      ["unit_tag", "deck_tag"], f"flows[{i}]")
+                      ["unit_tag", "deck_tag"], where)
         flows.append(FlowLine(
-            frm=str(f["from"]), to=str(f["to"]), sign=int(f["sign"]),
+            frm=str(f["from"]), to=str(f["to"]), sign=_int(f, "sign", where),
             periods=tuple(parse_rational(p) for p in f["periods"]),
-            unit_tag=None if "unit_tag" not in f else int(f["unit_tag"]),
+            unit_tag=None if "unit_tag" not in f else _int(f, "unit_tag", where),
             deck_tag=None if "deck_tag" not in f else str(f["deck_tag"]),
         ))
     deck = None
@@ -86,13 +111,10 @@ def datum_from_dict(obj: dict) -> MorseDatum:
             for b, c in row.items():
                 table[(str(a), str(b))] = str(c)
         deck = DeckGroup(elements=elements, table=table)
-    try:
-        return MorseDatum(
-            name=str(obj["name"]), dimension=int(obj["dimension"]),
-            basis_forms=tuple(str(b) for b in obj["basis_forms"]),
-            points=tuple(points), flows=tuple(flows), deck_group=deck)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return MorseDatum(
+        name=str(obj["name"]), dimension=_int(obj, "dimension", "datum"),
+        basis_forms=tuple(str(b) for b in obj["basis_forms"]),
+        points=tuple(points), flows=tuple(flows), deck_group=deck)
 
 
 def cw_to_dict(cw: RegularCW) -> dict:
@@ -113,28 +135,29 @@ def cw_to_dict(cw: RegularCW) -> dict:
     return out
 
 
+@_value_errors_as_parse_errors
 def cw_from_dict(obj: dict) -> RegularCW:
     _check_fields(obj, ["name", "dimension", "cells", "incidences"],
                   ["basis_forms"], "cw")
+    basis_forms = tuple(str(b) for b in obj.get("basis_forms", []))
     incidences = []
     for i, rec in enumerate(obj["incidences"]):
+        where = f"incidences[{i}]"
         _check_fields(rec, ["upper", "lower", "incidence"],
-                      ["periods", "unit_tag"], f"incidences[{i}]")
+                      ["periods", "unit_tag"], where)
+        periods = tuple(parse_rational(p) for p in rec.get("periods", []))
+        if periods and len(periods) != len(basis_forms):
+            raise ParseError(f"{where}: {len(periods)} periods for "
+                             f"{len(basis_forms)} basis forms")
         incidences.append(Incidence(
             upper=str(rec["upper"]), lower=str(rec["lower"]),
-            incidence=int(rec["incidence"]),
-            periods=tuple(parse_rational(p) for p in rec.get("periods", [])),
-            unit_tag=None if "unit_tag" not in rec else int(rec["unit_tag"]),
+            incidence=_int(rec, "incidence", where), periods=periods,
+            unit_tag=None if "unit_tag" not in rec else _int(rec, "unit_tag", where),
         ))
-    try:
-        return RegularCW(
-            name=str(obj["name"]), dimension=int(obj["dimension"]),
-            cells=tuple(tuple(str(c) for c in layer)
-                        for layer in obj["cells"]),
-            incidences=tuple(incidences),
-            basis_forms=tuple(str(b) for b in obj.get("basis_forms", [])))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return RegularCW(
+        name=str(obj["name"]), dimension=_int(obj, "dimension", "cw"),
+        cells=tuple(tuple(str(c) for c in layer) for layer in obj["cells"]),
+        incidences=tuple(incidences), basis_forms=basis_forms)
 
 
 def load_json(text: str):

@@ -180,3 +180,94 @@ def test_out_of_range_budget_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "error: argument --" in err
     assert "Traceback" not in err
+
+
+def _flipped_rp2_cw():
+    cw = get_example("rp2-triangulated").cw
+    incs = list(cw.incidences)
+    k = next(i for i, inc in enumerate(incs) if inc.upper.count(".") == 2)
+    incs[k] = replace(incs[k], incidence=-incs[k].incidence)
+    return replace(cw, incidences=tuple(incs))
+
+
+def test_one_regularity_pass_per_command(tmp_path, capsys, monkeypatch):
+    import morsetwist.cw as cw_module
+    calls = []
+    original = cw_module.validate_regular
+    monkeypatch.setattr(cw_module, "validate_regular",
+                        lambda cw: calls.append(cw) or original(cw))
+    good = tmp_path / "rp2cw.json"
+    good.write_text(dump_json(get_example("rp2-triangulated").cw))
+    bad = tmp_path / "flipped.json"
+    bad.write_text(dump_json(_flipped_rp2_cw()))
+    facets = tmp_path / "rp2.facets"
+    facets.write_text(facets_to_text(FacetList(6, RP2_SIX_VERTEX_FACETS)))
+    for argv, want in [(["validate", str(good)], 0),
+                       (["validate", str(bad)], 1),
+                       (["from-triangulation", str(facets)], 0)]:
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert (code, len(calls)) == (want, 1), argv
+
+
+def test_cw_period_count_mismatch_is_parse_error(tmp_path, capsys):
+    obj = json.loads(dump_json(get_example("rp2-triangulated").cw))
+    obj["basis_forms"] = ["x"]
+    obj["incidences"][0]["periods"] = ["1", "2"]
+    path = tmp_path / "periods.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: incidences[0]: 2 periods for 1 basis forms\n"
+
+
+def test_malformed_facets_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.facets"
+    path.write_text("vertices 3\n0 0 1\n")
+    code, out, err = run(capsys, "from-triangulation", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: facet (0, 0, 1) repeats a vertex\n"
+
+
+def _set(*path_and_value):
+    *path, last, value = path_and_value
+
+    def edit(obj):
+        for key in path:
+            obj = obj[key]
+        obj[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("example, edit, extra", [
+    ("rp2", _set("flows", 0, "sign", "abc"), []),
+    ("rp2", _set("flows", 0, "sign", True), []),
+    ("rp2", _set("flows", 0, "sign", 2), []),
+    ("rp2", _set("flows", 0, "unit_tag", True), []),
+    ("rp2", _set("points", 0, "index", "x"), []),
+    ("rp2", _set("dimension", None), []),
+    ("rp2-triangulated", _set("incidences", 0, "incidence", 1.0), []),
+    ("rp2-triangulated", _set("incidences", 0, "unit_tag", "1"), []),
+    ("rp2-triangulated", _set("dimension", 2.0), []),
+    ("torus", None, ["--system", "exp", "--class", "0.5,0"]),
+    ("torus", None, ["--system", "exp", "--class", "1e3,0"]),
+    ("torus", None, ["--system", "nov", "--class", "1,0", "--depth", "0.5"]),
+], ids=["sign-str", "sign-bool", "sign-2", "unit_tag-bool", "index-str",
+        "dimension-null", "incidence-float", "cw-unit_tag-str",
+        "cw-dimension-float", "class-decimal", "class-exponent",
+        "depth-decimal"])
+def test_non_integer_or_decimal_input_is_parse_error(tmp_path, capsys, example,
+                                                     edit, extra):
+    entry = get_example(example)
+    obj = json.loads(dump_json(entry.cw if entry.cw is not None else entry.datum))
+    if edit is not None:
+        edit(obj)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    try:
+        code = main(["homology", str(path), *extra])
+    except SystemExit as exc:  # argparse rejects a bad --depth
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "error: " in err and "Traceback" not in err

@@ -39,37 +39,56 @@ def test_snf_lifted_circle_boundary():
     assert r.invariant_factors == ()
 
 
-def test_snf_transform_identity():
-    A = M([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    r = snf_int(A)
-    assert r.U.matmul(A).matmul(r.V).entries == r.D.entries
-    # divisibility chain
-    diag = [r.D.entries[i][i] for i in range(3)]
-    for a, b in zip(diag, diag[1:]):
-        if a and b:
-            assert b % a == 0
+def test_snf_known_matrix_divisibility_chain(minors_oracle):
+    rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    r = snf_int(M(rows))
+    # d1 = 2, d2 = 4, d3 = |det| = 624
+    assert (r.rank, r.invariant_factors) == (3, (2, 2, 156))
+    assert minors_oracle(rows) == (3, (2, 2, 156))
 
 
-def _det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    return sum((-1) ** j * mat[0][j] *
-               _det([row[:j] + row[j + 1:] for row in mat[1:]])
-               for j in range(n))
-
-
-def test_snf_vs_bruteforce_random():
+def test_snf_vs_bruteforce_random(minors_oracle):
     rng = random.Random(20250825)
     for _ in range(200):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        A = M([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        A = M(rows)
         r = snf_int(A)
         assert r.rank == rank_int_bruteforce(A)
-        assert r.U.matmul(A).matmul(r.V).entries == r.D.entries
-        assert abs(_det(r.U.entries)) == 1
-        assert abs(_det(r.V.entries)) == 1
+        assert (r.rank, r.invariant_factors) == minors_oracle(rows)
+
+
+def _scramble(diagonal, rng, multiplier, zero, steps=8):
+    """A matrix equivalent to diag(diagonal): rows and columns shuffled, then
+    random elementary additions of a multiple of one row (or column) to
+    another, which are invertible whatever the multiplier."""
+    n = len(diagonal)
+    rows = [[diagonal[i] if i == j else zero for j in range(n)]
+            for i in range(n)]
+    rng.shuffle(rows)
+    cols = rng.sample(range(n), n)
+    rows = [[row[j] for j in cols] for row in rows]
+    for _ in range(steps):
+        dst, src = rng.sample(range(n), 2)
+        c = multiplier(rng)
+        if rng.random() < 0.5:
+            rows[dst] = [a + c * b for a, b in zip(rows[dst], rows[src])]
+        else:
+            for row in rows:
+                row[dst] = row[dst] + c * row[src]
+    return M(rows)
+
+
+def test_snf_equivalence_oracle():
+    # 1 | 2 | 6 | 12 is already a Smith form, so every equivalent matrix
+    # must give it back
+    rng = random.Random(1212)
+    for _ in range(200):
+        A = _scramble([1, 2, 6, 12, 0], rng,
+                      lambda r: r.choice([-3, -2, -1, 1, 2, 3]), 0)
+        r = snf_int(A)
+        assert (r.rank, r.invariant_factors) == (4, (2, 6, 12)), A
 
 
 def test_bruteforce_examples():
@@ -161,22 +180,42 @@ def _nov_rand(rng, max_terms=2):
 
 
 def test_nov_reduce_soundness_random():
-    # U*A*V must reproduce the reduced matrix up to each entry's floor
+    # Laurent polynomials in t^(1/2) sit inside the Novikov field, so a
+    # completed reduction has the rank the same entries have as ExpSums
     rng = random.Random(424242)
     done = 0
     for _ in range(100):
         m = rng.randint(1, 3)
         n = rng.randint(1, 3)
-        A = M([[_nov_rand(rng) for _ in range(n)] for _ in range(m)])
-        r = nov_reduce(A)
+        rows = [[_nov_rand(rng) for _ in range(n)] for _ in range(m)]
+        r = nov_reduce(M(rows))
         if r.status != "complete":
             continue
         done += 1
-        prod = r.U.matmul(A, NovElem.zero()).matmul(r.V, NovElem.zero())
-        for i in range(m):
-            for j in range(n):
-                assert prod.entries[i][j].agrees_with(r.D.entries[i][j])
+        assert r.rank == rank_expsum(M([[ExpSum(e.terms) for e in row]
+                                        for row in rows]))
     assert done >= 50
+
+
+def _nov_multiplier(rng):
+    return NovElem([(rng.choice([-2, -1, 1, 2]),
+                     rng.choice([F(-1), F(-1, 2), F(0), F(1, 2), F(1)]))])
+
+
+def test_nov_reduce_equivalence_oracle():
+    # t^(1/2) and -1 are units, 2t and 4t^(-1) give Nov/2 + Nov/4
+    diagonal = [NovElem.monomial(1, F(1, 2)), NovElem.monomial(-1, 0),
+                NovElem.monomial(2, 1), NovElem.monomial(4, -1), NovElem.zero()]
+    rng = random.Random(4242)
+    done = 0
+    for _ in range(200):
+        A = _scramble(diagonal, rng, _nov_multiplier, NovElem.zero())
+        r = nov_reduce(A, max_iter=1000)
+        if r.status != "complete":
+            continue
+        done += 1
+        assert (r.unit_count, r.nonunit_invariants) == (2, (2, 4)), A
+    assert done >= 150
 
 
 def test_nov_reduce_matches_snf_on_integer_constants():
