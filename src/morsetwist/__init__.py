@@ -29,7 +29,7 @@ from .invariants import (
     parallel_form_obstruction,
     rank_of_class,
 )
-from .linalg import Matrix, nov_reduce, rank_expsum, rank_int_bruteforce, snf_int
+from .linalg import Matrix, nov_reduce, rank_expsum, snf_int
 from .morse import (
     CriticalPoint,
     DeckGroup,

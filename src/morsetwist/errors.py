@@ -21,10 +21,6 @@ class NonpositiveScale(MorsetwistError):
     """Exponent rescaling requires a strictly positive factor."""
 
 
-class TooLarge(MorsetwistError):
-    """Brute-force oracle invoked beyond its size bound."""
-
-
 class InvalidComplex(MorsetwistError):
     """Chain complex failed the boundary-squared check."""
 

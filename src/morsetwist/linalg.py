@@ -2,25 +2,29 @@
 
 * ``snf_int`` — Smith normal form over the integers, giving ranks and
   torsion invariant factors.
-* ``rank_expsum`` — fraction-free (Bareiss) rank over the group ring of
-  formal exponential sums.  Distinct rational exponents evaluate to
-  linearly independent reals, so the formal rank equals the real one.
+* ``rank_expsum`` — rank over the group ring of formal exponential sums.
+  Distinct rational exponents evaluate to linearly independent reals, so
+  the formal rank equals the real one.
 * ``nov_reduce`` — valuation-pivoted diagonalization over the Novikov
   ring, with truncated unit inversion and an explicit iteration budget.
-* ``rank_int_bruteforce`` — minor-expansion rank oracle for small
-  integer matrices, used in tests only.
 
-All functions are pure; matrices are small and dense.
+Each first runs ``_unit_pivots``, one regime-generic sparse pass that
+cancels every exactly invertible entry (algebraic Morse reduction).
+Boundary matrices of cell complexes are sparse and mostly made of such
+entries, so only a small dense leftover reaches the regime's own leaf
+loop: Euclidean Smith form, Bareiss elimination, or Novikov Euclid.
+All functions are pure; ``Matrix`` is the dense interchange type.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
-from .errors import TooLarge, ZeroElement
+from .errors import ZeroElement
 from .rings import ExpSum, NovElem
 
 
@@ -69,6 +73,121 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
 
 
+def _unit_pivots(A: Matrix, coerce, unit_inverse):
+    """Cancel every exactly invertible pivot of A.
+
+    Returns (pivots cancelled, dense leftover Matrix).  ``coerce`` brings an
+    entry into the regime's ring; ``unit_inverse`` returns an entry's exact
+    inverse, or None when it has none.  Each step takes the unit of lowest
+    Markowitz cost (row nnz - 1)·(col nnz - 1), ties to the lowest
+    (row, col), and replaces the matrix by its Schur complement: the pivot's
+    inverse lies in the ring, so A is equivalent to diag(pivot, leftover),
+    and rank, invariant factors and torsion all come from the leftover.
+    """
+    rows = {}       # row -> {col: nonzero entry}
+    cols = {}       # col -> set of rows holding a nonzero entry there
+    inverses = {}   # (row, col) -> inverse of the unit last written there
+
+    def put(i, j, v):
+        rows[i][j] = v
+        inv = unit_inverse(v)
+        if inv is None:
+            inverses.pop((i, j), None)
+        else:
+            inverses[i, j] = inv
+
+    for i, row in enumerate(A.entries):
+        nonzero = list(compress(range(len(row)), row))
+        if nonzero:
+            rows[i] = {}
+            for j in nonzero:
+                put(i, j, coerce(row[j]))
+                cols.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    # Lazily re-keyed heap: after every pivot the units of each row and
+    # column whose length changed are pushed with their new cost, so the
+    # heap always holds every live unit at its current cost; items whose
+    # cost or entry has gone stale are dropped when they surface.
+    heap = [(cost(i, j), i, j) for i, j in inverses]
+    heapq.heapify(heap)
+    count = 0
+    while heap:
+        key, r, c = heapq.heappop(heap)
+        if c not in rows.get(r, ()) or (r, c) not in inverses \
+                or key != cost(r, c):
+            continue
+        inv = inverses[r, c]
+        count += 1
+        prow = rows.pop(r)
+        del prow[c]
+        pcol = cols.pop(c)
+        pcol.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        for i in pcol:
+            row = rows[i]
+            f = row.pop(c) * inv
+            for j, x in prow.items():
+                v = row[j] - f * x if j in row else -(f * x)
+                if v:
+                    put(i, j, v)
+                    cols[j].add(i)
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            if not cols[j]:
+                del cols[j]
+        for i in pcol:
+            for j in rows.get(i, ()):
+                if (i, j) in inverses:
+                    heapq.heappush(heap, (cost(i, j), i, j))
+        for j in prow:
+            for i in cols.get(j, ()):
+                if (i, j) in inverses:
+                    heapq.heappush(heap, (cost(i, j), i, j))
+
+    zero = coerce(0)
+    live_cols = sorted(cols)
+    leftover = [[rows[i].get(j, zero) for j in live_cols] for i in sorted(rows)]
+    return count, Matrix(len(leftover), len(live_cols), leftover)
+
+
+def _int_unit_inverse(e):
+    return e if e in (1, -1) else None
+
+
+def _as_expsum(e) -> ExpSum:
+    return e if isinstance(e, ExpSum) else ExpSum([(e, 0)])
+
+
+def _expsum_unit_inverse(e: ExpSum):
+    if len(e.terms) != 1:
+        return None
+    c, x = e.terms[0]
+    return ExpSum([(1 / c, -x)])
+
+
+def _as_exact_nov(e) -> NovElem:
+    e = e if isinstance(e, NovElem) else NovElem([(e, 0)])
+    if e.floor is not None:
+        raise ValueError("nov_reduce requires exact (untruncated) entries")
+    return e
+
+
+def _nov_unit_inverse(e: NovElem):
+    """±t^a only: its inverse ±t^(-a) is exact, so no floor is introduced."""
+    if len(e.terms) != 1 or e.terms[0][0] not in (1, -1):
+        return None
+    c, x = e.terms[0]
+    return NovElem([(c, -x)])
+
+
 @dataclass(frozen=True)
 class SnfResult:
     rank: int
@@ -78,8 +197,18 @@ class SnfResult:
 def snf_int(A: Matrix) -> SnfResult:
     """Rank and invariant factors d1 | d2 | ... of the Smith normal form.
 
-    Euclidean row and column steps diagonalize A; the Smith form is unique,
-    so the divisibility chain of the absolute diagonal is its answer."""
+    Every cancelled unit pivot is a Smith factor 1, so the leftover's
+    factors are the whole torsion."""
+    units, rest = _unit_pivots(A, int, _int_unit_inverse)
+    leaf = _snf_leaf(rest)
+    return SnfResult(rank=units + leaf.rank,
+                     invariant_factors=leaf.invariant_factors)
+
+
+def _snf_leaf(A: Matrix) -> SnfResult:
+    """Euclidean row and column steps diagonalize A; the Smith form is
+    unique, so the divisibility chain of the absolute diagonal is its
+    answer."""
     m, n = A.rows, A.cols
     a = [[int(x) for x in row] for row in A.entries]
 
@@ -140,32 +269,6 @@ def snf_int(A: Matrix) -> SnfResult:
                      invariant_factors=tuple(v for v in chain if v > 1))
 
 
-def rank_int_bruteforce(A: Matrix) -> int:
-    """Rank by exhaustive minor expansion.  Test oracle only."""
-    m, n = A.rows, A.cols
-    if m > 6 or n > 6:
-        raise TooLarge(f"brute-force oracle limited to 6x6, got {m}x{n}")
-
-    def det(rows, cols):
-        if not rows:
-            return 1
-        i = rows[0]
-        total = 0
-        for s, j in enumerate(cols):
-            x = A.entries[i][j]
-            if x:
-                rest = cols[:s] + cols[s + 1:]
-                total += (-1) ** s * x * det(rows[1:], rest)
-        return total
-
-    for r in range(min(m, n), 0, -1):
-        for rows in itertools.combinations(range(m), r):
-            for cols in itertools.combinations(range(n), r):
-                if det(list(rows), list(cols)) != 0:
-                    return r
-    return 0
-
-
 _DIV_CAP = 100000
 
 
@@ -187,10 +290,16 @@ def expsum_divexact(a: ExpSum, b: ExpSum) -> ExpSum:
 
 
 def rank_expsum(A: Matrix) -> int:
+    """Rank over the fraction field: cancelled unit pivots c·t^a plus the
+    leftover's rank."""
+    units, rest = _unit_pivots(A, _as_expsum, _expsum_unit_inverse)
+    return units + _rank_leaf(rest)
+
+
+def _rank_leaf(A: Matrix) -> int:
     """Rank over the fraction field via fraction-free Bareiss elimination."""
     m, n = A.rows, A.cols
-    a = [[e if isinstance(e, ExpSum) else ExpSum([(e, 0)]) for e in row]
-         for row in A.entries]
+    a = [[_as_expsum(e) for e in row] for row in A.entries]
     prev = ExpSum.one()
     k = 0
     while k < min(m, n):
@@ -238,21 +347,33 @@ def _nov_zero(e: NovElem) -> bool:
 def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
     """Diagonalize over the Novikov ring.
 
-    Legal moves: swaps, adding a monomial (or truncated-unit) multiple of a
-    row/column to another.  Pivot choice: smallest |top coefficient|, ties
-    to the larger top exponent, then lowest (row, col).  Unit pivots are
-    cleared with truncated inverses at the given depth; non-unit pivots are
-    reduced by integer-Euclidean steps on top coefficients.  Runs that
-    exhaust max_iter report status "stuck" instead of raising.
+    Exact unit pivots ±t^a are cancelled first; they are finite, exact
+    steps and are not charged against ``max_iter``, which budgets the leaf
+    loop on the leftover only.  A stuck leaf is returned as it is: its
+    counts are partial, so a stuck degree's numbers are not an answer.
+    """
+    units, rest = _unit_pivots(A, _as_exact_nov, _nov_unit_inverse)
+    leaf = _nov_leaf(rest, depth, max_iter)
+    if leaf.status == "stuck":
+        return leaf
+    return NovReduction(unit_count=units + leaf.unit_count,
+                        nonunit_invariants=leaf.nonunit_invariants,
+                        status=leaf.status)
+
+
+def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
+    """Legal moves: swaps, adding a monomial (or truncated-unit) multiple of
+    a row/column to another, and multiplying a row by a truncated unit.
+    Pivot choice: smallest |top coefficient|, ties to the larger top
+    exponent, then lowest (row, col).  Unit pivots are cleared with
+    truncated inverses at the given depth; a non-unit pivot c·t^a·U first
+    has its unit U divided out of its row, then is reduced by
+    integer-Euclidean steps on top coefficients.  Runs that exhaust
+    max_iter report status "stuck" instead of raising.
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
-    a = [[e if isinstance(e, NovElem) else NovElem([(e, 0)]) for e in row]
-         for row in A.entries]
-    for row in a:
-        for e in row:
-            if e.floor is not None:
-                raise ValueError("nov_reduce requires exact (untruncated) entries")
+    a = [[_as_exact_nov(e) for e in row] for row in A.entries]
     ops = 0
     stuck = False
     # Non-unit clearing on exact entries can descend in exponent forever;
@@ -319,7 +440,18 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
             if not stuck:
                 k += 1
             continue
-        # Non-unit pivot: Euclidean monomial steps on the top coefficients.
+        # Non-unit pivot c·t^a·U: divide U out of the pivot's row, or the
+        # Euclidean steps below only ever cancel top terms and can descend
+        # in exponent without end.
+        terms = a[k][k].terms
+        if len(terms) > 1 and all(ci % pc == 0 for ci, _ in terms):
+            inv = NovElem([(ci // pc, x - px) for ci, x in terms]).invert(depth)
+            a[k] = [e if _nov_zero(e) else e * inv for e in a[k]]
+            ops += 1
+            if ops > max_iter:
+                stuck = True
+                break
+        # Then Euclidean monomial steps on the top coefficients.
         progressed = False
         restart = False
         for (i, j, is_row) in [(i, k, True) for i in range(k + 1, m)] + \

@@ -43,6 +43,15 @@ def _int(obj: dict, key, where) -> int:
     return value
 
 
+def _list(obj, key, where) -> list:
+    """A JSON array field: a number, string, object or null is rejected."""
+    value = obj[key]
+    if type(value) is not list:
+        raise ParseError(f"{where}: {key!r} must be a list, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
 def _value_errors_as_parse_errors(fn):
     """Constructors check their own invariants with ValueError; at the file
     boundary those are malformed input."""
@@ -86,18 +95,19 @@ def datum_from_dict(obj: dict) -> MorseDatum:
     _check_fields(obj, ["name", "dimension", "basis_forms", "points", "flows"],
                   ["deck_group"], "datum")
     points = []
-    for i, p in enumerate(obj["points"]):
+    for i, p in enumerate(_list(obj, "points", "datum")):
         _check_fields(p, ["id", "index"], [], f"points[{i}]")
         points.append(CriticalPoint(id=str(p["id"]),
                                     index=_int(p, "index", f"points[{i}]")))
     flows = []
-    for i, f in enumerate(obj["flows"]):
+    for i, f in enumerate(_list(obj, "flows", "datum")):
         where = f"flows[{i}]"
         _check_fields(f, ["from", "to", "sign", "periods"],
                       ["unit_tag", "deck_tag"], where)
         flows.append(FlowLine(
             frm=str(f["from"]), to=str(f["to"]), sign=_int(f, "sign", where),
-            periods=tuple(parse_rational(p) for p in f["periods"]),
+            periods=tuple(parse_rational(p)
+                          for p in _list(f, "periods", where)),
             unit_tag=None if "unit_tag" not in f else _int(f, "unit_tag", where),
             deck_tag=None if "deck_tag" not in f else str(f["deck_tag"]),
         ))
@@ -105,7 +115,7 @@ def datum_from_dict(obj: dict) -> MorseDatum:
     if "deck_group" in obj:
         g = obj["deck_group"]
         _check_fields(g, ["elements", "table"], [], "deck_group")
-        elements = tuple(str(e) for e in g["elements"])
+        elements = tuple(str(e) for e in _list(g, "elements", "deck_group"))
         table = {}
         for a, row in g["table"].items():
             for b, c in row.items():
@@ -113,7 +123,7 @@ def datum_from_dict(obj: dict) -> MorseDatum:
         deck = DeckGroup(elements=elements, table=table)
     return MorseDatum(
         name=str(obj["name"]), dimension=_int(obj, "dimension", "datum"),
-        basis_forms=tuple(str(b) for b in obj["basis_forms"]),
+        basis_forms=tuple(str(b) for b in _list(obj, "basis_forms", "datum")),
         points=tuple(points), flows=tuple(flows), deck_group=deck)
 
 
@@ -139,13 +149,15 @@ def cw_to_dict(cw: RegularCW) -> dict:
 def cw_from_dict(obj: dict) -> RegularCW:
     _check_fields(obj, ["name", "dimension", "cells", "incidences"],
                   ["basis_forms"], "cw")
-    basis_forms = tuple(str(b) for b in obj.get("basis_forms", []))
+    basis_forms = tuple(str(b) for b in (
+        _list(obj, "basis_forms", "cw") if "basis_forms" in obj else ()))
     incidences = []
-    for i, rec in enumerate(obj["incidences"]):
+    for i, rec in enumerate(_list(obj, "incidences", "cw")):
         where = f"incidences[{i}]"
         _check_fields(rec, ["upper", "lower", "incidence"],
                       ["periods", "unit_tag"], where)
-        periods = tuple(parse_rational(p) for p in rec.get("periods", []))
+        periods = tuple(parse_rational(p) for p in (
+            _list(rec, "periods", where) if "periods" in rec else ()))
         if periods and len(periods) != len(basis_forms):
             raise ParseError(f"{where}: {len(periods)} periods for "
                              f"{len(basis_forms)} basis forms")
@@ -154,9 +166,11 @@ def cw_from_dict(obj: dict) -> RegularCW:
             incidence=_int(rec, "incidence", where), periods=periods,
             unit_tag=None if "unit_tag" not in rec else _int(rec, "unit_tag", where),
         ))
+    cells = _list(obj, "cells", "cw")
     return RegularCW(
         name=str(obj["name"]), dimension=_int(obj, "dimension", "cw"),
-        cells=tuple(tuple(str(c) for c in layer) for layer in obj["cells"]),
+        cells=tuple(tuple(str(c) for c in _list(cells, k, "cw cells"))
+                    for k in range(len(cells))),
         incidences=tuple(incidences), basis_forms=basis_forms)
 
 

@@ -1,5 +1,6 @@
-"""Answer oracle shared by the linear-algebra tests: integer invariant
-factors from determinantal divisors, independent of any reduction."""
+"""Answer oracles shared by the linear-algebra tests: integer rank by
+exhaustive minor expansion, and integer invariant factors from
+determinantal divisors, both independent of any reduction."""
 
 import itertools
 from math import gcd
@@ -12,6 +13,23 @@ def _det(rows):
         return 1
     return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
                for j, x in enumerate(rows[0]) if x)
+
+
+class TooLarge(Exception):
+    """Brute-force oracle invoked beyond its size bound."""
+
+
+def rank_int_bruteforce(A) -> int:
+    """Rank of an integer Matrix by exhaustive minor expansion."""
+    m, n = A.rows, A.cols
+    if m > 6 or n > 6:
+        raise TooLarge(f"brute-force oracle limited to 6x6, got {m}x{n}")
+    for r in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(A.entries, r):
+            for cs in itertools.combinations(range(n), r):
+                if _det([[row[j] for j in cs] for row in rows]) != 0:
+                    return r
+    return 0
 
 
 def invariant_factors_by_minors(rows):

@@ -8,11 +8,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+from conftest import rank_int_bruteforce
 from morsetwist.catalog import get_example, run_all
 from morsetwist.chains import euler_cells, euler_homology, homology, validate_complex
 from morsetwist.cw import FacetList, cw_to_morse, from_simplicial
 from morsetwist.invariants import check_inequalities, hspace_obstruction, novikov_numbers
-from morsetwist.linalg import Matrix, rank_int_bruteforce, snf_int
+from morsetwist.linalg import Matrix, snf_int
 from morsetwist.morse import (
     LocalSystem,
     build_cochain,

@@ -271,3 +271,34 @@ def test_non_integer_or_decimal_input_is_parse_error(tmp_path, capsys, example,
     err = capsys.readouterr().err
     assert code == 2, err
     assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("example, edit, want", [
+    ("rp2", _set("points", 5), "datum: 'points' must be a list, got 5"),
+    ("rp2", _set("flows", 7), "datum: 'flows' must be a list, got 7"),
+    ("rp2", _set("basis_forms", 3),
+     "datum: 'basis_forms' must be a list, got 3"),
+    ("rp2", _set("flows", 0, "periods", "0"),
+     "flows[0]: 'periods' must be a list, got \"0\""),
+    ("rp2-triangulated", _set("cells", {}), "cw: 'cells' must be a list, got {}"),
+    ("rp2-triangulated", _set("incidences", None),
+     "cw: 'incidences' must be a list, got null"),
+], ids=["points", "flows", "basis_forms", "periods", "cells", "incidences"])
+def test_non_list_field_is_parse_error(tmp_path, capsys, example, edit, want):
+    entry = get_example(example)
+    obj = json.loads(dump_json(entry.cw if entry.cw is not None else entry.datum))
+    edit(obj)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
+def test_novikov_unit_pivots_are_not_charged_to_max_iter(capsys):
+    # every pivot of this input is an exact unit ±t^a, so the op budget
+    # is never touched; the answer is the one an unbudgeted run gives
+    code, out, _ = run(capsys, "novikov", "--example", "circle-regular",
+                       "--class=-2/3", "--max-iter=0")
+    assert code == 0
+    assert out.splitlines() == ["class -2/3", "degree 0: b=0 q=0",
+                                "degree 1: b=0 q=0"]
