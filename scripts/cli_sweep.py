@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Run ``morsetwist.cli.main`` in-process over a fixed grid of invocations
+and print one JSON line per call: argv, exit code, stdout, stderr.
+
+Two trees answer alike when their sweeps are byte-identical, so comparing
+a change with its parent is a plain ``diff``:
+
+    PYTHONPATH=src python scripts/cli_sweep.py > new.jsonl
+    PYTHONPATH=../parent/src python scripts/cli_sweep.py > old.jsonl
+    diff old.jsonl new.jsonl
+
+The grid covers every catalog entry x command x system x class x
+text/json; the same grid on potential-shifted and rescaled copies of the
+catalog data (non-integral and negative periods); the ``novikov``
+depth x max-iter grid; ``validate``/``homology`` on every example file
+and on broken ones; ``from-triangulation``; and ``example list/show/run``.
+Files are written to a temporary directory and named relative to it, so
+no machine-specific path reaches the output.  The invocation count goes
+to stderr.
+"""
+
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from fractions import Fraction
+
+from morsetwist.catalog import example_names, get_example
+from morsetwist.cli import main
+from morsetwist.morse import potential_shift, rescale_datum
+from morsetwist.serial import dump_json, facets_to_text
+
+SYSTEMS = ("trivial", "unit-rep", "exp", "nov")
+TWISTED = ("homology", "cohomology", "euler", "obstructions")
+RPN = (1, 2, 3, 4)
+DEPTHS = ("1/2", "1", "4", "16")
+MAX_ITERS = ("0", "1", "10", "10000")
+FACETS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "..", "docs", "examples", "rp2.facets")
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:  # a traceback is an answer too
+            code = f"raised {type(exc).__name__}: {exc}"
+    return {"argv": list(argv), "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def classes(nforms):
+    """No class, the zero class, a sparse integral one, a dense one with
+    negative and non-integral entries, and one of the wrong length."""
+    if nforms == 0:
+        return (None, "0")
+    dense = ",".join(str(Fraction((-1) ** i * (i + 1), i + 2))
+                     for i in range(nforms))
+    sparse = ",".join("1" if i == 0 else "0" for i in range(nforms))
+    return (None, ",".join("0" * nforms), sparse, dense,
+            ",".join("1" * (nforms + 1)))
+
+
+def grid(source, nforms):
+    for cmd in TWISTED:
+        for system in SYSTEMS:
+            for cls in classes(nforms):
+                for fmt in ("text", "json"):
+                    argv = [cmd, *source, "--system", system, "--format", fmt]
+                    yield argv + ([f"--class={cls}"] if cls is not None else [])
+    for cls in classes(nforms):
+        for fmt in ("text", "json"):
+            argv = ["novikov", *source, "--format", fmt]
+            yield argv + ([f"--class={cls}"] if cls is not None else [])
+
+
+def entries():
+    names = [n for n in example_names() if n != "rpn(N)"]
+    return [get_example(n) for n in names + [f"rpn({n})" for n in RPN]]
+
+
+def write(name, text):
+    with open(name, "w") as fh:
+        fh.write(text)
+    return name
+
+
+def files():
+    """Example files: each datum as given, shifted, and shifted then
+    rescaled; each CW complex; broken variants of both."""
+    rng = random.Random(20191)
+    out = []
+    for e in entries():
+        d = e.datum
+        n = len(d.basis_forms)
+        h = {p.id: tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                         for _ in range(n)) for p in d.points}
+        shifted = potential_shift(d, h)
+        scaled = rescale_datum(shifted, Fraction(rng.randint(1, 7),
+                                                 rng.randint(1, 5)))
+        for tag, datum in (("", d), ("-shift", shifted), ("-scale", scaled)):
+            out.append((write(f"{e.name}{tag}.json", dump_json(datum)), n))
+        if e.cw is not None:
+            out.append((write(f"{e.name}-cw.json", dump_json(e.cw)),
+                        len(e.cw.basis_forms)))
+    rp2 = json.loads(dump_json(get_example("rp2").datum))
+    for label, value in (("true", True), ("float", 1.0), ("int", 1),
+                         ("decimal", "0.5"), ("null", None)):
+        bad = json.loads(json.dumps(rp2))
+        bad["flows"][0]["periods"] = ["1"]
+        bad["flows"][-1]["periods"] = [value]
+        out.append((write(f"rp2-period-{label}.json", json.dumps(bad)), 1))
+    flipped = json.loads(json.dumps(rp2))
+    flipped["flows"][2]["sign"] = -flipped["flows"][2]["sign"]
+    out.append((write("rp2-flipped.json", json.dumps(flipped)), 1))
+    cw = get_example("rp2-triangulated").cw
+    incs = list(cw.incidences)
+    k = next(i for i, inc in enumerate(incs) if inc.upper.count(".") == 2)
+    incs[k] = replace(incs[k], incidence=-incs[k].incidence)
+    out.append((write("rp2-cw-flipped.json",
+                      dump_json(replace(cw, incidences=tuple(incs)))), 0))
+    out.append((write("not-json.json", "{nope"), 0))
+    return out
+
+
+def invocations():
+    for e in entries():
+        yield from grid(["--example", e.name], len(e.datum.basis_forms))
+    for e in entries():
+        if e.datum.basis_forms:
+            for depth in DEPTHS:
+                for max_iter in MAX_ITERS:
+                    yield ["novikov", "--example", e.name,
+                           "--class=" + classes(len(e.datum.basis_forms))[3],
+                           "--depth", depth, "--max-iter", max_iter]
+    for path, nforms in files():
+        yield ["validate", path]
+        yield ["homology", path]
+        if "-shift" in path or "-scale" in path:
+            yield from grid([path], nforms)
+    with open(FACETS) as fh:
+        write("rp2.facets", fh.read())
+    yield ["from-triangulation", "rp2.facets"]
+    yield ["from-triangulation", "rp2.facets", "-o", "rp2-from-facets.json"]
+    yield ["validate", "rp2-from-facets.json"]
+    for e in entries():
+        if e.facets is not None:
+            write(f"{e.name}.facets", facets_to_text(e.facets))
+            yield ["from-triangulation", f"{e.name}.facets"]
+    yield ["from-triangulation", write("bad.facets", "vertices 3\n0 0 1\n")]
+    yield ["from-triangulation", "missing.facets"]
+    yield ["example", "list"]
+    for e in entries():
+        yield ["example", "show", e.name]
+        yield ["example", "run", e.name]
+    yield ["example", "run"]
+    yield ["example", "show"]
+    yield ["example", "show", "nope"]
+    yield ["homology"]
+    yield ["homology", "--example", "torus", "--depth", "0"]
+
+
+def run():
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in invocations():
+                sys.stdout.write(json.dumps(call(argv), sort_keys=True) + "\n")
+                count += 1
+        finally:
+            os.chdir(cwd)
+    print(f"{count} invocations", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

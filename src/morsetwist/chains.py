@@ -187,13 +187,16 @@ def dualize(C: ChainComplex) -> ChainComplex:
     """Cochain complex: transpose each boundary and invert every transport.
 
     For formal-exponent regimes inverting a transport negates its exponent;
-    the flow-line signs are untouched.  The result is stored ascending.
+    the flow-line signs are untouched.  Zero is its own inverse, so only
+    nonzero entries are inverted.  The result is stored ascending.
     """
     if C.ascending:
         raise ValueError("dualize expects a descending (chain) complex")
+    z = C.zero()
     duals = []
     for d in C.diffs:
-        duals.append(d.transpose().map(lambda e: _invert_entry(e, C.regime)))
+        duals.append(d.transpose().map(
+            lambda e: e if e == z else _invert_entry(e, C.regime)))
     return ChainComplex(regime=C.regime, generators=C.generators,
                         diffs=tuple(duals), ascending=True)
 

@@ -28,8 +28,8 @@ class Incidence:
     unit_tag: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "periods",
-                           tuple(Fraction(p) for p in self.periods))
+        object.__setattr__(self, "periods", tuple(
+            p if type(p) is Fraction else Fraction(p) for p in self.periods))
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ class FlowLine:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError(f"flow sign must be +-1, got {self.sign}")
-        object.__setattr__(self, "periods",
-                           tuple(Fraction(p) for p in self.periods))
+        object.__setattr__(self, "periods", tuple(
+            p if type(p) is Fraction else Fraction(p) for p in self.periods))
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,15 @@ class LocalSystem:
 
 
 def flow_period(f: FlowLine, class_vector) -> Fraction:
-    return sum((c * p for c, p in zip(class_vector, f.periods)), Fraction(0))
+    """class . periods, summed over the nonzero terms as one integer
+    numerator and denominator."""
+    num, den = 0, 1
+    for c, p in zip(class_vector, f.periods):
+        if c and p:
+            d = c.denominator * p.denominator
+            num = num * d + c.numerator * p.numerator * den
+            den *= d
+    return Fraction(num, den)
 
 
 def flow_weight(f: FlowLine, sys: LocalSystem):
@@ -295,77 +303,73 @@ def lift_cover(d: MorseDatum, group: DeckGroup | None = None) -> MorseDatum:
 
 # --- loop detection and the degree-zero closed forms ----------------------
 
-def _loop_data(d: MorseDatum):
+def _loop_data(d: MorseDatum, class_vector=()):
     """Loop units detectable from the datum.
 
-    Returns (connected, loops) where each loop is a pair
-    (period_vector, unit_factor): period_vector is the componentwise period
-    around the loop, unit_factor the product of +-1 unit tags (1 when tags
-    are absent).  Sources: pairs of parallel flow lines anywhere, plus
+    Returns (connected, loops) where each loop is a pair (period, unit):
+    period is class . (componentwise period around the loop), unit the
+    product of +-1 unit tags (1 when tags are absent).  By linearity the
+    scalar is carried instead of the vector, and it is 0 for an all-zero
+    class.  Sources: pairs of parallel flow lines anywhere, plus
     independent cycles of the index <= 1 skeleton."""
-    nforms = len(d.basis_forms)
-    zero_vec = (Fraction(0),) * nforms
+    flows = d.flows
+    if any(class_vector):
+        per = [flow_period(f, class_vector) for f in flows]
+    else:
+        per = [0] * len(flows)
+    tag = [1 if f.unit_tag is None else f.unit_tag for f in flows]
     loops = []
-
-    def vec_sub(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def tag(f):
-        return f.unit_tag if f.unit_tag is not None else 1
 
     # parallel flow lines: up one, down the other
     by_pair: dict = {}
-    for f in d.flows:
-        by_pair.setdefault((f.frm, f.to), []).append(f)
+    down: dict = {}  # point -> indices of the flows down from it
+    for i, f in enumerate(flows):
+        by_pair.setdefault((f.frm, f.to), []).append(i)
+        down.setdefault(f.frm, []).append(i)
     for fams in by_pair.values():
         base = fams[0]
         for other in fams[1:]:
-            loops.append((vec_sub(other.periods, base.periods),
-                          tag(other) * tag(base)))
+            loops.append((per[other] - per[base], tag[other] * tag[base]))
 
     # 1-skeleton cycles: index-0 points joined through index-1 points
     verts = [p.id for p in d.points_of_index(0)]
     edges = []  # (u, v, period u->v, unit u->v)
     for q in d.points_of_index(1):
-        down = [f for f in d.flows if f.frm == q.id]
-        for i in range(len(down)):
-            for j in range(i + 1, len(down)):
-                f1, f2 = down[i], down[j]
-                # reversed f1 then f2: transport from to(f1) to to(f2)
-                edges.append((f1.to, f2.to,
-                              vec_sub(f2.periods, f1.periods),
-                              tag(f1) * tag(f2)))
+        ds = down.get(q.id, [])
+        for x, i in enumerate(ds):
+            for j in ds[x + 1:]:
+                # reversed flow i then flow j: transport from to(i) to to(j)
+                edges.append((flows[i].to, flows[j].to, per[j] - per[i],
+                              tag[i] * tag[j]))
     pot = {}
     if verts:
-        pot[verts[0]] = (zero_vec, 1)
+        pot[verts[0]] = (0, 1)
         frontier = [verts[0]]
         adj: dict = {}
-        for idx, (u, v, pv, un) in enumerate(edges):
+        for u, v, pv, un in edges:
             adj.setdefault(u, []).append((v, pv, un))
-            adj.setdefault(v, []).append((u, tuple(-x for x in pv), un))
+            adj.setdefault(v, []).append((u, -pv, un))
         while frontier:
             u = frontier.pop()
             for v, pv, un in adj.get(u, []):
                 if v not in pot:
                     base_pv, base_un = pot[u]
-                    pot[v] = (tuple(a + b for a, b in zip(base_pv, pv)),
-                              base_un * un)
+                    pot[v] = (base_pv + pv, base_un * un)
                     frontier.append(v)
         for u, v, pv, un in edges:
             if u in pot and v in pot:
                 pu, uu = pot[u]
                 pvv, uv = pot[v]
-                loop_pv = tuple(a + b - c for a, b, c in zip(pu, pv, pvv))
-                loops.append((loop_pv, uu * un * uv))
+                loops.append((pu + pv - pvv, uu * un * uv))
     connected = all(v in pot for v in verts) if verts else True
     return connected, loops
 
 
 def loop_periods(d: MorseDatum, class_vector):
     """Scalar periods (class . loop) over all detected loops."""
-    _, loops = _loop_data(d)
     cv = tuple(Fraction(c) for c in class_vector)
-    return [sum((c * p for c, p in zip(cv, pv)), Fraction(0)) for pv, _ in loops]
+    _, loops = _loop_data(d, cv)
+    return [Fraction(a) for a, _ in loops]
 
 
 def is_simple(d: MorseDatum, sys: LocalSystem) -> bool:
@@ -373,39 +377,28 @@ def is_simple(d: MorseDatum, sys: LocalSystem) -> bool:
 
     Sound but incomplete: only parallel-line and 1-skeleton loops are seen."""
     sys.check_compatible(d)
-    _, loops = _loop_data(d)
-    for pv, unit in loops:
-        if sys.flavor == UNIT_REP and unit != 1:
-            return False
-        if sys.flavor in (EXP, NOV_SYS):
-            a = sum((c * p for c, p in zip(sys.class_vector, pv)), Fraction(0))
-            if a != 0:
-                return False
+    _, loops = _loop_data(d, sys.class_vector)
+    if sys.flavor == UNIT_REP:
+        return all(unit == 1 for _, unit in loops)
+    if sys.flavor in (EXP, NOV_SYS):
+        return all(a == 0 for a, _ in loops)
     return True
-
-
-def _check_connected(d: MorseDatum):
-    connected, loops = _loop_data(d)
-    if not connected:
-        raise Disconnected(f"index <= 1 skeleton of {d.name} is not connected")
-    return loops
 
 
 def _h0(d: MorseDatum, sys: LocalSystem, sign_loop: str) -> str:
     """Degree-zero group of a connected datum; ``sign_loop`` is the answer
     for a +-1 representation with some loop unit -1."""
     sys.check_compatible(d)
-    loops = _check_connected(d)
+    connected, loops = _loop_data(d, sys.class_vector)
+    if not connected:
+        raise Disconnected(f"index <= 1 skeleton of {d.name} is not connected")
     if sys.flavor == TRIVIAL:
         return "Z"
     if sys.flavor == UNIT_REP:
         if any(unit == -1 for _, unit in loops):
             return sign_loop
         return "Z"
-    nontrivial = any(
-        sum((c * p for c, p in zip(sys.class_vector, pv)), Fraction(0)) != 0
-        for pv, _ in loops)
-    if nontrivial:
+    if any(a != 0 for a, _ in loops):
         # 1 - t^c is invertible (field fraction / Novikov unit): quotient dies
         return "0"
     return "R" if sys.flavor == EXP else "Nov"

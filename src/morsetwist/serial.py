@@ -52,6 +52,22 @@ def _list(obj, key, where) -> list:
     return value
 
 
+def _rational_parser():
+    """parse_rational that parses each distinct string once.  The memo is
+    keyed on the str itself: 1, True and 1.0 share one hash, so any other
+    value is parsed (and rejected) on its own."""
+    memo: dict = {}
+
+    def parse(value) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value)
+        q = memo.get(value)
+        if q is None:
+            q = memo[value] = parse_rational(value)
+        return q
+    return parse
+
+
 def _value_errors_as_parse_errors(fn):
     """Constructors check their own invariants with ValueError; at the file
     boundary those are malformed input."""
@@ -99,6 +115,7 @@ def datum_from_dict(obj: dict) -> MorseDatum:
         _check_fields(p, ["id", "index"], [], f"points[{i}]")
         points.append(CriticalPoint(id=str(p["id"]),
                                     index=_int(p, "index", f"points[{i}]")))
+    parse = _rational_parser()
     flows = []
     for i, f in enumerate(_list(obj, "flows", "datum")):
         where = f"flows[{i}]"
@@ -106,8 +123,7 @@ def datum_from_dict(obj: dict) -> MorseDatum:
                       ["unit_tag", "deck_tag"], where)
         flows.append(FlowLine(
             frm=str(f["from"]), to=str(f["to"]), sign=_int(f, "sign", where),
-            periods=tuple(parse_rational(p)
-                          for p in _list(f, "periods", where)),
+            periods=tuple(parse(p) for p in _list(f, "periods", where)),
             unit_tag=None if "unit_tag" not in f else _int(f, "unit_tag", where),
             deck_tag=None if "deck_tag" not in f else str(f["deck_tag"]),
         ))
@@ -151,12 +167,13 @@ def cw_from_dict(obj: dict) -> RegularCW:
                   ["basis_forms"], "cw")
     basis_forms = tuple(str(b) for b in (
         _list(obj, "basis_forms", "cw") if "basis_forms" in obj else ()))
+    parse = _rational_parser()
     incidences = []
     for i, rec in enumerate(_list(obj, "incidences", "cw")):
         where = f"incidences[{i}]"
         _check_fields(rec, ["upper", "lower", "incidence"],
                       ["periods", "unit_tag"], where)
-        periods = tuple(parse_rational(p) for p in (
+        periods = tuple(parse(p) for p in (
             _list(rec, "periods", where) if "periods" in rec else ()))
         if periods and len(periods) != len(basis_forms):
             raise ParseError(f"{where}: {len(periods)} periods for "

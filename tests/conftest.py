@@ -1,11 +1,18 @@
-"""Answer oracles shared by the linear-algebra tests: integer rank by
-exhaustive minor expansion, and integer invariant factors from
-determinantal divisors, both independent of any reduction."""
+"""Answer oracles shared by the tests: integer rank by exhaustive minor
+expansion and integer invariant factors from determinantal divisors, both
+independent of any reduction; the componentwise (vector) period path that
+the scalar loop periods of ``morsetwist.morse`` must agree with; and a
+twisted triangulated torus."""
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
+
+from morsetwist.cw import Incidence, RegularCW
+from morsetwist.errors import Disconnected
+from morsetwist.morse import EXP, NOV_SYS, TRIVIAL, UNIT_REP
 
 
 def _det(rows):
@@ -52,3 +59,128 @@ def invariant_factors_by_minors(rows):
 @pytest.fixture
 def minors_oracle():
     return invariant_factors_by_minors
+
+
+# --- vector reference for the loop periods --------------------------------
+
+def flow_period_vector(f, class_vector):
+    return sum((c * p for c, p in zip(class_vector, f.periods)), Fraction(0))
+
+
+def loop_data_vector(d):
+    """(connected, loops) with each loop's full period vector: the
+    componentwise period around the loop and the product of its unit tags,
+    over parallel flow pairs and the 1-skeleton cycles."""
+    zero_vec = (Fraction(0),) * len(d.basis_forms)
+    loops = []
+
+    def vec_sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def tag(f):
+        return f.unit_tag if f.unit_tag is not None else 1
+
+    by_pair: dict = {}
+    for f in d.flows:
+        by_pair.setdefault((f.frm, f.to), []).append(f)
+    for fams in by_pair.values():
+        for other in fams[1:]:
+            loops.append((vec_sub(other.periods, fams[0].periods),
+                          tag(other) * tag(fams[0])))
+    verts = [p.id for p in d.points_of_index(0)]
+    edges = []
+    for q in d.points_of_index(1):
+        down = [f for f in d.flows if f.frm == q.id]
+        for f1, f2 in itertools.combinations(down, 2):
+            edges.append((f1.to, f2.to, vec_sub(f2.periods, f1.periods),
+                          tag(f1) * tag(f2)))
+    pot = {}
+    if verts:
+        pot[verts[0]] = (zero_vec, 1)
+        frontier = [verts[0]]
+        adj: dict = {}
+        for u, v, pv, un in edges:
+            adj.setdefault(u, []).append((v, pv, un))
+            adj.setdefault(v, []).append((u, tuple(-x for x in pv), un))
+        while frontier:
+            u = frontier.pop()
+            for v, pv, un in adj.get(u, []):
+                if v not in pot:
+                    base_pv, base_un = pot[u]
+                    pot[v] = (tuple(a + b for a, b in zip(base_pv, pv)),
+                              base_un * un)
+                    frontier.append(v)
+        for u, v, pv, un in edges:
+            if u in pot and v in pot:
+                (pu, uu), (pvv, uv) = pot[u], pot[v]
+                loops.append((tuple(a + b - c for a, b, c in zip(pu, pv, pvv)),
+                              uu * un * uv))
+    connected = all(v in pot for v in verts) if verts else True
+    return connected, loops
+
+
+def _dot(class_vector, pv):
+    return sum((Fraction(c) * p for c, p in zip(class_vector, pv)), Fraction(0))
+
+
+def loop_periods_vector(d, class_vector):
+    return [_dot(class_vector, pv) for pv, _ in loop_data_vector(d)[1]]
+
+
+def is_simple_vector(d, sys):
+    sys.check_compatible(d)
+    for pv, unit in loop_data_vector(d)[1]:
+        if sys.flavor == UNIT_REP and unit != 1:
+            return False
+        if sys.flavor in (EXP, NOV_SYS) and _dot(sys.class_vector, pv) != 0:
+            return False
+    return True
+
+
+def h0_vector(d, sys, sign_loop):
+    """The degree-zero group from the vector loops."""
+    sys.check_compatible(d)
+    connected, loops = loop_data_vector(d)
+    if not connected:
+        raise Disconnected(d.name)
+    if sys.flavor == TRIVIAL:
+        return "Z"
+    if sys.flavor == UNIT_REP:
+        return sign_loop if any(u == -1 for _, u in loops) else "Z"
+    if any(_dot(sys.class_vector, pv) != 0 for pv, _ in loops):
+        return "0"
+    return "R" if sys.flavor == EXP else "Nov"
+
+
+def rank_of_class_vector(d, class_vector):
+    return 1 if any(loop_periods_vector(d, class_vector)) else 0
+
+
+# --- a twisted triangulated torus ------------------------------------------
+
+def twisted_torus_cw(n):
+    """The n x n triangulated torus as the quotient of the triangulated
+    plane by Z^2 translations.  A plane simplex is canonical when its
+    smallest vertex lies in [0, n)^2; each face of a canonical simplex is a
+    canonical face translated by g*n, and g is the incidence's periods."""
+    def canonical(simplex):
+        a, b = min(simplex)
+        g = (a // n, b // n)
+        return tuple((x - g[0] * n, y - g[1] * n) for x, y in simplex), g
+
+    layers = [set(), set(), set()]
+    for i, j in itertools.product(range(n), repeat=2):
+        layers[2].add(((i, j), (i + 1, j), (i + 1, j + 1)))
+        layers[2].add(((i, j), (i, j + 1), (i + 1, j + 1)))
+    incidences = []
+    for k in (2, 1):
+        for simplex in sorted(layers[k]):
+            for drop in range(k + 1):
+                face, g = canonical(simplex[:drop] + simplex[drop + 1:])
+                layers[k - 1].add(face)
+                incidences.append(Incidence(
+                    upper=str(simplex), lower=str(face),
+                    incidence=(-1) ** drop, periods=g))
+    return RegularCW(name=f"twisted-torus-{n}", dimension=2,
+                     cells=[[str(s) for s in sorted(layer)] for layer in layers],
+                     incidences=incidences, basis_forms=("dx", "dy"))

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import twisted_torus_cw
 
 from morsetwist.chains import (
     ChainComplex,
@@ -10,8 +11,10 @@ from morsetwist.chains import (
     homology,
     validate_complex,
 )
+from morsetwist.cw import steenrod_boundary
 from morsetwist.errors import Indeterminate, InvalidComplex
 from morsetwist.linalg import Matrix
+from morsetwist.morse import LocalSystem
 from morsetwist.rings import ExpSum, NovElem
 
 
@@ -86,6 +89,20 @@ def test_dual_int_is_plain_transpose():
     D = dualize(C)
     assert D.diffs[0].entries == [[1], [-1]]
     assert homology(C).betti == homology(D).betti
+
+
+def test_dualize_inverts_nonzero_entries_only(monkeypatch):
+    C = steenrod_boundary(twisted_torus_cw(4), LocalSystem.exp((F(1), F(-1, 3))))
+    before = [d.transpose().map(ExpSum.invert_exponents) for d in C.diffs]
+    calls = []
+    invert = ExpSum.invert_exponents
+    monkeypatch.setattr(ExpSum, "invert_exponents",
+                        lambda e: calls.append(e) or invert(e))
+    D = dualize(C)
+    nonzero = sum(1 for d in C.diffs for row in d.entries for e in row if e)
+    assert len(calls) == nonzero < sum(d.rows * d.cols for d in C.diffs)
+    assert list(D.diffs) == before
+    assert all(e for e in calls)
 
 
 def test_nov_homology_with_torsion():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import morsetwist.cli as cli
 from morsetwist.cli import main
 from morsetwist.serial import dump_json, facets_to_text
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
@@ -302,3 +303,68 @@ def test_novikov_unit_pivots_are_not_charged_to_max_iter(capsys):
     assert code == 0
     assert out.splitlines() == ["class -2/3", "degree 0: b=0 q=0",
                                 "degree 1: b=0 q=0"]
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1.0", None],
+                         ids=["true", "float", "decimal", "null"])
+def test_period_memo_does_not_admit_non_strings(tmp_path, capsys, value):
+    # "1" and 1 are parsed first; True and 1.0 hash like 1 but must still fail
+    obj = json.loads(dump_json(get_example("rp2").datum))
+    obj["flows"][0]["periods"] = ["1"]
+    obj["flows"][1]["periods"] = [1]
+    obj["flows"][-1]["periods"] = [value]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad rational ")
+
+
+def _call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_built_once_and_reused_alike(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    argvs = [["homology", "--example", "rp2", "--system", "unit-rep"],
+             ["novikov", "--example", "torus", "--class=1,0", "--depth", "0"],
+             ["cohomology", "--example", "genus2", "--system", "exp",
+              "--class=1,0,0,0", "--format", "json"],
+             ["homology", "--example", "rp2", "--system", "unit-rep"]]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    assert fresh[1][0] == 2 and "error: argument --depth" in fresh[1][2]
+    cli._parser.cache_clear()
+    calls.clear()
+    assert [_call(capsys, argv) for argv in argvs] == fresh
+    assert len(calls) == 1
+
+
+def test_validate_cw_skips_the_untwisted_product(tmp_path, capsys, monkeypatch):
+    # regularity already proves d.d = 0 for the untwisted complex of a CW
+    # file; only the unit-tag complex still needs the product
+    calls = []
+    check = cli.validate_complex
+    monkeypatch.setattr(cli, "validate_complex",
+                        lambda c: calls.append(c) or check(c))
+    files = [("rp2cw.json", get_example("rp2-triangulated").cw, 0, "ok\n", 0),
+             ("circle.json", get_example("circle-regular").cw, 0, "ok\n", 1),
+             ("rp2.json", get_example("rp2").datum, 0, "ok\n", 2),
+             ("flipped.json", _flipped_rp2_cw(), 1,
+              "FAIL regularity: boundary-squared at ('2', '0.1.2'): incidence "
+              "products sum to -2, expected 0\n", 0)]
+    for name, value, want_code, want_out, want_calls in files:
+        path = tmp_path / name
+        path.write_text(dump_json(value))
+        calls.clear()
+        assert run(capsys, "validate", str(path)) == (want_code, want_out, "")
+        assert len(calls) == want_calls, name

@@ -2,6 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import (
+    flow_period_vector,
+    h0_vector,
+    is_simple_vector,
+    loop_periods_vector,
+    rank_of_class_vector,
+)
 
 from morsetwist.catalog import get_example
 from morsetwist.chains import euler_cells, homology, validate_complex
@@ -9,8 +16,10 @@ from morsetwist.errors import (
     Disconnected,
     MissingDeckTag,
     MissingUnitTag,
+    MorsetwistError,
     NonUnit,
 )
+from morsetwist.invariants import rank_of_class
 from morsetwist.morse import (
     CriticalPoint,
     DeckGroup,
@@ -19,12 +28,14 @@ from morsetwist.morse import (
     MorseDatum,
     build_cochain,
     build_complex,
+    flow_period,
     flow_weight,
     gauge_transform,
     h0_cohomology,
     h0_quotient,
     is_simple,
     lift_cover,
+    loop_periods,
     potential_shift,
     rescale_datum,
 )
@@ -201,3 +212,77 @@ def test_datum_validation():
         MorseDatum(name="bad", dimension=2, basis_forms=(),
                    points=(CriticalPoint("a", 0), CriticalPoint("b", 2)),
                    flows=(FlowLine("b", "a", 1),))
+
+
+def _random_rational(rng):
+    """Zero, integral, negative or non-integral."""
+    return rng.choice((F(0), F(0), F(rng.randint(1, 3)), F(-rng.randint(1, 3)),
+                       F(rng.randint(-5, 5), rng.randint(2, 4))))
+
+
+def _random_datum(rng, nforms):
+    """Random index <= 2 data: flows to random lower points, so parallel
+    flows, 1-skeleton cycles and disconnected skeleta all occur."""
+    counts = (rng.randint(1, 4), rng.randint(0, 5), rng.randint(0, 2))
+    points = [CriticalPoint(f"{'vef'[k]}{i}", k)
+              for k, n in enumerate(counts) for i in range(n)]
+    tagged = rng.random() < 0.7
+    flows = []
+    for p in points:
+        lower = [q.id for q in points if q.index == p.index - 1]
+        for _ in range(rng.choice((0, 1, 2, 2, 3)) if lower else 0):
+            f = FlowLine(p.id, rng.choice(lower), rng.choice((1, -1)),
+                         tuple(_random_rational(rng) for _ in range(nforms)),
+                         unit_tag=rng.choice((1, -1)) if tagged else None)
+            flows += [f] * rng.choice((1, 1, 2))
+    rng.shuffle(flows)
+    return MorseDatum(name="random", dimension=2, basis_forms=("x",) * nforms,
+                      points=tuple(points), flows=tuple(flows))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MorsetwistError as exc:
+        return type(exc).__name__
+
+
+def test_scalar_loop_periods_equal_vector_reference():
+    """The scalar loop path reads the same values as the componentwise
+    vectors it replaced, on random data before and after a potential shift
+    and a rescaling, under zero, sparse and dense classes."""
+    rng = random.Random(777)
+    compared = {"loops": 0, "disconnected": 0, "not simple": 0}
+    for _ in range(60):
+        nforms = rng.randint(0, 3)
+        d = _random_datum(rng, nforms)
+        h = {p.id: tuple(_random_rational(rng) for _ in range(nforms))
+             for p in d.points}
+        shifted = potential_shift(d, h)
+        variants = (d, shifted, rescale_datum(shifted, F(rng.randint(1, 5),
+                                                        rng.randint(1, 4))))
+        dense = tuple(F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                      for _ in range(nforms))
+        k = rng.randrange(max(nforms, 1))
+        sparse = tuple(c if i == k else F(0) for i, c in enumerate(dense))
+        classes = {(F(0),) * nforms, sparse, dense}
+        for dv in variants:
+            compared["loops"] += len(loop_periods_vector(dv, (0,) * nforms))
+            compared["disconnected"] += _outcome(
+                h0_vector, dv, LocalSystem.trivial(), "") == "Disconnected"
+            for cls in classes:
+                for f in dv.flows:
+                    assert flow_period(f, cls) == flow_period_vector(f, cls)
+                assert loop_periods(dv, cls) == loop_periods_vector(dv, cls)
+                assert rank_of_class(dv, cls) == rank_of_class_vector(dv, cls)
+                for sys_ in (LocalSystem.trivial(), LocalSystem.unit_rep(),
+                             LocalSystem.exp(cls), LocalSystem.nov(cls)):
+                    simple = _outcome(is_simple, dv, sys_)
+                    assert simple == _outcome(is_simple_vector, dv, sys_)
+                    compared["not simple"] += simple is False
+                    for fn, sign_loop in ((h0_quotient, "Z/2"),
+                                          (h0_cohomology, "0")):
+                        assert (_outcome(fn, dv, sys_)
+                                == _outcome(h0_vector, dv, sys_, sign_loop))
+    # the data exercise every branch
+    assert min(compared.values()) > 30, compared

@@ -1,5 +1,9 @@
+import json
+from fractions import Fraction
+
 import pytest
 
+import morsetwist.serial as serial
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
 from morsetwist.cw import FacetList
 from morsetwist.errors import ParseError
@@ -80,3 +84,26 @@ def test_facets_text_errors():
         facets_from_text("vertices x\n0 1")
     with pytest.raises(ParseError):
         facets_from_text("vertices 3\n0 one")
+
+
+def test_each_distinct_period_string_parsed_once(monkeypatch):
+    calls = []
+    parse = serial.parse_rational
+    monkeypatch.setattr(serial, "parse_rational",
+                        lambda v: calls.append(v) or parse(v))
+    d = get_example("genus2").datum
+    text = dump_json(d)
+    assert load_json(text) == d
+    strings = {p for f in json.loads(text)["flows"] for p in f["periods"]}
+    assert sorted(calls) == sorted(strings)
+    calls.clear()
+    cw = get_example("circle-regular").cw
+    assert load_json(dump_json(cw)) == cw
+    assert len(calls) == len(set(calls))
+
+
+def test_parsed_periods_are_kept_not_rebuilt():
+    d = load_json(dump_json(get_example("genus2").datum))
+    one = [p for f in d.flows for p in f.periods if p == 1]
+    assert len(one) > 1 and all(p is one[0] for p in one)
+    assert all(type(p) is Fraction for f in d.flows for p in f.periods)
