@@ -13,13 +13,16 @@ The grid covers every catalog entry x command x system x class x
 text/json; the same grid on potential-shifted and rescaled copies of the
 catalog data (non-integral and negative periods); the ``novikov``
 depth x max-iter grid; ``validate``/``homology`` on every example file
-and on broken ones; ``from-triangulation``; and ``example list/show/run``.
+and on broken ones; ``from-triangulation``; ``example list/show/run``; and
+the exponential and Novikov regimes on twisted triangulated tori, whose
+boundary entries and reductions carry multi-term sums.
 Files are written to a temporary directory and named relative to it, so
 no machine-specific path reaches the output.  The invocation count goes
 to stderr.
 """
 
 import io
+import itertools
 import json
 import os
 import random
@@ -31,6 +34,7 @@ from fractions import Fraction
 
 from morsetwist.catalog import example_names, get_example
 from morsetwist.cli import main
+from morsetwist.cw import Incidence, RegularCW
 from morsetwist.morse import potential_shift, rescale_datum
 from morsetwist.serial import dump_json, facets_to_text
 
@@ -39,6 +43,8 @@ TWISTED = ("homology", "cohomology", "euler", "obstructions")
 RPN = (1, 2, 3, 4)
 DEPTHS = ("1/2", "1", "4", "16")
 MAX_ITERS = ("0", "1", "10", "10000")
+TORUS_SIDES = (3, 4, 5)
+TORUS_CLASSES = ("0,0", "1,0", "1,1/3", "-1/2,2")
 FACETS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "..", "docs", "examples", "rp2.facets")
 
@@ -130,6 +136,45 @@ def files():
     return out
 
 
+def twisted_torus_cw(n):
+    """The n x n triangulated torus as the quotient of the triangulated
+    plane by Z^2 translations.  A plane simplex is canonical when its
+    smallest vertex lies in [0, n)^2; each face of a canonical simplex is a
+    canonical face translated by g*n, and g is the incidence's periods."""
+    def canonical(simplex):
+        a, b = min(simplex)
+        g = (a // n, b // n)
+        return tuple((x - g[0] * n, y - g[1] * n) for x, y in simplex), g
+
+    layers = [set(), set(), set()]
+    for i, j in itertools.product(range(n), repeat=2):
+        layers[2].add(((i, j), (i + 1, j), (i + 1, j + 1)))
+        layers[2].add(((i, j), (i, j + 1), (i + 1, j + 1)))
+    incidences = []
+    for k in (2, 1):
+        for simplex in sorted(layers[k]):
+            for drop in range(k + 1):
+                face, g = canonical(simplex[:drop] + simplex[drop + 1:])
+                layers[k - 1].add(face)
+                incidences.append(Incidence(
+                    upper=str(simplex), lower=str(face),
+                    incidence=(-1) ** drop, periods=g))
+    return RegularCW(name=f"twisted-torus-{n}", dimension=2,
+                     cells=[[str(s) for s in sorted(layer)] for layer in layers],
+                     incidences=incidences, basis_forms=("dx", "dy"))
+
+
+def twisted_tori():
+    for n in TORUS_SIDES:
+        path = write(f"twisted-torus-{n}.json", dump_json(twisted_torus_cw(n)))
+        for cls in TORUS_CLASSES:
+            for fmt in ("text", "json"):
+                for cmd in ("homology", "cohomology"):
+                    yield [cmd, path, "--system", "exp", "--format", fmt,
+                           f"--class={cls}"]
+                yield ["novikov", path, "--format", fmt, f"--class={cls}"]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -165,6 +210,7 @@ def invocations():
     yield ["example", "show", "nope"]
     yield ["homology"]
     yield ["homology", "--example", "torus", "--depth", "0"]
+    yield from twisted_tori()
 
 
 def run():

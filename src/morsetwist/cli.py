@@ -382,8 +382,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_class_values(argv):
+    """``--class V`` -> ``--class=V`` when V starts with ``-`` and a digit:
+    argparse would read ``-2/3`` or ``-1,0`` as an option, not a value."""
+    out = list(argv)
+    end = out.index("--") if "--" in out else len(out)
+    for i in reversed(range(end - 1)):
+        v = out[i + 1]
+        if out[i] == "--class" and v[:1] == "-" and v[1:2].isdigit():
+            out[i:i + 2] = [f"--class={v}"]
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_class_values(argv))
     try:
         return _DISPATCH[args.command](args)
     except ParseError as exc:

@@ -170,7 +170,7 @@ def _expsum_unit_inverse(e: ExpSum):
     if len(e.terms) != 1:
         return None
     c, x = e.terms[0]
-    return ExpSum([(1 / c, -x)])
+    return ExpSum.monomial(1 / c, -x)
 
 
 def _as_exact_nov(e) -> NovElem:
@@ -185,7 +185,7 @@ def _nov_unit_inverse(e: NovElem):
     if len(e.terms) != 1 or e.terms[0][0] not in (1, -1):
         return None
     c, x = e.terms[0]
-    return NovElem([(c, -x)])
+    return NovElem.monomial(c, -x)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,21 @@
 """Exact coefficient arithmetic: formal exponential sums and Novikov elements.
 
 Both types are formal sums of monomials ``c * t^a`` with exact rational
-exponents, stored sorted by exponent descending.  ``ExpSum`` has rational
-coefficients and models the group ring Q[Q] (the formal home of the
-exponential transport weights).  ``NovElem`` has integer coefficients and
-models the rational-exponent part of the Novikov ring; a truncation floor
-marks where a series computed by unit inversion stops being known.
+exponents.  ``ExpSum`` has rational coefficients and models the group ring
+Q[Q] (the formal home of the exponential transport weights).  ``NovElem``
+has integer coefficients and models the rational-exponent part of the
+Novikov ring; a truncation floor marks where a series computed by unit
+inversion stops being known.
+
+Every element holds a canonical term tuple: ``(coeff, exp)`` pairs whose
+exponents are distinct ``Fraction``s in strictly descending order, with no
+zero coefficient; coefficients are ``Fraction`` in an ``ExpSum`` and
+``int`` in a ``NovElem``, and every term of a truncated ``NovElem`` lies
+above its floor.  The constructors ``ExpSum(raw)``/``NovElem(raw)`` (via
+``_merge_terms``) and ``monomial`` are the only paths that accept outside
+values, and they cast and check every one.  Arithmetic on two canonical
+operands builds a canonical result directly (``_add_terms``,
+``_mul_terms``, ``_make``) and never re-normalises it.
 
 All exponents are exact rationals.  Transcendental period values coming
 from angular forms are stored after dividing by one full turn, so a half
@@ -20,6 +30,9 @@ from fractions import Fraction
 
 from .errors import NonpositiveScale, NotAUnit, ParseError, ZeroElement
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -31,17 +44,93 @@ def _rat(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _int_cast(c) -> int:
+    if isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1):
+        return int(c)  # also turns a bool into an int
+    raise TypeError(f"NovElem coefficient must be an integer: {c!r}")
+
+
 def _merge_terms(raw, coeff_cast):
-    """Merge equal exponents, drop zeros, sort exponent-descending."""
+    """Canonical terms from untrusted pairs: cast every value, merge equal
+    exponents, drop zeros, sort exponent-descending."""
     acc: dict[Fraction, object] = {}
     for coeff, exp in raw:
         e = _rat(exp)
-        c = coeff_cast(coeff)
-        acc[e] = acc.get(e, coeff_cast(0)) + c
-    terms = tuple(
-        (c, e) for e, c in sorted(acc.items(), key=lambda kv: kv[0], reverse=True) if c != 0
-    )
-    return terms
+        acc[e] = acc.get(e, 0) + coeff_cast(coeff)
+    return _descending(acc)
+
+
+def _descending(acc):
+    """Canonical terms from an exponent -> coefficient dict."""
+    # exponents are distinct keys, so the sort never compares coefficients
+    return tuple([(c, e) for e, c in sorted(acc.items(), reverse=True) if c])
+
+
+# --- kernels on canonical term tuples --------------------------------------
+
+def _add_terms(a, b):
+    """Sum of two canonical term tuples: one merge pass."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    push = out.append
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ta, tb = a[i], b[j]
+        ea, eb = ta[1], tb[1]
+        if ea == eb:
+            c = ta[0] + tb[0]
+            if c:
+                push((c, ea))
+            i += 1
+            j += 1
+        elif ea > eb:
+            push(ta)
+            i += 1
+        else:
+            push(tb)
+            j += 1
+    return (*out, *a[i:], *b[j:])
+
+
+def _neg_terms(a):
+    return tuple([(-c, e) for c, e in a])
+
+
+def _mul_terms(a, b):
+    """Product of two canonical term tuples.  A monomial factor scales the
+    coefficients and shifts the exponents of the other, which keeps its
+    order; otherwise the products are merged in a dict and sorted once."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return ()
+    if len(a) == 1:
+        (c, e), = a
+        if e:
+            return tuple([(c * cb, e + eb) for cb, eb in b])
+        if c == 1:
+            return b
+        return tuple([(c * cb, eb) for cb, eb in b])
+    acc = {}
+    for c1, e1 in a:
+        for c2, e2 in b:
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return _descending(acc)
+
+
+def _cut(terms, floor):
+    """The canonical terms strictly above ``floor`` (all when it is None)."""
+    if floor is None:
+        return terms
+    n = len(terms)
+    while n and terms[n - 1][1] <= floor:
+        n -= 1
+    return terms[:n]
 
 
 class ExpSum:
@@ -57,15 +146,16 @@ class ExpSum:
 
     @staticmethod
     def zero() -> "ExpSum":
-        return ExpSum()
+        return _make(ExpSum, ())
 
     @staticmethod
     def one() -> "ExpSum":
-        return ExpSum([(1, 0)])
+        return _make(ExpSum, ((_ONE, _ZERO),))
 
     @staticmethod
     def monomial(coeff, exp) -> "ExpSum":
-        return ExpSum([(coeff, exp)])
+        c, e = _rat(coeff), _rat(exp)
+        return _make(ExpSum, ((c, e),) if c else ())
 
     @property
     def is_zero(self) -> bool:
@@ -75,38 +165,37 @@ class ExpSum:
         if isinstance(other, ExpSum):
             return other
         if isinstance(other, (int, Fraction)):
-            return ExpSum([(other, 0)])
+            return ExpSum.monomial(other, _ZERO)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExpSum(self.terms + o.terms)
+        return _make(ExpSum, _add_terms(self.terms, o.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpSum([(-c, e) for c, e in self.terms])
+        return _make(ExpSum, _neg_terms(self.terms))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _make(ExpSum, _add_terms(self.terms, _neg_terms(o.terms)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prods = [(c1 * c2, e1 + e2) for c1, e1 in self.terms for c2, e2 in o.terms]
-        return ExpSum(prods)
+        return _make(ExpSum, _mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -131,11 +220,11 @@ class ExpSum:
         s = _rat(s)
         if s <= 0:
             raise NonpositiveScale(f"scale must be > 0, got {s}")
-        return ExpSum([(c, e * s) for c, e in self.terms])
+        return _make(ExpSum, tuple([(c, e * s) for c, e in self.terms]))
 
     def invert_exponents(self) -> "ExpSum":
         """The bar involution t^a -> t^(-a); inverts each unit monomial."""
-        return ExpSum([(c, -e) for c, e in self.terms])
+        return _make(ExpSum, tuple([(c, -e) for c, e in reversed(self.terms)]))
 
     def render(self) -> str:
         return _render_terms(self.terms)
@@ -162,9 +251,7 @@ class NovElem:
     def __init__(self, raw_terms=(), floor=None):
         terms = _merge_terms(raw_terms, _int_cast)
         f = None if floor is None else _rat(floor)
-        if f is not None:
-            terms = tuple((c, e) for c, e in terms if e > f)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", _cut(terms, f))
         object.__setattr__(self, "floor", f)
 
     def __setattr__(self, *a):
@@ -172,15 +259,16 @@ class NovElem:
 
     @staticmethod
     def zero() -> "NovElem":
-        return NovElem()
+        return _make(NovElem, ())
 
     @staticmethod
     def one() -> "NovElem":
-        return NovElem([(1, 0)])
+        return _make(NovElem, ((1, _ZERO),))
 
     @staticmethod
     def monomial(coeff, exp) -> "NovElem":
-        return NovElem([(coeff, exp)])
+        c, e = _int_cast(coeff), _rat(exp)
+        return _make(NovElem, ((c, e),) if c else ())
 
     @property
     def is_zero(self) -> bool:
@@ -195,7 +283,7 @@ class NovElem:
         if isinstance(other, NovElem):
             return other
         if isinstance(other, int):
-            return NovElem([(other, 0)])
+            return NovElem.monomial(other, _ZERO)
         return None
 
     def __add__(self, other):
@@ -203,24 +291,26 @@ class NovElem:
         if o is None:
             return NotImplemented
         floor = _max_floor(self.floor, o.floor)
-        return NovElem(self.terms + o.terms, floor)
+        return _make(NovElem, _cut(_add_terms(self.terms, o.terms), floor), floor)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovElem([(-c, e) for c, e in self.terms], self.floor)
+        return _make(NovElem, _neg_terms(self.terms), self.floor)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        floor = _max_floor(self.floor, o.floor)
+        terms = _add_terms(self.terms, _neg_terms(o.terms))
+        return _make(NovElem, _cut(terms, floor), floor)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -241,9 +331,8 @@ class NovElem:
             # One factor is completely unknown or exactly zero.
             if (self.exact and self.is_zero) or (o.exact and o.is_zero):
                 return NovElem.zero()
-            return NovElem((), _max_floor(self.floor, o.floor))
-        prods = [(c1 * c2, e1 + e2) for c1, e1 in self.terms for c2, e2 in o.terms]
-        return NovElem(prods, floor)
+            return _make(NovElem, (), _max_floor(self.floor, o.floor))
+        return _make(NovElem, _cut(_mul_terms(self.terms, o.terms), floor), floor)
 
     __rmul__ = __mul__
 
@@ -276,42 +365,33 @@ class NovElem:
         if not self.is_unit():
             raise NotAUnit(f"not a Novikov unit: {self.render()}")
         n0, e0 = self.terms[0]
-        # self = n0 t^e0 (1 + w) with w strictly below exponent 0.
-        w = NovElem([(c * n0, e - e0) for c, e in self.terms[1:]])  # n0 in {1,-1}
-        floor = -e0 - depth
-        inv = NovElem.one()
-        power = NovElem.one()
+        # self = n0 t^e0 (1 + w) with w strictly below exponent 0, so
+        # 1/self = n0 t^(-e0) (1 - w + w^2 - ...), cut below t^(-depth).
+        minus_w = tuple([(-c * n0, e - e0) for c, e in self.terms[1:]])  # n0 in {1,-1}
+        inv = power = ((1, _ZERO),)
         while True:
-            power = NovElem(
-                [(-c1 * c2, x1 + x2) for c1, x1 in power.terms for c2, x2 in w.terms]
-            )
-            power = NovElem([(c, e) for c, e in power.terms if e - e0 > floor])
-            if power.is_zero:
+            power = _cut(_mul_terms(power, minus_w), -depth)
+            if not power:
                 break
-            inv = inv + power
-        result = [(c * n0, e - e0) for c, e in inv.terms]
-        return NovElem(result, floor)
+            inv = _add_terms(inv, power)
+        return _make(NovElem, tuple([(c * n0, e - e0) for c, e in inv]), -e0 - depth)
 
     def rescale(self, s) -> "NovElem":
         s = _rat(s)
         if s <= 0:
             raise NonpositiveScale(f"scale must be > 0, got {s}")
         floor = None if self.floor is None else self.floor * s
-        return NovElem([(c, e * s) for c, e in self.terms], floor)
+        return _make(NovElem, tuple([(c, e * s) for c, e in self.terms]), floor)
 
     def invert_exponents(self) -> "NovElem":
         if self.floor is not None:
             raise NotAUnit("cannot invert exponents of a truncated element")
-        return NovElem([(c, -e) for c, e in self.terms])
+        return _make(NovElem, tuple([(c, -e) for c, e in reversed(self.terms)]))
 
     def agrees_with(self, other: "NovElem") -> bool:
         """Equal above the coarser of the two floors."""
         floor = _max_floor(self.floor, other.floor)
-        if floor is None:
-            return self.terms == other.terms
-        a = tuple((c, e) for c, e in self.terms if e > floor)
-        b = tuple((c, e) for c, e in other.terms if e > floor)
-        return a == b
+        return _cut(self.terms, floor) == _cut(other.terms, floor)
 
     def render(self) -> str:
         body = _render_terms(self.terms)
@@ -333,12 +413,22 @@ class NovElem:
         return NovElem([(int(c), e) for c, e in terms], floor)
 
 
-def _int_cast(c) -> int:
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    raise TypeError(f"NovElem coefficient must be an integer: {c!r}")
+# Slot setters, so building a result skips attribute lookup.
+_EXP_TERMS = ExpSum.__dict__["terms"].__set__
+_NOV_TERMS = NovElem.__dict__["terms"].__set__
+_NOV_FLOOR = NovElem.__dict__["floor"].__set__
+
+
+def _make(cls, terms, floor=None):
+    """An ``ExpSum``/``NovElem`` over canonical ``terms``, unchecked.  A
+    ``NovElem``'s terms must already lie above ``floor``."""
+    obj = object.__new__(cls)
+    if cls is ExpSum:
+        _EXP_TERMS(obj, terms)
+    else:
+        _NOV_TERMS(obj, terms)
+        _NOV_FLOOR(obj, floor)
+    return obj
 
 
 def _max_floor(a, b):

@@ -368,3 +368,30 @@ def test_validate_cw_skips_the_untwisted_product(tmp_path, capsys, monkeypatch):
         calls.clear()
         assert run(capsys, "validate", str(path)) == (want_code, want_out, "")
         assert len(calls) == want_calls, name
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("example, cls", [("circle-regular", "-2/3"),
+                                          ("torus", "-1,0"),
+                                          ("torus", "-1/2,3")])
+@pytest.mark.parametrize("command", ["homology", "cohomology", "novikov",
+                                     "obstructions"])
+def test_negative_class_as_separate_argument(capsys, command, example, cls, fmt):
+    # argparse reads "-2/3" as an option; "--class V" must mean "--class=V"
+    system = [] if command == "novikov" else ["--system", "exp"]
+    argv = [command, "--example", example, *system, "--format", fmt]
+    joined = _call(capsys, argv + [f"--class={cls}"])
+    assert joined[0] == 0 and joined[2] == ""
+    assert _call(capsys, argv + ["--class", cls]) == joined
+    assert _call(capsys, [command, "--class", cls, "--example", example,
+                          *system, "--format", fmt]) == joined
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--example", "torus", "--system", "exp", "--class"],
+    ["novikov", "--example", "torus", "--class", "-x"],
+])
+def test_class_without_a_value_is_usage_error(capsys, argv):
+    code, out, err = _call(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "error: argument --class: expected one argument" in err

@@ -309,4 +309,6 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
         both += 1
         assert (r.unit_count, r.nonunit_invariants) == \
             (leaf.unit_count, leaf.nonunit_invariants), A
-    assert both >= 30
+    # 39 of 40 complete both ways; in the other the unit pass's Schur fill
+    # widens an entry's exponent span past depth 8 and nov_reduce is stuck
+    assert both >= 39

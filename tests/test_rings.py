@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morsetwist import rings
 from morsetwist.errors import NonpositiveScale, NotAUnit, ParseError, ZeroElement
 from morsetwist.rings import ExpSum, NovElem
 
@@ -174,3 +176,163 @@ def test_nov_unit_agrees_with_bruteforce(e):
 def test_rescale_is_ring_hom(a, b, s):
     assert (a * b).rescale(s) == a.rescale(s) * b.rescale(s)
     assert (a + b).rescale(s) == a.rescale(s) + b.rescale(s)
+
+
+# --- kernels on canonical terms against the validating constructor ---------
+
+small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# half-integers collide often, so sums cancel and products merge
+exponents = st.sampled_from([F(k, 2) for k in range(-4, 5)]) | small_rats
+floors = st.none() | st.sampled_from([F(-3), F(-1), F(-1, 2), F(0), F(1)])
+
+
+def raw_terms(coeffs):
+    return st.lists(st.tuples(coeffs, exponents), max_size=5)
+
+
+exp_sums = raw_terms(small_rats | st.integers(-3, 3)).map(ExpSum)
+nov_elems = st.builds(NovElem, raw_terms(st.integers(-3, 3)), floors)
+scales = st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6)
+
+
+def assert_canonical(x):
+    """Distinct Fraction exponents strictly descending, no zero coefficient,
+    Fraction (ExpSum) or int (NovElem) coefficients, all above the floor."""
+    exps = [e for _, e in x.terms]
+    assert all(type(e) is F for e in exps), x.terms
+    assert all(hi > lo for hi, lo in zip(exps, exps[1:])), x.terms
+    want = F if isinstance(x, ExpSum) else int
+    assert all(type(c) is want and c != 0 for c, _ in x.terms), x.terms
+    if isinstance(x, NovElem) and x.floor is not None:
+        assert type(x.floor) is F
+        assert all(e > x.floor for e in exps), (x.terms, x.floor)
+
+
+def neg(terms):
+    return [(-c, e) for c, e in terms]
+
+
+def products(a, b):
+    return [(c1 * c2, e1 + e2) for c1, e1 in a for c2, e2 in b]
+
+
+def check(got, want):
+    assert_canonical(got)
+    assert got.terms == want.terms and type(got) is type(want)
+    if isinstance(got, NovElem):
+        assert got.floor == want.floor
+
+
+@given(exp_sums, exp_sums, st.integers(-3, 3) | small_rats, scales)
+@settings(max_examples=300)
+def test_expsum_kernels_equal_raw_reference(a, b, k, s):
+    A, B = list(a.terms), list(b.terms)
+    check(a + b, ExpSum(A + B))
+    check(a - b, ExpSum(A + neg(B)))
+    check(a * b, ExpSum(products(A, B)))
+    check(-a, ExpSum(neg(A)))
+    for got in (a + k, k + a):
+        check(got, ExpSum(A + [(k, 0)]))
+    check(a - k, ExpSum(A + [(-k, 0)]))
+    check(k - a, ExpSum(neg(A) + [(k, 0)]))
+    for got in (a * k, k * a):
+        check(got, ExpSum(products(A, [(k, 0)])))
+    check(a.invert_exponents(), ExpSum([(c, -e) for c, e in A]))
+    check(a.rescale(s), ExpSum([(c, e * s) for c, e in A]))
+    check(ExpSum.monomial(k, s), ExpSum([(k, s)]))
+
+
+def _floor(a, b):
+    return max((f for f in (a, b) if f is not None), default=None)
+
+
+@given(nov_elems, nov_elems, st.integers(-3, 3), scales)
+@settings(max_examples=300)
+def test_novelem_kernels_equal_raw_reference(a, b, k, s):
+    A, B = list(a.terms), list(b.terms)
+    floor = _floor(a.floor, b.floor)
+    check(a + b, NovElem(A + B, floor))
+    check(a - b, NovElem(A + neg(B), floor))
+    prod = a * b
+    check(prod, NovElem(products(A, B), prod.floor))
+    check(-a, NovElem(neg(A), a.floor))
+    for got in (a + k, k + a):
+        check(got, NovElem(A + [(k, 0)], a.floor))
+    check(a - k, NovElem(A + [(-k, 0)], a.floor))
+    check(k - a, NovElem(neg(A) + [(k, 0)], a.floor))
+    for got in (a * k, k * a):
+        check(got, NovElem(products(A, [(k, 0)]), got.floor))
+    check(a.rescale(s), NovElem([(c, e * s) for c, e in A],
+                                None if a.floor is None else a.floor * s))
+    if a.exact:
+        check(a.invert_exponents(), NovElem([(c, -e) for c, e in A]))
+    else:
+        with pytest.raises(NotAUnit):
+            a.invert_exponents()
+    check(NovElem.monomial(k, s), NovElem([(k, s)]))
+
+
+def invert_reference(u, depth):
+    """The truncated geometric series, every step through NovElem(raw)."""
+    n0, e0 = u.terms[0]
+    w = [(c * n0, e - e0) for c, e in u.terms[1:]]
+    inv = power = [(1, 0)]
+    while power:
+        power = list(NovElem([(-c, e) for c, e in products(power, w)],
+                             -depth).terms)
+        inv = inv + power
+    return NovElem([(c * n0, e - e0) for c, e in inv], -e0 - depth)
+
+
+@given(nov_elems.filter(NovElem.is_unit),
+       st.sampled_from([F(1, 2), F(1), F(3), F(8)]))
+@settings(max_examples=300)
+def test_nov_invert_equals_raw_reference(u, depth):
+    check(u.invert(depth), invert_reference(u, depth))
+
+
+def test_arithmetic_on_canonical_operands_never_renormalises(monkeypatch):
+    rng = random.Random(8)
+
+    def raw(coeffs):
+        return [(rng.choice(coeffs), F(rng.randint(-6, 6), 2))
+                for _ in range(rng.randint(0, 4))]
+
+    exps = [ExpSum(raw([1, -1, 2, F(-1, 3)])) for _ in range(20)]
+    novs = [NovElem(raw([1, -1, 2]), rng.choice([None, F(-2), F(0)]))
+            for _ in range(20)]
+    calls = []
+    merge = rings._merge_terms
+    monkeypatch.setattr(rings, "_merge_terms",
+                        lambda *a: calls.append(a) or merge(*a))
+    results = []
+    for xs, k in ((exps, F(2, 3)), (novs, -2)):
+        for a, b in zip(xs, xs[1:]):
+            results += [a + b, a - b, a * b, -a, a + k, k + a, a - k, k - a,
+                        a * k, k * a, a.rescale(F(3, 2))]
+        cls = type(xs[0])
+        results += [cls.zero(), cls.one(), cls.monomial(-1, F(1, 2))]
+    results += [a.invert_exponents() for a in exps + novs
+                if getattr(a, "exact", True)]
+    results += [a.invert(4) for a in novs if a.is_unit()]
+    assert calls == [] and len(results) > 400
+    ExpSum([(1, 0)])
+    assert len(calls) == 1  # the raw constructor still merges and checks
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ExpSum([(0.5, 0)]),
+    lambda: ExpSum([(1, 0.5)]),
+    lambda: ExpSum.monomial(0.5, 0),
+    lambda: ExpSum.monomial(1, 0.5),
+    lambda: NovElem([(F(1, 2), 0)]),
+    lambda: NovElem.monomial(F(1, 2), 0),
+    lambda: NovElem.monomial(1, 0.5),
+    lambda: ExpSum.one() + 0.5,
+    lambda: NovElem.one() * F(1, 2),
+], ids=["expsum-float-coeff", "expsum-float-exp", "expsum-monomial-coeff",
+        "expsum-monomial-exp", "nov-fraction-coeff", "nov-monomial-coeff",
+        "nov-monomial-exp", "expsum-plus-float", "nov-times-fraction"])
+def test_raw_values_are_still_validated(build):
+    with pytest.raises(TypeError):
+        build()
