@@ -13,9 +13,13 @@ The grid covers every catalog entry x command x system x class x
 text/json; the same grid on potential-shifted and rescaled copies of the
 catalog data (non-integral and negative periods); the ``novikov``
 depth x max-iter grid; ``validate``/``homology`` on every example file
-and on broken ones; ``from-triangulation``; ``example list/show/run``; and
-the exponential and Novikov regimes on twisted triangulated tori, whose
-boundary entries and reductions carry multi-term sums.
+and on broken ones; ``from-triangulation``, also on grid tori and Klein
+bottles; ``example list/show/run``; the exponential and Novikov regimes
+on twisted triangulated tori, whose boundary entries and reductions carry
+multi-term sums; a datum whose integer leftover is a dense block of
+non-units; and inputs that must end in ``error:`` (a stuck Novikov
+circle under ``obstructions``, a short ``--zeros`` list, a malformed deck
+table).
 Files are written to a temporary directory and named relative to it, so
 no machine-specific path reaches the output.  The invocation count goes
 to stderr.
@@ -45,6 +49,7 @@ DEPTHS = ("1/2", "1", "4", "16")
 MAX_ITERS = ("0", "1", "10", "10000")
 TORUS_SIDES = (3, 4, 5)
 TORUS_CLASSES = ("0,0", "1,0", "1,1/3", "-1/2,2")
+GRID_SIDES = (3, 4, 5, 6)
 FACETS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "..", "docs", "examples", "rp2.facets")
 
@@ -175,6 +180,58 @@ def twisted_tori():
                 yield ["novikov", path, "--format", fmt, f"--class={cls}"]
 
 
+def grid_facets(n, klein):
+    """The n x n grid triangulation of the torus; for the Klein bottle,
+    crossing the seam i = n -> 0 reverses the j direction."""
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, (-j if klein else j)
+        return i * n + j % n
+    lines = [f"vertices {n * n}"]
+    for i, j in itertools.product(range(n), repeat=2):
+        a, b = vertex(i, j), vertex(i + 1, j)
+        c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
+        lines += [f"{a} {b} {d}", f"{a} {c} {d}"]
+    return "\n".join(lines) + "\n"
+
+
+def flow(frm, to, sign, period):
+    return {"from": frm, "to": to, "sign": sign, "periods": [period]}
+
+
+def torsion_block():
+    """d_1 = 0 from paired +-1 flows, d_2 = [[2, 4], [4, 2]] with mixed
+    periods: untwisted, H_0 = Z, H_1 = Z/2 + Z/6, H_2 = 0."""
+    flows = [flow(q, "p", sign, "0") for q in ("a", "b") for sign in (1, -1)]
+    for src, dst, count in (("x", "a", 2), ("x", "b", 4),
+                            ("y", "a", 4), ("y", "b", 2)):
+        flows += [flow(src, dst, 1, str(Fraction(i, 2))) for i in range(count)]
+    points = [{"id": "p", "index": 0}, {"id": "a", "index": 1},
+              {"id": "b", "index": 1}, {"id": "x", "index": 2},
+              {"id": "y", "index": 2}]
+    return {"name": "torsion-block", "dimension": 2, "basis_forms": ["theta"],
+            "points": points, "flows": flows}
+
+
+def error_inputs():
+    """Inputs with no answer: each must end in ``error:``, not a verdict
+    or a traceback."""
+    stuck = {"name": "stuck-circle", "dimension": 1, "basis_forms": ["theta"],
+             "points": [{"id": "p", "index": 0}, {"id": "q", "index": 1}],
+             "flows": [flow("q", "p", 1, "0"), flow("q", "p", 1, "0"),
+                       flow("q", "p", -1, "1")]}
+    path = write("stuck-circle.json", json.dumps(stuck))
+    for fmt in ("text", "json"):
+        yield ["obstructions", path, "--system", "nov", "--class=1",
+               "--format", fmt]
+    yield ["novikov", "--example", "klein", "--class=0", "--zeros", "1,1"]
+    yield ["novikov", "--example", "torus", "--class=1,0", "--zeros", "1,2,1,0"]
+    lift = json.loads(dump_json(get_example("rp2-lift").datum))
+    for label, table in (("table", [1, 2]), ("row", {"e": 5, "s": {}})):
+        lift["deck_group"]["table"] = table
+        yield ["homology", write(f"rp2-lift-bad-{label}.json", json.dumps(lift))]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -199,6 +256,10 @@ def invocations():
         if e.facets is not None:
             write(f"{e.name}.facets", facets_to_text(e.facets))
             yield ["from-triangulation", f"{e.name}.facets"]
+    for n in GRID_SIDES:
+        for name, klein in (("torus", False), ("klein", True)):
+            yield ["from-triangulation",
+                   write(f"grid-{name}-{n}.facets", grid_facets(n, klein))]
     yield ["from-triangulation", write("bad.facets", "vertices 3\n0 0 1\n")]
     yield ["from-triangulation", "missing.facets"]
     yield ["example", "list"]
@@ -211,6 +272,10 @@ def invocations():
     yield ["homology"]
     yield ["homology", "--example", "torus", "--depth", "0"]
     yield from twisted_tori()
+    path = write("torsion-block.json", json.dumps(torsion_block()))
+    yield ["validate", path]
+    yield from grid([path], 1)
+    yield from error_inputs()
 
 
 def run():

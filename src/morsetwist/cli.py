@@ -47,13 +47,17 @@ def _parse_class(text):
         raise ParseError(f"bad class vector {text!r}: {exc}") from exc
 
 
-def _parse_zeros(text):
+def _parse_zeros(text, degrees):
     if text is None:
         return None
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        zeros = tuple(int(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad zero counts {text!r}: {exc}") from exc
+    if len(zeros) != degrees:
+        raise ParseError(f"bad zero counts {text!r}: {len(zeros)} counts "
+                         f"for {degrees} degrees")
+    return zeros
 
 
 def _load_datum(args) -> MorseDatum:
@@ -179,7 +183,7 @@ def cmd_novikov(args) -> int:
     for k in range(len(nn.b)):
         lines.append(f"degree {k}: b={nn.b[k]} q={nn.q[k]}"
                      + ("" if nn.status[k] == "complete" else " (stuck)"))
-    zeros = _parse_zeros(args.zeros)
+    zeros = _parse_zeros(args.zeros, len(nn.b))
     if zeros is not None:
         rep = check_inequalities(zeros, nn)
         obj["zeros"] = list(zeros)

@@ -80,6 +80,9 @@ def hspace_obstruction(d: MorseDatum, sys: LocalSystem,
     if simple:
         return ObstructionVerdict("H_SPACE", False)
     summary = homology(build_complex(d, sys), depth=depth, max_iter=max_iter)
+    if not summary.complete:
+        raise Indeterminate("a degree's reduction is stuck; "
+                            "H-space verdict unknown")
     nonzero = [k for k, s in enumerate(summary.degrees)
                if s.betti > 0 or (sys.regime != "EXPSUM" and s.torsion)]
     if sys.flavor == "UNIT_REP":

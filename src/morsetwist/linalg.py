@@ -11,8 +11,10 @@
 Each first runs ``_unit_pivots``, one regime-generic sparse pass that
 cancels every exactly invertible entry (algebraic Morse reduction).
 Boundary matrices of cell complexes are sparse and mostly made of such
-entries, so only a small dense leftover reaches the regime's own leaf
-loop: Euclidean Smith form, Bareiss elimination, or Novikov Euclid.
+entries, so only a small dense leftover reaches a leaf loop: Bareiss
+elimination for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce``
+one Euclidean loop over the Novikov ring, of which the integers are the
+exponent-0 part.
 All functions are pure; ``Matrix`` is the dense interchange type.
 """
 
@@ -22,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, inf
 
 from .errors import ZeroElement
 from .rings import ExpSum, NovElem
@@ -198,75 +200,16 @@ def snf_int(A: Matrix) -> SnfResult:
     """Rank and invariant factors d1 | d2 | ... of the Smith normal form.
 
     Every cancelled unit pivot is a Smith factor 1, so the leftover's
-    factors are the whole torsion."""
+    factors are the whole torsion.  The integers are the exponent-0 part of
+    the Novikov ring, with units ±1 and integer division as the Euclidean
+    step, so the Novikov leaf diagonalizes the leftover: every exponent
+    stays 0, its descent floor never fires, and the Smith form is unique.
+    Each step clears an entry or shrinks the smallest nonzero |entry|, so
+    the loop ends without an op budget."""
     units, rest = _unit_pivots(A, int, _int_unit_inverse)
-    leaf = _snf_leaf(rest)
+    leaf = _nov_leaf(rest, 1, inf)
     return SnfResult(rank=units + leaf.rank,
-                     invariant_factors=leaf.invariant_factors)
-
-
-def _snf_leaf(A: Matrix) -> SnfResult:
-    """Euclidean row and column steps diagonalize A; the Smith form is
-    unique, so the divisibility chain of the absolute diagonal is its
-    answer."""
-    m, n = A.rows, A.cols
-    a = [[int(x) for x in row] for row in A.entries]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):  # row_dst += c*row_src
-        for j in range(n):
-            a[dst][j] += c * a[src][j]
-
-    def add_col(dst, src, c):
-        for r in a:
-            r[dst] += c * r[src]
-
-    k = 0
-    while k < min(m, n):
-        # locate smallest-magnitude nonzero entry in the active block
-        piv = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        while True:
-            p = a[k][k]
-            done = True
-            for i in range(k + 1, m):
-                if a[i][k] != 0:
-                    q = a[i][k] // p
-                    add_row(i, k, -q)
-                    if a[i][k] != 0:
-                        swap_rows(k, i)
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(k + 1, n):
-                if a[k][j] != 0:
-                    q = a[k][j] // p
-                    add_col(j, k, -q)
-                    if a[k][j] != 0:
-                        swap_cols(k, j)
-                        done = False
-                        break
-            if done:
-                break
-        k += 1
-
-    chain = _divisibility_chain(abs(a[i][i]) for i in range(k))
-    return SnfResult(rank=k,
-                     invariant_factors=tuple(v for v in chain if v > 1))
+                     invariant_factors=leaf.nonunit_invariants)
 
 
 _DIV_CAP = 100000

@@ -358,7 +358,10 @@ class NovElem:
         return bool(self.terms) and self.terms[0][0] in (1, -1)
 
     def invert(self, depth) -> "NovElem":
-        """Truncated inverse: result floor is its own top exponent minus depth."""
+        """Truncated inverse: result floor is its own top exponent minus
+        depth, or higher when the input is truncated.  An unknown part at or
+        below the input's floor f changes the inverse at or below f − 2·e0,
+        where e0 is the input's top exponent."""
         depth = _rat(depth)
         if depth <= 0:
             raise ValueError("inversion depth must be > 0")
@@ -366,15 +369,17 @@ class NovElem:
             raise NotAUnit(f"not a Novikov unit: {self.render()}")
         n0, e0 = self.terms[0]
         # self = n0 t^e0 (1 + w) with w strictly below exponent 0, so
-        # 1/self = n0 t^(-e0) (1 - w + w^2 - ...), cut below t^(-depth).
+        # 1/self = n0 t^(-e0) (1 - w + w^2 - ...), cut below t^(-depth)
+        # and, for a truncated input, at its floor shifted to exponent 0.
+        cut = -depth if self.floor is None else max(-depth, self.floor - e0)
         minus_w = tuple([(-c * n0, e - e0) for c, e in self.terms[1:]])  # n0 in {1,-1}
         inv = power = ((1, _ZERO),)
         while True:
-            power = _cut(_mul_terms(power, minus_w), -depth)
+            power = _cut(_mul_terms(power, minus_w), cut)
             if not power:
                 break
             inv = _add_terms(inv, power)
-        return _make(NovElem, tuple([(c * n0, e - e0) for c, e in inv]), -e0 - depth)
+        return _make(NovElem, tuple([(c * n0, e - e0) for c, e in inv]), cut - e0)
 
     def rescale(self, s) -> "NovElem":
         s = _rat(s)

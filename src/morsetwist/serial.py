@@ -52,6 +52,15 @@ def _list(obj, key, where) -> list:
     return value
 
 
+def _object(obj, key, where) -> dict:
+    """A JSON object field: an array, number, string or null is rejected."""
+    value = obj[key]
+    if type(value) is not dict:
+        raise ParseError(f"{where}: {key!r} must be an object, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
 def _rational_parser():
     """parse_rational that parses each distinct string once.  The memo is
     keyed on the str itself: 1, True and 1.0 share one hash, so any other
@@ -132,9 +141,10 @@ def datum_from_dict(obj: dict) -> MorseDatum:
         g = obj["deck_group"]
         _check_fields(g, ["elements", "table"], [], "deck_group")
         elements = tuple(str(e) for e in _list(g, "elements", "deck_group"))
+        rows = _object(g, "table", "deck_group")
         table = {}
-        for a, row in g["table"].items():
-            for b, c in row.items():
+        for a in rows:
+            for b, c in _object(rows, a, "deck_group table").items():
                 table[(str(a), str(b))] = str(c)
         deck = DeckGroup(elements=elements, table=table)
     return MorseDatum(

@@ -284,7 +284,12 @@ def test_non_integer_or_decimal_input_is_parse_error(tmp_path, capsys, example,
     ("rp2-triangulated", _set("cells", {}), "cw: 'cells' must be a list, got {}"),
     ("rp2-triangulated", _set("incidences", None),
      "cw: 'incidences' must be a list, got null"),
-], ids=["points", "flows", "basis_forms", "periods", "cells", "incidences"])
+    ("rp2-lift", _set("deck_group", "table", [1, 2]),
+     "deck_group: 'table' must be an object, got [1, 2]"),
+    ("rp2-lift", _set("deck_group", "table", "e", 5),
+     "deck_group table: 'e' must be an object, got 5"),
+], ids=["points", "flows", "basis_forms", "periods", "cells", "incidences",
+        "deck-table", "deck-table-row"])
 def test_non_list_field_is_parse_error(tmp_path, capsys, example, edit, want):
     entry = get_example(example)
     obj = json.loads(dump_json(entry.cw if entry.cw is not None else entry.datum))
@@ -293,6 +298,35 @@ def test_non_list_field_is_parse_error(tmp_path, capsys, example, edit, want):
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "homology", str(path))
     assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
+def test_zero_count_list_of_wrong_length_is_parse_error(capsys):
+    code, out, err = run(capsys, "novikov", "--example", "klein",
+                         "--class", "0", "--zeros", "1,1")
+    assert (code, out) == (2, ""), err
+    assert err == "error: bad zero counts '1,1': 2 counts for 3 degrees\n"
+
+
+def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):
+    # boundary 2 - t^(-1) under class 1: not c·t^a times a unit, so both
+    # Novikov degrees are stuck and no verdict can be read from them
+    flows = [{"from": "q", "to": "p", "sign": sign, "periods": [period]}
+             for sign, period in ((1, "0"), (1, "0"), (-1, "1"))]
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps({
+        "name": "stuck-circle", "dimension": 1, "basis_forms": ["theta"],
+        "points": [{"id": "p", "index": 0}, {"id": "q", "index": 1}],
+        "flows": flows}))
+    code, out, _ = run(capsys, "homology", str(path), "--system", "nov",
+                       "--class", "1")
+    assert code == 1
+    assert out.splitlines() == ["H_0 = indeterminate (reduction stuck)",
+                                "H_1 = indeterminate (reduction stuck)"]
+    code, out, err = run(capsys, "obstructions", str(path), "--system", "nov",
+                         "--class", "1")
+    assert (code, out) == (1, ""), out
+    assert err == ("error: a degree's reduction is stuck; "
+                   "H-space verdict unknown\n")
 
 
 def test_novikov_unit_pivots_are_not_charged_to_max_iter(capsys):

@@ -1,6 +1,6 @@
 import random
-from dataclasses import astuple
 from fractions import Fraction as F
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from morsetwist.linalg import (
     Matrix,
     _nov_leaf,
     _rank_leaf,
-    _snf_leaf,
     expsum_divexact,
     nov_reduce,
     rank_expsum,
@@ -285,8 +284,10 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
     for _ in range(80):
         A = _sparse(rng, 0, lambda r: r.choice([1, -1]),
                     lambda r: r.choice([-4, -2, 2, 3, 6]))
-        s = snf_int(A)
-        assert (s.rank, s.invariant_factors) == astuple(_snf_leaf(A)), A
+        s, leaf = snf_int(A), _nov_leaf(A, 1, inf)
+        assert leaf.status == "complete", A
+        assert (s.rank, s.invariant_factors) == \
+            (leaf.rank, leaf.nonunit_invariants), A
         if A.rows <= 5 and A.cols <= 5:
             assert (s.rank, s.invariant_factors) == minors_oracle(A.entries)
 

@@ -77,6 +77,15 @@ def test_nov_invert_negative_unit():
     assert (u * inv).agrees_with(NovElem.one())
 
 
+def test_nov_invert_truncated_input_keeps_its_floor():
+    # 1 + t^(-1) + O(t^(<-2)) agrees with the exact 1 + t^(-1) + t^(-3)
+    # above -2, so its inverse is known only above -2 as well
+    inv = NovElem([(1, 0), (1, -1)], floor=-2).invert(8)
+    assert inv.floor == -2
+    assert inv.agrees_with(NovElem([(1, 0), (1, -1), (1, -3)]).invert(8))
+    assert inv.terms == ((1, F(0)), (-1, F(-1)))
+
+
 def test_nov_invert_nonunit_rejected():
     with pytest.raises(NotAUnit):
         NovElem([(2, 0)]).invert(4)
@@ -281,7 +290,10 @@ def invert_reference(u, depth):
         power = list(NovElem([(-c, e) for c, e in products(power, w)],
                              -depth).terms)
         inv = inv + power
-    return NovElem([(c * n0, e - e0) for c, e in inv], -e0 - depth)
+    floor = -e0 - depth
+    if u.floor is not None:  # unknown terms at or below f move 1/u at f - 2e0
+        floor = max(floor, u.floor - 2 * e0)
+    return NovElem([(c * n0, e - e0) for c, e in inv], floor)
 
 
 @given(nov_elems.filter(NovElem.is_unit),
