@@ -14,9 +14,10 @@ text/json; the same grid on potential-shifted and rescaled copies of the
 catalog data (non-integral and negative periods); the ``novikov``
 depth x max-iter grid; ``validate``/``homology`` on every example file
 and on broken ones; ``from-triangulation``, also on grid tori and Klein
-bottles; ``example list/show/run``; the exponential and Novikov regimes
-on twisted triangulated tori, whose boundary entries and reductions carry
-multi-term sums; a datum whose integer leftover is a dense block of
+bottles up to 16 x 16; ``example list/show/run``; the exponential and
+Novikov regimes on twisted triangulated tori up to 8 x 8, whose boundary
+entries and reductions carry multi-term sums (the larger grids and tori
+fill in heavily during the unit pass, so its heap re-queues units); a datum whose integer leftover is a dense block of
 non-units; and inputs that must end in ``error:`` (a stuck Novikov
 circle under ``obstructions``, a short ``--zeros`` list, a malformed deck
 table).
@@ -47,9 +48,9 @@ TWISTED = ("homology", "cohomology", "euler", "obstructions")
 RPN = (1, 2, 3, 4)
 DEPTHS = ("1/2", "1", "4", "16")
 MAX_ITERS = ("0", "1", "10", "10000")
-TORUS_SIDES = (3, 4, 5)
+TORUS_SIDES = (3, 4, 5, 8)
 TORUS_CLASSES = ("0,0", "1,0", "1,1/3", "-1/2,2")
-GRID_SIDES = (3, 4, 5, 6)
+GRID_SIDES = (3, 4, 5, 6, 10, 16)
 FACETS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "..", "docs", "examples", "rp2.facets")
 

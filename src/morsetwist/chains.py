@@ -81,25 +81,24 @@ class Violation:
 def validate_complex(C: ChainComplex):
     """None if every composable pair of matrices multiplies to zero,
     else the Violation at the smallest (row, col) of the first nonzero
-    composite.  Each composite sums only the products of nonzero entries."""
+    composite.  Each row of a composite sums the products of the left
+    row's nonzero entries with the nonzero entries of the right matrix's
+    matching rows, so the check costs one product per nonzero pair."""
     z = C.zero()
     for k in range(len(C.diffs) - 1):
         left, right = C.diffs[k], C.diffs[k + 1]
         if C.ascending:
             left, right = right, left
-        comp: dict = {}
-        for mid in range(left.cols):
-            col = [(i, r[mid]) for i, r in enumerate(left.entries) if r[mid]]
-            if not col:
-                continue
-            row = [(j, e) for j, e in enumerate(right.entries[mid]) if e]
-            for i, a in col:
-                for j, b in row:
-                    comp[i, j] = comp.get((i, j), z) + a * b
-        bad = [ij for ij, e in comp.items() if e]
-        if bad:
-            i, j = min(bad)
-            return Violation(degree=k + 1, row=i, col=j, value=comp[i, j])
+        below = right.data
+        for i, lrow in enumerate(left.data):
+            comp: dict = {}
+            for mid, a in lrow.items():
+                for j, b in below[mid].items():
+                    comp[j] = comp.get(j, z) + a * b
+            bad = [j for j, e in comp.items() if e]
+            if bad:
+                j = min(bad)
+                return Violation(degree=k + 1, row=i, col=j, value=comp[j])
     return None
 
 
@@ -187,16 +186,18 @@ def dualize(C: ChainComplex) -> ChainComplex:
     """Cochain complex: transpose each boundary and invert every transport.
 
     For formal-exponent regimes inverting a transport negates its exponent;
-    the flow-line signs are untouched.  Zero is its own inverse, so only
-    nonzero entries are inverted.  The result is stored ascending.
+    the flow-line signs are untouched.  Only the stored (nonzero) entries
+    are inverted; zero is its own inverse.  The result is stored ascending.
     """
     if C.ascending:
         raise ValueError("dualize expects a descending (chain) complex")
-    z = C.zero()
     duals = []
     for d in C.diffs:
-        duals.append(d.transpose().map(
-            lambda e: e if e == z else _invert_entry(e, C.regime)))
+        dual = d.transpose()
+        for row in dual.data:
+            for j, e in row.items():
+                row[j] = _invert_entry(e, C.regime)
+        duals.append(dual)
     return ChainComplex(regime=C.regime, generators=C.generators,
                         diffs=tuple(duals), ascending=True)
 

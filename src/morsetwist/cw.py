@@ -180,15 +180,14 @@ def from_simplicial(fl: FacetList) -> RegularCW:
         for k in range(len(s)):
             for sub in itertools.combinations(s, k + 1):
                 faces[k].add(sub)
-    cells = tuple(tuple(_cell_label(s) for s in sorted(layer))
-                  for layer in faces)
+    label = {s: _cell_label(s) for layer in faces for s in layer}
+    cells = tuple(tuple(label[s] for s in sorted(layer)) for layer in faces)
     incidences = []
     for k in range(1, top + 1):
         for s in sorted(faces[k]):
             for i in range(len(s)):
-                facet = s[:i] + s[i + 1:]
                 incidences.append(Incidence(
-                    upper=_cell_label(s), lower=_cell_label(facet),
+                    upper=label[s], lower=label[s[:i] + s[i + 1:]],
                     incidence=(-1) ** i))
     return RegularCW(name="simplicial", dimension=top, cells=cells,
                      incidences=tuple(incidences))

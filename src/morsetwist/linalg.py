@@ -15,7 +15,9 @@ entries, so only a small dense leftover reaches a leaf loop: Bareiss
 elimination for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce``
 one Euclidean loop over the Novikov ring, of which the integers are the
 exponent-0 part.
-All functions are pure; ``Matrix`` is the dense interchange type.
+All functions are pure.  ``Matrix`` stores only nonzero entries, one
+``{column: entry}`` map per row, from assembly through the unit pass;
+the leaf loops read the small leftover through its dense ``entries`` view.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, inf
 
 from .errors import ZeroElement
@@ -31,54 +32,61 @@ from .rings import ExpSum, NovElem
 
 
 class Matrix:
-    """Dense row-major matrix over any ring whose elements support + and *."""
+    """Sparse row-major matrix over any ring whose elements support + and *.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``data[i]`` maps column -> entry for the nonzero entries of row i only;
+    ``zero`` is the ring's zero, which every absent entry stands for.
+    """
 
-    def __init__(self, rows, cols, entries):
-        entries = [list(r) for r in entries]
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError(f"entry grid does not match {rows}x{cols}")
+    __slots__ = ("rows", "cols", "data", "zero")
+
+    def __init__(self, rows, cols, data, zero=0):
+        if len(data) != rows:
+            raise ValueError(f"{len(data)} row maps for {rows} rows")
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.data = data
+        self.zero = zero
 
     @staticmethod
     def from_rows(entries) -> "Matrix":
         entries = [list(r) for r in entries]
-        rows = len(entries)
         cols = len(entries[0]) if entries else 0
-        return Matrix(rows, cols, entries)
+        if any(len(r) != cols for r in entries):
+            raise ValueError("rows of unequal length")
+        return Matrix(len(entries), cols,
+                      [{j: e for j, e in enumerate(r) if e} for r in entries])
 
-    @staticmethod
-    def zero(rows, cols, zero_elem=0) -> "Matrix":
-        return Matrix(rows, cols, [[zero_elem] * cols for _ in range(rows)])
+    @property
+    def entries(self):
+        """Dense rows filled with ``zero``, built on every read."""
+        z = self.zero
+        return [[r.get(j, z) for j in range(self.cols)] for r in self.data]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.data[i].get(j, self.zero)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
-    def map(self, fn) -> "Matrix":
-        return Matrix(self.rows, self.cols,
-                      [[fn(e) for e in row] for row in self.entries])
+        data = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, e in row.items():
+                data[j][i] = e
+        return Matrix(self.cols, self.rows, data, self.zero)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.data == other.data
+                and self.zero == other.zero)
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
+        return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
 
 
 def _unit_pivots(A: Matrix, coerce, unit_inverse):
     """Cancel every exactly invertible pivot of A.
 
-    Returns (pivots cancelled, dense leftover Matrix).  ``coerce`` brings an
+    Returns (pivots cancelled, leftover Matrix).  ``coerce`` brings an
     entry into the regime's ring; ``unit_inverse`` returns an entry's exact
     inverse, or None when it has none.  Each step takes the unit of lowest
     Markowitz cost (row nnz - 1)·(col nnz - 1), ties to the lowest
@@ -88,38 +96,60 @@ def _unit_pivots(A: Matrix, coerce, unit_inverse):
     """
     rows = {}       # row -> {col: nonzero entry}
     cols = {}       # col -> set of rows holding a nonzero entry there
-    inverses = {}   # (row, col) -> inverse of the unit last written there
+    inverses = {}   # (row, col) -> inverse of the unit stored there
+    # Lazily re-keyed heap.  best[u] is the key of unit u's live item (an
+    # older item of u is dropped when it surfaces) and never exceeds u's
+    # cost: after a pivot a unit is offered again only if its row or column
+    # got shorter or its entry was rewritten, and queued only if its cost
+    # fell below best[u]; a live item that surfaces below its unit's cost
+    # is queued again at that cost.  So the first live item popped at its
+    # cost is the lowest-cost unit, ties to the lowest (row, col), exactly
+    # as if every cost were re-keyed after every pivot.
+    best = {}
+    heap = []
 
     def put(i, j, v):
         rows[i][j] = v
         inv = unit_inverse(v)
         if inv is None:
-            inverses.pop((i, j), None)
+            drop(i, j)
         else:
             inverses[i, j] = inv
 
-    for i, row in enumerate(A.entries):
-        nonzero = list(compress(range(len(row)), row))
-        if nonzero:
-            rows[i] = {}
-            for j in nonzero:
-                put(i, j, coerce(row[j]))
-                cols.setdefault(j, set()).add(i)
+    def drop(i, j):
+        inverses.pop((i, j), None)
+        best.pop((i, j), None)
 
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
 
-    # Lazily re-keyed heap: after every pivot the units of each row and
-    # column whose length changed are pushed with their new cost, so the
-    # heap always holds every live unit at its current cost; items whose
-    # cost or entry has gone stale are dropped when they surface.
-    heap = [(cost(i, j), i, j) for i, j in inverses]
+    def offer(i, j):
+        if (i, j) in inverses:
+            k = cost(i, j)
+            if k < best.get((i, j), inf):
+                best[i, j] = k
+                heapq.heappush(heap, (k, i, j))
+
+    for i, row in enumerate(A.data):
+        if row:
+            rows[i] = {}
+            for j, e in row.items():
+                put(i, j, coerce(e))
+                cols.setdefault(j, set()).add(i)
+    for i, j in inverses:
+        best[i, j] = k = cost(i, j)
+        heap.append((k, i, j))
     heapq.heapify(heap)
+
     count = 0
     while heap:
         key, r, c = heapq.heappop(heap)
-        if c not in rows.get(r, ()) or (r, c) not in inverses \
-                or key != cost(r, c):
+        if best.get((r, c)) != key:
+            continue
+        k = cost(r, c)
+        if key < k:
+            best[r, c] = k
+            heapq.heappush(heap, (k, r, c))
             continue
         inv = inverses[r, c]
         count += 1
@@ -127,37 +157,51 @@ def _unit_pivots(A: Matrix, coerce, unit_inverse):
         del prow[c]
         pcol = cols.pop(c)
         pcol.discard(r)
+        drop(r, c)
+        col_len = {}    # col -> its length before the pivot
         for j in prow:
+            drop(r, j)
+            col_len[j] = len(cols[j])
             cols[j].discard(r)
         for i in pcol:
+            drop(i, c)
+        shorter = []
+        written = []
+        for i in pcol:
             row = rows[i]
+            before = len(row)
             f = row.pop(c) * inv
             for j, x in prow.items():
                 v = row[j] - f * x if j in row else -(f * x)
                 if v:
                     put(i, j, v)
                     cols[j].add(i)
+                    written.append((i, j))
                 elif j in row:
                     del row[j]
+                    drop(i, j)
                     cols[j].discard(i)
             if not row:
                 del rows[i]
+            elif len(row) < before:
+                shorter.append(i)
+        for i in shorter:
+            for j in rows[i]:
+                offer(i, j)
         for j in prow:
-            if not cols[j]:
+            col = cols[j]
+            if not col:
                 del cols[j]
-        for i in pcol:
-            for j in rows.get(i, ()):
-                if (i, j) in inverses:
-                    heapq.heappush(heap, (cost(i, j), i, j))
-        for j in prow:
-            for i in cols.get(j, ()):
-                if (i, j) in inverses:
-                    heapq.heappush(heap, (cost(i, j), i, j))
+            elif len(col) < col_len[j]:
+                for i in col:
+                    offer(i, j)
+        for i, j in written:
+            offer(i, j)
 
-    zero = coerce(0)
-    live_cols = sorted(cols)
-    leftover = [[rows[i].get(j, zero) for j in live_cols] for i in sorted(rows)]
-    return count, Matrix(len(leftover), len(live_cols), leftover)
+    live_cols = {j: n for n, j in enumerate(sorted(cols))}
+    leftover = [{live_cols[j]: v for j, v in rows[i].items()}
+                for i in sorted(rows)]
+    return count, Matrix(len(leftover), len(live_cols), leftover, coerce(0))
 
 
 def _int_unit_inverse(e):

@@ -203,7 +203,8 @@ def flow_weight(f: FlowLine, sys: LocalSystem):
 
 def build_complex(d: MorseDatum, sys: LocalSystem) -> ChainComplex:
     """Twisted boundary assembly: entry (p, q) = sum of sign * weight over
-    the flow lines from q down to p."""
+    the flow lines from q down to p.  Only nonzero sums are stored; an
+    entry whose flows cancel is dropped."""
     sys.check_compatible(d)
     regime = sys.regime
     zero = regime_zero(regime)
@@ -213,17 +214,17 @@ def build_complex(d: MorseDatum, sys: LocalSystem) -> ChainComplex:
     for k, layer in enumerate(gens):
         for i, pid in enumerate(layer):
             pos[pid] = (k, i)
-    mats = []
-    for k in range(1, d.dimension + 1):
-        rows, cols = len(gens[k - 1]), len(gens[k])
-        grid = [[zero for _ in range(cols)] for _ in range(rows)]
-        mats.append(grid)
+    mats = [[{} for _ in gens[k - 1]] for k in range(1, d.dimension + 1)]
     for f in d.flows:
         k, col = pos[f.frm]
         _, row = pos[f.to]
-        grid = mats[k - 1]
-        grid[row][col] = grid[row][col] + f.sign * flow_weight(f, sys)
-    diffs = tuple(Matrix(len(gens[k - 1]), len(gens[k]), mats[k - 1])
+        target = mats[k - 1][row]
+        v = target.get(col, zero) + f.sign * flow_weight(f, sys)
+        if v:
+            target[col] = v
+        else:
+            target.pop(col, None)
+    diffs = tuple(Matrix(len(gens[k - 1]), len(gens[k]), mats[k - 1], zero)
                   for k in range(1, d.dimension + 1))
     return ChainComplex(regime=regime, generators=gens, diffs=diffs)
 

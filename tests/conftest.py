@@ -1,16 +1,19 @@
 """Answer oracles shared by the tests: integer rank by exhaustive minor
 expansion and integer invariant factors from determinantal divisors, both
 independent of any reduction; the componentwise (vector) period path that
-the scalar loop periods of ``morsetwist.morse`` must agree with; and a
-twisted triangulated torus."""
+the scalar loop periods of ``morsetwist.morse`` must agree with; a twisted
+triangulated torus; grid triangulations of the torus and the Klein bottle;
+and the eagerly re-keyed unit pass that the lazily re-keyed heap of
+``morsetwist.linalg._unit_pivots`` must agree with."""
 
+import heapq
 import itertools
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from morsetwist.cw import Incidence, RegularCW
+from morsetwist.cw import FacetList, Incidence, RegularCW
 from morsetwist.errors import Disconnected
 from morsetwist.morse import EXP, NOV_SYS, TRIVIAL, UNIT_REP
 
@@ -184,3 +187,97 @@ def twisted_torus_cw(n):
     return RegularCW(name=f"twisted-torus-{n}", dimension=2,
                      cells=[[str(s) for s in sorted(layer)] for layer in layers],
                      incidences=incidences, basis_forms=("dx", "dy"))
+
+
+def grid_facets(n, klein=False) -> FacetList:
+    """The n x n grid triangulation of the torus; for the Klein bottle,
+    crossing the seam i = n -> 0 reverses the j direction."""
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, (-j if klein else j)
+        return i * n + j % n
+    facets = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
+            facets += [(a, b, d), (a, c, d)]
+    return FacetList(n * n, tuple(facets))
+
+
+# --- the eager unit pass ----------------------------------------------------
+
+def unit_pivots_eager(A, coerce, unit_inverse):
+    """``linalg._unit_pivots`` with an eagerly re-keyed heap, read from the
+    dense view: after every pivot, every unit of every row and column the
+    pivot touched is pushed again at its current cost, so the heap always
+    holds each live unit at its cost and stale items are dropped when they
+    surface.  Returns (pivots cancelled, leftover as dense rows)."""
+    rows = {}       # row -> {col: nonzero entry}
+    cols = {}       # col -> set of rows holding a nonzero entry there
+    inverses = {}   # (row, col) -> inverse of the unit last written there
+
+    def put(i, j, v):
+        rows[i][j] = v
+        inv = unit_inverse(v)
+        if inv is None:
+            inverses.pop((i, j), None)
+        else:
+            inverses[i, j] = inv
+
+    for i, row in enumerate(A.entries):
+        nonzero = [j for j, e in enumerate(row) if e]
+        if nonzero:
+            rows[i] = {}
+            for j in nonzero:
+                put(i, j, coerce(row[j]))
+                cols.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, j in inverses]
+    heapq.heapify(heap)
+    count = 0
+    while heap:
+        key, r, c = heapq.heappop(heap)
+        if c not in rows.get(r, ()) or (r, c) not in inverses \
+                or key != cost(r, c):
+            continue
+        inv = inverses[r, c]
+        count += 1
+        prow = rows.pop(r)
+        del prow[c]
+        pcol = cols.pop(c)
+        pcol.discard(r)
+        for j in prow:
+            cols[j].discard(r)
+        for i in pcol:
+            row = rows[i]
+            f = row.pop(c) * inv
+            for j, x in prow.items():
+                v = row[j] - f * x if j in row else -(f * x)
+                if v:
+                    put(i, j, v)
+                    cols[j].add(i)
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            if not cols[j]:
+                del cols[j]
+        for i in pcol:
+            for j in rows.get(i, ()):
+                if (i, j) in inverses:
+                    heapq.heappush(heap, (cost(i, j), i, j))
+        for j in prow:
+            for i in cols.get(j, ()):
+                if (i, j) in inverses:
+                    heapq.heappush(heap, (cost(i, j), i, j))
+
+    zero = coerce(0)
+    live_cols = sorted(cols)
+    return count, [[rows[i].get(j, zero) for j in live_cols]
+                   for i in sorted(rows)]

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from conftest import grid_facets
 
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
 from morsetwist.chains import euler_cells, homology, validate_complex
@@ -133,22 +134,6 @@ def test_euler_consistency_with_simplex_counts():
     cw = from_simplicial(FacetList(6, RP2_SIX_VERTEX_FACETS))
     counts = tuple(len(layer) for layer in cw.cells)
     assert sum((-1) ** k * c for k, c in enumerate(counts)) == 6 - 15 + 10 == 1
-
-
-def grid_facets(n, klein=False) -> FacetList:
-    """The n x n grid triangulation of the torus; for the Klein bottle,
-    crossing the seam i = n -> 0 reverses the j direction."""
-    def vertex(i, j):
-        if i == n:
-            i, j = 0, (-j if klein else j)
-        return i * n + j % n
-    facets = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vertex(i, j), vertex(i + 1, j)
-            c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
-            facets += [(a, b, d), (a, c, d)]
-    return FacetList(n * n, tuple(facets))
 
 
 def dense_violation(cw: RegularCW):

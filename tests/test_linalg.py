@@ -6,16 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TooLarge, rank_int_bruteforce
+from conftest import TooLarge, grid_facets, rank_int_bruteforce, unit_pivots_eager
+from morsetwist.cw import from_simplicial, steenrod_boundary
 from morsetwist.linalg import (
     Matrix,
+    _as_exact_nov,
+    _as_expsum,
+    _expsum_unit_inverse,
+    _int_unit_inverse,
     _nov_leaf,
+    _nov_unit_inverse,
     _rank_leaf,
+    _unit_pivots,
     expsum_divexact,
     nov_reduce,
     rank_expsum,
     snf_int,
 )
+from morsetwist.morse import LocalSystem
 from morsetwist.rings import ExpSum, NovElem
 
 
@@ -30,7 +38,7 @@ def test_snf_single_two():
 
 
 def test_snf_zero_matrix():
-    r = snf_int(Matrix.zero(3, 2))
+    r = snf_int(M([[0, 0]] * 3))
     assert r.rank == 0
     assert r.invariant_factors == ()
 
@@ -97,7 +105,7 @@ def test_bruteforce_examples():
     assert rank_int_bruteforce(M([[1, 2], [2, 4]])) == 1
     assert rank_int_bruteforce(M([[0]])) == 0
     with pytest.raises(TooLarge):
-        rank_int_bruteforce(Matrix.zero(7, 2))
+        rank_int_bruteforce(M([[0, 0]] * 7))
 
 
 def test_rank_expsum_nonzero_single():
@@ -256,10 +264,12 @@ def test_snf_rank_vs_oracle_property(rows):
     assert snf_int(A).rank == rank_int_bruteforce(A)
 
 
-def _sparse(rng, zero, unit, other, unit_share=0.8):
-    """A random sparse matrix up to 12x12, its entries mostly units."""
-    m, n = rng.randint(1, 12), rng.randint(1, 12)
-    return M([[zero if rng.random() > 0.35
+def _sparse(rng, zero, unit, other, unit_share=0.8, size=12, density=0.35):
+    """A random matrix up to size x size: each entry is nonzero with
+    probability ``density``, and a nonzero entry a unit with probability
+    ``unit_share``."""
+    m, n = rng.randint(1, size), rng.randint(1, size)
+    return M([[zero if rng.random() > density
                else unit(rng) if rng.random() < unit_share else other(rng)
                for _ in range(n)] for _ in range(m)])
 
@@ -313,3 +323,32 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
     # 39 of 40 complete both ways; in the other the unit pass's Schur fill
     # widens an entry's exponent span past depth 8 and nov_reduce is stuck
     assert both >= 39
+
+
+def test_lazy_unit_pass_equals_eager_reference():
+    # the lazily re-keyed heap must pick the eager heap's pivot sequence, so
+    # both cancel as many units and leave the same leftover
+    rng = random.Random(31415)
+    regimes = [
+        (int, _int_unit_inverse, 0, lambda r: r.choice([1, -1]),
+         lambda r: r.choice([-3, 2, 4])),
+        (_as_expsum, _expsum_unit_inverse, ExpSum.zero(),
+         lambda r: ExpSum.monomial(r.choice([1, -1, F(2, 3)]), _halves(r)),
+         lambda r: ExpSum([(1, _halves(r)), (r.choice([1, -2]), 2)])),
+        (_as_exact_nov, _nov_unit_inverse, NovElem.zero(),
+         lambda r: NovElem.monomial(r.choice([1, -1]), _halves(r)),
+         _nov_inexact),
+    ]
+    cases = []
+    for coerce, inverse, zero, unit, other in regimes:
+        for _ in range(150):
+            A = _sparse(rng, zero, unit, other, unit_share=rng.random(),
+                        size=14, density=rng.uniform(0.1, 0.6))
+            cases.append((A, coerce, inverse))
+    for n in range(8, 13):
+        C = steenrod_boundary(from_simplicial(grid_facets(n, klein=True)),
+                              LocalSystem.trivial())
+        cases += [(d, int, _int_unit_inverse) for d in C.diffs]
+    for A, coerce, inverse in cases:
+        count, rest = _unit_pivots(A, coerce, inverse)
+        assert (count, rest.entries) == unit_pivots_eager(A, coerce, inverse), A

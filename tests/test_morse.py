@@ -75,6 +75,28 @@ def test_build_complex_klein_nov_zero_class():
     assert not col[1].terms
 
 
+def test_build_complex_stores_no_cancelled_entry():
+    # RP^2: untwisted, the two flows into the minimum cancel (d1 = 0);
+    # sign-twisted, the two flows out of the maximum cancel (d2 = 0)
+    C = build_complex(RP2, LocalSystem.trivial())
+    assert [d.data for d in C.diffs] == [[{}], [{0: 2}]]
+    C = build_complex(RP2, LocalSystem.unit_rep())
+    assert [d.data for d in C.diffs] == [[{0: 2}], [{}]]
+    assert C.diffs[1].entries == [[0]]
+    # a pair of parallel flows with equal periods and opposite signs
+    pair = MorseDatum(
+        name="pair", dimension=1, basis_forms=("theta",),
+        points=(CriticalPoint("p", 0), CriticalPoint("q", 1)),
+        flows=(FlowLine("q", "p", 1, (F(1, 2),), unit_tag=-1),
+               FlowLine("q", "p", -1, (F(1, 2),), unit_tag=-1)))
+    for sys in (LocalSystem.trivial(), LocalSystem.unit_rep(),
+                LocalSystem.exp((F(3),)), LocalSystem.nov((F(-1, 3),))):
+        C = build_complex(pair, sys)
+        assert C.diffs[0].data == [{}], sys
+        assert C.diffs[0].entries == [[C.zero()]], sys
+        assert homology(C).betti == (1, 1), sys
+
+
 def test_missing_unit_tag():
     with pytest.raises(MissingUnitTag):
         build_complex(TORUS, LocalSystem.unit_rep())
