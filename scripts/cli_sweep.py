@@ -17,10 +17,13 @@ and on broken ones; ``from-triangulation``, also on grid tori and Klein
 bottles up to 16 x 16; ``example list/show/run``; the exponential and
 Novikov regimes on twisted triangulated tori up to 8 x 8, whose boundary
 entries and reductions carry multi-term sums (the larger grids and tori
-fill in heavily during the unit pass, so its heap re-queues units); a datum whose integer leftover is a dense block of
-non-units; and inputs that must end in ``error:`` (a stuck Novikov
-circle under ``obstructions``, a short ``--zeros`` list, a malformed deck
-table).
+fill in heavily during the unit pass, so its heap re-queues units), and
+on the tori up to 5 x 5 also ``cohomology --system nov``, ``euler`` under
+both systems and ``obstructions --system exp``; one torus under a nonzero
+class that kills every period, so every transport is 1; a datum whose
+integer leftover is a dense block of non-units; and inputs that must end
+in ``error:`` (a stuck Novikov circle under ``obstructions``, a short
+``--zeros`` list, a malformed deck table).
 Files are written to a temporary directory and named relative to it, so
 no machine-specific path reaches the output.  The invocation count goes
 to stderr.
@@ -49,6 +52,7 @@ RPN = (1, 2, 3, 4)
 DEPTHS = ("1/2", "1", "4", "16")
 MAX_ITERS = ("0", "1", "10", "10000")
 TORUS_SIDES = (3, 4, 5, 8)
+TORUS_EVERY_COMMAND = (3, 4, 5)
 TORUS_CLASSES = ("0,0", "1,0", "1,1/3", "-1/2,2")
 GRID_SIDES = (3, 4, 5, 6, 10, 16)
 FACETS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -179,6 +183,25 @@ def twisted_tori():
                     yield [cmd, path, "--system", "exp", "--format", fmt,
                            f"--class={cls}"]
                 yield ["novikov", path, "--format", fmt, f"--class={cls}"]
+                if n in TORUS_EVERY_COMMAND:
+                    for cmd, system in (("cohomology", "nov"),
+                                        ("euler", "exp"), ("euler", "nov"),
+                                        ("obstructions", "exp")):
+                        yield [cmd, path, "--system", system, "--format", fmt,
+                               f"--class={cls}"]
+    # a third basis form that no incidence crosses: the class 0,0,1 is
+    # nonzero, but every flow's class period is 0
+    cw = twisted_torus_cw(4)
+    flat = replace(cw, name="flat-torus-4", basis_forms=("dx", "dy", "dz"),
+                   incidences=tuple(replace(i, periods=(*i.periods, 0))
+                                    for i in cw.incidences))
+    path = write("flat-torus-4.json", dump_json(flat))
+    for fmt in ("text", "json"):
+        for cmd in TWISTED:
+            for system in ("exp", "nov"):
+                yield [cmd, path, "--system", system, "--format", fmt,
+                       "--class=0,0,1"]
+        yield ["novikov", path, "--format", fmt, "--class=0,0,1"]
 
 
 def grid_facets(n, klein):

@@ -9,11 +9,11 @@ homology engine reports H^k from degree-k data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry
-from .linalg import nov_reduce, rank_expsum, snf_int
-from .rings import ExpSum, NovElem
+from .linalg import Matrix, cancel_units, nov_reduce, rank_expsum, snf_int
+from .rings import ExpSum, NovElem, laurent_image
 
 INT = "INT"
 EXPSUM = "EXPSUM"
@@ -22,8 +22,21 @@ NOV = "NOV"
 _ZEROS = {INT: 0, EXPSUM: ExpSum.zero(), NOV: NovElem.zero()}
 
 
-def regime_zero(regime):
-    return _ZEROS[regime]
+def specialise(A: Matrix, regime, scale) -> Matrix:
+    """The EXPSUM or NOV image of a matrix over ℤ[u, u⁻¹], entry by entry;
+    equal entries are mapped once."""
+    cls = ExpSum if regime == EXPSUM else NovElem
+    image = {}
+    data = []
+    for row in A.data:
+        out = {}
+        for j, e in row.items():
+            v = image.get(e)
+            if v is None:
+                v = image[e] = laurent_image(e, scale, cls)
+            out[j] = v
+        data.append(out)
+    return Matrix(A.rows, A.cols, data, _ZEROS[regime])
 
 
 @dataclass(frozen=True)
@@ -33,12 +46,16 @@ class ChainComplex:
     Descending (default): diffs[k] maps degree k+1 to degree k, so
     diffs[k] has |generators[k]| rows and |generators[k+1]| columns.
     Ascending: diffs[k] maps degree k to degree k+1 (transposed shape).
+    ``over_u``, when set, holds the same boundaries over ℤ[u, u⁻¹]; their
+    image under u ↦ t^(1/scale) (EXPSUM) or t^(−1/scale) (NOV) is ``diffs``.
     """
 
     regime: str
     generators: tuple  # per degree: tuple of labels
     diffs: tuple       # len = len(generators) - 1, Matrix each
     ascending: bool = False
+    over_u: tuple = field(default=(), compare=False, repr=False)
+    scale: int = field(default=1, compare=False, repr=False)
 
     def __post_init__(self):
         if self.regime not in _ZEROS:
@@ -63,7 +80,7 @@ class ChainComplex:
         return tuple(len(g) for g in self.generators)
 
     def zero(self):
-        return regime_zero(self.regime)
+        return _ZEROS[self.regime]
 
 
 @dataclass(frozen=True)
@@ -83,10 +100,12 @@ def validate_complex(C: ChainComplex):
     else the Violation at the smallest (row, col) of the first nonzero
     composite.  Each row of a composite sums the products of the left
     row's nonzero entries with the nonzero entries of the right matrix's
-    matching rows, so the check costs one product per nonzero pair."""
-    z = C.zero()
-    for k in range(len(C.diffs) - 1):
-        left, right = C.diffs[k], C.diffs[k + 1]
+    matching rows, so the check costs one product per nonzero pair.  An
+    ``over_u`` form is checked instead; a violation shows its image."""
+    diffs = C.over_u or C.diffs
+    z = diffs[0].zero if C.over_u else C.zero()
+    for k in range(len(diffs) - 1):
+        left, right = diffs[k], diffs[k + 1]
         if C.ascending:
             left, right = right, left
         below = right.data
@@ -98,7 +117,10 @@ def validate_complex(C: ChainComplex):
             bad = [j for j, e in comp.items() if e]
             if bad:
                 j = min(bad)
-                return Violation(degree=k + 1, row=i, col=j, value=comp[j])
+                value = comp[j]
+                if C.over_u:
+                    value = laurent_image(value, C.scale, type(C.zero()))
+                return Violation(degree=k + 1, row=i, col=j, value=value)
     return None
 
 
@@ -127,17 +149,25 @@ class HomologySummary:
 
 
 def _matrix_data(C: ChainComplex, depth, max_iter):
-    """Per stored matrix: (rank, torsion invariants, status)."""
+    """Per stored matrix: (rank, torsion invariants, status).  Units ±u^k of
+    an ``over_u`` form are cancelled there, each a Smith factor 1 that adds
+    to a complete rank; a stuck reduction's counts are returned as they are."""
     out = []
-    for d in C.diffs:
+    for k, d in enumerate(C.diffs):
+        units = 0
+        if C.over_u:
+            units, rest = cancel_units(C.over_u[k])
+            d = specialise(rest, C.regime, C.scale)
         if C.regime == INT:
             s = snf_int(d)
             out.append((s.rank, s.invariant_factors, "complete"))
         elif C.regime == EXPSUM:
-            out.append((rank_expsum(d), (), "complete"))
+            out.append((units + rank_expsum(d), (), "complete"))
         else:
             r = nov_reduce(d, depth=depth, max_iter=max_iter)
-            out.append((r.rank, r.nonunit_invariants, r.status))
+            if r.status == "stuck":
+                units = 0
+            out.append((units + r.rank, r.nonunit_invariants, r.status))
     return out
 
 
@@ -187,19 +217,24 @@ def dualize(C: ChainComplex) -> ChainComplex:
 
     For formal-exponent regimes inverting a transport negates its exponent;
     the flow-line signs are untouched.  Only the stored (nonzero) entries
-    are inverted; zero is its own inverse.  The result is stored ascending.
+    are inverted; zero is its own inverse.  The result is stored ascending,
+    and an ``over_u`` form is dualized alike, under u ↦ u⁻¹.
     """
     if C.ascending:
         raise ValueError("dualize expects a descending (chain) complex")
-    duals = []
-    for d in C.diffs:
-        dual = d.transpose()
-        for row in dual.data:
-            for j, e in row.items():
-                row[j] = _invert_entry(e, C.regime)
-        duals.append(dual)
     return ChainComplex(regime=C.regime, generators=C.generators,
-                        diffs=tuple(duals), ascending=True)
+                        diffs=tuple(_dual(d, C.regime) for d in C.diffs),
+                        ascending=True,
+                        over_u=tuple(_dual(d, NOV) for d in C.over_u),
+                        scale=C.scale)
+
+
+def _dual(d, regime):
+    dual = d.transpose()
+    for row in dual.data:
+        for j, e in row.items():
+            row[j] = _invert_entry(e, regime)
+    return dual
 
 
 def euler_cells(C: ChainComplex) -> int:

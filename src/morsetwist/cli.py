@@ -29,7 +29,13 @@ from .invariants import (
     parallel_form_obstruction,
     rank_of_class,
 )
-from .morse import LocalSystem, MorseDatum, build_cochain, build_complex
+from .morse import (
+    LocalSystem,
+    MorseDatum,
+    build_cochain,
+    build_complex,
+    flow_periods,
+)
 from .rings import parse_rational
 from .serial import dump_json, facets_from_text, load_json
 
@@ -219,16 +225,19 @@ def cmd_obstructions(args) -> int:
     d = _load_datum(args)
     cls = _parse_class(args.class_vector)
     sys_ = LocalSystem.named(args.system, cls)
+    # every check below reads the same class period of each flow
+    periods = None if cls is None else flow_periods(d, cls)
     verdicts = [hspace_obstruction(d, sys_, depth=args.depth,
-                                   max_iter=args.max_iter)]
+                                   max_iter=args.max_iter, periods=periods)]
     if cls is not None and any(c != 0 for c in cls):
         verdicts.append(parallel_form_obstruction(
-            d, cls, depth=args.depth, max_iter=args.max_iter))
+            d, cls, depth=args.depth, max_iter=args.max_iter,
+            periods=periods))
     obj = {"verdicts": [
         {"kind": v.kind, "triggered": v.triggered, "witness": v.witness}
         for v in verdicts]}
     if cls is not None:
-        obj["rank_of_class"] = rank_of_class(d, cls)
+        obj["rank_of_class"] = rank_of_class(d, cls, periods)
     lines = []
     for v in verdicts:
         lines.append(f"{v.kind}: {'TRIGGERED' if v.triggered else 'clear'}"

@@ -72,14 +72,16 @@ class ObstructionVerdict:
             raise ValueError("a triggered verdict needs a witness")
 
 
-def hspace_obstruction(d: MorseDatum, sys: LocalSystem,
-                       depth=16, max_iter=10000) -> ObstructionVerdict:
+def hspace_obstruction(d: MorseDatum, sys: LocalSystem, depth=16,
+                       max_iter=10000, periods=None) -> ObstructionVerdict:
     """Triggered when the system is not simple AND some degree of twisted
-    homology is nonzero — which rules out an associative H-space structure."""
-    simple = is_simple(d, sys)
+    homology is nonzero — which rules out an associative H-space structure.
+    ``periods`` are the flows' class periods, computed when not given."""
+    simple = is_simple(d, sys, periods)
     if simple:
         return ObstructionVerdict("H_SPACE", False)
-    summary = homology(build_complex(d, sys), depth=depth, max_iter=max_iter)
+    summary = homology(build_complex(d, sys, periods), depth=depth,
+                       max_iter=max_iter)
     if not summary.complete:
         raise Indeterminate("a degree's reduction is stuck; "
                             "H-space verdict unknown")
@@ -99,15 +101,17 @@ def hspace_obstruction(d: MorseDatum, sys: LocalSystem,
                  f"is nonzero in degree(s) {nonzero}"))
 
 
-def parallel_form_obstruction(d: MorseDatum, class_vector,
-                              depth=16, max_iter=10000) -> ObstructionVerdict:
+def parallel_form_obstruction(d: MorseDatum, class_vector, depth=16,
+                              max_iter=10000,
+                              periods=None) -> ObstructionVerdict:
     """Triggered when the exponentially twisted cochain cohomology is nonzero
-    in some degree — which blocks any metric making the form parallel."""
+    in some degree — which blocks any metric making the form parallel.
+    ``periods`` are the flows' class periods, computed when not given."""
     cv = tuple(Fraction(c) for c in class_vector)
     if all(c == 0 for c in cv):
         raise ZeroClass("parallel-form obstruction needs a nonzero class")
     sys = LocalSystem.exp(cv)
-    cochain = build_cochain(d, sys)
+    cochain = build_cochain(d, sys, periods)
     summary = homology(cochain, depth=depth, max_iter=max_iter)
     nonzero = [k for k, s in enumerate(summary.degrees) if s.betti > 0]
     if not nonzero:
@@ -123,8 +127,8 @@ def parallel_form_obstruction(d: MorseDatum, class_vector,
                  f"{nonzero} for class {','.join(str(c) for c in cv)}{note}"))
 
 
-def rank_of_class(d: MorseDatum, class_vector) -> int:
+def rank_of_class(d: MorseDatum, class_vector, periods=None) -> int:
     """Rank of the subgroup of Q generated by the detectable loop periods:
     0 when every loop period vanishes, else 1 (rational periods)."""
-    periods = loop_periods(d, class_vector)
-    return 1 if any(p != 0 for p in periods) else 0
+    loops = loop_periods(d, class_vector, periods)
+    return 1 if any(p != 0 for p in loops) else 0

@@ -14,7 +14,9 @@ Boundary matrices of cell complexes are sparse and mostly made of such
 entries, so only a small dense leftover reaches a leaf loop: Bareiss
 elimination for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce``
 one Euclidean loop over the Novikov ring, of which the integers are the
-exponent-0 part.
+exponent-0 part.  A twisted complex is assembled over ℤ[u, u⁻¹] and
+``cancel_units`` runs the same pass there first, with units ±u^k, so
+only its leftover is specialised to a regime and reduced again.
 All functions are pure.  ``Matrix`` stores only nonzero entries, one
 ``{column: entry}`` map per row, from assembly through the unit pass;
 the leaf loops read the small leftover through its dense ``entries`` view.
@@ -230,8 +232,15 @@ def _nov_unit_inverse(e: NovElem):
     """±t^a only: its inverse ±t^(-a) is exact, so no floor is introduced."""
     if len(e.terms) != 1 or e.terms[0][0] not in (1, -1):
         return None
-    c, x = e.terms[0]
-    return NovElem.monomial(c, -x)
+    return e.invert_exponents()
+
+
+def cancel_units(A: Matrix):
+    """``_unit_pivots`` over ℤ[u, u⁻¹] (units ±u^k): on plain ints when
+    ``A.zero`` is 0, else on ``NovElem``s with int exponents."""
+    if isinstance(A.zero, NovElem):
+        return _unit_pivots(A, _as_exact_nov, _nov_unit_inverse)
+    return _unit_pivots(A, int, _int_unit_inverse)
 
 
 @dataclass(frozen=True)
@@ -352,15 +361,18 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
     """Legal moves: swaps, adding a monomial (or truncated-unit) multiple of
     a row/column to another, and multiplying a row by a truncated unit.
     Pivot choice: smallest |top coefficient|, ties to the larger top
-    exponent, then lowest (row, col).  Unit pivots are cleared with
-    truncated inverses at the given depth; a non-unit pivot c·t^a·U first
-    has its unit U divided out of its row, then is reduced by
-    integer-Euclidean steps on top coefficients.  Runs that exhaust
+    exponent, then lowest (row, col).  A unit pivot replaces the trailing
+    block by its Schur complement, with the pivot's inverse truncated at
+    the given depth, and the rest of its row and column by exact zeros; a
+    non-unit pivot c·t^a·U first has its unit U divided out of its row,
+    then is reduced by integer-Euclidean steps on top coefficients.  Each
+    nonzero a unit pivot clears and each step is one op; runs that exhaust
     max_iter report status "stuck" instead of raising.
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
     a = [[_as_exact_nov(e) for e in row] for row in A.entries]
+    zero = NovElem.zero()
     ops = 0
     stuck = False
     # Non-unit clearing on exact entries can descend in exponent forever;
@@ -376,13 +388,19 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
         for r in a:
             r[i], r[j] = r[j], r[i]
 
+    # An exact zero source adds nothing; a truncated one still raises the
+    # floor of its target, so only exact zeros are skipped.
     def add_row(dst, src, c: NovElem):  # row_dst += c*row_src
-        for j in range(n):
-            a[dst][j] = a[dst][j] + c * a[src][j]
+        rd = a[dst]
+        for j, x in enumerate(a[src]):
+            if x.terms or x.floor is not None:
+                rd[j] = rd[j] + c * x
 
     def add_col(dst, src, c: NovElem):
         for r in a:
-            r[dst] = r[dst] + r[src] * c
+            x = r[src]
+            if x.terms or x.floor is not None:
+                r[dst] = r[dst] + x * c
 
     def pick_pivot(k):
         best = None
@@ -398,7 +416,7 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
         return None if best is None else (best[1], best[2])
 
     k = 0
-    while k < min(m, n) and not stuck:
+    while k < min(m, n):
         piv = pick_pivot(k)
         if piv is None:
             break
@@ -408,24 +426,28 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
             swap_cols(k, piv[1])
         pc, px = a[k][k].top()
         if abs(pc) == 1:
-            inv = a[k][k].invert(depth)
-            for i in range(k + 1, m):
-                if not _nov_zero(a[i][k]):
-                    add_row(i, k, -(a[i][k] * inv))
-                    ops += 1
-                    if ops > max_iter:
-                        stuck = True
-                        break
-            if not stuck:
-                for j in range(k + 1, n):
-                    if not _nov_zero(a[k][j]):
-                        add_col(j, k, -(inv * a[k][j]))
-                        ops += 1
-                        if ops > max_iter:
-                            stuck = True
-                            break
-            if not stuck:
-                k += 1
+            row = a[k]
+            below = [i for i in range(k + 1, m)
+                     if a[i][k].terms or a[i][k].floor is not None]
+            right = [j for j in range(k + 1, n)
+                     if row[j].terms or row[j].floor is not None]
+            ops += sum(1 for i in below if a[i][k].terms)
+            ops += sum(1 for j in right if row[j].terms)
+            if ops > max_iter:
+                stuck = True
+                break
+            if below and right:
+                inv = row[k].invert(depth)
+                for i in below:
+                    ri = a[i]
+                    f = ri[k] * inv
+                    for j in right:
+                        ri[j] = ri[j] - f * row[j]
+            for i in below:
+                a[i][k] = zero
+            for j in right:
+                row[j] = zero
+            k += 1
             continue
         # Non-unit pivot c·t^a·U: divide U out of the pivot's row, or the
         # Euclidean steps below only ever cancel top terms and can descend

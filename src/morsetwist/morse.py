@@ -11,14 +11,19 @@ Weight conventions, pinned by the catalog oracles:
   * exponential systems multiply by t^{+a} where a = class . periods;
   * Novikov systems multiply by t^{-a} (the series variable counts descent,
     so its integration direction is opposite the exponential one).
+
+Both are specialisations of one assembly over ℤ[u, u⁻¹]: with L the lcm of
+the denominators of the flows' class periods, a flow of period a weighs
+u^(a·L), an int exponent, and EXP maps u ↦ t^(1/L), NOV u ↦ t^(−1/L).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
-from .chains import EXPSUM, INT, NOV, ChainComplex, dualize, regime_zero
+from .chains import EXPSUM, INT, NOV, ChainComplex, dualize, specialise
 from .errors import (
     Disconnected,
     MissingDeckTag,
@@ -28,7 +33,7 @@ from .errors import (
     UnknownGroupElement,
 )
 from .linalg import Matrix
-from .rings import ExpSum, NovElem
+from .rings import ExpSum, NovElem, laurent
 
 TRIVIAL = "TRIVIAL"
 UNIT_REP = "UNIT_REP"
@@ -185,6 +190,13 @@ def flow_period(f: FlowLine, class_vector) -> Fraction:
     return Fraction(num, den)
 
 
+def flow_periods(d: MorseDatum, class_vector) -> list:
+    """The class period of every flow, in flow order; 0s for a zero class."""
+    if any(class_vector):
+        return [flow_period(f, class_vector) for f in d.flows]
+    return [0] * len(d.flows)
+
+
 def flow_weight(f: FlowLine, sys: LocalSystem):
     """Transport of the given flow line under the system (sign excluded)."""
     if sys.flavor == TRIVIAL:
@@ -201,36 +213,55 @@ def flow_weight(f: FlowLine, sys: LocalSystem):
     return NovElem.monomial(1, -a)
 
 
-def build_complex(d: MorseDatum, sys: LocalSystem) -> ChainComplex:
+def build_complex(d: MorseDatum, sys: LocalSystem,
+                  periods=None) -> ChainComplex:
     """Twisted boundary assembly: entry (p, q) = sum of sign * weight over
     the flow lines from q down to p.  Only nonzero sums are stored; an
-    entry whose flows cancel is dropped."""
+    entry whose flows cancel is dropped.  EXP and NOV complexes are
+    assembled over ℤ[u, u⁻¹] from the flows' class ``periods`` (computed
+    when not given), ±u^k per flow or ±1 when every k is 0, and return
+    its image, keeping it as ``over_u`` for ``homology`` to reduce."""
     sys.check_compatible(d)
-    regime = sys.regime
-    zero = regime_zero(regime)
     gens = tuple(tuple(p.id for p in d.points_of_index(k))
                  for k in range(d.dimension + 1))
-    pos = {}
-    for k, layer in enumerate(gens):
-        for i, pid in enumerate(layer):
-            pos[pid] = (k, i)
+    if sys.flavor in (TRIVIAL, UNIT_REP):
+        signs = [f.sign * flow_weight(f, sys) for f in d.flows]
+        return ChainComplex(INT, gens, _assemble(d, gens, signs, 0))
+    if periods is None:
+        periods = flow_periods(d, sys.class_vector)
+    scale = lcm(*(a.denominator for a in periods))
+    ks = [a.numerator * (scale // a.denominator) for a in periods]
+    if any(ks):
+        over_u = _assemble(d, gens, [laurent(f.sign, k) for f, k
+                                     in zip(d.flows, ks)], NovElem.zero())
+    else:
+        over_u = _assemble(d, gens, [f.sign for f in d.flows], 0)
+    regime = sys.regime
+    return ChainComplex(regime, gens,
+                        tuple(specialise(m, regime, scale) for m in over_u),
+                        over_u=over_u, scale=scale)
+
+
+def _assemble(d: MorseDatum, gens, weights, zero):
+    """Boundary matrices from one signed weight per flow."""
+    pos = {pid: (k, i) for k, layer in enumerate(gens)
+           for i, pid in enumerate(layer)}
     mats = [[{} for _ in gens[k - 1]] for k in range(1, d.dimension + 1)]
-    for f in d.flows:
+    for f, w in zip(d.flows, weights):
         k, col = pos[f.frm]
-        _, row = pos[f.to]
-        target = mats[k - 1][row]
-        v = target.get(col, zero) + f.sign * flow_weight(f, sys)
+        target = mats[k - 1][pos[f.to][1]]
+        v = target[col] + w if col in target else w
         if v:
             target[col] = v
         else:
-            target.pop(col, None)
-    diffs = tuple(Matrix(len(gens[k - 1]), len(gens[k]), mats[k - 1], zero)
-                  for k in range(1, d.dimension + 1))
-    return ChainComplex(regime=regime, generators=gens, diffs=diffs)
+            del target[col]
+    return tuple(Matrix(len(gens[k - 1]), len(gens[k]), mats[k - 1], zero)
+                 for k in range(1, d.dimension + 1))
 
 
-def build_cochain(d: MorseDatum, sys: LocalSystem) -> ChainComplex:
-    return dualize(build_complex(d, sys))
+def build_cochain(d: MorseDatum, sys: LocalSystem,
+                  periods=None) -> ChainComplex:
+    return dualize(build_complex(d, sys, periods))
 
 
 def gauge_transform(d: MorseDatum, g: dict) -> MorseDatum:
@@ -304,20 +335,17 @@ def lift_cover(d: MorseDatum, group: DeckGroup | None = None) -> MorseDatum:
 
 # --- loop detection and the degree-zero closed forms ----------------------
 
-def _loop_data(d: MorseDatum, class_vector=()):
-    """Loop units detectable from the datum.
+def _loop_data(d: MorseDatum, per):
+    """Loop units detectable from the datum, given each flow's class
+    period ``per`` (``flow_periods``).
 
     Returns (connected, loops) where each loop is a pair (period, unit):
     period is class . (componentwise period around the loop), unit the
     product of +-1 unit tags (1 when tags are absent).  By linearity the
-    scalar is carried instead of the vector, and it is 0 for an all-zero
-    class.  Sources: pairs of parallel flow lines anywhere, plus
-    independent cycles of the index <= 1 skeleton."""
+    scalar is carried instead of the vector.  Sources: pairs of parallel
+    flow lines anywhere, plus independent cycles of the index <= 1
+    skeleton."""
     flows = d.flows
-    if any(class_vector):
-        per = [flow_period(f, class_vector) for f in flows]
-    else:
-        per = [0] * len(flows)
     tag = [1 if f.unit_tag is None else f.unit_tag for f in flows]
     loops = []
 
@@ -366,19 +394,23 @@ def _loop_data(d: MorseDatum, class_vector=()):
     return connected, loops
 
 
-def loop_periods(d: MorseDatum, class_vector):
+def loop_periods(d: MorseDatum, class_vector, periods=None):
     """Scalar periods (class . loop) over all detected loops."""
-    cv = tuple(Fraction(c) for c in class_vector)
-    _, loops = _loop_data(d, cv)
+    if periods is None:
+        periods = flow_periods(d, tuple(Fraction(c) for c in class_vector))
+    _, loops = _loop_data(d, periods)
     return [Fraction(a) for a, _ in loops]
 
 
-def is_simple(d: MorseDatum, sys: LocalSystem) -> bool:
+def is_simple(d: MorseDatum, sys: LocalSystem, periods=None) -> bool:
     """False when some detected loop has nontrivial holonomy under sys.
 
-    Sound but incomplete: only parallel-line and 1-skeleton loops are seen."""
+    Sound but incomplete: only parallel-line and 1-skeleton loops are seen.
+    ``periods`` are the flows' class periods, computed when not given."""
     sys.check_compatible(d)
-    _, loops = _loop_data(d, sys.class_vector)
+    if periods is None:
+        periods = flow_periods(d, sys.class_vector)
+    _, loops = _loop_data(d, periods)
     if sys.flavor == UNIT_REP:
         return all(unit == 1 for _, unit in loops)
     if sys.flavor in (EXP, NOV_SYS):
@@ -390,7 +422,7 @@ def _h0(d: MorseDatum, sys: LocalSystem, sign_loop: str) -> str:
     """Degree-zero group of a connected datum; ``sign_loop`` is the answer
     for a +-1 representation with some loop unit -1."""
     sys.check_compatible(d)
-    connected, loops = _loop_data(d, sys.class_vector)
+    connected, loops = _loop_data(d, flow_periods(d, sys.class_vector))
     if not connected:
         raise Disconnected(f"index <= 1 skeleton of {d.name} is not connected")
     if sys.flavor == TRIVIAL:

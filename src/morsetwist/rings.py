@@ -15,7 +15,10 @@ above its floor.  The constructors ``ExpSum(raw)``/``NovElem(raw)`` (via
 ``_merge_terms``) and ``monomial`` are the only paths that accept outside
 values, and they cast and check every one.  Arithmetic on two canonical
 operands builds a canonical result directly (``_add_terms``,
-``_mul_terms``, ``_make``) and never re-normalises it.
+``_mul_terms``, ``_make``) and never re-normalises it.  The Laurent ring
+ℤ[u, u⁻¹] is held as exact ``NovElem``s with ``int`` exponents
+(``laurent``), so its arithmetic runs on ints; ``laurent_image``
+specialises it.
 
 All exponents are exact rationals.  Transcendental period values coming
 from angular forms are stored after dividing by one full turn, so a half
@@ -434,6 +437,23 @@ def _make(cls, terms, floor=None):
         _NOV_TERMS(obj, terms)
         _NOV_FLOOR(obj, floor)
     return obj
+
+
+def laurent(c, k) -> NovElem:
+    """c·u^k in ℤ[u, u⁻¹], for ints c ≠ 0 and k."""
+    return _make(NovElem, ((c, k),))
+
+
+def laurent_image(e, scale, cls):
+    """Image of e in ℤ[u, u⁻¹] (an int, or a ``NovElem`` with int
+    exponents): an ``ExpSum`` under u ↦ t^(1/scale), or a ``NovElem`` under
+    u ↦ t^(−1/scale).  Both maps are injective ring homomorphisms."""
+    terms = ((e, 0),) if isinstance(e, int) else e.terms
+    if cls is ExpSum:
+        return _make(ExpSum, tuple([(Fraction(c), Fraction(k, scale))
+                                    for c, k in terms]))
+    return _make(NovElem, tuple([(c, Fraction(-k, scale))
+                                 for c, k in reversed(terms)]))
 
 
 def _max_floor(a, b):

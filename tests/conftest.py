@@ -3,8 +3,10 @@ expansion and integer invariant factors from determinantal divisors, both
 independent of any reduction; the componentwise (vector) period path that
 the scalar loop periods of ``morsetwist.morse`` must agree with; a twisted
 triangulated torus; grid triangulations of the torus and the Klein bottle;
-and the eagerly re-keyed unit pass that the lazily re-keyed heap of
-``morsetwist.linalg._unit_pivots`` must agree with."""
+the eagerly re-keyed unit pass that the lazily re-keyed heap of
+``morsetwist.linalg._unit_pivots`` must agree with; and the Novikov leaf
+that cleared a unit pivot's row and column by whole-row and whole-column
+operations, which ``morsetwist.linalg._nov_leaf`` must agree with."""
 
 import heapq
 import itertools
@@ -15,7 +17,14 @@ import pytest
 
 from morsetwist.cw import FacetList, Incidence, RegularCW
 from morsetwist.errors import Disconnected
+from morsetwist.linalg import (
+    NovReduction,
+    _as_exact_nov,
+    _divisibility_chain,
+    _nov_zero,
+)
 from morsetwist.morse import EXP, NOV_SYS, TRIVIAL, UNIT_REP
+from morsetwist.rings import NovElem
 
 
 def _det(rows):
@@ -281,3 +290,165 @@ def unit_pivots_eager(A, coerce, unit_inverse):
     live_cols = sorted(cols)
     return count, [[rows[i].get(j, zero) for j in live_cols]
                    for i in sorted(rows)]
+
+
+# --- the Novikov leaf with whole-row and whole-column unit steps -------------
+
+def nov_leaf_reference(A, depth, max_iter):
+    """``linalg._nov_leaf`` as it was before a unit pivot updated only the
+    trailing block: a unit pivot clears its column by whole-row operations
+    and then its row by whole-column operations.  Legal moves: swaps,
+    adding a monomial (or truncated-unit) multiple of a row/column to
+    another, and multiplying a row by a truncated unit.  Pivot choice:
+    smallest |top coefficient|, ties to the larger top exponent, then
+    lowest (row, col).  Unit pivots are cleared with truncated inverses at
+    the given depth; a non-unit pivot c·t^a·U first has its unit U divided
+    out of its row, then is reduced by integer-Euclidean steps on top
+    coefficients.  Runs that exhaust max_iter report status "stuck"
+    instead of raising.
+    """
+    depth = Fraction(depth)
+    m, n = A.rows, A.cols
+    a = [[_as_exact_nov(e) for e in row] for row in A.entries]
+    ops = 0
+    stuck = False
+    # Non-unit clearing on exact entries can descend in exponent forever;
+    # once a top exponent falls this far below everything in the input we
+    # give up early rather than grind through the whole op budget.
+    all_exps = [e for row in a for elt in row for _, e in elt.terms]
+    work_floor = (min(all_exps) - depth) if all_exps else -depth
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(dst, src, c: NovElem):  # row_dst += c*row_src
+        for j in range(n):
+            a[dst][j] = a[dst][j] + c * a[src][j]
+
+    def add_col(dst, src, c: NovElem):
+        for r in a:
+            r[dst] = r[dst] + r[src] * c
+
+    def pick_pivot(k):
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                e = a[i][j]
+                if _nov_zero(e):
+                    continue
+                c, x = e.top()
+                key = (abs(c), -x, i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        return None if best is None else (best[1], best[2])
+
+    k = 0
+    while k < min(m, n) and not stuck:
+        piv = pick_pivot(k)
+        if piv is None:
+            break
+        if piv[0] != k:
+            swap_rows(k, piv[0])
+        if piv[1] != k:
+            swap_cols(k, piv[1])
+        pc, px = a[k][k].top()
+        if abs(pc) == 1:
+            inv = a[k][k].invert(depth)
+            for i in range(k + 1, m):
+                if not _nov_zero(a[i][k]):
+                    add_row(i, k, -(a[i][k] * inv))
+                    ops += 1
+                    if ops > max_iter:
+                        stuck = True
+                        break
+            if not stuck:
+                for j in range(k + 1, n):
+                    if not _nov_zero(a[k][j]):
+                        add_col(j, k, -(inv * a[k][j]))
+                        ops += 1
+                        if ops > max_iter:
+                            stuck = True
+                            break
+            if not stuck:
+                k += 1
+            continue
+        # Non-unit pivot c·t^a·U: divide U out of the pivot's row, or the
+        # Euclidean steps below only ever cancel top terms and can descend
+        # in exponent without end.
+        terms = a[k][k].terms
+        if len(terms) > 1 and all(ci % pc == 0 for ci, _ in terms):
+            inv = NovElem([(ci // pc, x - px) for ci, x in terms]).invert(depth)
+            a[k] = [e if _nov_zero(e) else e * inv for e in a[k]]
+            ops += 1
+            if ops > max_iter:
+                stuck = True
+                break
+        # Then Euclidean monomial steps on the top coefficients.
+        progressed = False
+        restart = False
+        for (i, j, is_row) in [(i, k, True) for i in range(k + 1, m)] + \
+                              [(k, j, False) for j in range(k + 1, n)]:
+            while not _nov_zero(a[i][j]):
+                c, x = a[i][j].top()
+                if x < work_floor:
+                    stuck = True
+                    break
+                q = c // pc
+                if q == 0:
+                    # top coefficient now smaller than the pivot's: re-pivot
+                    restart = True
+                    break
+                mono = NovElem.monomial(-q, x - px)
+                if is_row:
+                    add_row(i, k, mono)
+                else:
+                    add_col(j, k, mono)
+                progressed = True
+                ops += 1
+                if ops > max_iter:
+                    stuck = True
+                    break
+            if stuck or restart:
+                break
+        if stuck:
+            break
+        if restart or progressed:
+            continue  # re-select pivot at the same k
+        k += 1
+
+    unit_count = 0
+    nonunit = []
+    if not stuck:
+        # off-diagonal residue anywhere means we did not actually finish
+        for i in range(m):
+            for j in range(n):
+                if i != j and not _nov_zero(a[i][j]):
+                    stuck = True
+    if not stuck:
+        for e in (a[i][i] for i in range(min(m, n))):
+            if _nov_zero(e):
+                continue
+            c, x = e.top()
+            if abs(c) == 1:
+                unit_count += 1
+            else:
+                # report Nov/|c| only when the entry is (monomial)*(unit),
+                # i.e. every coefficient is a multiple of the top one
+                if all(ci % c == 0 for ci, _ in e.terms):
+                    nonunit.append(abs(c))
+                else:
+                    stuck = True
+                    break
+    if not stuck:
+        chain = _divisibility_chain(nonunit)
+        unit_count += sum(1 for v in chain if v == 1)
+        nonunit = [v for v in chain if v > 1]
+    return NovReduction(
+        unit_count=unit_count,
+        nonunit_invariants=tuple(nonunit) if not stuck else (),
+        status="stuck" if stuck else "complete",
+    )

@@ -1,20 +1,40 @@
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from conftest import twisted_torus_cw
 
+from morsetwist.catalog import example_names, get_example
 from morsetwist.chains import (
+    EXPSUM,
+    INT,
+    NOV,
     ChainComplex,
     dualize,
     euler_cells,
     euler_homology,
     homology,
+    specialise,
     validate_complex,
 )
-from morsetwist.cw import steenrod_boundary
-from morsetwist.errors import Indeterminate, InvalidComplex
-from morsetwist.linalg import Matrix
-from morsetwist.morse import LocalSystem
+from morsetwist.cw import cw_to_morse, steenrod_boundary
+from morsetwist.errors import Indeterminate, InvalidComplex, MissingUnitTag
+from morsetwist.linalg import (
+    Matrix,
+    _as_exact_nov,
+    _nov_unit_inverse,
+    _unit_pivots,
+    cancel_units,
+    rank_expsum,
+)
+from morsetwist.morse import (
+    CriticalPoint,
+    FlowLine,
+    LocalSystem,
+    MorseDatum,
+    build_complex,
+)
 from morsetwist.rings import ExpSum, NovElem
 
 
@@ -141,3 +161,90 @@ def test_ascending_torsion_bookkeeping():
     assert s.betti == (0, 0)
     assert s.torsion(1) == (2,)
     assert s.torsion(0) == ()
+
+
+def _catalog_and_tori():
+    names = [n for n in example_names() if n != "rpn(N)"]
+    names += ["rpn(3)", "rpn(4)"]
+    return ([get_example(n).datum for n in names]
+            + [cw_to_morse(twisted_torus_cw(n)) for n in range(3, 9)])
+
+
+def _image(C):
+    """The same complex without its ℤ[u, u⁻¹] form."""
+    return ChainComplex(C.regime, C.generators, C.diffs, C.ascending)
+
+
+def test_laurent_assembly_reduces_like_its_image():
+    # build_complex returns the image of its ℤ[u, u⁻¹] assembly; the pass
+    # there equals the Novikov pass on the image (and, with every exponent
+    # 0, the integer pass equals it too) entry for entry, exponential ranks
+    # equal those of the image, and so does every homology summary
+    rng = random.Random(57721)
+    seen = {EXPSUM: 0, NOV: 0, "ints": 0}
+    for d in _catalog_and_tori():
+        n = len(d.basis_forms)
+        nonzero = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                        for _ in range(n))
+        for flavor in ("trivial", "unit-rep", "exp", "nov"):
+            for cls in ((F(0),) * n, nonzero):
+                try:
+                    chain = build_complex(d, LocalSystem.named(flavor, cls))
+                except MissingUnitTag:
+                    continue
+                for C in (chain, dualize(chain)):
+                    if C.regime == INT:
+                        assert not C.over_u
+                        continue
+                    for U, D in zip(C.over_u, C.diffs, strict=True):
+                        assert specialise(U, C.regime, C.scale) == D
+                        count, rest = cancel_units(U)
+                        nov = specialise(U, NOV, C.scale)
+                        if C.regime == NOV or isinstance(U.zero, int):
+                            assert (count, specialise(rest, NOV, C.scale)) \
+                                == _unit_pivots(nov, _as_exact_nov,
+                                                _nov_unit_inverse)
+                        if C.regime == EXPSUM:
+                            assert count + rank_expsum(
+                                specialise(rest, EXPSUM, C.scale)) \
+                                == rank_expsum(D)
+                    assert homology(C) == homology(_image(C))
+                    seen[C.regime] += 1
+                    seen["ints"] += isinstance(C.over_u[0].zero, int)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("flavor", ["exp", "nov"])
+@pytest.mark.parametrize("name, flip, cls", [
+    ("rp2", 2, (1,)),                       # every exponent 0: int entries
+    ("genus2", 9, (1, F(1, 2), 0, -1)),
+])
+def test_boundary_squared_over_u_reads_as_its_image(flavor, name, flip, cls):
+    # one flipped flow sign: the check over ℤ[u, u⁻¹] reports the image's
+    # first violation, with the value as the image shows it
+    d = get_example(name).datum
+    flows = list(d.flows)
+    flows[flip] = replace(flows[flip], sign=-flows[flip].sign)
+    C = build_complex(replace(d, flows=tuple(flows)),
+                      LocalSystem.named(flavor, cls))
+    for X in (C, dualize(C)):
+        bad = validate_complex(X)
+        assert bad is not None
+        assert bad == validate_complex(_image(X))
+
+
+def test_stuck_degree_over_u_reads_as_its_image():
+    # the unit q2 -> p2 is cancelled over ℤ[u, u⁻¹]; beside it, 2 - t^(-1)
+    # leaves the Novikov leaf stuck, and the stuck degrees show the partial
+    # counts of the image's reduction, not the cancelled unit
+    points = (CriticalPoint("p", 0), CriticalPoint("p2", 0),
+              CriticalPoint("q", 1), CriticalPoint("q2", 1))
+    flows = (FlowLine("q", "p", 1, periods=(0,)),
+             FlowLine("q", "p", 1, periods=(0,)),
+             FlowLine("q", "p", -1, periods=(1,)),
+             FlowLine("q2", "p2", 1, periods=(0,)))
+    d = MorseDatum("stuck-beside-a-unit", 1, ("theta",), points, flows)
+    C = build_complex(d, LocalSystem.nov((1,)))
+    S = homology(C)
+    assert [s.status for s in S.degrees] == ["stuck", "stuck"]
+    assert S == homology(_image(C))

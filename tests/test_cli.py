@@ -429,3 +429,19 @@ def test_class_without_a_value_is_usage_error(capsys, argv):
     code, out, err = _call(capsys, argv)
     assert (code, out) == (2, "")
     assert "error: argument --class: expected one argument" in err
+
+
+@pytest.mark.parametrize("system", ["exp", "nov", "trivial"])
+def test_obstructions_compute_each_flow_period_once(capsys, monkeypatch,
+                                                    system):
+    # the simplicity test, both obstruction complexes and the rank of the
+    # class all read one class period per flow: 16 flows, 16 periods
+    import morsetwist.morse as morse_module
+    calls = []
+    original = morse_module.flow_period
+    monkeypatch.setattr(morse_module, "flow_period",
+                        lambda f, cv: calls.append(f) or original(f, cv))
+    code, out, _ = run(capsys, "obstructions", "--example", "genus2",
+                       "--system", system, "--class=1,1/2,0,-1")
+    assert code == 0 and "PARALLEL_FORM: TRIGGERED" in out
+    assert len(calls) == 16

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TooLarge, grid_facets, rank_int_bruteforce, unit_pivots_eager
+from conftest import (
+    TooLarge,
+    grid_facets,
+    nov_leaf_reference,
+    rank_int_bruteforce,
+    unit_pivots_eager,
+)
+from morsetwist.chains import EXPSUM, NOV, specialise
 from morsetwist.cw import from_simplicial, steenrod_boundary
 from morsetwist.linalg import (
     Matrix,
@@ -18,13 +25,14 @@ from morsetwist.linalg import (
     _nov_unit_inverse,
     _rank_leaf,
     _unit_pivots,
+    cancel_units,
     expsum_divexact,
     nov_reduce,
     rank_expsum,
     snf_int,
 )
 from morsetwist.morse import LocalSystem
-from morsetwist.rings import ExpSum, NovElem
+from morsetwist.rings import ExpSum, NovElem, laurent
 
 
 def M(rows):
@@ -352,3 +360,118 @@ def test_lazy_unit_pass_equals_eager_reference():
     for A, coerce, inverse in cases:
         count, rest = _unit_pivots(A, coerce, inverse)
         assert (count, rest.entries) == unit_pivots_eager(A, coerce, inverse), A
+
+
+def _nov_unit(rng):
+    """±t^a, whose inverse is exact, or a unit t^a + c·t^(a-1), whose
+    inverse is truncated."""
+    a = _halves(rng)
+    if rng.random() < 0.5:
+        return NovElem.monomial(rng.choice([1, -1]), a)
+    return NovElem([(rng.choice([1, -1]), a), (rng.choice([-2, 1, 3]), a - 1)])
+
+
+def test_nov_leaf_equals_whole_row_and_column_reference():
+    # a unit pivot updates only the trailing block and leaves exact zeros
+    # in its row and column; answers, status and op counts stay the old
+    # leaf's, stuck runs at small budgets included
+    rng = random.Random(27182)
+    seen = {"complete": 0, "stuck": 0, "torsion": 0}
+    for _ in range(200):
+        A = _sparse(rng, 0, lambda r: r.choice([1, -1]),
+                    lambda r: r.choice([-4, -2, 2, 3, 6]),
+                    unit_share=rng.random(), size=9,
+                    density=rng.uniform(0.2, 1))
+        budget = rng.choice([0, 1, 3, 10, inf])
+        got, want = _nov_leaf(A, 1, budget), nov_leaf_reference(A, 1, budget)
+        assert got == want, A
+        seen[got.status] += 1
+        seen["torsion"] += bool(got.nonunit_invariants)
+    for _ in range(300):
+        A = _sparse(rng, NovElem.zero(), _nov_unit, _nov_inexact,
+                    unit_share=rng.random(), size=7,
+                    density=rng.uniform(0.2, 1))
+        depth = rng.choice([1, 2, 4, 8])
+        budget = rng.choice([0, 1, 2, 5, 10, 30, 1000])
+        got = _nov_leaf(A, depth, budget)
+        assert got == nov_leaf_reference(A, depth, budget), (A, depth, budget)
+        seen[got.status] += 1
+        seen["torsion"] += bool(got.nonunit_invariants)
+    # rows that are unit multiples or sums of earlier rows: the Schur
+    # complement leaves entries whose known terms all cancel, and such a
+    # truncated zero must still lower what it is added to
+    rng = random.Random(1)
+    for _ in range(1200):
+        A, depth, budget = _dependent_rows(rng)
+        got = _nov_leaf(A, depth, budget)
+        assert got == nov_leaf_reference(A, depth, budget), (A, depth, budget)
+        seen[got.status] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def _nov_entry(rng):
+    a = F(rng.randint(-4, 4), 2)
+    kind = rng.random()
+    if kind < 0.3:
+        return NovElem.monomial(rng.choice([1, -1]), a)
+    if kind < 0.6:
+        return NovElem([(rng.choice([1, -1]), a),
+                        (rng.choice([-2, 1, 3]), a - F(1, 2))])
+    if kind < 0.85:
+        return NovElem.monomial(rng.choice([2, -2, 3, 4]), a)
+    return NovElem([(rng.choice([2, 4]), a), (rng.choice([-2, 2, 1]), a - 1)])
+
+
+def _dependent_rows(rng):
+    """(matrix, depth, max_iter): up to 5x5, where some rows are a unit
+    multiple of an earlier row or have one added to them."""
+    m, n = rng.randint(2, 5), rng.randint(2, 5)
+    rows = [[_nov_entry(rng) if rng.random() < 0.7 else NovElem.zero()
+             for _ in range(n)] for _ in range(m)]
+    for i in range(1, m):
+        if rng.random() < 0.5:
+            u, src = _nov_entry(rng), rows[rng.randrange(i)]
+            rows[i] = ([u * e for e in src] if rng.random() < 0.5
+                       else [e + u * f for e, f in zip(rows[i], src)])
+    return (M(rows), rng.choice([1, 2, 3, 6]),
+            rng.choice([5, 20, 200, 10000]))
+
+
+def _laurent_sparse(rng, ints):
+    """A random sparse matrix over ℤ[u, u⁻¹]: units ±u^k, non-units c·u^k,
+    and two-term entries; with ``ints``, every exponent is 0."""
+    def k(r):
+        return 0 if ints else r.randint(-4, 4)
+
+    def unit(r):
+        return r.choice([1, -1]) if ints else laurent(r.choice([1, -1]), k(r))
+
+    def other(r):
+        if ints:
+            return r.choice([-3, 2, 4])
+        if r.random() < 0.5:
+            return laurent(r.choice([-3, 2, 4]), k(r))
+        return laurent(1, k(r)) + laurent(r.choice([1, -1, 2]), k(r) - 5)
+
+    A = _sparse(rng, 0, unit, other, unit_share=rng.uniform(0.3, 1),
+                size=14, density=rng.uniform(0.1, 0.5))
+    return Matrix(A.rows, A.cols, A.data, 0 if ints else NovElem.zero())
+
+
+def test_laurent_pass_specialises_to_the_regime_pass():
+    # the units ±u^k map to the Novikov units ±t^a and nothing else does,
+    # so over NOV the pass over ℤ[u, u⁻¹] is the Novikov pass, count and
+    # leftover entry for entry; over EXP the ranks agree
+    rng = random.Random(16180)
+    leftovers = 0
+    for n in range(120):
+        A = _laurent_sparse(rng, ints=n % 4 == 0)
+        scale = rng.choice([1, 2, 3, 12])
+        count, rest = cancel_units(A)
+        leftovers += rest.rows > 0
+        nov = specialise(A, NOV, scale)
+        assert (count, specialise(rest, NOV, scale)) == \
+            _unit_pivots(nov, _as_exact_nov, _nov_unit_inverse), A
+        assert count + rank_expsum(specialise(rest, EXPSUM, scale)) == \
+            rank_expsum(specialise(A, EXPSUM, scale)), A
+    assert leftovers >= 50

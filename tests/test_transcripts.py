@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from morsetwist import transcripts
+import transcripts
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 DOC_FILES = sorted(DOCS.glob("*.md"))
