@@ -38,7 +38,6 @@ from .morse import (
     MorseDatum,
     build_cochain,
     build_complex,
-    flow_weight,
     gauge_transform,
     h0_cohomology,
     h0_quotient,

@@ -4,14 +4,16 @@ A ``ChainComplex`` stores generator labels per degree and one boundary
 matrix per composable pair of degrees.  Cochain complexes reuse the same
 container with ``ascending=True``: the stored matrices are then the
 coboundaries delta_k (rows indexed by degree k+1 generators), and the same
-homology engine reports H^k from degree-k data.
+homology engine reports H^k from degree-k data.  A twisted complex built
+from a Morse datum holds its matrices over ℤ[u, u⁻¹] with a ``scale``;
+``specialise`` reads their image in the regime's ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry
+from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry, NotAUnit
 from .linalg import Matrix, cancel_units, nov_reduce, rank_expsum, snf_int
 from .rings import ExpSum, NovElem, laurent_image
 
@@ -23,8 +25,11 @@ _ZEROS = {INT: 0, EXPSUM: ExpSum.zero(), NOV: NovElem.zero()}
 
 
 def specialise(A: Matrix, regime, scale) -> Matrix:
-    """The EXPSUM or NOV image of a matrix over ℤ[u, u⁻¹], entry by entry;
-    equal entries are mapped once."""
+    """The EXPSUM or NOV image of a matrix over ℤ[u, u⁻¹] under
+    u ↦ t^(1/scale) or t^(−1/scale), entry by entry; equal entries are
+    mapped once.  A ``scale`` of None means A is its own image."""
+    if scale is None:
+        return A
     cls = ExpSum if regime == EXPSUM else NovElem
     image = {}
     data = []
@@ -46,20 +51,24 @@ class ChainComplex:
     Descending (default): diffs[k] maps degree k+1 to degree k, so
     diffs[k] has |generators[k]| rows and |generators[k+1]| columns.
     Ascending: diffs[k] maps degree k to degree k+1 (transposed shape).
-    ``over_u``, when set, holds the same boundaries over ℤ[u, u⁻¹]; their
-    image under u ↦ t^(1/scale) (EXPSUM) or t^(−1/scale) (NOV) is ``diffs``.
+    With ``scale`` None the entries lie in the regime's ring.  Otherwise
+    (EXPSUM or NOV) they lie in ℤ[u, u⁻¹], as ints or ``NovElem``s with int
+    exponents, and ``specialise(diffs[k], regime, scale)`` is the boundary.
+    ``scale`` gives the meaning of u in ``diffs``, so the two are replaced
+    together.
     """
 
     regime: str
     generators: tuple  # per degree: tuple of labels
     diffs: tuple       # len = len(generators) - 1, Matrix each
     ascending: bool = False
-    over_u: tuple = field(default=(), compare=False, repr=False)
-    scale: int = field(default=1, compare=False, repr=False)
+    scale: int | None = None
 
     def __post_init__(self):
         if self.regime not in _ZEROS:
             raise ValueError(f"unknown regime {self.regime!r}")
+        if self.scale is not None and (self.regime == INT or self.scale < 1):
+            raise ValueError(f"no scale {self.scale} for a {self.regime} complex")
         gens = tuple(tuple(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "diffs", tuple(self.diffs))
@@ -100,14 +109,14 @@ def validate_complex(C: ChainComplex):
     else the Violation at the smallest (row, col) of the first nonzero
     composite.  Each row of a composite sums the products of the left
     row's nonzero entries with the nonzero entries of the right matrix's
-    matching rows, so the check costs one product per nonzero pair.  An
-    ``over_u`` form is checked instead; a violation shows its image."""
-    diffs = C.over_u or C.diffs
-    z = diffs[0].zero if C.over_u else C.zero()
+    matching rows, so the check costs one product per nonzero pair.  A
+    complex over ℤ[u, u⁻¹] is checked there; a violation shows its image."""
+    diffs = C.diffs
     for k in range(len(diffs) - 1):
         left, right = diffs[k], diffs[k + 1]
         if C.ascending:
             left, right = right, left
+        z = C.zero() if C.scale is None else left.zero
         below = right.data
         for i, lrow in enumerate(left.data):
             comp: dict = {}
@@ -118,7 +127,7 @@ def validate_complex(C: ChainComplex):
             if bad:
                 j = min(bad)
                 value = comp[j]
-                if C.over_u:
+                if C.scale is not None:
                     value = laurent_image(value, C.scale, type(C.zero()))
                 return Violation(degree=k + 1, row=i, col=j, value=value)
     return None
@@ -150,13 +159,14 @@ class HomologySummary:
 
 def _matrix_data(C: ChainComplex, depth, max_iter):
     """Per stored matrix: (rank, torsion invariants, status).  Units ±u^k of
-    an ``over_u`` form are cancelled there, each a Smith factor 1 that adds
-    to a complete rank; a stuck reduction's counts are returned as they are."""
+    a matrix over ℤ[u, u⁻¹] are cancelled there, each a Smith factor 1 that
+    adds to a complete rank, and only the leftover is specialised; a stuck
+    reduction's counts are returned as they are."""
     out = []
-    for k, d in enumerate(C.diffs):
+    for d in C.diffs:
         units = 0
-        if C.over_u:
-            units, rest = cancel_units(C.over_u[k])
+        if C.scale is not None:
+            units, rest = cancel_units(d)
             d = specialise(rest, C.regime, C.scale)
         if C.regime == INT:
             s = snf_int(d)
@@ -201,40 +211,33 @@ def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
     return HomologySummary(regime=C.regime, degrees=tuple(degrees))
 
 
-def _invert_entry(e, regime):
-    if regime == INT:
-        return e  # entries are sums of +-1 transports; +-1 are self-inverse
-    if isinstance(e, (ExpSum, NovElem)):
-        try:
-            return e.invert_exponents()
-        except Exception as exc:
-            raise NonInvertibleEntry(str(exc)) from exc
-    return e
+def _invert_entry(e):
+    if not isinstance(e, (ExpSum, NovElem)):
+        return e  # a constant, such as a sum of +-1 transports, is fixed
+    try:
+        return e.invert_exponents()
+    except NotAUnit as exc:
+        raise NonInvertibleEntry(str(exc)) from exc
 
 
 def dualize(C: ChainComplex) -> ChainComplex:
     """Cochain complex: transpose each boundary and invert every transport.
 
-    For formal-exponent regimes inverting a transport negates its exponent;
+    Inverting a transport negates its exponent (u ↦ u⁻¹ over ℤ[u, u⁻¹]);
     the flow-line signs are untouched.  Only the stored (nonzero) entries
-    are inverted; zero is its own inverse.  The result is stored ascending,
-    and an ``over_u`` form is dualized alike, under u ↦ u⁻¹.
+    are inverted; zero is its own inverse.  The result is stored ascending.
     """
     if C.ascending:
         raise ValueError("dualize expects a descending (chain) complex")
+    diffs = []
+    for d in C.diffs:
+        dual = d.transpose()
+        for row in dual.data:
+            for j, e in row.items():
+                row[j] = _invert_entry(e)
+        diffs.append(dual)
     return ChainComplex(regime=C.regime, generators=C.generators,
-                        diffs=tuple(_dual(d, C.regime) for d in C.diffs),
-                        ascending=True,
-                        over_u=tuple(_dual(d, NOV) for d in C.over_u),
-                        scale=C.scale)
-
-
-def _dual(d, regime):
-    dual = d.transpose()
-    for row in dual.data:
-        for j, e in row.items():
-            row[j] = _invert_entry(e, regime)
-    return dual
+                        diffs=diffs, ascending=True, scale=C.scale)
 
 
 def euler_cells(C: ChainComplex) -> int:

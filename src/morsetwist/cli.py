@@ -66,16 +66,20 @@ def _parse_zeros(text, degrees):
     return zeros
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_datum(args) -> MorseDatum:
     if getattr(args, "example", None):
         return get_example(args.example).datum
     if not getattr(args, "input", None):
         raise ParseError("need an input file or --example NAME")
-    try:
-        with open(args.input) as fh:
-            value = load_json(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.input}: {exc}") from exc
+    value = load_json(_read_text(args.input))
     if isinstance(value, RegularCW):
         return cw_to_morse(value)
     return value
@@ -126,11 +130,7 @@ def _print_summary(summary: HomologySummary, args, symbol="H_"):
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.input) as fh:
-            value = load_json(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.input}: {exc}") from exc
+    value = load_json(_read_text(args.input))
     problems = []
     from_cw = isinstance(value, RegularCW)
     if from_cw:
@@ -249,20 +249,18 @@ def cmd_obstructions(args) -> int:
 
 
 def cmd_from_triangulation(args) -> int:
-    try:
-        with open(args.input) as fh:
-            fl = facets_from_text(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.input}: {exc}") from exc
-    cw = from_simplicial(fl)
+    cw = from_simplicial(facets_from_text(_read_text(args.input)))
     try:
         datum = cw_to_morse(cw)
     except NotRegular as exc:
         print(f"FAIL {exc}")
         return EXIT_MATH
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(dump_json(cw))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(dump_json(cw))
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.output}: {exc}") from exc
     summary = homology(build_complex(datum, LocalSystem.trivial()))
     counts = tuple(len(layer) for layer in cw.cells)
     print(f"cells {','.join(str(c) for c in counts)}  "

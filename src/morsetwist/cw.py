@@ -44,6 +44,8 @@ class RegularCW:
         object.__setattr__(self, "cells", tuple(tuple(c) for c in self.cells))
         object.__setattr__(self, "incidences", tuple(self.incidences))
         object.__setattr__(self, "basis_forms", tuple(self.basis_forms))
+        if self.dimension < 0:
+            raise ValueError(f"dimension must be >= 0, got {self.dimension}")
         if len(self.cells) != self.dimension + 1:
             raise ValueError("need one cell layer per degree 0..dimension")
         seen = set()
@@ -116,7 +118,10 @@ def validate_regular(cw: RegularCW):
 
 def steenrod_boundary(cw: RegularCW, sys: LocalSystem) -> ChainComplex:
     """Twisted cellular boundary: entry (lower, upper) = incidence number
-    times the system weight of the incidence's holonomy."""
+    times the system weight of the incidence's holonomy.  It is
+    ``build_complex`` of ``cw_to_morse(cw)``: an exponential or Novikov
+    boundary is returned over ℤ[u, u⁻¹] with its ``scale``, and
+    ``chains.specialise`` reads its image."""
     try:
         return build_complex(cw_to_morse(cw), sys)
     except MissingUnitTag as exc:

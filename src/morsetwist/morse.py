@@ -15,6 +15,8 @@ Weight conventions, pinned by the catalog oracles:
 Both are specialisations of one assembly over ℤ[u, u⁻¹]: with L the lcm of
 the denominators of the flows' class periods, a flow of period a weighs
 u^(a·L), an int exponent, and EXP maps u ↦ t^(1/L), NOV u ↦ t^(−1/L).
+``build_complex`` returns that assembly with ``scale`` L, and
+``chains.specialise`` reads its image.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from .chains import EXPSUM, INT, NOV, ChainComplex, dualize, specialise
+from .chains import EXPSUM, INT, NOV, ChainComplex, dualize
 from .errors import (
     Disconnected,
     MissingDeckTag,
@@ -33,7 +35,7 @@ from .errors import (
     UnknownGroupElement,
 )
 from .linalg import Matrix
-from .rings import ExpSum, NovElem, laurent
+from .rings import NovElem, laurent
 
 TRIVIAL = "TRIVIAL"
 UNIT_REP = "UNIT_REP"
@@ -98,6 +100,8 @@ class MorseDatum:
         object.__setattr__(self, "basis_forms", tuple(self.basis_forms))
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "flows", tuple(self.flows))
+        if self.dimension < 0:
+            raise ValueError(f"dimension must be >= 0, got {self.dimension}")
         ids = [p.id for p in self.points]
         if len(set(ids)) != len(ids):
             raise ValueError("critical point ids must be unique")
@@ -197,49 +201,31 @@ def flow_periods(d: MorseDatum, class_vector) -> list:
     return [0] * len(d.flows)
 
 
-def flow_weight(f: FlowLine, sys: LocalSystem):
-    """Transport of the given flow line under the system (sign excluded)."""
-    if sys.flavor == TRIVIAL:
-        return 1
-    if sys.flavor == UNIT_REP:
-        if f.unit_tag is None:
-            raise MissingUnitTag(f"flow {f.frm}->{f.to} has no unit tag")
-        if f.unit_tag not in (1, -1):
-            raise NonUnit(f"unit tag {f.unit_tag} on {f.frm}->{f.to}")
-        return f.unit_tag
-    a = flow_period(f, sys.class_vector)
-    if sys.flavor == EXP:
-        return ExpSum.monomial(1, a)
-    return NovElem.monomial(1, -a)
-
-
 def build_complex(d: MorseDatum, sys: LocalSystem,
                   periods=None) -> ChainComplex:
     """Twisted boundary assembly: entry (p, q) = sum of sign * weight over
     the flow lines from q down to p.  Only nonzero sums are stored; an
-    entry whose flows cancel is dropped.  EXP and NOV complexes are
-    assembled over ℤ[u, u⁻¹] from the flows' class ``periods`` (computed
-    when not given), ±u^k per flow or ±1 when every k is 0, and return
-    its image, keeping it as ``over_u`` for ``homology`` to reduce."""
+    entry whose flows cancel is dropped.  A flow weighs 1 under TRIVIAL and
+    its unit tag under UNIT_REP.  EXP and NOV complexes are assembled over
+    ℤ[u, u⁻¹] with ``scale`` L from the flows' class ``periods`` (computed
+    when not given): ±u^k per flow, or ±1 when every k is 0."""
     sys.check_compatible(d)
     gens = tuple(tuple(p.id for p in d.points_of_index(k))
                  for k in range(d.dimension + 1))
-    if sys.flavor in (TRIVIAL, UNIT_REP):
-        signs = [f.sign * flow_weight(f, sys) for f in d.flows]
-        return ChainComplex(INT, gens, _assemble(d, gens, signs, 0))
-    if periods is None:
-        periods = flow_periods(d, sys.class_vector)
-    scale = lcm(*(a.denominator for a in periods))
-    ks = [a.numerator * (scale // a.denominator) for a in periods]
-    if any(ks):
-        over_u = _assemble(d, gens, [laurent(f.sign, k) for f, k
-                                     in zip(d.flows, ks)], NovElem.zero())
-    else:
-        over_u = _assemble(d, gens, [f.sign for f in d.flows], 0)
-    regime = sys.regime
-    return ChainComplex(regime, gens,
-                        tuple(specialise(m, regime, scale) for m in over_u),
-                        over_u=over_u, scale=scale)
+    weights = [f.sign for f in d.flows]
+    zero, scale = 0, None
+    if sys.flavor == UNIT_REP:
+        weights = [f.sign * f.unit_tag for f in d.flows]
+    elif sys.flavor != TRIVIAL:
+        if periods is None:
+            periods = flow_periods(d, sys.class_vector)
+        scale = lcm(*(a.denominator for a in periods))
+        ks = [a.numerator * (scale // a.denominator) for a in periods]
+        if any(ks):
+            weights = [laurent(w, k) for w, k in zip(weights, ks)]
+            zero = NovElem.zero()
+    return ChainComplex(sys.regime, gens, _assemble(d, gens, weights, zero),
+                        scale=scale)
 
 
 def _assemble(d: MorseDatum, gens, weights, zero):

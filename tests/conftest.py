@@ -1,9 +1,10 @@
 """Answer oracles shared by the tests: integer rank by exhaustive minor
 expansion and integer invariant factors from determinantal divisors, both
 independent of any reduction; the componentwise (vector) period path that
-the scalar loop periods of ``morsetwist.morse`` must agree with; a twisted
-triangulated torus; grid triangulations of the torus and the Klein bottle;
-the eagerly re-keyed unit pass that the lazily re-keyed heap of
+the scalar loop periods of ``morsetwist.morse`` must agree with; the image
+of a complex in its regime's ring; a twisted triangulated torus; grid
+triangulations of the torus and the Klein bottle; the eagerly re-keyed
+unit pass that the lazily re-keyed heap of
 ``morsetwist.linalg._unit_pivots`` must agree with; and the Novikov leaf
 that cleared a unit pivot's row and column by whole-row and whole-column
 operations, which ``morsetwist.linalg._nov_leaf`` must agree with."""
@@ -15,6 +16,7 @@ from math import gcd
 
 import pytest
 
+from morsetwist.chains import ChainComplex, specialise
 from morsetwist.cw import FacetList, Incidence, RegularCW
 from morsetwist.errors import Disconnected
 from morsetwist.linalg import (
@@ -169,6 +171,13 @@ def rank_of_class_vector(d, class_vector):
 
 
 # --- a twisted triangulated torus ------------------------------------------
+
+def image_complex(C):
+    """The same complex with its boundaries in the regime's ring."""
+    return ChainComplex(C.regime, C.generators,
+                        tuple(specialise(d, C.regime, C.scale)
+                              for d in C.diffs), C.ascending)
+
 
 def twisted_torus_cw(n):
     """The n x n triangulated torus as the quotient of the triangulated

@@ -5,7 +5,6 @@ lines; each test also asserts, so a plain pytest run is still a gate.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 from conftest import rank_int_bruteforce

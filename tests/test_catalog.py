@@ -6,7 +6,7 @@ import pytest
 from morsetwist.catalog import check_expectation, example_names, get_example, run_all
 from morsetwist.chains import validate_complex
 from morsetwist.errors import UnknownExample
-from morsetwist.morse import FlowLine, LocalSystem, build_complex
+from morsetwist.morse import LocalSystem, build_complex
 
 
 def test_registry_names():

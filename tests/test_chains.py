@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from conftest import twisted_torus_cw
+from conftest import image_complex, twisted_torus_cw
 
 from morsetwist.catalog import example_names, get_example
 from morsetwist.chains import (
@@ -114,17 +114,18 @@ def test_dual_int_is_plain_transpose():
 
 def test_dualize_inverts_nonzero_entries_only(monkeypatch):
     C = steenrod_boundary(twisted_torus_cw(4), LocalSystem.exp((F(1), F(-1, 3))))
-    # the expected dual, built from the dense view: transpose, invert all
+    # the expected dual, built from the dense view of the image: transpose,
+    # invert all
     before = [[[e.invert_exponents() for e in col] for col in zip(*d.entries)]
-              for d in C.diffs]
+              for d in image_complex(C).diffs]
     calls = []
-    invert = ExpSum.invert_exponents
-    monkeypatch.setattr(ExpSum, "invert_exponents",
+    invert = NovElem.invert_exponents
+    monkeypatch.setattr(NovElem, "invert_exponents",
                         lambda e: calls.append(e) or invert(e))
     D = dualize(C)
     nonzero = sum(1 for d in C.diffs for row in d.entries for e in row if e)
     assert len(calls) == nonzero < sum(d.rows * d.cols for d in C.diffs)
-    assert [d.entries for d in D.diffs] == before
+    assert [d.entries for d in image_complex(D).diffs] == before
     assert all(e for e in calls)
 
 
@@ -163,6 +164,9 @@ def test_ascending_torsion_bookkeeping():
     assert s.torsion(0) == ()
 
 
+TORUS = get_example("torus").datum
+
+
 def _catalog_and_tori():
     names = [n for n in example_names() if n != "rpn(N)"]
     names += ["rpn(3)", "rpn(4)"]
@@ -170,16 +174,13 @@ def _catalog_and_tori():
             + [cw_to_morse(twisted_torus_cw(n)) for n in range(3, 9)])
 
 
-def _image(C):
-    """The same complex without its ℤ[u, u⁻¹] form."""
-    return ChainComplex(C.regime, C.generators, C.diffs, C.ascending)
-
-
 def test_laurent_assembly_reduces_like_its_image():
-    # build_complex returns the image of its ℤ[u, u⁻¹] assembly; the pass
-    # there equals the Novikov pass on the image (and, with every exponent
-    # 0, the integer pass equals it too) entry for entry, exponential ranks
-    # equal those of the image, and so does every homology summary
+    # build_complex returns the ℤ[u, u⁻¹] complex and specialise reads its
+    # image; the pass there equals the Novikov pass on the image (and, with
+    # every exponent 0, the integer pass equals it too) entry for entry,
+    # exponential ranks equal those of the image, and so does every
+    # homology summary; the image of a dual is the dual of the image
+    # (u ↦ u⁻¹ then specialise equals specialise then t ↦ t⁻¹)
     rng = random.Random(57721)
     seen = {EXPSUM: 0, NOV: 0, "ints": 0}
     for d in _catalog_and_tori():
@@ -192,12 +193,13 @@ def test_laurent_assembly_reduces_like_its_image():
                     chain = build_complex(d, LocalSystem.named(flavor, cls))
                 except MissingUnitTag:
                     continue
+                assert image_complex(dualize(chain)) == \
+                    dualize(image_complex(chain)), (d.name, flavor, cls)
                 for C in (chain, dualize(chain)):
                     if C.regime == INT:
-                        assert not C.over_u
+                        assert C.scale is None
                         continue
-                    for U, D in zip(C.over_u, C.diffs, strict=True):
-                        assert specialise(U, C.regime, C.scale) == D
+                    for U, D in zip(C.diffs, image_complex(C).diffs, strict=True):
                         count, rest = cancel_units(U)
                         nov = specialise(U, NOV, C.scale)
                         if C.regime == NOV or isinstance(U.zero, int):
@@ -208,10 +210,31 @@ def test_laurent_assembly_reduces_like_its_image():
                             assert count + rank_expsum(
                                 specialise(rest, EXPSUM, C.scale)) \
                                 == rank_expsum(D)
-                    assert homology(C) == homology(_image(C))
+                    assert homology(C) == homology(image_complex(C))
                     seen[C.regime] += 1
-                    seen["ints"] += isinstance(C.over_u[0].zero, int)
+                    seen["ints"] += isinstance(C.diffs[0].zero, int)
     assert min(seen.values()) >= 20, seen
+
+
+def test_replaced_boundaries_are_read_with_the_complex():
+    # a complex whose boundaries are swapped for another's answers as that
+    # other complex does: no second copy of the boundaries is left behind
+    C = build_complex(TORUS, LocalSystem.exp((1, 0)))
+    Z = build_complex(TORUS, LocalSystem.exp((0, 0)))
+    X = replace(C, diffs=Z.diffs)
+    assert image_complex(X) == image_complex(Z)
+    assert homology(X) == homology(Z)
+    assert homology(X).betti == (1, 2, 1)
+    assert homology(C).betti == (0, 0, 0)
+    # boundaries over ℤ[u, u⁻¹] travel with the scale that reads them
+    W = build_complex(TORUS, LocalSystem.exp((F(1, 2), 0)))
+    assert C.scale != W.scale
+    Y = replace(C, diffs=W.diffs, scale=W.scale)
+    assert Y == W
+    assert homology(Y) == homology(W)
+    assert image_complex(replace(C, diffs=W.diffs)) != image_complex(W)
+    with pytest.raises(ValueError):
+        replace(Z, regime=INT)
 
 
 @pytest.mark.parametrize("flavor", ["exp", "nov"])
@@ -230,7 +253,7 @@ def test_boundary_squared_over_u_reads_as_its_image(flavor, name, flip, cls):
     for X in (C, dualize(C)):
         bad = validate_complex(X)
         assert bad is not None
-        assert bad == validate_complex(_image(X))
+        assert bad == validate_complex(image_complex(X))
 
 
 def test_stuck_degree_over_u_reads_as_its_image():
@@ -247,4 +270,4 @@ def test_stuck_degree_over_u_reads_as_its_image():
     C = build_complex(d, LocalSystem.nov((1,)))
     S = homology(C)
     assert [s.status for s in S.degrees] == ["stuck", "stuck"]
-    assert S == homology(_image(C))
+    assert S == homology(image_complex(C))

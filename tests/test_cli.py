@@ -10,67 +10,72 @@ from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
 from morsetwist.cw import FacetList
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; an argparse
+    usage error's exit code is read from its SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
+def run(capsys, *argv, code=0):
+    """(stdout, stderr) of a CLI call that must exit with ``code``; when it
+    does not, the failure shows the exit code and stderr it saw."""
+    got, out, err = _call(capsys, argv)
+    assert got == code, f"exit {got}, expected {code}; stderr:\n{err}"
+    return out, err
+
+
 def test_homology_example_rp2_unit_rep(capsys):
-    code, out, _ = run(capsys, "homology", "--example", "rp2",
-                       "--system", "unit-rep")
-    assert code == 0
+    out, _ = run(capsys, "homology", "--example", "rp2",
+                 "--system", "unit-rep")
     assert out.splitlines() == ["H_0 = Z/2", "H_1 = 0", "H_2 = Z"]
 
 
 def test_homology_genus2_exp(capsys):
-    code, out, _ = run(capsys, "homology", "--example", "genus2",
-                       "--system", "exp", "--class", "1,0,0,0")
-    assert code == 0
+    out, _ = run(capsys, "homology", "--example", "genus2",
+                 "--system", "exp", "--class", "1,0,0,0")
     assert out.splitlines() == ["H_0 = 0", "H_1 = R^2", "H_2 = 0"]
 
 
 def test_homology_circle_exact_class(capsys):
-    code, out, _ = run(capsys, "homology", "--example", "circle-std",
-                       "--system", "exp", "--class", "0")
-    assert code == 0
+    out, _ = run(capsys, "homology", "--example", "circle-std",
+                 "--system", "exp", "--class", "0")
     assert out.splitlines() == ["H_0 = R", "H_1 = R"]
 
 
 def test_cohomology_genus2_zero_class(capsys):
-    code, out, _ = run(capsys, "cohomology", "--example", "genus2",
-                       "--system", "exp", "--class", "0,0,0,0")
-    assert code == 0
+    out, _ = run(capsys, "cohomology", "--example", "genus2",
+                 "--system", "exp", "--class", "0,0,0,0")
     assert out.splitlines() == ["H^0 = R", "H^1 = R^4", "H^2 = R"]
 
 
 def test_novikov_with_zeros(capsys):
-    code, out, _ = run(capsys, "novikov", "--example", "genus2",
-                       "--class", "1,0,0,0", "--zeros", "1,4,1")
-    assert code == 0
+    out, _ = run(capsys, "novikov", "--example", "genus2",
+                 "--class", "1,0,0,0", "--zeros", "1,4,1")
     assert "degree 1: b=2 q=0" in out
     assert "slack 1,2,1 -> pass" in out
 
 
 def test_euler(capsys):
-    code, out, _ = run(capsys, "euler", "--example", "genus2")
-    assert code == 0
+    out, _ = run(capsys, "euler", "--example", "genus2")
     assert "euler (cells) = -2" in out
 
 
 def test_obstructions(capsys):
-    code, out, _ = run(capsys, "obstructions", "--example", "torus",
-                       "--system", "exp", "--class", "1,0")
-    assert code == 0
+    out, _ = run(capsys, "obstructions", "--example", "torus",
+                 "--system", "exp", "--class", "1,0")
     assert "H_SPACE: clear" in out
     assert "PARALLEL_FORM: clear" in out
     assert "rank of class: 1" in out
 
 
 def test_json_output_roundtrips_canonically(capsys):
-    code, out, _ = run(capsys, "homology", "--example", "rp2",
-                       "--system", "trivial", "--format", "json")
-    assert code == 0
+    out, _ = run(capsys, "homology", "--example", "rp2",
+                 "--system", "trivial", "--format", "json")
     obj = json.loads(out)
     assert json.dumps(obj, indent=2) + "\n" == out
     assert obj["betti"] == [1, 0, 0]
@@ -80,8 +85,8 @@ def test_json_output_roundtrips_canonically(capsys):
 def test_validate_ok_and_fail(tmp_path, capsys):
     good = tmp_path / "rp2.json"
     good.write_text(dump_json(get_example("rp2").datum))
-    code, out, _ = run(capsys, "validate", str(good))
-    assert code == 0 and out.strip() == "ok"
+    out, _ = run(capsys, "validate", str(good))
+    assert out.strip() == "ok"
 
     # flip one degree-1 flow sign: boundary squared becomes nonzero
     import dataclasses
@@ -90,63 +95,54 @@ def test_validate_ok_and_fail(tmp_path, capsys):
     flows[2] = dataclasses.replace(flows[2], sign=-flows[2].sign)
     bad = tmp_path / "bad.json"
     bad.write_text(dump_json(dataclasses.replace(d, flows=tuple(flows))))
-    code, out, _ = run(capsys, "validate", str(bad))
-    assert code == 1
+    out, _ = run(capsys, "validate", str(bad), code=1)
     assert "FAIL" in out
 
     ugly = tmp_path / "ugly.json"
     ugly.write_text("{nope")
-    code, _, err = run(capsys, "validate", str(ugly))
-    assert code == 2
+    run(capsys, "validate", str(ugly), code=2)
 
 
 def test_missing_class_is_parse_error(capsys):
-    code, _, err = run(capsys, "homology", "--example", "torus",
-                       "--system", "exp")
-    assert code == 2
+    _, err = run(capsys, "homology", "--example", "torus",
+                 "--system", "exp", code=2)
     assert "requires --class" in err
 
 
 def test_unknown_example_exit(capsys):
-    code, _, err = run(capsys, "homology", "--example", "nope")
-    assert code == 1
+    run(capsys, "homology", "--example", "nope", code=1)
 
 
 def test_from_triangulation(tmp_path, capsys):
     facets = tmp_path / "rp2.facets"
     facets.write_text(facets_to_text(FacetList(6, RP2_SIX_VERTEX_FACETS)))
     out_json = tmp_path / "rp2cw.json"
-    code, out, _ = run(capsys, "from-triangulation", str(facets),
-                       "-o", str(out_json))
-    assert code == 0
+    out, _ = run(capsys, "from-triangulation", str(facets),
+                 "-o", str(out_json))
     assert "euler 1" in out
     assert "H_1 = Z/2" in out
     assert out_json.exists()
-    code, out2, _ = run(capsys, "validate", str(out_json))
-    assert code == 0
+    run(capsys, "validate", str(out_json))
 
 
 def test_example_subcommands(tmp_path, capsys):
-    code, out, _ = run(capsys, "example", "list")
-    assert code == 0 and "genus2" in out
+    out, _ = run(capsys, "example", "list")
+    assert "genus2" in out
 
-    code, out, err = run(capsys, "example", "show", "circle-std")
-    assert code == 0
+    out, err = run(capsys, "example", "show", "circle-std")
     obj = json.loads(out)
     assert obj["name"] == "circle-std"
     assert "circle-std" in err  # description goes to stderr
 
-    code, out, _ = run(capsys, "example", "run", "circle-std")
-    assert code == 0
+    out, _ = run(capsys, "example", "run", "circle-std")
     assert all(line.startswith("pass") for line in out.splitlines())
 
 
 def test_homology_from_file_with_system(tmp_path, capsys):
     path = tmp_path / "torus.json"
     path.write_text(dump_json(get_example("torus").datum))
-    code, out, _ = run(capsys, "homology", str(path), "--system", "nov",
-                       "--class", "1,0")
-    assert code == 0
+    out, _ = run(capsys, "homology", str(path), "--system", "nov",
+                 "--class", "1,0")
     assert out.splitlines() == ["H_0 = 0", "H_1 = 0", "H_2 = 0"]
 
 
@@ -159,12 +155,11 @@ def test_cw_with_flipped_two_cell_incidence(tmp_path, capsys):
     path = tmp_path / "flipped.json"
     path.write_text(dump_json(replace(cw, incidences=tuple(incs))))
 
-    code, out, _ = run(capsys, "validate", str(path))
-    assert code == 1
+    out, _ = run(capsys, "validate", str(path), code=1)
     assert out.startswith("FAIL regularity: boundary-squared ")
 
-    code, out, err = run(capsys, "homology", str(path))
-    assert code == 1 and out == ""
+    out, err = run(capsys, "homology", str(path), code=1)
+    assert out == ""
     assert err.startswith("error: boundary-squared ")
 
 
@@ -207,8 +202,8 @@ def test_one_regularity_pass_per_command(tmp_path, capsys, monkeypatch):
                        (["validate", str(bad)], 1),
                        (["from-triangulation", str(facets)], 0)]:
         calls.clear()
-        code, _, _ = run(capsys, *argv)
-        assert (code, len(calls)) == (want, 1), argv
+        run(capsys, *argv, code=want)
+        assert len(calls) == 1, argv
 
 
 def test_cw_period_count_mismatch_is_parse_error(tmp_path, capsys):
@@ -217,16 +212,16 @@ def test_cw_period_count_mismatch_is_parse_error(tmp_path, capsys):
     obj["incidences"][0]["periods"] = ["1", "2"]
     path = tmp_path / "periods.json"
     path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "homology", str(path))
-    assert (code, out) == (2, "")
+    out, err = run(capsys, "homology", str(path), code=2)
+    assert out == ""
     assert err == "error: incidences[0]: 2 periods for 1 basis forms\n"
 
 
 def test_malformed_facets_is_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.facets"
     path.write_text("vertices 3\n0 0 1\n")
-    code, out, err = run(capsys, "from-triangulation", str(path))
-    assert (code, out) == (2, "")
+    out, err = run(capsys, "from-triangulation", str(path), code=2)
+    assert out == ""
     assert err == "error: facet (0, 0, 1) repeats a vertex\n"
 
 
@@ -265,12 +260,7 @@ def test_non_integer_or_decimal_input_is_parse_error(tmp_path, capsys, example,
         edit(obj)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    try:
-        code = main(["homology", str(path), *extra])
-    except SystemExit as exc:  # argparse rejects a bad --depth
-        code = exc.code
-    err = capsys.readouterr().err
-    assert code == 2, err
+    _, err = run(capsys, "homology", str(path), *extra, code=2)
     assert "error: " in err and "Traceback" not in err
 
 
@@ -296,14 +286,13 @@ def test_non_list_field_is_parse_error(tmp_path, capsys, example, edit, want):
     edit(obj)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "homology", str(path))
-    assert (code, out, err) == (2, "", f"error: {want}\n")
+    assert run(capsys, "homology", str(path), code=2) == ("", f"error: {want}\n")
 
 
 def test_zero_count_list_of_wrong_length_is_parse_error(capsys):
-    code, out, err = run(capsys, "novikov", "--example", "klein",
-                         "--class", "0", "--zeros", "1,1")
-    assert (code, out) == (2, ""), err
+    out, err = run(capsys, "novikov", "--example", "klein",
+                   "--class", "0", "--zeros", "1,1", code=2)
+    assert out == ""
     assert err == "error: bad zero counts '1,1': 2 counts for 3 degrees\n"
 
 
@@ -317,14 +306,13 @@ def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):
         "name": "stuck-circle", "dimension": 1, "basis_forms": ["theta"],
         "points": [{"id": "p", "index": 0}, {"id": "q", "index": 1}],
         "flows": flows}))
-    code, out, _ = run(capsys, "homology", str(path), "--system", "nov",
-                       "--class", "1")
-    assert code == 1
+    out, _ = run(capsys, "homology", str(path), "--system", "nov",
+                 "--class", "1", code=1)
     assert out.splitlines() == ["H_0 = indeterminate (reduction stuck)",
                                 "H_1 = indeterminate (reduction stuck)"]
-    code, out, err = run(capsys, "obstructions", str(path), "--system", "nov",
-                         "--class", "1")
-    assert (code, out) == (1, ""), out
+    out, err = run(capsys, "obstructions", str(path), "--system", "nov",
+                   "--class", "1", code=1)
+    assert out == ""
     assert err == ("error: a degree's reduction is stuck; "
                    "H-space verdict unknown\n")
 
@@ -332,9 +320,8 @@ def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):
 def test_novikov_unit_pivots_are_not_charged_to_max_iter(capsys):
     # every pivot of this input is an exact unit ±t^a, so the op budget
     # is never touched; the answer is the one an unbudgeted run gives
-    code, out, _ = run(capsys, "novikov", "--example", "circle-regular",
-                       "--class=-2/3", "--max-iter=0")
-    assert code == 0
+    out, _ = run(capsys, "novikov", "--example", "circle-regular",
+                 "--class=-2/3", "--max-iter=0")
     assert out.splitlines() == ["class -2/3", "degree 0: b=0 q=0",
                                 "degree 1: b=0 q=0"]
 
@@ -349,18 +336,9 @@ def test_period_memo_does_not_admit_non_strings(tmp_path, capsys, value):
     obj["flows"][-1]["periods"] = [value]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "homology", str(path))
-    assert (code, out) == (2, "")
+    out, err = run(capsys, "homology", str(path), code=2)
+    assert out == ""
     assert err.startswith("error: bad rational ")
-
-
-def _call(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 def test_parser_is_built_once_and_reused_alike(capsys, monkeypatch):
@@ -400,7 +378,8 @@ def test_validate_cw_skips_the_untwisted_product(tmp_path, capsys, monkeypatch):
         path = tmp_path / name
         path.write_text(dump_json(value))
         calls.clear()
-        assert run(capsys, "validate", str(path)) == (want_code, want_out, "")
+        assert run(capsys, "validate", str(path), code=want_code) \
+            == (want_out, ""), name
         assert len(calls) == want_calls, name
 
 
@@ -426,8 +405,8 @@ def test_negative_class_as_separate_argument(capsys, command, example, cls, fmt)
     ["novikov", "--example", "torus", "--class", "-x"],
 ])
 def test_class_without_a_value_is_usage_error(capsys, argv):
-    code, out, err = _call(capsys, argv)
-    assert (code, out) == (2, "")
+    out, err = run(capsys, *argv, code=2)
+    assert out == ""
     assert "error: argument --class: expected one argument" in err
 
 
@@ -441,7 +420,71 @@ def test_obstructions_compute_each_flow_period_once(capsys, monkeypatch,
     original = morse_module.flow_period
     monkeypatch.setattr(morse_module, "flow_period",
                         lambda f, cv: calls.append(f) or original(f, cv))
-    code, out, _ = run(capsys, "obstructions", "--example", "genus2",
-                       "--system", system, "--class=1,1/2,0,-1")
-    assert code == 0 and "PARALLEL_FORM: TRIGGERED" in out
+    out, _ = run(capsys, "obstructions", "--example", "genus2",
+                 "--system", system, "--class=1,1/2,0,-1")
+    assert "PARALLEL_FORM: TRIGGERED" in out
     assert len(calls) == 16
+
+
+@pytest.mark.parametrize("command", ["homology", "validate",
+                                     "from-triangulation"])
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff")
+    out, err = run(capsys, command, str(path), code=2)
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec ")
+
+
+def test_unwritable_output_is_parse_error(tmp_path, capsys):
+    facets = tmp_path / "rp2.facets"
+    facets.write_text(facets_to_text(FacetList(6, RP2_SIX_VERTEX_FACETS)))
+    target = tmp_path / "missing" / "x.json"
+    out, err = run(capsys, "from-triangulation", str(facets), "-o", str(target),
+                   code=2)
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("obj", [
+    {"name": "x", "dimension": -1, "basis_forms": [], "points": [],
+     "flows": []},
+    {"name": "x", "dimension": -1, "cells": [], "incidences": []},
+], ids=["datum", "cw"])
+@pytest.mark.parametrize("command", ["homology", "euler", "validate"])
+def test_negative_dimension_is_parse_error(tmp_path, capsys, obj, command):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(obj))
+    out, err = run(capsys, command, str(path), code=2)
+    assert out == ""
+    assert err.endswith("dimension must be >= 0, got -1\n")
+
+
+
+@pytest.mark.parametrize("obj", [
+    {"name": "pt", "dimension": 0, "basis_forms": ["x"],
+     "points": [{"id": "p", "index": 0}], "flows": []},
+    {"name": "pt", "dimension": 0, "basis_forms": ["x"], "cells": [["v"]],
+     "incidences": []},
+], ids=["datum", "cw"])
+@pytest.mark.parametrize("argv, first", [
+    (["homology", "--system", "exp"], "H_0 = R"),
+    (["homology", "--system", "nov"], "H_0 = Nov"),
+    (["cohomology", "--system", "exp"], "H^0 = R"),
+    (["cohomology", "--system", "nov"], "H^0 = Nov"),
+    (["euler", "--system", "exp"], "euler (cells) = 1"),
+    (["euler", "--system", "nov"], "euler (cells) = 1"),
+    (["novikov"], "class 1"),
+    (["obstructions", "--system", "exp"], "H_SPACE: clear"),
+    (["obstructions", "--system", "nov"], "H_SPACE: clear"),
+], ids=["homology-exp", "homology-nov", "cohomology-exp", "cohomology-nov",
+        "euler-exp", "euler-nov", "novikov", "obstructions-exp",
+        "obstructions-nov"])
+def test_point_under_a_twisted_system(tmp_path, capsys, obj, argv, first):
+    # a point has no boundary matrix, so a twisted complex of it holds no
+    # matrix over ℤ[u, u⁻¹] to take a zero from
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(obj))
+    out, err = run(capsys, argv[0], str(path), *argv[1:], "--class", "1")
+    assert err == ""
+    assert out.splitlines()[0] == first

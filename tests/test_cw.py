@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from fractions import Fraction as F
 
 import pytest
 from conftest import grid_facets
