@@ -23,7 +23,10 @@ both systems and ``obstructions --system exp``; one torus under a nonzero
 class that kills every period, so every transport is 1; a datum whose
 integer leftover is a dense block of non-units; and inputs that must end
 in ``error:`` (a stuck Novikov circle under ``obstructions``, a short
-``--zeros`` list, a malformed deck table).
+``--zeros`` list, a malformed deck table).  The broken files hold period
+values of every JSON type, padded and non-ASCII-digit strings, in a flow
+and in a CW incidence, and one flow with both a bad unit tag and a bad
+period.
 Files are written to a temporary directory and named relative to it, so
 no machine-specific path reaches the output.  The invocation count goes
 to stderr.
@@ -55,6 +58,12 @@ TORUS_SIDES = (3, 4, 5, 8)
 TORUS_EVERY_COMMAND = (3, 4, 5)
 TORUS_CLASSES = ("0,0", "1,0", "1,1/3", "-1/2,2")
 GRID_SIDES = (3, 4, 5, 6, 10, 16)
+# period values a list holds, valid and not: each takes its own path
+# through the file's memo of period strings
+PERIOD_VALUES = (("true", True), ("float", 1.0), ("int", 1),
+                 ("decimal", "0.5"), ("null", None), ("list", [1]),
+                 ("object", {}), ("padded", " 3/4 "),
+                 ("arabic", "\u0663/4"), ("arabic-denominator", "\u0663/\u0664"))
 FACETS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "..", "docs", "examples", "rp2.facets")
 
@@ -127,12 +136,21 @@ def files():
             out.append((write(f"{e.name}-cw.json", dump_json(e.cw)),
                         len(e.cw.basis_forms)))
     rp2 = json.loads(dump_json(get_example("rp2").datum))
-    for label, value in (("true", True), ("float", 1.0), ("int", 1),
-                         ("decimal", "0.5"), ("null", None)):
+    for label, value in PERIOD_VALUES:
         bad = json.loads(json.dumps(rp2))
         bad["flows"][0]["periods"] = ["1"]
         bad["flows"][-1]["periods"] = [value]
         out.append((write(f"rp2-period-{label}.json", json.dumps(bad)), 1))
+    # a bad unit tag and a bad period on one flow: the period is read first
+    bad = json.loads(json.dumps(rp2))
+    bad["flows"][-1].update(periods=["0.5"], unit_tag="1")
+    out.append((write("rp2-period-and-tag.json", json.dumps(bad)), 1))
+    circle = json.loads(dump_json(get_example("circle-regular").cw))
+    for label, value in PERIOD_VALUES:
+        bad = json.loads(json.dumps(circle))
+        bad["incidences"][-1]["periods"] = [value]
+        out.append((write(f"circle-cw-period-{label}.json", json.dumps(bad)),
+                    1))
     flipped = json.loads(json.dumps(rp2))
     flipped["flows"][2]["sign"] = -flipped["flows"][2]["sign"]
     out.append((write("rp2-flipped.json", json.dumps(flipped)), 1))

@@ -161,9 +161,13 @@ def _matrix_data(C: ChainComplex, depth, max_iter):
     """Per stored matrix: (rank, torsion invariants, status).  Units ±u^k of
     a matrix over ℤ[u, u⁻¹] are cancelled there, each a Smith factor 1 that
     adds to a complete rank, and only the leftover is specialised; a stuck
-    reduction's counts are returned as they are."""
+    reduction's counts are returned as they are.  A matrix with no stored
+    entry has rank 0 and no torsion, and is not reduced."""
     out = []
     for d in C.diffs:
+        if not any(d.data):
+            out.append((0, (), "complete"))
+            continue
         units = 0
         if C.scale is not None:
             units, rest = cancel_units(d)

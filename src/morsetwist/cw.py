@@ -17,6 +17,7 @@ from fractions import Fraction
 from .chains import ChainComplex
 from .errors import MalformedFacets, MissingHolonomy, MissingUnitTag, NotRegular
 from .morse import CriticalPoint, FlowLine, LocalSystem, MorseDatum, build_complex
+from .rings import fraction_tuple
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class Incidence:
     unit_tag: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "periods", tuple(
-            p if type(p) is Fraction else Fraction(p) for p in self.periods))
+        object.__setattr__(self, "periods", fraction_tuple(self.periods))
 
 
 @dataclass(frozen=True)

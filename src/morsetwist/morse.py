@@ -35,7 +35,7 @@ from .errors import (
     UnknownGroupElement,
 )
 from .linalg import Matrix
-from .rings import NovElem, laurent
+from .rings import NovElem, fraction_tuple, laurent
 
 TRIVIAL = "TRIVIAL"
 UNIT_REP = "UNIT_REP"
@@ -64,8 +64,7 @@ class FlowLine:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError(f"flow sign must be +-1, got {self.sign}")
-        object.__setattr__(self, "periods", tuple(
-            p if type(p) is Fraction else Fraction(p) for p in self.periods))
+        object.__setattr__(self, "periods", fraction_tuple(self.periods))
 
 
 @dataclass(frozen=True)
@@ -182,22 +181,33 @@ class LocalSystem:
                     raise NonUnit(f"unit tag {f.unit_tag} on {f.frm}->{f.to}")
 
 
-def flow_period(f: FlowLine, class_vector) -> Fraction:
-    """class . periods, summed over the nonzero terms as one integer
-    numerator and denominator."""
+def class_support(class_vector) -> tuple:
+    """(index, numerator, denominator) of each nonzero class entry."""
+    return tuple((i, c.numerator, c.denominator)
+                 for i, c in enumerate(class_vector) if c)
+
+
+def flow_period(f: FlowLine, support) -> Fraction:
+    """class . periods over the class's ``support`` (``class_support``),
+    summed over the nonzero terms as one integer fraction."""
     num, den = 0, 1
-    for c, p in zip(class_vector, f.periods):
-        if c and p:
-            d = c.denominator * p.denominator
-            num = num * d + c.numerator * p.numerator * den
+    periods = f.periods
+    for i, cn, cd in support:
+        p = periods[i]
+        if p:
+            d = cd * p.denominator
+            num = num * d + cn * p.numerator * den
             den *= d
     return Fraction(num, den)
 
 
 def flow_periods(d: MorseDatum, class_vector) -> list:
-    """The class period of every flow, in flow order; 0s for a zero class."""
+    """The class period of every flow, in flow order; 0s for a zero class.
+    Class entries past the basis forms are ignored (``check_compatible``
+    rejects such a class)."""
     if any(class_vector):
-        return [flow_period(f, class_vector) for f in d.flows]
+        support = class_support(class_vector[:len(d.basis_forms)])
+        return [flow_period(f, support) for f in d.flows]
     return [0] * len(d.flows)
 
 

@@ -563,4 +563,14 @@ def parse_rational(text) -> Fraction:
     s = str(text).strip()
     if not _RAT_RE.match(s):
         raise ParseError(f"bad rational {text!r}: want p/q with integers")
-    return Fraction(s)
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
+def fraction_tuple(values) -> tuple:
+    """``values`` as a tuple of ``Fraction``s; a tuple of ``Fraction``s is
+    kept as it is, and so is each ``Fraction`` in it."""
+    if type(values) is tuple and (not values
+                                  or set(map(type, values)) == {Fraction}):
+        return values
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)

@@ -22,58 +22,68 @@ def _rat_out(x: Fraction) -> str:
     return str(x)
 
 
-def _check_fields(obj: dict, required, optional, where):
+@functools.cache
+def _allowed(required, optional) -> frozenset:
+    """Built once per record layout: the callers pass six literal pairs."""
+    return frozenset(required + optional)
+
+
+def _at(where) -> str:
+    """An error location: a str, or a (list name, index) pair, which is
+    formatted only when an error is raised."""
+    return where if type(where) is str else f"{where[0]}[{where[1]}]"
+
+
+def _check_fields(obj: dict, required: tuple, optional: tuple, where):
     if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
+        raise ParseError(f"{_at(where)}: expected an object")
     for k in required:
         if k not in obj:
-            raise ParseError(f"{where}: missing field {k!r}")
-    allowed = set(required) | set(optional)
-    for k in obj:
-        if k not in allowed:
-            raise ParseError(f"{where}: unknown field {k!r}")
+            raise ParseError(f"{_at(where)}: missing field {k!r}")
+    allowed = _allowed(required, optional)
+    if not allowed.issuperset(obj):
+        k = next(k for k in obj if k not in allowed)
+        raise ParseError(f"{_at(where)}: unknown field {k!r}")
 
 
-def _int(obj: dict, key, where) -> int:
-    """A JSON integer field: bool, str, null and float are rejected."""
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(kind, obj, key, where):
+    """A JSON field of exactly ``kind`` (int, list or dict): an integer
+    field rejects bool, str, null and float."""
     value = obj[key]
-    if type(value) is not int:
-        raise ParseError(f"{where}: {key!r} must be an integer, "
+    if type(value) is not kind:
+        raise ParseError(f"{_at(where)}: {key!r} must be {_KINDS[kind]}, "
                          f"got {json.dumps(value)}")
     return value
 
 
-def _list(obj, key, where) -> list:
-    """A JSON array field: a number, string, object or null is rejected."""
-    value = obj[key]
-    if type(value) is not list:
-        raise ParseError(f"{where}: {key!r} must be a list, "
-                         f"got {json.dumps(value)}")
-    return value
-
-
-def _object(obj, key, where) -> dict:
-    """A JSON object field: an array, number, string or null is rejected."""
-    value = obj[key]
-    if type(value) is not dict:
-        raise ParseError(f"{where}: {key!r} must be an object, "
-                         f"got {json.dumps(value)}")
-    return value
+_int = functools.partial(_typed, int)
+_list = functools.partial(_typed, list)
+_object = functools.partial(_typed, dict)
 
 
 def _rational_parser():
-    """parse_rational that parses each distinct string once.  The memo is
-    keyed on the str itself: 1, True and 1.0 share one hash, so any other
-    value is parsed (and rejected) on its own."""
+    """A period-list parser: one pass through a memo of parsed strings,
+    which on a miss parses the list's new strings once, in list order.  The
+    memo is keyed on the str itself: 1, True and 1.0 share one hash, so a
+    list holding any other value is parsed (and rejected) element by
+    element, past the memo."""
     memo: dict = {}
+    get = memo.__getitem__
 
-    def parse(value) -> Fraction:
-        if type(value) is not str:
-            return parse_rational(value)
-        q = memo.get(value)
-        if q is None:
-            q = memo[value] = parse_rational(value)
-        return q
+    def parse(values) -> tuple:
+        try:
+            return tuple(map(get, values))
+        except (KeyError, TypeError):
+            pass
+        if set(map(type, values)) != {str}:
+            return tuple(map(parse_rational, values))
+        for value in dict.fromkeys(values):
+            if value not in memo:
+                memo[value] = parse_rational(value)
+        return tuple(map(get, values))
     return parse
 
 
@@ -117,29 +127,30 @@ def datum_to_dict(d: MorseDatum) -> dict:
 
 @_value_errors_as_parse_errors
 def datum_from_dict(obj: dict) -> MorseDatum:
-    _check_fields(obj, ["name", "dimension", "basis_forms", "points", "flows"],
-                  ["deck_group"], "datum")
+    _check_fields(obj, ("name", "dimension", "basis_forms", "points", "flows"),
+                  ("deck_group",), "datum")
     points = []
     for i, p in enumerate(_list(obj, "points", "datum")):
-        _check_fields(p, ["id", "index"], [], f"points[{i}]")
+        where = ("points", i)
+        _check_fields(p, ("id", "index"), (), where)
         points.append(CriticalPoint(id=str(p["id"]),
-                                    index=_int(p, "index", f"points[{i}]")))
+                                    index=_int(p, "index", where)))
     parse = _rational_parser()
     flows = []
     for i, f in enumerate(_list(obj, "flows", "datum")):
-        where = f"flows[{i}]"
-        _check_fields(f, ["from", "to", "sign", "periods"],
-                      ["unit_tag", "deck_tag"], where)
+        where = ("flows", i)
+        _check_fields(f, ("from", "to", "sign", "periods"),
+                      ("unit_tag", "deck_tag"), where)
         flows.append(FlowLine(
             frm=str(f["from"]), to=str(f["to"]), sign=_int(f, "sign", where),
-            periods=tuple(parse(p) for p in _list(f, "periods", where)),
+            periods=parse(_list(f, "periods", where)),
             unit_tag=None if "unit_tag" not in f else _int(f, "unit_tag", where),
             deck_tag=None if "deck_tag" not in f else str(f["deck_tag"]),
         ))
     deck = None
     if "deck_group" in obj:
         g = obj["deck_group"]
-        _check_fields(g, ["elements", "table"], [], "deck_group")
+        _check_fields(g, ("elements", "table"), (), "deck_group")
         elements = tuple(str(e) for e in _list(g, "elements", "deck_group"))
         rows = _object(g, "table", "deck_group")
         table = {}
@@ -173,20 +184,19 @@ def cw_to_dict(cw: RegularCW) -> dict:
 
 @_value_errors_as_parse_errors
 def cw_from_dict(obj: dict) -> RegularCW:
-    _check_fields(obj, ["name", "dimension", "cells", "incidences"],
-                  ["basis_forms"], "cw")
+    _check_fields(obj, ("name", "dimension", "cells", "incidences"),
+                  ("basis_forms",), "cw")
     basis_forms = tuple(str(b) for b in (
         _list(obj, "basis_forms", "cw") if "basis_forms" in obj else ()))
     parse = _rational_parser()
     incidences = []
     for i, rec in enumerate(_list(obj, "incidences", "cw")):
-        where = f"incidences[{i}]"
-        _check_fields(rec, ["upper", "lower", "incidence"],
-                      ["periods", "unit_tag"], where)
-        periods = tuple(parse(p) for p in (
-            _list(rec, "periods", where) if "periods" in rec else ()))
+        where = ("incidences", i)
+        _check_fields(rec, ("upper", "lower", "incidence"),
+                      ("periods", "unit_tag"), where)
+        periods = parse(_list(rec, "periods", where)) if "periods" in rec else ()
         if periods and len(periods) != len(basis_forms):
-            raise ParseError(f"{where}: {len(periods)} periods for "
+            raise ParseError(f"{_at(where)}: {len(periods)} periods for "
                              f"{len(basis_forms)} basis forms")
         incidences.append(Incidence(
             upper=str(rec["upper"]), lower=str(rec["lower"]),

@@ -7,10 +7,16 @@ triangulations of the torus and the Klein bottle; the eagerly re-keyed
 unit pass that the lazily re-keyed heap of
 ``morsetwist.linalg._unit_pivots`` must agree with; and the Novikov leaf
 that cleared a unit pivot's row and column by whole-row and whole-column
-operations, which ``morsetwist.linalg._nov_leaf`` must agree with."""
+operations, which ``morsetwist.linalg._nov_leaf`` must agree with; and
+the JSON reader that checked each record's fields by building its name
+sets and location text per record, and parsed each period on its own
+through ``Fraction(str)``, which ``morsetwist.serial.load_json`` must
+agree with."""
 
 import heapq
 import itertools
+import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -18,14 +24,23 @@ import pytest
 
 from morsetwist.chains import ChainComplex, specialise
 from morsetwist.cw import FacetList, Incidence, RegularCW
-from morsetwist.errors import Disconnected
+from morsetwist.errors import Disconnected, ParseError
 from morsetwist.linalg import (
     NovReduction,
     _as_exact_nov,
     _divisibility_chain,
     _nov_zero,
 )
-from morsetwist.morse import EXP, NOV_SYS, TRIVIAL, UNIT_REP
+from morsetwist.morse import (
+    EXP,
+    NOV_SYS,
+    TRIVIAL,
+    UNIT_REP,
+    CriticalPoint,
+    DeckGroup,
+    FlowLine,
+    MorseDatum,
+)
 from morsetwist.rings import NovElem
 
 
@@ -461,3 +476,122 @@ def nov_leaf_reference(A, depth, max_iter):
         nonunit_invariants=tuple(nonunit) if not stuck else (),
         status="stuck" if stuck else "complete",
     )
+
+
+# --- per-element reference of the JSON reader -------------------------------
+
+def parse_rational_reference(text) -> Fraction:
+    s = str(text).strip()
+    if not re.match(r"^-?\d+(/[1-9]\d*)?$", s):
+        raise ParseError(f"bad rational {text!r}: want p/q with integers")
+    return Fraction(s)
+
+
+def _fields_ref(obj, required, optional, where):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
+    for k in required:
+        if k not in obj:
+            raise ParseError(f"{where}: missing field {k!r}")
+    allowed = set(required) | set(optional)
+    for k in obj:
+        if k not in allowed:
+            raise ParseError(f"{where}: unknown field {k!r}")
+
+
+def _typed_ref(obj, key, where, kind, name):
+    value = obj[key]
+    if type(value) is not kind:
+        raise ParseError(f"{where}: {key!r} must be {name}, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
+def _datum_ref(obj):
+    _fields_ref(obj, ["name", "dimension", "basis_forms", "points", "flows"],
+                ["deck_group"], "datum")
+    points = []
+    for i, p in enumerate(_typed_ref(obj, "points", "datum", list, "a list")):
+        _fields_ref(p, ["id", "index"], [], f"points[{i}]")
+        points.append(CriticalPoint(id=str(p["id"]), index=_typed_ref(
+            p, "index", f"points[{i}]", int, "an integer")))
+    flows = []
+    for i, f in enumerate(_typed_ref(obj, "flows", "datum", list, "a list")):
+        where = f"flows[{i}]"
+        _fields_ref(f, ["from", "to", "sign", "periods"],
+                    ["unit_tag", "deck_tag"], where)
+        flows.append(FlowLine(
+            frm=str(f["from"]), to=str(f["to"]),
+            sign=_typed_ref(f, "sign", where, int, "an integer"),
+            periods=tuple(parse_rational_reference(p) for p in _typed_ref(
+                f, "periods", where, list, "a list")),
+            unit_tag=None if "unit_tag" not in f else _typed_ref(
+                f, "unit_tag", where, int, "an integer"),
+            deck_tag=None if "deck_tag" not in f else str(f["deck_tag"])))
+    deck = None
+    if "deck_group" in obj:
+        g = obj["deck_group"]
+        _fields_ref(g, ["elements", "table"], [], "deck_group")
+        elements = tuple(str(e) for e in _typed_ref(
+            g, "elements", "deck_group", list, "a list"))
+        rows = _typed_ref(g, "table", "deck_group", dict, "an object")
+        table = {}
+        for a in rows:
+            for b, c in _typed_ref(rows, a, "deck_group table", dict,
+                                   "an object").items():
+                table[(str(a), str(b))] = str(c)
+        deck = DeckGroup(elements=elements, table=table)
+    return MorseDatum(
+        name=str(obj["name"]),
+        dimension=_typed_ref(obj, "dimension", "datum", int, "an integer"),
+        basis_forms=tuple(str(b) for b in _typed_ref(
+            obj, "basis_forms", "datum", list, "a list")),
+        points=tuple(points), flows=tuple(flows), deck_group=deck)
+
+
+def _cw_ref(obj):
+    _fields_ref(obj, ["name", "dimension", "cells", "incidences"],
+                ["basis_forms"], "cw")
+    basis_forms = tuple(str(b) for b in (_typed_ref(
+        obj, "basis_forms", "cw", list, "a list")
+        if "basis_forms" in obj else ()))
+    incidences = []
+    for i, rec in enumerate(_typed_ref(obj, "incidences", "cw", list,
+                                       "a list")):
+        where = f"incidences[{i}]"
+        _fields_ref(rec, ["upper", "lower", "incidence"],
+                    ["periods", "unit_tag"], where)
+        periods = tuple(parse_rational_reference(p) for p in (_typed_ref(
+            rec, "periods", where, list, "a list") if "periods" in rec else ()))
+        if periods and len(periods) != len(basis_forms):
+            raise ParseError(f"{where}: {len(periods)} periods for "
+                             f"{len(basis_forms)} basis forms")
+        incidences.append(Incidence(
+            upper=str(rec["upper"]), lower=str(rec["lower"]),
+            incidence=_typed_ref(rec, "incidence", where, int, "an integer"),
+            periods=periods,
+            unit_tag=None if "unit_tag" not in rec else _typed_ref(
+                rec, "unit_tag", where, int, "an integer")))
+    cells = _typed_ref(obj, "cells", "cw", list, "a list")
+    return RegularCW(
+        name=str(obj["name"]),
+        dimension=_typed_ref(obj, "dimension", "cw", int, "an integer"),
+        cells=tuple(tuple(str(c) for c in _typed_ref(
+            cells, k, "cw cells", list, "a list")) for k in range(len(cells))),
+        incidences=tuple(incidences), basis_forms=basis_forms)
+
+
+def load_json_reference(text):
+    """What ``load_json`` returns or raises, one period at a time."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError("top level must be an object")
+    if "flows" not in obj and "cells" not in obj:
+        raise ParseError("object has neither 'flows' nor 'cells'")
+    try:
+        return _datum_ref(obj) if "flows" in obj else _cw_ref(obj)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc

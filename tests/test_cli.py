@@ -488,3 +488,40 @@ def test_point_under_a_twisted_system(tmp_path, capsys, obj, argv, first):
     out, err = run(capsys, argv[0], str(path), *argv[1:], "--class", "1")
     assert err == ""
     assert out.splitlines()[0] == first
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["homology"], "H_{k} = Z"),
+    (["homology", "--system", "exp", "--class", "1"], "H_{k} = R"),
+    (["cohomology", "--system", "nov", "--class", "1"], "H^{k} = Nov"),
+    (["novikov", "--class", "1"], "degree {k}: b=1 q=0"),
+], ids=["homology", "homology-exp", "cohomology-nov", "novikov"])
+def test_empty_boundaries_are_not_reduced(tmp_path, capsys, monkeypatch,
+                                          argv, line):
+    # one point per degree and no flow: every boundary is a 1x1 matrix with
+    # no stored entry, whose rank 0 needs no unit pass and no leaf
+    import morsetwist.linalg as linalg
+    calls = []
+    original = linalg._unit_pivots
+    monkeypatch.setattr(linalg, "_unit_pivots",
+                        lambda *a: calls.append(a) or original(*a))
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "name": "empty", "dimension": 50, "basis_forms": ["x"],
+        "points": [{"id": f"p{k}", "index": k} for k in range(51)],
+        "flows": []}))
+    out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    lines = out.splitlines()
+    assert lines[-51:] == [line.format(k=k) for k in range(51)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("system", ["exp", "nov", "trivial"])
+@pytest.mark.parametrize("cls, n", [("1,0,1", 3), ("1", 1)])
+def test_obstructions_class_of_the_wrong_length(capsys, system, cls, n):
+    # the class periods are read before the class is checked against the
+    # basis forms, so a longer class must not index past a flow's periods
+    out, err = run(capsys, "obstructions", "--example", "torus",
+                   "--system", system, f"--class={cls}", code=2)
+    assert out == ""
+    assert err == f"error: class vector has {n} entries for 2 basis forms\n"

@@ -1,12 +1,19 @@
+import copy
+import io
 import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from conftest import load_json_reference, parse_rational_reference
 
 import morsetwist.serial as serial
-from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
+from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, example_names, get_example
+from morsetwist.cli import main
 from morsetwist.cw import FacetList
 from morsetwist.errors import ParseError
+from morsetwist.rings import _RAT_RE, parse_rational
 from morsetwist.serial import (
     cw_from_dict,
     cw_to_dict,
@@ -107,3 +114,142 @@ def test_parsed_periods_are_kept_not_rebuilt():
     one = [p for f in d.flows for p in f.periods if p == 1]
     assert len(one) > 1 and all(p is one[0] for p in one)
     assert all(type(p) is Fraction for f in d.flows for p in f.periods)
+
+
+_REPLACEMENTS = (True, 1.0, 1, None, "0.5", [1], {}, " 3/4 ", "", "-0",
+                 "007/2", "-2/3", "\u0663/4")
+
+
+def _nodes(value, path=()):
+    """Every (path, value) below the document root, containers included."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, rng):
+    """One seeded edit: replace a value, delete or add a key, or duplicate
+    a list item; every replacement is small, so a declared dimension stays
+    at most 10^3."""
+    nodes = list(_nodes(doc))
+    periods = [n for n in nodes if len(n[0]) > 1 and n[0][-2] == "periods"]
+    path, value = rng.choice(periods if periods and rng.random() < 0.5
+                             else nodes)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = rng.randrange(4)
+    if kind == 0:
+        parent[path[-1]] = copy.deepcopy(rng.choice(_REPLACEMENTS))
+    elif kind == 1 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif kind == 2:
+        dicts = [v for _, v in nodes if isinstance(v, dict)] + [doc]
+        rng.choice(dicts)["extra"] = 1
+    else:
+        lists = [v for _, v in nodes if isinstance(v, list) and v]
+        if lists:
+            target = rng.choice(lists)
+            target.insert(rng.randrange(len(target) + 1),
+                          copy.deepcopy(rng.choice(target)))
+
+
+def _outcome(fn, text):
+    try:
+        return "ok", fn(text)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+def test_mutated_files_parse_like_the_per_element_reader(tmp_path):
+    names = [n for n in example_names() if n != "rpn(N)"] + ["rpn(3)"]
+    entries = [get_example(n) for n in names]
+    docs = [json.loads(dump_json(x)) for e in entries
+            for x in (e.datum, e.cw) if x is not None]
+    rng = random.Random(13013)
+    path = tmp_path / "mutant.json"
+    seen = {"ok": 0, "ParseError": 0}
+    for doc in docs:
+        for _ in range(100):
+            mutant = copy.deepcopy(doc)
+            for _ in range(1 if rng.random() < 0.7 else rng.randint(2, 3)):
+                _mutate(mutant, rng)
+            dim = mutant.get("dimension")
+            assert not isinstance(dim, int) or dim <= 1000
+            text = json.dumps(mutant)
+            got = _outcome(load_json, text)
+            assert got == _outcome(load_json_reference, text), text
+            seen[got[0]] += 1
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["homology", str(path)])
+            assert code in (0, 1, 2), text
+            if code:
+                assert err.getvalue().startswith("error: "), text
+    assert min(seen.values()) > 100, seen
+
+
+def _rational_strings(rng):
+    """Strings that match the rational grammar, with leading zeros, signed
+    zeros, surrounding whitespace and non-ASCII decimal digits."""
+    digits = "0123456789" + "\u0660\u0663\u0669\u09e7\uff15\U0001d7d1"
+    for _ in range(400):
+        num = "".join(rng.choice(digits) for _ in range(rng.randint(1, 6)))
+        text = rng.choice(("", "-")) + num
+        if rng.random() < 0.6:
+            text += "/" + rng.choice("123456789") + "".join(
+                rng.choice(digits) for _ in range(rng.randint(0, 4)))
+        pad = rng.choice(("", " ", "\t", " \n"))
+        yield pad + text + pad[::-1]
+    yield from ("-0", "0/7", "-0/3", "000", "0012/0034".replace("/0", "/1"),
+                " 3/4 ", "\u0663/4", "1/1\u0663")
+
+
+@pytest.mark.parametrize("text", ["\u0663/\u0664", "007/010", "3.5", "1e3",
+                                  "1/0", "+1", "", " ", "1/-2", "1 / 2",
+                                  "\u00b3/4", "--1", "1//2", "0x10", None,
+                                  True, 1.0, [1], "1_000"])
+def test_parse_rational_rejects_like_the_reference(text):
+    with pytest.raises(ParseError) as got:
+        parse_rational(text)
+    with pytest.raises(ParseError) as want:
+        parse_rational_reference(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_parse_rational_equals_fraction_of_the_stripped_string():
+    strings = list(_rational_strings(random.Random(561)))
+    assert any(not s.isascii() for s in strings)
+    for s in strings:
+        assert _RAT_RE.match(s.strip()), s
+        q = parse_rational(s)
+        assert type(q) is Fraction and q == Fraction(s.strip()), s
+
+
+@pytest.mark.parametrize("record", [
+    {"from": "a", "to": "p", "sign": 2, "periods": ["x"], "unit_tag": "1"},
+    {"from": "a", "to": "p", "sign": 1, "periods": ["x"], "unit_tag": "1"},
+    {"from": "a", "to": "p", "sign": 1, "periods": [True, "x"],
+     "unit_tag": "1"},
+    {"from": "a", "to": "p", "sign": 1, "periods": ["1/2", [1]]},
+    {"from": "a", "to": "p", "sign": 1, "periods": "1", "unit_tag": 1.5},
+    {"from": "a", "to": "p", "sign": "1", "periods": {}},
+    {"from": "a", "sign": 1, "periods": ["1"], "zeta": 1, "alpha": 2},
+    {"from": "a", "to": "p", "sign": 1, "periods": ["1"], "zeta": 1,
+     "alpha": 2},
+    [],
+], ids=["sign", "periods", "non-str-first", "unhashable", "periods-list",
+        "sign-str", "missing", "unknown", "not-object"])
+def test_first_error_of_a_malformed_flow_is_the_reference_one(record):
+    """Field checks, then the sign, then the periods, then the unit tag."""
+    obj = {"name": "x", "dimension": 1, "basis_forms": ["t"],
+           "points": [{"id": "p", "index": 0}, {"id": "a", "index": 1}],
+           "flows": [{"from": "a", "to": "p", "sign": 1, "periods": ["1"]},
+                     record]}
+    text = json.dumps(obj)
+    want = _outcome(load_json_reference, text)
+    assert want[0] == "ParseError"
+    assert _outcome(load_json, text) == want
