@@ -14,7 +14,10 @@ text/json; the same grid on potential-shifted and rescaled copies of the
 catalog data (non-integral and negative periods); the ``novikov``
 depth x max-iter grid; ``validate``/``homology`` on every example file
 and on broken ones; ``from-triangulation``, also on grid tori and Klein
-bottles up to 16 x 16; ``example list/show/run``; the exponential and
+bottles up to 16 x 16, on the facet lists of ``SMALL_FACETS`` (points, a
+graph, a bowtie, three triangles on one edge, unused vertices) and on the
+Freudenthal 3-torus, and with ``-o`` on a grid torus, then ``validate``
+of the written file; ``example list/show/run``; the exponential and
 Novikov regimes on twisted triangulated tori up to 8 x 8, whose boundary
 entries and reductions carry multi-term sums (the larger grids and tori
 fill in heavily during the unit pass, so its heap re-queues units), and
@@ -64,6 +67,13 @@ PERIOD_VALUES = (("true", True), ("float", 1.0), ("int", 1),
                  ("decimal", "0.5"), ("null", None), ("list", [1]),
                  ("object", {}), ("padded", " 3/4 "),
                  ("arabic", "\u0663/4"), ("arabic-denominator", "\u0663/\u0664"))
+# facet lists that take the simplicial boundary's corner cases: facets of
+# dimension 0, a graph, non-manifold joins, vertices that no facet uses
+SMALL_FACETS = (("points", "vertices 3\n0\n2\n"),
+                ("graph", "vertices 5\n0 1\n1 2\n2 0\n2 3\n3 4\n"),
+                ("bowtie", "vertices 5\n0 1 2\n0 3 4\n"),
+                ("three-on-an-edge", "vertices 5\n0 1 2\n0 1 3\n1 0 4\n"),
+                ("unused", "vertices 9\n6 4 1\n4 6 8\n1 8 4\n"))
 FACETS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "..", "docs", "examples", "rp2.facets")
 
@@ -237,6 +247,23 @@ def grid_facets(n, klein):
     return "\n".join(lines) + "\n"
 
 
+def freudenthal_facets(n):
+    """The Freudenthal triangulation of the 3-torus on the n x n x n grid:
+    in each unit cube, one simplex per permutation of the axes."""
+    def vertex(p):
+        return (p[0] % n) * n * n + (p[1] % n) * n + p[2] % n
+    lines = [f"vertices {n ** 3}"]
+    for corner in itertools.product(range(n), repeat=3):
+        for order in itertools.permutations(range(3)):
+            p = list(corner)
+            simplex = [vertex(p)]
+            for axis in order:
+                p[axis] += 1
+                simplex.append(vertex(p))
+            lines.append(" ".join(map(str, simplex)))
+    return "\n".join(lines) + "\n"
+
+
 def flow(frm, to, sign, period):
     return {"from": frm, "to": to, "sign": sign, "periods": [period]}
 
@@ -302,6 +329,12 @@ def invocations():
         for name, klein in (("torus", False), ("klein", True)):
             yield ["from-triangulation",
                    write(f"grid-{name}-{n}.facets", grid_facets(n, klein))]
+    for name, text in SMALL_FACETS:
+        yield ["from-triangulation", write(f"{name}.facets", text)]
+    yield ["from-triangulation", write("freudenthal-3.facets",
+                                       freudenthal_facets(3))]
+    yield ["from-triangulation", "grid-torus-4.facets", "-o", "grid-torus-4.json"]
+    yield ["validate", "grid-torus-4.json"]
     yield ["from-triangulation", write("bad.facets", "vertices 3\n0 0 1\n")]
     yield ["from-triangulation", "missing.facets"]
     yield ["example", "list"]

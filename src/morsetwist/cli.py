@@ -20,7 +20,7 @@ from .chains import (
     homology,
     validate_complex,
 )
-from .cw import RegularCW, cw_to_morse, from_simplicial
+from .cw import RegularCW, cw_to_morse, from_simplicial, simplicial_boundary
 from .errors import MorsetwistError, NotRegular, ParseError
 from .invariants import (
     check_inequalities,
@@ -249,20 +249,16 @@ def cmd_obstructions(args) -> int:
 
 
 def cmd_from_triangulation(args) -> int:
-    cw = from_simplicial(facets_from_text(_read_text(args.input)))
-    try:
-        datum = cw_to_morse(cw)
-    except NotRegular as exc:
-        print(f"FAIL {exc}")
-        return EXIT_MATH
+    facets = facets_from_text(_read_text(args.input))
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(dump_json(cw))
+                fh.write(dump_json(from_simplicial(facets)))
         except OSError as exc:
             raise ParseError(f"cannot write {args.output}: {exc}") from exc
-    summary = homology(build_complex(datum, LocalSystem.trivial()))
-    counts = tuple(len(layer) for layer in cw.cells)
+    cpx = simplicial_boundary(facets)
+    summary = homology(cpx)
+    counts = cpx.counts()
     print(f"cells {','.join(str(c) for c in counts)}  "
           f"euler {sum((-1) ** k * c for k, c in enumerate(counts))}")
     for k, deg in enumerate(summary.degrees):

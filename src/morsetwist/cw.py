@@ -14,9 +14,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import ChainComplex
+from .chains import INT, ChainComplex
 from .errors import MalformedFacets, MissingHolonomy, MissingUnitTag, NotRegular
-from .morse import CriticalPoint, FlowLine, LocalSystem, MorseDatum, build_complex
+from .linalg import Matrix
+from .morse import (CriticalPoint, FlowLine, LocalSystem, MorseDatum,
+                    build_complex, check_dimension)
 from .rings import fraction_tuple
 
 
@@ -44,8 +46,7 @@ class RegularCW:
         object.__setattr__(self, "cells", tuple(tuple(c) for c in self.cells))
         object.__setattr__(self, "incidences", tuple(self.incidences))
         object.__setattr__(self, "basis_forms", tuple(self.basis_forms))
-        if self.dimension < 0:
-            raise ValueError(f"dimension must be >= 0, got {self.dimension}")
+        check_dimension(self.dimension)
         if len(self.cells) != self.dimension + 1:
             raise ValueError("need one cell layer per degree 0..dimension")
         seen = set()
@@ -175,24 +176,48 @@ def _cell_label(simplex) -> str:
     return ".".join(str(v) for v in simplex)
 
 
+def _simplices(fl: FacetList) -> list:
+    """The sorted simplex tuples of each degree 0..top: every face of every
+    facet, each facet sorted once."""
+    faces: list[set] = [set() for _ in fl.facets[0]]
+    for f in fl.facets:
+        s = tuple(sorted(f))
+        for k, layer in enumerate(faces):
+            layer.update(itertools.combinations(s, k + 1))
+    return [sorted(layer) for layer in faces]
+
+
+def simplicial_boundary(fl: FacetList) -> ChainComplex:
+    """The integer simplicial boundary of the facets' complex, equal to the
+    untwisted ``build_complex(cw_to_morse(from_simplicial(fl)))``: the
+    generators are the ``_simplices`` tuples, and entry (face, simplex) is
+    (-1)^i, i the position of the vertex the face drops.  That round trip's
+    regularity check cannot fail: a facet holds distinct vertices, so each
+    face is a simplex.  An edge (a<b) has the endpoints b (+1) and a (-1);
+    a codimension-2 face of a simplex lies in exactly the two faces of it
+    that drop one of the two missing vertices, with opposite signs."""
+    layers = _simplices(fl)
+    diffs = []
+    for k in range(1, len(layers)):
+        row = {s: r for r, s in enumerate(layers[k - 1])}
+        data = [{} for _ in layers[k - 1]]
+        for c, s in enumerate(layers[k]):
+            for i in range(k + 1):
+                data[row[s[:i] + s[i + 1:]]][c] = -1 if i % 2 else 1
+        diffs.append(Matrix(len(layers[k - 1]), len(layers[k]), data))
+    return ChainComplex(INT, layers, diffs)
+
+
 def from_simplicial(fl: FacetList) -> RegularCW:
     """All faces of the facets, with the alternating-sign simplicial boundary
     under sorted-vertex orientation."""
-    top = len(fl.facets[0]) - 1
-    faces: list[set] = [set() for _ in range(top + 1)]
-    for f in fl.facets:
-        s = tuple(sorted(f))
-        for k in range(len(s)):
-            for sub in itertools.combinations(s, k + 1):
-                faces[k].add(sub)
-    label = {s: _cell_label(s) for layer in faces for s in layer}
-    cells = tuple(tuple(label[s] for s in sorted(layer)) for layer in faces)
-    incidences = []
-    for k in range(1, top + 1):
-        for s in sorted(faces[k]):
-            for i in range(len(s)):
-                incidences.append(Incidence(
-                    upper=label[s], lower=label[s[:i] + s[i + 1:]],
-                    incidence=(-1) ** i))
-    return RegularCW(name="simplicial", dimension=top, cells=cells,
-                     incidences=tuple(incidences))
+    layers = _simplices(fl)
+    label = {s: _cell_label(s) for layer in layers for s in layer}
+    cells = tuple(tuple(label[s] for s in layer) for layer in layers)
+    incidences = tuple(
+        Incidence(upper=label[s], lower=label[s[:i] + s[i + 1:]],
+                  incidence=(-1) ** i)
+        for k in range(1, len(layers)) for s in layers[k]
+        for i in range(k + 1))
+    return RegularCW(name="simplicial", dimension=len(layers) - 1,
+                     cells=cells, incidences=incidences)

@@ -41,9 +41,18 @@ TRIVIAL = "TRIVIAL"
 UNIT_REP = "UNIT_REP"
 EXP = "EXP"
 NOV_SYS = "NOV"
+MAX_DIMENSION = 10_000  # the largest top degree a datum or CW complex declares
 
 _FLAVOR_NAMES = {"trivial": TRIVIAL, "unit-rep": UNIT_REP, "exp": EXP,
                  "nov": NOV_SYS}
+
+
+def check_dimension(dimension):
+    """ValueError unless 0 <= dimension <= MAX_DIMENSION."""
+    if dimension < 0:
+        raise ValueError(f"dimension must be >= 0, got {dimension}")
+    if dimension > MAX_DIMENSION:
+        raise ValueError(f"dimension must be <= {MAX_DIMENSION}, got {dimension}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,7 @@ class MorseDatum:
         object.__setattr__(self, "basis_forms", tuple(self.basis_forms))
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "flows", tuple(self.flows))
-        if self.dimension < 0:
-            raise ValueError(f"dimension must be >= 0, got {self.dimension}")
+        check_dimension(self.dimension)
         ids = [p.id for p in self.points]
         if len(set(ids)) != len(ids):
             raise ValueError("critical point ids must be unique")
@@ -220,8 +228,9 @@ def build_complex(d: MorseDatum, sys: LocalSystem,
     ℤ[u, u⁻¹] with ``scale`` L from the flows' class ``periods`` (computed
     when not given): ±u^k per flow, or ±1 when every k is 0."""
     sys.check_compatible(d)
-    gens = tuple(tuple(p.id for p in d.points_of_index(k))
-                 for k in range(d.dimension + 1))
+    gens = [[] for _ in range(d.dimension + 1)]
+    for p in d.points:
+        gens[p.index].append(p.id)
     weights = [f.sign for f in d.flows]
     zero, scale = 0, None
     if sys.flavor == UNIT_REP:

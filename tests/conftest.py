@@ -238,6 +238,25 @@ def grid_facets(n, klein=False) -> FacetList:
     return FacetList(n * n, tuple(facets))
 
 
+def freudenthal_torus_facets(n) -> FacetList:
+    """The Freudenthal triangulation of the 3-torus on the n x n x n grid,
+    n >= 3: in each unit cube, one simplex per permutation of the axes,
+    walking from the cube's low corner to its high corner one axis at a
+    time."""
+    def vertex(p):
+        return (p[0] % n) * n * n + (p[1] % n) * n + p[2] % n
+    facets = []
+    for corner in itertools.product(range(n), repeat=3):
+        for order in itertools.permutations(range(3)):
+            p = list(corner)
+            simplex = [vertex(p)]
+            for axis in order:
+                p[axis] += 1
+                simplex.append(vertex(p))
+            facets.append(tuple(simplex))
+    return FacetList(n ** 3, tuple(facets))
+
+
 # --- the eager unit pass ----------------------------------------------------
 
 def unit_pivots_eager(A, coerce, unit_inverse):

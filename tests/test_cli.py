@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 
 import pytest
+from conftest import freudenthal_torus_facets
 
 import morsetwist.cli as cli
 from morsetwist.cli import main
@@ -125,6 +126,14 @@ def test_from_triangulation(tmp_path, capsys):
     run(capsys, "validate", str(out_json))
 
 
+def test_from_triangulation_three_torus(tmp_path, capsys):
+    facets = tmp_path / "t3.facets"
+    facets.write_text(facets_to_text(freudenthal_torus_facets(3)))
+    out, _ = run(capsys, "from-triangulation", str(facets))
+    assert out.splitlines() == ["cells 27,189,324,162  euler 0", "H_0 = Z",
+                                "H_1 = Z^3", "H_2 = Z^3", "H_3 = Z"]
+
+
 def test_example_subcommands(tmp_path, capsys):
     out, _ = run(capsys, "example", "list")
     assert "genus2" in out
@@ -198,12 +207,14 @@ def test_one_regularity_pass_per_command(tmp_path, capsys, monkeypatch):
     bad.write_text(dump_json(_flipped_rp2_cw()))
     facets = tmp_path / "rp2.facets"
     facets.write_text(facets_to_text(FacetList(6, RP2_SIX_VERTEX_FACETS)))
-    for argv, want in [(["validate", str(good)], 0),
-                       (["validate", str(bad)], 1),
-                       (["from-triangulation", str(facets)], 0)]:
+    # from-triangulation builds its boundary straight from the facets,
+    # with no CW complex to check
+    for argv, want, passes in [(["validate", str(good)], 0, 1),
+                               (["validate", str(bad)], 1, 1),
+                               (["from-triangulation", str(facets)], 0, 0)]:
         calls.clear()
         run(capsys, *argv, code=want)
-        assert len(calls) == 1, argv
+        assert len(calls) == passes, argv
 
 
 def test_cw_period_count_mismatch_is_parse_error(tmp_path, capsys):
@@ -458,6 +469,22 @@ def test_negative_dimension_is_parse_error(tmp_path, capsys, obj, command):
     out, err = run(capsys, command, str(path), code=2)
     assert out == ""
     assert err.endswith("dimension must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("text", [
+    '{"name":"big","dimension":%d,"basis_forms":[],"points":[],"flows":[]}'
+    % 10 ** 30,
+    json.dumps({"name": "big", "dimension": 10001,
+                "cells": [[]] * 10002, "incidences": []}),
+], ids=["datum", "cw"])
+@pytest.mark.parametrize("command", ["homology", "validate"])
+def test_enormous_dimension_is_parse_error(tmp_path, capsys, text, command):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    dim = json.loads(text)["dimension"]
+    out, err = run(capsys, command, str(path), code=2)
+    assert out == ""
+    assert err.endswith(f"dimension must be <= 10000, got {dim}\n")
 
 
 

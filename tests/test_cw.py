@@ -1,8 +1,9 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
-from conftest import grid_facets
+from conftest import freudenthal_torus_facets, grid_facets
 
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
 from morsetwist.chains import euler_cells, homology, validate_complex
@@ -12,6 +13,7 @@ from morsetwist.cw import (
     RegularCW,
     cw_to_morse,
     from_simplicial,
+    simplicial_boundary,
     steenrod_boundary,
     validate_regular,
 )
@@ -108,6 +110,42 @@ def test_from_simplicial_rp2():
     s = homology(C)
     assert s.betti == (1, 0, 0)
     assert s.torsion(1) == (2,)
+
+
+def _random_facets(rng) -> FacetList:
+    """Up to 12 distinct facets of dimension 0..3 on a random vertex pool,
+    each listed in a random vertex order, with up to 3 unused vertices."""
+    dim = rng.randint(0, 3)
+    used = rng.randint(dim + 1, 8)
+    n = used + rng.randint(0, 3)
+    pool = sorted(rng.sample(range(n), used))
+    simplices = list(itertools.combinations(pool, dim + 1))
+    chosen = rng.sample(simplices, rng.randint(1, min(len(simplices), 12)))
+    return FacetList(n, tuple(tuple(rng.sample(f, len(f))) for f in chosen))
+
+
+def test_simplicial_boundary_equals_the_cw_round_trip():
+    rng = random.Random(15015)
+    fixed = [FacetList(3, ((0,), (2,))),
+             FacetList(5, ((0, 1, 2), (0, 3, 4))),           # bowtie
+             FacetList(5, ((0, 1, 2), (0, 1, 3), (1, 0, 4))),  # three on an edge
+             FacetList(6, RP2_SIX_VERTEX_FACETS),
+             freudenthal_torus_facets(3)]
+    fixed += [grid_facets(n, klein) for n in (3, 4) for klein in (False, True)]
+    dims = Counter()
+    for fl in fixed + [_random_facets(rng) for _ in range(300)]:
+        direct = simplicial_boundary(fl)
+        cw = from_simplicial(fl)
+        assert validate_regular(cw) is None, fl
+        ref = build_complex(cw_to_morse(cw), LocalSystem.trivial())
+        assert direct.regime == ref.regime and not direct.ascending
+        assert direct.counts() == ref.counts(), fl
+        assert tuple(tuple(".".join(map(str, s)) for s in layer)
+                     for layer in direct.generators) == ref.generators, fl
+        assert direct.diffs == ref.diffs, fl
+        assert homology(direct) == homology(ref), fl
+        dims[direct.dimension] += 1
+    assert min(dims[k] for k in range(4)) >= 50, dims
 
 
 def test_cw_to_morse_single_vertex():
