@@ -258,9 +258,8 @@ def cmd_from_triangulation(args) -> int:
             raise ParseError(f"cannot write {args.output}: {exc}") from exc
     cpx = simplicial_boundary(facets)
     summary = homology(cpx)
-    counts = cpx.counts()
-    print(f"cells {','.join(str(c) for c in counts)}  "
-          f"euler {sum((-1) ** k * c for k, c in enumerate(counts))}")
+    print(f"cells {','.join(str(c) for c in cpx.counts())}  "
+          f"euler {euler_cells(cpx)}")
     for k, deg in enumerate(summary.degrees):
         print(f"H_{k} = {_degree_text('INT', deg.betti, deg.torsion)}")
     return EXIT_OK

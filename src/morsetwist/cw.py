@@ -147,8 +147,15 @@ def cw_to_morse(cw: RegularCW) -> MorseDatum:
                       basis_forms=cw.basis_forms, points=points, flows=flows)
 
 
+MAX_FACES = 10 ** 6
+
+
 @dataclass(frozen=True)
 class FacetList:
+    """Facets of a pure simplicial complex.  A k-vertex facet has 2^k − 1
+    faces, so a list whose face bound (facets)·(2^k − 1) exceeds
+    ``MAX_FACES`` is refused before any face is enumerated."""
+
     n_vertices: int
     facets: tuple
 
@@ -158,6 +165,10 @@ class FacetList:
         if not facets:
             raise MalformedFacets("no facets given")
         size = len(facets[0])
+        bound = len(facets) * (2 ** size - 1)
+        if bound > MAX_FACES:
+            raise MalformedFacets(f"face bound {len(facets)} x (2^{size} - 1) "
+                                  f"= {bound} exceeds the cap {MAX_FACES}")
         seen = set()
         for f in facets:
             if len(f) != size:

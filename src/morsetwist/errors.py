@@ -6,7 +6,7 @@ class MorsetwistError(Exception):
 
 
 class ParseError(MorsetwistError):
-    """Malformed textual input (element grammar, JSON envelope, facet file)."""
+    """Malformed input (rational, JSON, facet file, option) or file I/O."""
 
 
 class ZeroElement(MorsetwistError):

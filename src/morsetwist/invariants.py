@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import euler_cells, homology
+from .chains import EXPSUM, euler_cells, homology
 from .errors import Indeterminate, ZeroClass
 from .morse import (
+    UNIT_REP,
     LocalSystem,
     MorseDatum,
     build_complex,
@@ -85,12 +86,11 @@ def hspace_obstruction(d: MorseDatum, sys: LocalSystem, depth=16,
     if not summary.complete:
         raise Indeterminate("a degree's reduction is stuck; "
                             "H-space verdict unknown")
+    # a unit-representation run counts only free rank, so an all-torsion
+    # degree does not get silently promoted to nonzero
+    torsion = sys.regime != EXPSUM and sys.flavor != UNIT_REP
     nonzero = [k for k, s in enumerate(summary.degrees)
-               if s.betti > 0 or (sys.regime != "EXPSUM" and s.torsion)]
-    if sys.flavor == "UNIT_REP":
-        # integer-coefficient runs count only free rank, so an all-torsion
-        # nonzero degree does not get silently promoted
-        nonzero = [k for k, s in enumerate(summary.degrees) if s.betti > 0]
+               if s.betti > 0 or (torsion and s.torsion)]
     if not nonzero:
         return ObstructionVerdict("H_SPACE", False)
     cls_txt = (" class " + ",".join(str(c) for c in sys.class_vector)

@@ -8,15 +8,17 @@
 * ``nov_reduce`` — valuation-pivoted diagonalization over the Novikov
   ring, with truncated unit inversion and an explicit iteration budget.
 
-Each first runs ``_unit_pivots``, one regime-generic sparse pass that
-cancels every exactly invertible entry (algebraic Morse reduction).
-Boundary matrices of cell complexes are sparse and mostly made of such
-entries, so only a small dense leftover reaches a leaf loop: Bareiss
-elimination for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce``
-one Euclidean loop over the Novikov ring, of which the integers are the
+Each first runs ``cancel_units``, one sparse pass that cancels every
+entry that is a unit under one rule for every ring: ±1, or a single term
+±t^a (±u^k over ℤ[u, u⁻¹]), whose exact inverse is the entry itself or
+its ``invert_exponents()`` (algebraic Morse reduction).  Boundary
+matrices of cell complexes are sparse and mostly made of such entries,
+so only a small dense leftover reaches a leaf loop: Bareiss elimination
+for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce`` one
+Euclidean loop over the Novikov ring, of which the integers are the
 exponent-0 part.  A twisted complex is assembled over ℤ[u, u⁻¹] and
-``cancel_units`` runs the same pass there first, with units ±u^k, so
-only its leftover is specialised to a regime and reduced again.
+the same pass runs there first, so only its leftover is specialised to a
+regime and reduced again.
 All functions are pure.  ``Matrix`` stores only nonzero entries, one
 ``{column: entry}`` map per row, from assembly through the unit pass;
 the leaf loops read the small leftover through its dense ``entries`` view.
@@ -85,16 +87,25 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
 
 
-def _unit_pivots(A: Matrix, coerce, unit_inverse):
-    """Cancel every exactly invertible pivot of A.
+def _unit_inverse(e):
+    """The exact inverse of a unit ±1 or ±t^a, else None."""
+    if type(e) is int:
+        return e if e == 1 or e == -1 else None
+    terms = e.terms
+    if len(terms) == 1 and terms[0][0] in (1, -1):
+        return e.invert_exponents()
+    return None
 
-    Returns (pivots cancelled, leftover Matrix).  ``coerce`` brings an
-    entry into the regime's ring; ``unit_inverse`` returns an entry's exact
-    inverse, or None when it has none.  Each step takes the unit of lowest
-    Markowitz cost (row nnz - 1)·(col nnz - 1), ties to the lowest
-    (row, col), and replaces the matrix by its Schur complement: the pivot's
-    inverse lies in the ring, so A is equivalent to diag(pivot, leftover),
-    and rank, invariant factors and torsion all come from the leftover.
+
+def cancel_units(A: Matrix):
+    """Cancel every unit entry of A that ``_unit_inverse`` recognises.
+
+    Returns (pivots cancelled, leftover Matrix with A's zero).  Each step
+    takes the unit of lowest Markowitz cost (row nnz - 1)·(col nnz - 1),
+    ties to the lowest (row, col), and replaces the matrix by its Schur
+    complement: the pivot's inverse lies in the ring, so A is equivalent
+    to diag(pivot, leftover), and rank, invariant factors and torsion all
+    come from the leftover.
     """
     rows = {}       # row -> {col: nonzero entry}
     cols = {}       # col -> set of rows holding a nonzero entry there
@@ -112,7 +123,7 @@ def _unit_pivots(A: Matrix, coerce, unit_inverse):
 
     def put(i, j, v):
         rows[i][j] = v
-        inv = unit_inverse(v)
+        inv = _unit_inverse(v)
         if inv is None:
             drop(i, j)
         else:
@@ -136,7 +147,7 @@ def _unit_pivots(A: Matrix, coerce, unit_inverse):
         if row:
             rows[i] = {}
             for j, e in row.items():
-                put(i, j, coerce(e))
+                put(i, j, e)
                 cols.setdefault(j, set()).add(i)
     for i, j in inverses:
         best[i, j] = k = cost(i, j)
@@ -203,22 +214,11 @@ def _unit_pivots(A: Matrix, coerce, unit_inverse):
     live_cols = {j: n for n, j in enumerate(sorted(cols))}
     leftover = [{live_cols[j]: v for j, v in rows[i].items()}
                 for i in sorted(rows)]
-    return count, Matrix(len(leftover), len(live_cols), leftover, coerce(0))
-
-
-def _int_unit_inverse(e):
-    return e if e in (1, -1) else None
+    return count, Matrix(len(leftover), len(live_cols), leftover, A.zero)
 
 
 def _as_expsum(e) -> ExpSum:
     return e if isinstance(e, ExpSum) else ExpSum([(e, 0)])
-
-
-def _expsum_unit_inverse(e: ExpSum):
-    if len(e.terms) != 1:
-        return None
-    c, x = e.terms[0]
-    return ExpSum.monomial(1 / c, -x)
 
 
 def _as_exact_nov(e) -> NovElem:
@@ -226,21 +226,6 @@ def _as_exact_nov(e) -> NovElem:
     if e.floor is not None:
         raise ValueError("nov_reduce requires exact (untruncated) entries")
     return e
-
-
-def _nov_unit_inverse(e: NovElem):
-    """±t^a only: its inverse ±t^(-a) is exact, so no floor is introduced."""
-    if len(e.terms) != 1 or e.terms[0][0] not in (1, -1):
-        return None
-    return e.invert_exponents()
-
-
-def cancel_units(A: Matrix):
-    """``_unit_pivots`` over ℤ[u, u⁻¹] (units ±u^k): on plain ints when
-    ``A.zero`` is 0, else on ``NovElem``s with int exponents."""
-    if isinstance(A.zero, NovElem):
-        return _unit_pivots(A, _as_exact_nov, _nov_unit_inverse)
-    return _unit_pivots(A, int, _int_unit_inverse)
 
 
 @dataclass(frozen=True)
@@ -259,7 +244,7 @@ def snf_int(A: Matrix) -> SnfResult:
     stays 0, its descent floor never fires, and the Smith form is unique.
     Each step clears an entry or shrinks the smallest nonzero |entry|, so
     the loop ends without an op budget."""
-    units, rest = _unit_pivots(A, int, _int_unit_inverse)
+    units, rest = cancel_units(A)
     leaf = _nov_leaf(rest, 1, inf)
     return SnfResult(rank=units + leaf.rank,
                      invariant_factors=leaf.nonunit_invariants)
@@ -286,9 +271,9 @@ def expsum_divexact(a: ExpSum, b: ExpSum) -> ExpSum:
 
 
 def rank_expsum(A: Matrix) -> int:
-    """Rank over the fraction field: cancelled unit pivots c·t^a plus the
+    """Rank over the fraction field: cancelled unit pivots ±t^a plus the
     leftover's rank."""
-    units, rest = _unit_pivots(A, _as_expsum, _expsum_unit_inverse)
+    units, rest = cancel_units(A)
     return units + _rank_leaf(rest)
 
 
@@ -341,14 +326,18 @@ def _nov_zero(e: NovElem) -> bool:
 
 
 def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
-    """Diagonalize over the Novikov ring.
+    """Diagonalize over the Novikov ring; a truncated entry is refused
+    with ``ValueError`` before any pivot.
 
     Exact unit pivots ±t^a are cancelled first; they are finite, exact
     steps and are not charged against ``max_iter``, which budgets the leaf
     loop on the leftover only.  A stuck leaf is returned as it is: its
     counts are partial, so a stuck degree's numbers are not an answer.
     """
-    units, rest = _unit_pivots(A, _as_exact_nov, _nov_unit_inverse)
+    for row in A.data:
+        for e in row.values():
+            _as_exact_nov(e)
+    units, rest = cancel_units(A)
     leaf = _nov_leaf(rest, depth, max_iter)
     if leaf.status == "stuck":
         return leaf

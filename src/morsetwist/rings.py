@@ -234,13 +234,6 @@ class ExpSum:
 
     __repr__ = __str__ = render
 
-    @staticmethod
-    def parse(text: str) -> "ExpSum":
-        terms, floor = _parse_terms(text)
-        if floor is not None:
-            raise ParseError("truncation floor not allowed in an ExpSum")
-        return ExpSum(terms)
-
 
 class NovElem:
     """Element of the rational-exponent Novikov ring, optionally truncated.
@@ -412,14 +405,6 @@ class NovElem:
 
     __repr__ = __str__ = render
 
-    @staticmethod
-    def parse(text: str) -> "NovElem":
-        terms, floor = _parse_terms(text)
-        for c, _ in terms:
-            if isinstance(c, Fraction) and c.denominator != 1:
-                raise ParseError(f"NovElem coefficients must be integers: {c}")
-        return NovElem([(int(c), e) for c, e in terms], floor)
-
 
 # Slot setters, so building a result skips attribute lookup.
 _EXP_TERMS = ExpSum.__dict__["terms"].__set__
@@ -464,19 +449,6 @@ def _max_floor(a, b):
     return max(a, b)
 
 
-# --- textual grammar ------------------------------------------------------
-
-_TERM_RE = re.compile(
-    r"""^(?:
-        (?P<coeff>-?\d+(?:/\d+)?)\*t\^\((?P<exp1>-?\d+(?:/\d+)?)\)
-      | t\^\((?P<exp2>-?\d+(?:/\d+)?)\)
-      | (?P<const>-?\d+(?:/\d+)?)
-    )$""",
-    re.VERBOSE,
-)
-_FLOOR_RE = re.compile(r"^O\(t\^\(<(?P<floor>-?\d+(?:/\d+)?)\)\)$")
-
-
 def _render_terms(terms) -> str:
     if not terms:
         return "0"
@@ -498,61 +470,6 @@ def _render_terms(terms) -> str:
         else:
             out += " + " + s
     return out
-
-
-def _split_top_level(text):
-    """Split on top-level + and - into signed chunks."""
-    chunks = []
-    sign = 1
-    buf = ""
-    depth = 0
-    text = text.strip()
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            if buf.strip():
-                chunks.append((sign, buf.strip()))
-                sign = 1 if ch == "+" else -1
-                buf = ""
-                continue
-            if not buf.strip() and ch == "-" and not buf:
-                sign = -sign
-                continue
-        buf += ch
-    if buf.strip():
-        chunks.append((sign, buf.strip()))
-    return chunks
-
-
-def _parse_terms(text: str):
-    text = text.strip()
-    if not text:
-        raise ParseError("empty element text")
-    if text == "0":
-        return [], None
-    floor = None
-    terms = []
-    for sign, chunk in _split_top_level(text):
-        m = _FLOOR_RE.match(chunk)
-        if m:
-            if sign < 0 or floor is not None:
-                raise ParseError(f"misplaced truncation marker in {text!r}")
-            floor = Fraction(m.group("floor"))
-            continue
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ParseError(f"cannot parse term {chunk!r}")
-        if m.group("const") is not None:
-            c, e = Fraction(m.group("const")), Fraction(0)
-        elif m.group("exp2") is not None:
-            c, e = Fraction(1), Fraction(m.group("exp2"))
-        else:
-            c, e = Fraction(m.group("coeff")), Fraction(m.group("exp1"))
-        terms.append((sign * c, e))
-    return terms, floor
 
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")

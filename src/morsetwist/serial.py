@@ -73,7 +73,7 @@ def _rational_parser():
     memo: dict = {}
     get = memo.__getitem__
 
-    def parse(values) -> tuple:
+    def parse_periods(values) -> tuple:
         try:
             return tuple(map(get, values))
         except (KeyError, TypeError):
@@ -84,19 +84,19 @@ def _rational_parser():
             if value not in memo:
                 memo[value] = parse_rational(value)
         return tuple(map(get, values))
-    return parse
+    return parse_periods
 
 
 def _value_errors_as_parse_errors(fn):
     """Constructors check their own invariants with ValueError; at the file
     boundary those are malformed input."""
     @functools.wraps(fn)
-    def parse(obj):
+    def wrapper(obj):
         try:
             return fn(obj)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    return parse
+    return wrapper
 
 
 def datum_to_dict(d: MorseDatum) -> dict:

@@ -5,7 +5,7 @@ the scalar loop periods of ``morsetwist.morse`` must agree with; the image
 of a complex in its regime's ring; a twisted triangulated torus; grid
 triangulations of the torus and the Klein bottle; the eagerly re-keyed
 unit pass that the lazily re-keyed heap of
-``morsetwist.linalg._unit_pivots`` must agree with; and the Novikov leaf
+``morsetwist.linalg.cancel_units`` must agree with; and the Novikov leaf
 that cleared a unit pivot's row and column by whole-row and whole-column
 operations, which ``morsetwist.linalg._nov_leaf`` must agree with; and
 the JSON reader that checked each record's fields by building its name
@@ -30,6 +30,7 @@ from morsetwist.linalg import (
     _as_exact_nov,
     _divisibility_chain,
     _nov_zero,
+    _unit_inverse,
 )
 from morsetwist.morse import (
     EXP,
@@ -238,40 +239,43 @@ def grid_facets(n, klein=False) -> FacetList:
     return FacetList(n * n, tuple(facets))
 
 
-def freudenthal_torus_facets(n) -> FacetList:
-    """The Freudenthal triangulation of the 3-torus on the n x n x n grid,
+def freudenthal_torus_facets(n, dim=3) -> FacetList:
+    """The Freudenthal triangulation of the dim-torus on the n^dim grid,
     n >= 3: in each unit cube, one simplex per permutation of the axes,
     walking from the cube's low corner to its high corner one axis at a
     time."""
     def vertex(p):
-        return (p[0] % n) * n * n + (p[1] % n) * n + p[2] % n
+        v = 0
+        for x in p:
+            v = v * n + x % n
+        return v
     facets = []
-    for corner in itertools.product(range(n), repeat=3):
-        for order in itertools.permutations(range(3)):
+    for corner in itertools.product(range(n), repeat=dim):
+        for order in itertools.permutations(range(dim)):
             p = list(corner)
             simplex = [vertex(p)]
             for axis in order:
                 p[axis] += 1
                 simplex.append(vertex(p))
             facets.append(tuple(simplex))
-    return FacetList(n ** 3, tuple(facets))
+    return FacetList(n ** dim, tuple(facets))
 
 
 # --- the eager unit pass ----------------------------------------------------
 
-def unit_pivots_eager(A, coerce, unit_inverse):
-    """``linalg._unit_pivots`` with an eagerly re-keyed heap, read from the
-    dense view: after every pivot, every unit of every row and column the
-    pivot touched is pushed again at its current cost, so the heap always
-    holds each live unit at its cost and stale items are dropped when they
-    surface.  Returns (pivots cancelled, leftover as dense rows)."""
+def unit_pivots_eager(A):
+    """``linalg.cancel_units`` with an eagerly re-keyed heap and the same
+    unit rule, read from the dense view: after every pivot, every unit of
+    every row and column the pivot touched is pushed again at its current
+    cost, so the heap always holds each live unit at its cost and stale
+    items are dropped when they surface.  Returns (pivots cancelled, leftover as dense rows)."""
     rows = {}       # row -> {col: nonzero entry}
     cols = {}       # col -> set of rows holding a nonzero entry there
     inverses = {}   # (row, col) -> inverse of the unit last written there
 
     def put(i, j, v):
         rows[i][j] = v
-        inv = unit_inverse(v)
+        inv = _unit_inverse(v)
         if inv is None:
             inverses.pop((i, j), None)
         else:
@@ -282,7 +286,7 @@ def unit_pivots_eager(A, coerce, unit_inverse):
         if nonzero:
             rows[i] = {}
             for j in nonzero:
-                put(i, j, coerce(row[j]))
+                put(i, j, row[j])
                 cols.setdefault(j, set()).add(i)
 
     def cost(i, j):
@@ -329,7 +333,7 @@ def unit_pivots_eager(A, coerce, unit_inverse):
                 if (i, j) in inverses:
                     heapq.heappush(heap, (cost(i, j), i, j))
 
-    zero = coerce(0)
+    zero = A.zero
     live_cols = sorted(cols)
     return count, [[rows[i].get(j, zero) for j in live_cols]
                    for i in sorted(rows)]

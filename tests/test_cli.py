@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -234,6 +235,24 @@ def test_malformed_facets_is_parse_error(tmp_path, capsys):
     out, err = run(capsys, "from-triangulation", str(path), code=2)
     assert out == ""
     assert err == "error: facet (0, 0, 1) repeats a vertex\n"
+
+
+def test_facet_face_bound_over_the_cap_is_parse_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # one 30-vertex facet has 2^30 - 1 faces: the 92-byte file is refused
+    # while it is read, before any face is enumerated
+    import morsetwist.cw as cw
+
+    def enumerate_faces(fl):
+        raise AssertionError("faces enumerated")
+    monkeypatch.setattr(cw, "_simplices", enumerate_faces)
+    path = tmp_path / "big.facets"
+    path.write_text("vertices 30\n" + " ".join(map(str, range(30))) + "\n")
+    assert path.stat().st_size == 92
+    out, err = run(capsys, "from-triangulation", str(path), code=2)
+    assert out == ""
+    assert err == ("error: face bound 1 x (2^30 - 1) = 1073741823 exceeds "
+                   "the cap 1000000\n")
 
 
 def _set(*path_and_value):
@@ -526,12 +545,16 @@ def test_point_under_a_twisted_system(tmp_path, capsys, obj, argv, first):
 def test_empty_boundaries_are_not_reduced(tmp_path, capsys, monkeypatch,
                                           argv, line):
     # one point per degree and no flow: every boundary is a 1x1 matrix with
-    # no stored entry, whose rank 0 needs no unit pass and no leaf
+    # no stored entry, whose rank 0 needs no unit pass and no leaf; the pass
+    # is counted wherever the package binds it (chains imports it by name)
     import morsetwist.linalg as linalg
     calls = []
-    original = linalg._unit_pivots
-    monkeypatch.setattr(linalg, "_unit_pivots",
-                        lambda *a: calls.append(a) or original(*a))
+    original = linalg.cancel_units
+    for name, module in list(sys.modules.items()):
+        if name.startswith("morsetwist") and \
+                getattr(module, "cancel_units", None) is original:
+            monkeypatch.setattr(module, "cancel_units",
+                                lambda A: calls.append(A) or original(A))
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({
         "name": "empty", "dimension": 50, "basis_forms": ["x"],

@@ -8,6 +8,7 @@ from conftest import freudenthal_torus_facets, grid_facets
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
 from morsetwist.chains import euler_cells, homology, validate_complex
 from morsetwist.cw import (
+    MAX_FACES,
     FacetList,
     Incidence,
     RegularCW,
@@ -165,6 +166,16 @@ def test_facet_list_validation():
         FacetList(3, ((0, 3),))
     with pytest.raises(MalformedFacets):
         FacetList(3, ((0, 1), (1, 0)))
+
+
+def test_facet_face_bound_cap():
+    # the Freudenthal 4-torus n=4, 6,144 facets of 5 vertices, is the
+    # largest list in use; a 20-vertex facet's 2^20 - 1 faces are refused
+    fl = freudenthal_torus_facets(4, dim=4)
+    assert len(fl.facets) * (2 ** 5 - 1) == 190464 <= MAX_FACES
+    assert FacetList(20, (tuple(range(19)),)).facets == (tuple(range(19)),)
+    with pytest.raises(MalformedFacets, match="= 1048575 exceeds the cap"):
+        FacetList(20, (tuple(range(20)),))
 
 
 def test_euler_consistency_with_simplex_counts():

@@ -17,14 +17,9 @@ from morsetwist.chains import EXPSUM, NOV, specialise
 from morsetwist.cw import from_simplicial, steenrod_boundary
 from morsetwist.linalg import (
     Matrix,
-    _as_exact_nov,
-    _as_expsum,
-    _expsum_unit_inverse,
-    _int_unit_inverse,
     _nov_leaf,
-    _nov_unit_inverse,
     _rank_leaf,
-    _unit_pivots,
+    _unit_inverse,
     cancel_units,
     expsum_divexact,
     nov_reduce,
@@ -338,28 +333,56 @@ def test_lazy_unit_pass_equals_eager_reference():
     # both cancel as many units and leave the same leftover
     rng = random.Random(31415)
     regimes = [
-        (int, _int_unit_inverse, 0, lambda r: r.choice([1, -1]),
-         lambda r: r.choice([-3, 2, 4])),
-        (_as_expsum, _expsum_unit_inverse, ExpSum.zero(),
+        (0, lambda r: r.choice([1, -1]), lambda r: r.choice([-3, 2, 4])),
+        (ExpSum.zero(),
          lambda r: ExpSum.monomial(r.choice([1, -1, F(2, 3)]), _halves(r)),
          lambda r: ExpSum([(1, _halves(r)), (r.choice([1, -2]), 2)])),
-        (_as_exact_nov, _nov_unit_inverse, NovElem.zero(),
+        (NovElem.zero(),
          lambda r: NovElem.monomial(r.choice([1, -1]), _halves(r)),
          _nov_inexact),
     ]
     cases = []
-    for coerce, inverse, zero, unit, other in regimes:
+    for zero, unit, other in regimes:
         for _ in range(150):
             A = _sparse(rng, zero, unit, other, unit_share=rng.random(),
                         size=14, density=rng.uniform(0.1, 0.6))
-            cases.append((A, coerce, inverse))
+            cases.append(Matrix(A.rows, A.cols, A.data, zero))
     for n in range(8, 13):
         C = steenrod_boundary(from_simplicial(grid_facets(n, klein=True)),
                               LocalSystem.trivial())
-        cases += [(d, int, _int_unit_inverse) for d in C.diffs]
-    for A, coerce, inverse in cases:
-        count, rest = _unit_pivots(A, coerce, inverse)
-        assert (count, rest.entries) == unit_pivots_eager(A, coerce, inverse), A
+        cases += C.diffs
+    for A in cases:
+        count, rest = cancel_units(A)
+        assert rest.zero == A.zero
+        assert (count, rest.entries) == unit_pivots_eager(A), A
+
+
+def test_one_unit_rule_for_every_ring():
+    # ±1 and the single terms ±t^a are the units, each inverted exactly;
+    # c·t^a with |c| ≠ 1 and every sum of two terms are not
+    units = [1, -1, ExpSum.monomial(1, F(1, 2)), ExpSum.monomial(-1, -3),
+             NovElem.one(), NovElem.monomial(-1, F(-2, 3)), laurent(1, 4),
+             laurent(-1, -2)]
+    for u in units:
+        assert u * _unit_inverse(u) == 1, u
+    for e in [2, -3, ExpSum.monomial(2, 1), ExpSum.monomial(F(-1, 3), 0),
+              ExpSum([(1, 1), (1, 0)]), NovElem.monomial(2, F(1, 2)),
+              NovElem([(1, 0), (-1, -1)]), laurent(3, 1)]:
+        assert _unit_inverse(e) is None, e
+
+
+def test_nov_reduce_rejects_truncated_entries_before_any_pivot(monkeypatch):
+    # a truncated ±t^a looks like a unit and a truncated 2 + t^(-1) does
+    # not, but neither is exact; the pass never sees the exact unit 1
+    import morsetwist.linalg as linalg
+    calls = []
+    monkeypatch.setattr(linalg, "cancel_units", calls.append)
+    for entries in ([[1, NovElem([(1, 1)], floor=-3)],
+                     [NovElem([(2, 0), (1, -1)], floor=-2), 0]],
+                    [[NovElem([(-1, 0)], floor=-1), 0], [0, 1]]):
+        with pytest.raises(ValueError, match="exact"):
+            nov_reduce(M(entries))
+    assert calls == []
 
 
 def _nov_unit(rng):
@@ -459,9 +482,9 @@ def _laurent_sparse(rng, ints):
 
 
 def test_laurent_pass_specialises_to_the_regime_pass():
-    # the units ±u^k map to the Novikov units ±t^a and nothing else does,
-    # so over NOV the pass over ℤ[u, u⁻¹] is the Novikov pass, count and
-    # leftover entry for entry; over EXP the ranks agree
+    # the units ±u^k map to the units ±t^a and nothing else does, in both
+    # images, so the pass over ℤ[u, u⁻¹] is the pass over each image,
+    # count and leftover entry for entry
     rng = random.Random(16180)
     leftovers = 0
     for n in range(120):
@@ -469,9 +492,9 @@ def test_laurent_pass_specialises_to_the_regime_pass():
         scale = rng.choice([1, 2, 3, 12])
         count, rest = cancel_units(A)
         leftovers += rest.rows > 0
-        nov = specialise(A, NOV, scale)
-        assert (count, specialise(rest, NOV, scale)) == \
-            _unit_pivots(nov, _as_exact_nov, _nov_unit_inverse), A
+        for regime in (NOV, EXPSUM):
+            assert (count, specialise(rest, regime, scale)) == \
+                cancel_units(specialise(A, regime, scale)), (A, regime)
         assert count + rank_expsum(specialise(rest, EXPSUM, scale)) == \
             rank_expsum(specialise(A, EXPSUM, scale)), A
     assert leftovers >= 50
