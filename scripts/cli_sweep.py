@@ -26,7 +26,9 @@ both systems and ``obstructions --system exp``; one torus under a nonzero
 class that kills every period, so every transport is 1; a datum whose
 integer leftover is a dense block of non-units; and inputs that must end
 in ``error:`` (a stuck Novikov circle under ``obstructions``, a short
-``--zeros`` list, a malformed deck table).  The broken files hold period
+``--zeros`` list, a malformed deck table); and last, the depth x
+max-iter grid on ``cohomology --system nov`` and on the 4 x 4 twisted
+torus under non-integral classes.  The broken files hold period
 values of every JSON type, padded and non-ASCII-digit strings, in a flow
 and in a CW incidence, and one flow with both a bad unit tag and a bad
 period.
@@ -301,6 +303,28 @@ def error_inputs():
         yield ["homology", write(f"rp2-lift-bad-{label}.json", json.dumps(lift))]
 
 
+def budget_grid():
+    """The depth x max-iter grid beyond ``novikov``: ``cohomology --system
+    nov`` on every catalog entry with a basis form, and the three Novikov
+    commands on the 4 x 4 twisted torus under its non-integral classes, so
+    that stuck results on cochains and on a torus are compared too."""
+    budgets = list(itertools.product(DEPTHS, MAX_ITERS))
+    for e in entries():
+        if e.datum.basis_forms:
+            cls = "--class=" + classes(len(e.datum.basis_forms))[3]
+            for depth, max_iter in budgets:
+                yield ["cohomology", "--example", e.name, "--system", "nov",
+                       cls, "--depth", depth, "--max-iter", max_iter]
+    path = write("twisted-torus-4.json", dump_json(twisted_torus_cw(4)))
+    for cls in TORUS_CLASSES:
+        if "/" in cls:
+            for cmd in (["novikov"], ["homology", "--system", "nov"],
+                        ["cohomology", "--system", "nov"]):
+                for depth, max_iter in budgets:
+                    yield [cmd[0], path, *cmd[1:], f"--class={cls}",
+                           "--depth", depth, "--max-iter", max_iter]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -351,6 +375,7 @@ def invocations():
     yield ["validate", path]
     yield from grid([path], 1)
     yield from error_inputs()
+    yield from budget_grid()
 
 
 def run():

@@ -17,6 +17,7 @@ from .cw import FacetList, Incidence, RegularCW, from_simplicial, cw_to_morse
 from .errors import InvalidComplex, UnknownExample
 from .invariants import novikov_numbers
 from .morse import (
+    MAX_DIMENSION,
     CriticalPoint,
     DeckGroup,
     FlowLine,
@@ -403,7 +404,12 @@ def example_names():
 def get_example(name: str) -> CatalogEntry:
     m = _RPN_RE.match(name)
     if m:
-        n = int(m.group(1))
+        digits = m.group(1).lstrip("0") or "0"
+        # lengths first: int() refuses a string of thousands of digits
+        if (len(digits) > len(str(MAX_DIMENSION))
+                or int(digits) > MAX_DIMENSION):
+            raise UnknownExample(f"rpn needs n <= {MAX_DIMENSION}, got {digits}")
+        n = int(digits)
         if n < 1:
             raise UnknownExample(f"rpn needs n >= 1, got {n}")
         return _rpn(n)

@@ -5,8 +5,8 @@ matrix per composable pair of degrees.  Cochain complexes reuse the same
 container with ``ascending=True``: the stored matrices are then the
 coboundaries delta_k (rows indexed by degree k+1 generators), and the same
 homology engine reports H^k from degree-k data.  A twisted complex built
-from a Morse datum holds its matrices over ℤ[u, u⁻¹] with a ``scale``;
-``specialise`` reads their image in the regime's ring.
+from a Morse datum holds its matrices over ℤ[u, u⁻¹], u = t^(1/scale),
+and is reduced there by its regime's reducer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry, NotAUnit
-from .linalg import Matrix, cancel_units, nov_reduce, rank_expsum, snf_int
+from .linalg import nov_reduce, rank_expsum, snf_int
 from .rings import ExpSum, NovElem, laurent_image
 
 INT = "INT"
@@ -22,26 +22,6 @@ EXPSUM = "EXPSUM"
 NOV = "NOV"
 
 _ZEROS = {INT: 0, EXPSUM: ExpSum.zero(), NOV: NovElem.zero()}
-
-
-def specialise(A: Matrix, regime, scale) -> Matrix:
-    """The EXPSUM or NOV image of a matrix over ℤ[u, u⁻¹] under
-    u ↦ t^(1/scale) or t^(−1/scale), entry by entry; equal entries are
-    mapped once.  A ``scale`` of None means A is its own image."""
-    if scale is None:
-        return A
-    cls = ExpSum if regime == EXPSUM else NovElem
-    image = {}
-    data = []
-    for row in A.data:
-        out = {}
-        for j, e in row.items():
-            v = image.get(e)
-            if v is None:
-                v = image[e] = laurent_image(e, scale, cls)
-            out[j] = v
-        data.append(out)
-    return Matrix(A.rows, A.cols, data, _ZEROS[regime])
 
 
 @dataclass(frozen=True)
@@ -53,9 +33,8 @@ class ChainComplex:
     Ascending: diffs[k] maps degree k to degree k+1 (transposed shape).
     With ``scale`` None the entries lie in the regime's ring.  Otherwise
     (EXPSUM or NOV) they lie in ℤ[u, u⁻¹], as ints or ``NovElem``s with int
-    exponents, and ``specialise(diffs[k], regime, scale)`` is the boundary.
-    ``scale`` gives the meaning of u in ``diffs``, so the two are replaced
-    together.
+    exponents, and u = t^(1/scale) in either regime.  ``scale`` gives the
+    meaning of u in ``diffs``, so the two are replaced together.
     """
 
     regime: str
@@ -158,30 +137,24 @@ class HomologySummary:
 
 
 def _matrix_data(C: ChainComplex, depth, max_iter):
-    """Per stored matrix: (rank, torsion invariants, status).  Units ±u^k of
-    a matrix over ℤ[u, u⁻¹] are cancelled there, each a Smith factor 1 that
-    adds to a complete rank, and only the leftover is specialised; a stuck
-    reduction's counts are returned as they are.  A matrix with no stored
-    entry has rank 0 and no torsion, and is not reduced."""
+    """Per stored matrix: (rank, torsion invariants, status), from one run
+    of the regime's reducer on the matrix as stored, over ℤ[u, u⁻¹] for a
+    twisted complex: u ↦ t^(1/scale) is injective, and t ↦ t^scale is a
+    Novikov ring automorphism, so ``depth·scale`` there is ``depth`` on the
+    image.  A stuck reduction's counts are returned as they are.  A matrix
+    with no stored entry has rank 0 and no torsion, and is not reduced."""
     out = []
     for d in C.diffs:
         if not any(d.data):
             out.append((0, (), "complete"))
-            continue
-        units = 0
-        if C.scale is not None:
-            units, rest = cancel_units(d)
-            d = specialise(rest, C.regime, C.scale)
-        if C.regime == INT:
+        elif C.regime == INT:
             s = snf_int(d)
             out.append((s.rank, s.invariant_factors, "complete"))
         elif C.regime == EXPSUM:
-            out.append((units + rank_expsum(d), (), "complete"))
+            out.append((rank_expsum(d), (), "complete"))
         else:
-            r = nov_reduce(d, depth=depth, max_iter=max_iter)
-            if r.status == "stuck":
-                units = 0
-            out.append((units + r.rank, r.nonunit_invariants, r.status))
+            r = nov_reduce(d, depth=depth * (C.scale or 1), max_iter=max_iter)
+            out.append((r.rank, r.nonunit_invariants, r.status))
     return out
 
 

@@ -121,8 +121,8 @@ def steenrod_boundary(cw: RegularCW, sys: LocalSystem) -> ChainComplex:
     """Twisted cellular boundary: entry (lower, upper) = incidence number
     times the system weight of the incidence's holonomy.  It is
     ``build_complex`` of ``cw_to_morse(cw)``: an exponential or Novikov
-    boundary is returned over ℤ[u, u⁻¹] with its ``scale``, and
-    ``chains.specialise`` reads its image."""
+    boundary is returned over ℤ[u, u⁻¹], u = t^(1/scale), with its
+    ``scale``."""
     try:
         return build_complex(cw_to_morse(cw), sys)
     except MissingUnitTag as exc:

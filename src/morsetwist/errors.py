@@ -17,10 +17,6 @@ class NotAUnit(MorsetwistError):
     """Inversion requested for a non-invertible element."""
 
 
-class NonpositiveScale(MorsetwistError):
-    """Exponent rescaling requires a strictly positive factor."""
-
-
 class InvalidComplex(MorsetwistError):
     """Chain complex failed the boundary-squared check."""
 

@@ -16,9 +16,9 @@ matrices of cell complexes are sparse and mostly made of such entries,
 so only a small dense leftover reaches a leaf loop: Bareiss elimination
 for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce`` one
 Euclidean loop over the Novikov ring, of which the integers are the
-exponent-0 part.  A twisted complex is assembled over ℤ[u, u⁻¹] and
-the same pass runs there first, so only its leftover is specialised to a
-regime and reduced again.
+exponent-0 part.  A twisted complex is assembled over ℤ[u, u⁻¹], u =
+t^(1/L), and ``rank_expsum`` and ``nov_reduce`` take it as it is: the
+pass and the leaves run on int exponents, in units of 1/L.
 All functions are pure.  ``Matrix`` stores only nonzero entries, one
 ``{column: entry}`` map per row, from assembly through the unit pass;
 the leaf loops read the small leftover through its dense ``entries`` view.
@@ -51,15 +51,6 @@ class Matrix:
         self.cols = cols
         self.data = data
         self.zero = zero
-
-    @staticmethod
-    def from_rows(entries) -> "Matrix":
-        entries = [list(r) for r in entries]
-        cols = len(entries[0]) if entries else 0
-        if any(len(r) != cols for r in entries):
-            raise ValueError("rows of unequal length")
-        return Matrix(len(entries), cols,
-                      [{j: e for j, e in enumerate(r) if e} for r in entries])
 
     @property
     def entries(self):
@@ -218,14 +209,13 @@ def cancel_units(A: Matrix):
 
 
 def _as_expsum(e) -> ExpSum:
+    if isinstance(e, NovElem):  # over ℤ[u, u⁻¹]: read through its terms
+        return ExpSum(e.terms)
     return e if isinstance(e, ExpSum) else ExpSum([(e, 0)])
 
 
-def _as_exact_nov(e) -> NovElem:
-    e = e if isinstance(e, NovElem) else NovElem([(e, 0)])
-    if e.floor is not None:
-        raise ValueError("nov_reduce requires exact (untruncated) entries")
-    return e
+def _as_nov(e) -> NovElem:
+    return e if isinstance(e, NovElem) else NovElem([(e, 0)])
 
 
 @dataclass(frozen=True)
@@ -272,7 +262,7 @@ def expsum_divexact(a: ExpSum, b: ExpSum) -> ExpSum:
 
 def rank_expsum(A: Matrix) -> int:
     """Rank over the fraction field: cancelled unit pivots ±t^a plus the
-    leftover's rank."""
+    leftover's rank.  An entry over ℤ[u, u⁻¹] is read as a sum in u."""
     units, rest = cancel_units(A)
     return units + _rank_leaf(rest)
 
@@ -327,16 +317,17 @@ def _nov_zero(e: NovElem) -> bool:
 
 def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
     """Diagonalize over the Novikov ring; a truncated entry is refused
-    with ``ValueError`` before any pivot.
+    with ``ValueError`` before any pivot.  Over ℤ[u, u⁻¹], ``depth`` counts
+    powers of u.
 
     Exact unit pivots ±t^a are cancelled first; they are finite, exact
     steps and are not charged against ``max_iter``, which budgets the leaf
     loop on the leftover only.  A stuck leaf is returned as it is: its
     counts are partial, so a stuck degree's numbers are not an answer.
     """
-    for row in A.data:
-        for e in row.values():
-            _as_exact_nov(e)
+    if any(getattr(e, "floor", None) is not None
+           for row in A.data for e in row.values()):
+        raise ValueError("nov_reduce requires exact (untruncated) entries")
     units, rest = cancel_units(A)
     leaf = _nov_leaf(rest, depth, max_iter)
     if leaf.status == "stuck":
@@ -360,7 +351,7 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
-    a = [[_as_exact_nov(e) for e in row] for row in A.entries]
+    a = [[_as_nov(e) for e in row] for row in A.entries]
     zero = NovElem.zero()
     ops = 0
     stuck = False

@@ -12,11 +12,11 @@ Weight conventions, pinned by the catalog oracles:
   * Novikov systems multiply by t^{-a} (the series variable counts descent,
     so its integration direction is opposite the exponential one).
 
-Both are specialisations of one assembly over ℤ[u, u⁻¹]: with L the lcm of
-the denominators of the flows' class periods, a flow of period a weighs
-u^(a·L), an int exponent, and EXP maps u ↦ t^(1/L), NOV u ↦ t^(−1/L).
-``build_complex`` returns that assembly with ``scale`` L, and
-``chains.specialise`` reads its image.
+Both are assembled over ℤ[u, u⁻¹] with u = t^(1/L), L the lcm of the
+denominators of the flows' class periods: a flow of period a weighs
+u^(a·L) under EXP and u^(−a·L) under NOV, an int exponent either way.
+``build_complex`` returns that assembly with ``scale`` L, and the complex
+is reduced there.
 """
 
 from __future__ import annotations
@@ -225,8 +225,9 @@ def build_complex(d: MorseDatum, sys: LocalSystem,
     the flow lines from q down to p.  Only nonzero sums are stored; an
     entry whose flows cancel is dropped.  A flow weighs 1 under TRIVIAL and
     its unit tag under UNIT_REP.  EXP and NOV complexes are assembled over
-    ℤ[u, u⁻¹] with ``scale`` L from the flows' class ``periods`` (computed
-    when not given): ±u^k per flow, or ±1 when every k is 0."""
+    ℤ[u, u⁻¹], u = t^(1/L), with ``scale`` L from the flows' class
+    ``periods`` (computed when not given): a flow of period k/L weighs
+    ±u^k under EXP and ±u^(−k) under NOV, or ±1 when every k is 0."""
     sys.check_compatible(d)
     gens = [[] for _ in range(d.dimension + 1)]
     for p in d.points:
@@ -239,7 +240,8 @@ def build_complex(d: MorseDatum, sys: LocalSystem,
         if periods is None:
             periods = flow_periods(d, sys.class_vector)
         scale = lcm(*(a.denominator for a in periods))
-        ks = [a.numerator * (scale // a.denominator) for a in periods]
+        sign = -1 if sys.flavor == NOV_SYS else 1
+        ks = [sign * a.numerator * (scale // a.denominator) for a in periods]
         if any(ks):
             weights = [laurent(w, k) for w, k in zip(weights, ks)]
             zero = NovElem.zero()

@@ -17,8 +17,8 @@ values, and they cast and check every one.  Arithmetic on two canonical
 operands builds a canonical result directly (``_add_terms``,
 ``_mul_terms``, ``_make``) and never re-normalises it.  The Laurent ring
 ℤ[u, u⁻¹] is held as exact ``NovElem``s with ``int`` exponents
-(``laurent``), so its arithmetic runs on ints; ``laurent_image``
-specialises it.
+(``laurent``), so its arithmetic runs on ints; ``laurent_image`` reads an
+element as a series in t = u^scale.
 
 All exponents are exact rationals.  Transcendental period values coming
 from angular forms are stored after dividing by one full turn, so a half
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import NonpositiveScale, NotAUnit, ParseError, ZeroElement
+from .errors import NotAUnit, ParseError, ZeroElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -219,12 +219,6 @@ class ExpSum:
             raise ZeroElement("zero ExpSum has no leading term")
         return self.terms[0]
 
-    def rescale(self, s) -> "ExpSum":
-        s = _rat(s)
-        if s <= 0:
-            raise NonpositiveScale(f"scale must be > 0, got {s}")
-        return _make(ExpSum, tuple([(c, e * s) for c, e in self.terms]))
-
     def invert_exponents(self) -> "ExpSum":
         """The bar involution t^a -> t^(-a); inverts each unit monomial."""
         return _make(ExpSum, tuple([(c, -e) for c, e in reversed(self.terms)]))
@@ -377,22 +371,10 @@ class NovElem:
             inv = _add_terms(inv, power)
         return _make(NovElem, tuple([(c * n0, e - e0) for c, e in inv]), cut - e0)
 
-    def rescale(self, s) -> "NovElem":
-        s = _rat(s)
-        if s <= 0:
-            raise NonpositiveScale(f"scale must be > 0, got {s}")
-        floor = None if self.floor is None else self.floor * s
-        return _make(NovElem, tuple([(c, e * s) for c, e in self.terms]), floor)
-
     def invert_exponents(self) -> "NovElem":
         if self.floor is not None:
             raise NotAUnit("cannot invert exponents of a truncated element")
         return _make(NovElem, tuple([(c, -e) for c, e in reversed(self.terms)]))
-
-    def agrees_with(self, other: "NovElem") -> bool:
-        """Equal above the coarser of the two floors."""
-        floor = _max_floor(self.floor, other.floor)
-        return _cut(self.terms, floor) == _cut(other.terms, floor)
 
     def render(self) -> str:
         body = _render_terms(self.terms)
@@ -431,14 +413,12 @@ def laurent(c, k) -> NovElem:
 
 def laurent_image(e, scale, cls):
     """Image of e in ℤ[u, u⁻¹] (an int, or a ``NovElem`` with int
-    exponents): an ``ExpSum`` under u ↦ t^(1/scale), or a ``NovElem`` under
-    u ↦ t^(−1/scale).  Both maps are injective ring homomorphisms."""
+    exponents) under u ↦ t^(1/scale), an injective ring homomorphism into
+    ``ExpSum`` or ``NovElem`` (``cls``): a rescale of every exponent."""
     terms = ((e, 0),) if isinstance(e, int) else e.terms
     if cls is ExpSum:
-        return _make(ExpSum, tuple([(Fraction(c), Fraction(k, scale))
-                                    for c, k in terms]))
-    return _make(NovElem, tuple([(c, Fraction(-k, scale))
-                                 for c, k in reversed(terms)]))
+        terms = [(Fraction(c), k) for c, k in terms]
+    return _make(cls, tuple([(c, Fraction(k, scale)) for c, k in terms]))
 
 
 def _max_floor(a, b):

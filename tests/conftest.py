@@ -1,8 +1,11 @@
 """Answer oracles shared by the tests: integer rank by exhaustive minor
 expansion and integer invariant factors from determinantal divisors, both
-independent of any reduction; the componentwise (vector) period path that
-the scalar loop periods of ``morsetwist.morse`` must agree with; the image
-of a complex in its regime's ring; a twisted triangulated torus; grid
+independent of any reduction; reference helpers on elements and matrices
+(a matrix from dense rows, exponent rescaling, agreement above a
+truncation floor); the componentwise (vector) period path that the scalar
+loop periods of ``morsetwist.morse`` must agree with; the image of a
+complex over ℤ[u, u⁻¹] in its regime's ring, which the reduction of the
+complex itself must agree with; a twisted triangulated torus; grid
 triangulations of the torus and the Klein bottle; the eagerly re-keyed
 unit pass that the lazily re-keyed heap of
 ``morsetwist.linalg.cancel_units`` must agree with; and the Novikov leaf
@@ -22,12 +25,13 @@ from math import gcd
 
 import pytest
 
-from morsetwist.chains import ChainComplex, specialise
+from morsetwist.chains import EXPSUM, ChainComplex
 from morsetwist.cw import FacetList, Incidence, RegularCW
 from morsetwist.errors import Disconnected, ParseError
 from morsetwist.linalg import (
+    Matrix,
     NovReduction,
-    _as_exact_nov,
+    _as_nov,
     _divisibility_chain,
     _nov_zero,
     _unit_inverse,
@@ -42,7 +46,7 @@ from morsetwist.morse import (
     FlowLine,
     MorseDatum,
 )
-from morsetwist.rings import NovElem
+from morsetwist.rings import ExpSum, NovElem, laurent_image
 
 
 def _det(rows):
@@ -89,6 +93,36 @@ def invariant_factors_by_minors(rows):
 @pytest.fixture
 def minors_oracle():
     return invariant_factors_by_minors
+
+
+# --- reference helpers on elements and matrices -------------------------------
+
+def from_rows(entries):
+    """A ``Matrix`` from dense rows of equal length; zeros are not stored."""
+    entries = [list(r) for r in entries]
+    cols = len(entries[0]) if entries else 0
+    if any(len(r) != cols for r in entries):
+        raise ValueError("rows of unequal length")
+    return Matrix(len(entries), cols,
+                  [{j: e for j, e in enumerate(r) if e} for r in entries])
+
+
+def rescale(x, s):
+    """An ``ExpSum`` or ``NovElem`` under t ↦ t^s, s > 0: every exponent,
+    and a truncation floor, times s."""
+    terms = [(c, e * s) for c, e in x.terms]
+    if isinstance(x, ExpSum):
+        return ExpSum(terms)
+    return NovElem(terms, None if x.floor is None else x.floor * s)
+
+
+def agrees_with(a, b):
+    """Two ``NovElem``s are equal above the coarser of their floors."""
+    floor = max((f for f in (a.floor, b.floor) if f is not None), default=None)
+
+    def above(e):
+        return [t for t in e.terms if floor is None or t[1] > floor]
+    return above(a) == above(b)
 
 
 # --- vector reference for the loop periods --------------------------------
@@ -186,7 +220,19 @@ def rank_of_class_vector(d, class_vector):
     return 1 if any(loop_periods_vector(d, class_vector)) else 0
 
 
-# --- a twisted triangulated torus ------------------------------------------
+# --- the image of a complex over ℤ[u, u⁻¹] ----------------------------------
+
+def specialise(A, regime, scale):
+    """The EXPSUM or NOV image of a matrix over ℤ[u, u⁻¹] under
+    u ↦ t^(1/scale), entry by entry.  A ``scale`` of None means A is its
+    own image."""
+    if scale is None:
+        return A
+    cls = ExpSum if regime == EXPSUM else NovElem
+    return Matrix(A.rows, A.cols,
+                  [{j: laurent_image(e, scale, cls) for j, e in row.items()}
+                   for row in A.data], cls.zero())
+
 
 def image_complex(C):
     """The same complex with its boundaries in the regime's ring."""
@@ -194,6 +240,8 @@ def image_complex(C):
                         tuple(specialise(d, C.regime, C.scale)
                               for d in C.diffs), C.ascending)
 
+
+# --- a twisted triangulated torus ------------------------------------------
 
 def twisted_torus_cw(n):
     """The n x n triangulated torus as the quotient of the triangulated
@@ -356,7 +404,7 @@ def nov_leaf_reference(A, depth, max_iter):
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
-    a = [[_as_exact_nov(e) for e in row] for row in A.entries]
+    a = [[_as_nov(e) for e in row] for row in A.entries]
     ops = 0
     stuck = False
     # Non-unit clearing on exact entries can descend in exponent forever;

@@ -7,12 +7,12 @@ lines; each test also asserts, so a plain pytest run is still a gate.
 import random
 from fractions import Fraction as F
 
-from conftest import rank_int_bruteforce
+from conftest import agrees_with, from_rows, rank_int_bruteforce
 from morsetwist.catalog import get_example, run_all
 from morsetwist.chains import euler_cells, euler_homology, homology, validate_complex
 from morsetwist.cw import FacetList, cw_to_morse, from_simplicial
 from morsetwist.invariants import check_inequalities, hspace_obstruction, novikov_numbers
-from morsetwist.linalg import Matrix, snf_int
+from morsetwist.linalg import snf_int
 from morsetwist.morse import (
     LocalSystem,
     build_cochain,
@@ -239,7 +239,7 @@ def test_criterion_9_property_suites(minors_oracle):
     for _ in range(200):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        A = Matrix.from_rows(rows)
+        A = from_rows(rows)
         r = snf_int(A)
         ok = ok and r.rank == rank_int_bruteforce(A)
         ok = ok and (r.rank, r.invariant_factors) == minors_oracle(rows)
@@ -254,7 +254,7 @@ def test_criterion_9_property_suites(minors_oracle):
         if not u.is_unit():
             continue
         depth = rng.choice([F(3), F(10)])
-        ok = ok and (u * u.invert(depth)).agrees_with(NovElem.one())
+        ok = ok and agrees_with(u * u.invert(depth), NovElem.one())
         made += 1
 
     # euler identity on every completed catalog run

@@ -1,10 +1,14 @@
+import itertools
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from conftest import image_complex, twisted_torus_cw
+from conftest import from_rows, image_complex, specialise, twisted_torus_cw
 
+import morsetwist.chains as chains
+import morsetwist.linalg as linalg
 from morsetwist.catalog import example_names, get_example
 from morsetwist.chains import (
     EXPSUM,
@@ -15,12 +19,17 @@ from morsetwist.chains import (
     euler_cells,
     euler_homology,
     homology,
-    specialise,
     validate_complex,
 )
 from morsetwist.cw import cw_to_morse, steenrod_boundary
 from morsetwist.errors import Indeterminate, InvalidComplex, MissingUnitTag
-from morsetwist.linalg import Matrix, _unit_inverse, cancel_units, rank_expsum
+from morsetwist.linalg import (
+    Matrix,
+    _unit_inverse,
+    cancel_units,
+    nov_reduce,
+    rank_expsum,
+)
 from morsetwist.morse import (
     CriticalPoint,
     FlowLine,
@@ -32,7 +41,7 @@ from morsetwist.rings import ExpSum, NovElem
 
 
 def int_complex(gens, mats):
-    diffs = tuple(Matrix.from_rows(m) if m
+    diffs = tuple(from_rows(m) if m
                   else Matrix(len(gens[k]), len(gens[k + 1]), [{} for _ in gens[k]])
                   for k, m in enumerate(mats))
     return ChainComplex(regime="INT", generators=gens, diffs=diffs)
@@ -87,7 +96,7 @@ def test_zero_boundaries_betti_equals_counts():
 def test_expsum_homology_and_dual():
     e = ExpSum([(1, F(-1, 2)), (-1, F(1, 2))])
     C = ChainComplex(regime="EXPSUM", generators=(("p",), ("q",)),
-                     diffs=(Matrix.from_rows([[e]]),))
+                     diffs=(from_rows([[e]]),))
     s = homology(C)
     assert s.betti == (0, 0)
     D = dualize(C)
@@ -125,7 +134,7 @@ def test_dualize_inverts_nonzero_entries_only(monkeypatch):
 def test_nov_homology_with_torsion():
     e = NovElem([(-2, F(0))])
     C = ChainComplex(regime="NOV", generators=(("p",), ("q",)),
-                     diffs=(Matrix.from_rows([[e]]),))
+                     diffs=(from_rows([[e]]),))
     s = homology(C)
     # the map is injective over Nov, so only torsion survives: Nov/2 at 0
     assert s.betti == (0, 0)
@@ -150,7 +159,7 @@ def test_euler_indeterminate_on_stuck():
 def test_ascending_torsion_bookkeeping():
     # ascending complex with delta_0 = [2]: H^1 has Z/2 torsion
     C = ChainComplex(regime="INT", generators=(("p",), ("q",)),
-                     diffs=(Matrix.from_rows([[2]]),), ascending=True)
+                     diffs=(from_rows([[2]]),), ascending=True)
     s = homology(C)
     assert s.betti == (0, 0)
     assert s.torsion(1) == (2,)
@@ -167,14 +176,20 @@ def _catalog_and_tori():
             + [cw_to_morse(twisted_torus_cw(n)) for n in range(3, 9)])
 
 
+DEPTHS = (F(1, 2), 1, 4, 16)
+MAX_ITERS = (0, 1, 10, 10000)
+
+
 def test_laurent_assembly_reduces_like_its_image():
-    # build_complex returns the ℤ[u, u⁻¹] complex and specialise reads its
-    # image; the pass there equals the pass on the image entry for entry,
-    # exponential ranks equal those of the image, and so does every
-    # homology summary; the image of a dual is the dual of the image
-    # (u ↦ u⁻¹ then specialise equals specialise then t ↦ t⁻¹)
+    # build_complex returns the ℤ[u, u⁻¹] complex, u = t^(1/scale), and
+    # homology reduces it there; specialise reads its image.  The pass
+    # there equals the pass on the image entry for entry, rank_expsum
+    # gives the image's rank, and every homology summary equals the
+    # image's, Novikov chains and cochains over a depth x max_iter grid,
+    # stuck results included; the image of a dual is the dual of the
+    # image (u ↦ u⁻¹ then specialise equals specialise then t ↦ t⁻¹)
     rng = random.Random(57721)
-    seen = {EXPSUM: 0, NOV: 0, "ints": 0}
+    seen = {EXPSUM: 0, NOV: 0, "ints": 0, "stuck": 0, "stuck cochains": 0}
     for d in _catalog_and_tori():
         n = len(d.basis_forms)
         nonzero = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
@@ -191,24 +206,51 @@ def test_laurent_assembly_reduces_like_its_image():
                     if C.regime == INT:
                         assert C.scale is None
                         continue
-                    for U, D in zip(C.diffs, image_complex(C).diffs, strict=True):
+                    image = image_complex(C)
+                    grid = [(16, 10000)]
+                    if C.regime == NOV:
+                        grid = itertools.product(DEPTHS, MAX_ITERS)
+                    for U, D in zip(C.diffs, image.diffs, strict=True):
                         count, rest = cancel_units(U)
                         assert (count, specialise(rest, C.regime, C.scale)) \
                             == cancel_units(D)
                         if C.regime == EXPSUM:
-                            assert count + rank_expsum(
-                                specialise(rest, EXPSUM, C.scale)) \
-                                == rank_expsum(D)
-                    assert homology(C) == homology(image_complex(C))
+                            assert rank_expsum(U) == rank_expsum(D)
+                    for depth, max_iter in grid:
+                        got = homology(C, depth, max_iter)
+                        assert got == homology(image, depth, max_iter), \
+                            (d.name, flavor, cls, C.ascending, depth, max_iter)
+                        if not got.complete:
+                            seen["stuck"] += 1
+                            seen["stuck cochains"] += C.ascending
                     seen[C.regime] += 1
                     seen["ints"] += isinstance(C.diffs[0].zero, int)
     assert min(seen.values()) >= 20, seen
 
 
+def test_novikov_depth_is_counted_in_powers_of_u():
+    # the row (−2u⁻¹, 2 − u⁻⁴) over u = t^(1/3): at t-depth 1/2 the
+    # Novikov loop completes on the image, and so it does over ℤ[u, u⁻¹]
+    # at u-depth 3/2; read as u-depth 1/2 it gets stuck
+    flows = ([FlowLine("q", "p", -1, (F(1, 3),))] * 2
+             + [FlowLine("r", "p", 1, (F(0),))] * 2
+             + [FlowLine("r", "p", -1, (F(4, 3),))])
+    points = (CriticalPoint("p", 0), CriticalPoint("q", 1),
+              CriticalPoint("r", 1))
+    d = MorseDatum("depth", 1, ("x",), points, tuple(flows))
+    C = build_complex(d, LocalSystem.nov((1,)))
+    assert C.scale == 3
+    got = homology(C, depth=F(1, 2))
+    assert got == homology(image_complex(C), depth=F(1, 2))
+    assert got.complete and got.betti == (0, 1)
+    assert nov_reduce(C.diffs[0], depth=F(1, 2)).status == "stuck"
+
+
 def test_specialised_leftover_has_no_unit():
     # the pass over ℤ[u, u⁻¹] leaves no unit ±u^k, and the units ±t^a of
-    # either image are the images of the ±u^k, so the reducers' own pass
-    # cancels nothing on a specialised leftover
+    # either image are the images of the ±u^k, so a second pass on a
+    # specialised leftover would cancel nothing: one pass over ℤ[u, u⁻¹]
+    # is the whole unit reduction
     rng = random.Random(57721)
     for d in _catalog_and_tori():
         n = len(d.basis_forms)
@@ -225,6 +267,31 @@ def test_specialised_leftover_has_no_unit():
                                     for e in row.values()
                                     if _unit_inverse(e) is not None], rest
                         assert cancel_units(rest) == (0, rest)
+
+
+@pytest.mark.parametrize("flavor", ["exp", "nov"])
+@pytest.mark.parametrize("cls", [(1, F(1, 3)), (0, 0)])
+def test_one_unit_pass_per_twisted_boundary(monkeypatch, flavor, cls):
+    # homology hands each non-empty boundary over ℤ[u, u⁻¹] to its regime's
+    # reducer once, so the unit pass runs once per boundary, on the stored
+    # matrix itself; it is counted wherever the package binds it
+    assert not hasattr(chains, "cancel_units")
+    assert not hasattr(chains, "specialise")
+    calls = []
+    original = linalg.cancel_units
+    for name, module in list(sys.modules.items()):
+        if name.startswith("morsetwist") and \
+                getattr(module, "cancel_units", None) is original:
+            monkeypatch.setattr(module, "cancel_units",
+                                lambda A: calls.append(A) or original(A))
+    chain = steenrod_boundary(twisted_torus_cw(4),
+                              LocalSystem.named(flavor, cls))
+    for C in (chain, dualize(chain)):
+        calls.clear()
+        homology(C)
+        stored = [d for d in C.diffs if any(d.data)]
+        assert len(stored) == 2
+        assert [id(A) for A in calls] == [id(d) for d in stored]
 
 
 def test_replaced_boundaries_are_read_with_the_complex():

@@ -115,6 +115,24 @@ def test_unknown_example_exit(capsys):
     run(capsys, "homology", "--example", "nope", code=1)
 
 
+@pytest.mark.parametrize("n", ["0", "10001", "20000", "99999999999",
+                               "9" * 5000],
+                         ids=["0", "max+1", "20000", "11-digits",
+                              "5000-digits"])
+def test_rpn_out_of_range_is_unknown_before_building(capsys, monkeypatch, n):
+    # rpn(N) past morse.MAX_DIMENSION is an unknown example, as rpn(0) is:
+    # error and exit 1 before any point is built (int() refuses a string
+    # of thousands of digits, so the length is read first)
+    import morsetwist.catalog as catalog
+
+    def never(k):
+        raise AssertionError(f"_rpn({k}) was called")
+    monkeypatch.setattr(catalog, "_rpn", never)
+    out, err = run(capsys, "homology", "--example", f"rpn({n})", code=1)
+    assert out == ""
+    assert err.startswith("error: rpn needs n ") and err.count("\n") == 1
+
+
 def test_from_triangulation(tmp_path, capsys):
     facets = tmp_path / "rp2.facets"
     facets.write_text(facets_to_text(FacetList(6, RP2_SIX_VERTEX_FACETS)))

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     TooLarge,
+    from_rows,
     grid_facets,
     nov_leaf_reference,
     rank_int_bruteforce,
+    specialise,
     unit_pivots_eager,
 )
-from morsetwist.chains import EXPSUM, NOV, specialise
+from morsetwist.chains import EXPSUM, NOV
 from morsetwist.cw import from_simplicial, steenrod_boundary
 from morsetwist.linalg import (
     Matrix,
@@ -31,7 +33,7 @@ from morsetwist.rings import ExpSum, NovElem, laurent
 
 
 def M(rows):
-    return Matrix.from_rows(rows)
+    return from_rows(rows)
 
 
 def test_snf_single_two():
@@ -484,9 +486,12 @@ def _laurent_sparse(rng, ints):
 def test_laurent_pass_specialises_to_the_regime_pass():
     # the units ±u^k map to the units ±t^a and nothing else does, in both
     # images, so the pass over ℤ[u, u⁻¹] is the pass over each image,
-    # count and leftover entry for entry
+    # count and leftover entry for entry; and each reducer run on the
+    # matrix over ℤ[u, u⁻¹] gives its image's answer, nov_reduce at
+    # depth·scale, since t ↦ t^scale matches each of its steps
     rng = random.Random(16180)
     leftovers = 0
+    stuck = 0
     for n in range(120):
         A = _laurent_sparse(rng, ints=n % 4 == 0)
         scale = rng.choice([1, 2, 3, 12])
@@ -496,5 +501,11 @@ def test_laurent_pass_specialises_to_the_regime_pass():
             assert (count, specialise(rest, regime, scale)) == \
                 cancel_units(specialise(A, regime, scale)), (A, regime)
         assert count + rank_expsum(specialise(rest, EXPSUM, scale)) == \
-            rank_expsum(specialise(A, EXPSUM, scale)), A
+            rank_expsum(specialise(A, EXPSUM, scale)) == rank_expsum(A), A
+        for depth, max_iter in ((F(1, 2), 10), (2, 200)):
+            got = nov_reduce(A, depth * scale, max_iter)
+            assert got == nov_reduce(specialise(A, NOV, scale), depth,
+                                     max_iter), (A, depth, max_iter)
+            stuck += got.status == "stuck"
     assert leftovers >= 50
+    assert stuck >= 10
