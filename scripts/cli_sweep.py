@@ -28,7 +28,10 @@ integer leftover is a dense block of non-units; and inputs that must end
 in ``error:`` (a stuck Novikov circle under ``obstructions``, a short
 ``--zeros`` list, a malformed deck table); and last, the depth x
 max-iter grid on ``cohomology --system nov`` and on the 4 x 4 twisted
-torus under non-integral classes.  The broken files hold period
+torus under non-integral classes; then inputs of thousands of cells:
+``from-triangulation`` on the Freudenthal 3-torus n=4 and 4-torus n=3,
+and ``homology``/``cohomology --system exp`` and ``novikov`` on the
+12 x 12 twisted torus under the zero class and 1,1/3.  The broken files hold period
 values of every JSON type, padded and non-ASCII-digit strings, in a flow
 and in a CW incidence, and one flow with both a bad unit tag and a bad
 period.
@@ -249,14 +252,17 @@ def grid_facets(n, klein):
     return "\n".join(lines) + "\n"
 
 
-def freudenthal_facets(n):
-    """The Freudenthal triangulation of the 3-torus on the n x n x n grid:
-    in each unit cube, one simplex per permutation of the axes."""
+def freudenthal_facets(n, dim=3):
+    """The Freudenthal triangulation of the dim-torus on the n^dim grid: in
+    each unit cube, one simplex per permutation of the axes."""
     def vertex(p):
-        return (p[0] % n) * n * n + (p[1] % n) * n + p[2] % n
-    lines = [f"vertices {n ** 3}"]
-    for corner in itertools.product(range(n), repeat=3):
-        for order in itertools.permutations(range(3)):
+        v = 0
+        for x in p:
+            v = v * n + x % n
+        return v
+    lines = [f"vertices {n ** dim}"]
+    for corner in itertools.product(range(n), repeat=dim):
+        for order in itertools.permutations(range(dim)):
             p = list(corner)
             simplex = [vertex(p)]
             for axis in order:
@@ -325,6 +331,21 @@ def budget_grid():
                            "--depth", depth, "--max-iter", max_iter]
 
 
+def north_star():
+    """Inputs of thousands of cells: ``from-triangulation`` on the
+    Freudenthal 3-torus n=4 and 4-torus n=3, and the exponential and
+    Novikov commands on the 12 x 12 twisted torus under the zero class and
+    a nonzero one."""
+    for n, dim in ((4, 3), (3, 4)):
+        yield ["from-triangulation", write(f"freudenthal-{dim}-{n}.facets",
+                                           freudenthal_facets(n, dim))]
+    path = write("twisted-torus-12.json", dump_json(twisted_torus_cw(12)))
+    for cls in ("0,0", "1,1/3"):
+        for cmd in ("homology", "cohomology"):
+            yield [cmd, path, "--system", "exp", f"--class={cls}"]
+        yield ["novikov", path, f"--class={cls}"]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -376,6 +397,7 @@ def invocations():
     yield from grid([path], 1)
     yield from error_inputs()
     yield from budget_grid()
+    yield from north_star()
 
 
 def run():

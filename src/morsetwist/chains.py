@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry, NotAUnit
-from .linalg import nov_reduce, rank_expsum, snf_int
+from .linalg import Matrix, nov_reduce, rank_expsum, snf_int
 from .rings import ExpSum, NovElem, laurent_image
 
 INT = "INT"
@@ -138,24 +138,45 @@ class HomologySummary:
 
 def _matrix_data(C: ChainComplex, depth, max_iter):
     """Per stored matrix: (rank, torsion invariants, status), from one run
-    of the regime's reducer on the matrix as stored, over ℤ[u, u⁻¹] for a
-    twisted complex: u ↦ t^(1/scale) is injective, and t ↦ t^scale is a
-    Novikov ring automorphism, so ``depth·scale`` there is ``depth`` on the
-    image.  A stuck reduction's counts are returned as they are.  A matrix
-    with no stored entry has rank 0 and no torsion, and is not reduced."""
-    out = []
-    for d in C.diffs:
+    of the regime's reducer per matrix, top-down, so the unit pass runs
+    once across the complex.  Each unit pivot pairs two cells, and the
+    matrix below drops the paired cells of the degree they share: columns
+    if descending, rows if ascending.  The pivots form a block invertible
+    over the ring, and ∂∂ = 0, so each dropped column (row) is a ring
+    combination of the kept ones, and rank and invariant factors stay.  A
+    matrix whose neighbour above paired nothing is reduced as stored.  Over
+    ℤ[u, u⁻¹], u = t^(1/scale), ``depth·scale`` is ``depth`` on the image
+    (t ↦ t^scale is a Novikov ring automorphism).  A stuck reduction's
+    partial counts, from the trimmed matrix, are returned as they are.  A
+    matrix with no stored entry has rank 0 and is not reduced."""
+    out, paired = [], set()
+    for d in reversed(C.diffs):
         if not any(d.data):
             out.append((0, (), "complete"))
-        elif C.regime == INT:
-            s = snf_int(d)
-            out.append((s.rank, s.invariant_factors, "complete"))
+            paired = set()
+            continue
+        if paired and C.ascending:
+            rows = [row for i, row in enumerate(d.data) if i not in paired]
+            d = Matrix(len(rows), d.cols, rows, d.zero)
+        elif paired:
+            kept = sorted(set(range(d.cols)) - paired)
+            new = dict(zip(kept, range(len(kept))))
+            d = Matrix(d.rows, len(new), [{new[j]: e for j, e in row.items()
+                                           if j in new} for row in d.data],
+                       d.zero)
+        if C.regime == INT:
+            r = snf_int(d)
+            out.append((r.rank, r.invariant_factors, "complete"))
         elif C.regime == EXPSUM:
-            out.append((rank_expsum(d), (), "complete"))
+            r = rank_expsum(d)
+            out.append((r.rank, (), "complete"))
         else:
             r = nov_reduce(d, depth=depth * (C.scale or 1), max_iter=max_iter)
             out.append((r.rank, r.nonunit_invariants, r.status))
-    return out
+        # a pivot's row (descending) or column (ascending) lies in the
+        # degree shared with the matrix below, indexed as stored
+        paired = {p[C.ascending] for p in r.pivots}
+    return out[::-1]
 
 
 def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:

@@ -91,12 +91,14 @@ def _unit_inverse(e):
 def cancel_units(A: Matrix):
     """Cancel every unit entry of A that ``_unit_inverse`` recognises.
 
-    Returns (pivots cancelled, leftover Matrix with A's zero).  Each step
-    takes the unit of lowest Markowitz cost (row nnz - 1)·(col nnz - 1),
-    ties to the lowest (row, col), and replaces the matrix by its Schur
+    Returns (pivots, leftover Matrix with A's zero), the pivots as the
+    (row, col) of A that each step pivoted on, in order.  Each step takes
+    the unit of lowest Markowitz cost (row nnz - 1)·(col nnz - 1), ties to
+    the lowest (row, col), and replaces the matrix by its Schur
     complement: the pivot's inverse lies in the ring, so A is equivalent
-    to diag(pivot, leftover), and rank, invariant factors and torsion all
-    come from the leftover.
+    to diag(pivots, leftover), and rank, invariant factors and torsion all
+    come from the leftover.  A pivot pairs the cells of its row and column;
+    ``chains.homology`` drops them from the neighbouring boundaries.
     """
     rows = {}       # row -> {col: nonzero entry}
     cols = {}       # col -> set of rows holding a nonzero entry there
@@ -145,7 +147,7 @@ def cancel_units(A: Matrix):
         heap.append((k, i, j))
     heapq.heapify(heap)
 
-    count = 0
+    pivots = []
     while heap:
         key, r, c = heapq.heappop(heap)
         if best.get((r, c)) != key:
@@ -156,7 +158,7 @@ def cancel_units(A: Matrix):
             heapq.heappush(heap, (k, r, c))
             continue
         inv = inverses[r, c]
-        count += 1
+        pivots.append((r, c))
         prow = rows.pop(r)
         del prow[c]
         pcol = cols.pop(c)
@@ -205,7 +207,8 @@ def cancel_units(A: Matrix):
     live_cols = {j: n for n, j in enumerate(sorted(cols))}
     leftover = [{live_cols[j]: v for j, v in rows[i].items()}
                 for i in sorted(rows)]
-    return count, Matrix(len(leftover), len(live_cols), leftover, A.zero)
+    return tuple(pivots), Matrix(len(leftover), len(live_cols), leftover,
+                                 A.zero)
 
 
 def _as_expsum(e) -> ExpSum:
@@ -222,6 +225,13 @@ def _as_nov(e) -> NovElem:
 class SnfResult:
     rank: int
     invariant_factors: tuple
+    pivots: tuple = ()  # the unit pass's (row, col) pivots
+
+
+@dataclass(frozen=True)
+class RankResult:
+    rank: int
+    pivots: tuple = ()  # the unit pass's (row, col) pivots
 
 
 def snf_int(A: Matrix) -> SnfResult:
@@ -234,10 +244,10 @@ def snf_int(A: Matrix) -> SnfResult:
     stays 0, its descent floor never fires, and the Smith form is unique.
     Each step clears an entry or shrinks the smallest nonzero |entry|, so
     the loop ends without an op budget."""
-    units, rest = cancel_units(A)
+    pivots, rest = cancel_units(A)
     leaf = _nov_leaf(rest, 1, inf)
-    return SnfResult(rank=units + leaf.rank,
-                     invariant_factors=leaf.nonunit_invariants)
+    return SnfResult(rank=len(pivots) + leaf.rank,
+                     invariant_factors=leaf.nonunit_invariants, pivots=pivots)
 
 
 _DIV_CAP = 100000
@@ -260,11 +270,11 @@ def expsum_divexact(a: ExpSum, b: ExpSum) -> ExpSum:
     raise ArithmeticError("inexact division in expsum_divexact")
 
 
-def rank_expsum(A: Matrix) -> int:
+def rank_expsum(A: Matrix) -> RankResult:
     """Rank over the fraction field: cancelled unit pivots ±t^a plus the
     leftover's rank.  An entry over ℤ[u, u⁻¹] is read as a sum in u."""
-    units, rest = cancel_units(A)
-    return units + _rank_leaf(rest)
+    pivots, rest = cancel_units(A)
+    return RankResult(len(pivots) + _rank_leaf(rest), pivots)
 
 
 def _rank_leaf(A: Matrix) -> int:
@@ -304,6 +314,7 @@ class NovReduction:
     unit_count: int
     nonunit_invariants: tuple
     status: str  # "complete" | "stuck"
+    pivots: tuple = ()  # the unit pass's (row, col) pivots, stuck or not
 
     @property
     def rank(self) -> int:
@@ -322,19 +333,19 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
 
     Exact unit pivots ±t^a are cancelled first; they are finite, exact
     steps and are not charged against ``max_iter``, which budgets the leaf
-    loop on the leftover only.  A stuck leaf is returned as it is: its
-    counts are partial, so a stuck degree's numbers are not an answer.
+    loop on the leftover only.  A stuck leaf's counts are returned as they
+    are, with the pass's pivots: they are partial, so a stuck degree's
+    numbers are not an answer.
     """
     if any(getattr(e, "floor", None) is not None
            for row in A.data for e in row.values()):
         raise ValueError("nov_reduce requires exact (untruncated) entries")
-    units, rest = cancel_units(A)
+    pivots, rest = cancel_units(A)
     leaf = _nov_leaf(rest, depth, max_iter)
-    if leaf.status == "stuck":
-        return leaf
+    units = len(pivots) if leaf.status == "complete" else 0
     return NovReduction(unit_count=units + leaf.unit_count,
                         nonunit_invariants=leaf.nonunit_invariants,
-                        status=leaf.status)
+                        status=leaf.status, pivots=pivots)
 
 
 def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:

@@ -5,9 +5,12 @@ independent of any reduction; reference helpers on elements and matrices
 truncation floor); the componentwise (vector) period path that the scalar
 loop periods of ``morsetwist.morse`` must agree with; the image of a
 complex over ℤ[u, u⁻¹] in its regime's ring, which the reduction of the
-complex itself must agree with; a twisted triangulated torus; grid
-triangulations of the torus and the Klein bottle; the eagerly re-keyed
-unit pass that the lazily re-keyed heap of
+complex itself must agree with; homology with each boundary reduced on
+its own, which the unit pass across the whole complex must agree with;
+a seeded family of Morse data whose Novikov answers depend on the depth;
+a twisted triangulated torus; grid triangulations of the torus and the
+Klein bottle, Freudenthal tori and seeded random facet lists; the
+eagerly re-keyed unit pass that the lazily re-keyed heap of
 ``morsetwist.linalg.cancel_units`` must agree with; and the Novikov leaf
 that cleared a unit pivot's row and column by whole-row and whole-column
 operations, which ``morsetwist.linalg._nov_leaf`` must agree with; and
@@ -25,7 +28,14 @@ from math import gcd
 
 import pytest
 
-from morsetwist.chains import EXPSUM, ChainComplex
+from morsetwist.chains import (
+    EXPSUM,
+    INT,
+    ChainComplex,
+    DegreeSummary,
+    HomologySummary,
+    validate_complex,
+)
 from morsetwist.cw import FacetList, Incidence, RegularCW
 from morsetwist.errors import Disconnected, ParseError
 from morsetwist.linalg import (
@@ -35,6 +45,9 @@ from morsetwist.linalg import (
     _divisibility_chain,
     _nov_zero,
     _unit_inverse,
+    nov_reduce,
+    rank_expsum,
+    snf_int,
 )
 from morsetwist.morse import (
     EXP,
@@ -241,6 +254,68 @@ def image_complex(C):
                               for d in C.diffs), C.ascending)
 
 
+# --- homology with each boundary reduced on its own ------------------------
+
+def homology_per_matrix(C, depth=16, max_iter=10000):
+    """``chains.homology`` as it was before the unit pass ran across the
+    whole complex: each stored boundary goes to its regime's reducer as it
+    is, whatever the boundary above paired.  Ranks and torsion are read
+    off per degree the same way."""
+    assert validate_complex(C) is None
+    data = []
+    for d in C.diffs:
+        if not any(d.data):
+            data.append((0, (), "complete"))
+        elif C.regime == INT:
+            s = snf_int(d)
+            data.append((s.rank, s.invariant_factors, "complete"))
+        elif C.regime == EXPSUM:
+            data.append((rank_expsum(d).rank, (), "complete"))
+        else:
+            r = nov_reduce(d, depth=depth * (C.scale or 1), max_iter=max_iter)
+            data.append((r.rank, r.nonunit_invariants, r.status))
+    none = (0, (), "complete")
+    degrees = []
+    for k, count in enumerate(C.counts()):
+        below = data[k - 1] if k else none
+        above = data[k] if k < len(data) else none
+        betti = count - below[0] - above[0]
+        status = "complete"
+        if "stuck" in (below[2], above[2]):
+            status, betti = "stuck", max(betti, 0)
+        torsion = below[1] if C.ascending else above[1]
+        degrees.append(DegreeSummary(betti, tuple(torsion), status))
+    return HomologySummary(C.regime, tuple(degrees))
+
+
+# --- Morse data whose Novikov homology depends on the depth ----------------
+
+def depth_sensitive_data(rng, count):
+    """Seeded data whose Novikov leaf needs depth: 1-cells q, r, x over one
+    0-cell p, with boundaries −c·t^(−a), c − t^(−b) and c·t^(−a) under the
+    class 1 (c in {2, 3}), and a 2-cell s with boundary t^(−e)·(q + x).
+    The leaf's Euclidean step on the short row (−c·t^(−a), c − t^(−b))
+    reaches t^(−a−b), below every input exponent, so a shallow depth
+    stops it at the work floor and a deeper one completes it with a
+    truncated inverse.  The periods' denominators make the scale L > 1."""
+    out = []
+    for n in range(count):
+        den = rng.choice([2, 3, 4])
+        a, b, e = (Fraction(rng.randint(1, 3 * den), den) for _ in range(3))
+        c = rng.choice([2, 3])
+        flows = ([FlowLine("q", "p", -1, (a,))] * c
+                 + [FlowLine("r", "p", 1, (0,))] * c
+                 + [FlowLine("r", "p", -1, (b,)),
+                    FlowLine("s", "q", 1, (e,)), FlowLine("s", "x", 1, (e,))]
+                 + [FlowLine("x", "p", 1, (a,))] * c)
+        points = (CriticalPoint("p", 0), CriticalPoint("q", 1),
+                  CriticalPoint("r", 1), CriticalPoint("x", 1),
+                  CriticalPoint("s", 2))
+        out.append(MorseDatum(f"depth-{n}", 2, ("theta",), points,
+                              tuple(flows)))
+    return out
+
+
 # --- a twisted triangulated torus ------------------------------------------
 
 def twisted_torus_cw(n):
@@ -285,6 +360,20 @@ def grid_facets(n, klein=False) -> FacetList:
             c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
             facets += [(a, b, d), (a, c, d)]
     return FacetList(n * n, tuple(facets))
+
+
+def random_facet_lists(rng, count):
+    """Seeded pure simplicial complexes: 1 to 12 distinct facets of one
+    dimension 0..3 on up to 9 vertices, some vertices possibly unused."""
+    out = []
+    for _ in range(count):
+        size = rng.randint(1, 4)
+        vertices = rng.randint(size, 9)
+        facets = {tuple(rng.sample(range(vertices), size))
+                  for _ in range(rng.randint(1, 12))}
+        unique = {frozenset(f): f for f in sorted(facets)}
+        out.append(FacetList(vertices, tuple(unique.values())))
+    return out
 
 
 def freudenthal_torus_facets(n, dim=3) -> FacetList:

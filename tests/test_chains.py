@@ -5,7 +5,17 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from conftest import from_rows, image_complex, specialise, twisted_torus_cw
+from conftest import (
+    depth_sensitive_data,
+    freudenthal_torus_facets,
+    from_rows,
+    grid_facets,
+    homology_per_matrix,
+    image_complex,
+    random_facet_lists,
+    specialise,
+    twisted_torus_cw,
+)
 
 import morsetwist.chains as chains
 import morsetwist.linalg as linalg
@@ -21,7 +31,7 @@ from morsetwist.chains import (
     homology,
     validate_complex,
 )
-from morsetwist.cw import cw_to_morse, steenrod_boundary
+from morsetwist.cw import cw_to_morse, simplicial_boundary, steenrod_boundary
 from morsetwist.errors import Indeterminate, InvalidComplex, MissingUnitTag
 from morsetwist.linalg import (
     Matrix,
@@ -169,10 +179,13 @@ def test_ascending_torsion_bookkeeping():
 TORUS = get_example("torus").datum
 
 
-def _catalog_and_tori():
+def _corpus():
+    # the catalog, a seeded family whose Novikov answers depend on depth,
+    # and twisted tori
     names = [n for n in example_names() if n != "rpn(N)"]
     names += ["rpn(3)", "rpn(4)"]
     return ([get_example(n).datum for n in names]
+            + depth_sensitive_data(random.Random(2718), 12)
             + [cw_to_morse(twisted_torus_cw(n)) for n in range(3, 9)])
 
 
@@ -190,7 +203,8 @@ def test_laurent_assembly_reduces_like_its_image():
     # image (u ↦ u⁻¹ then specialise equals specialise then t ↦ t⁻¹)
     rng = random.Random(57721)
     seen = {EXPSUM: 0, NOV: 0, "ints": 0, "stuck": 0, "stuck cochains": 0}
-    for d in _catalog_and_tori():
+    depth_sensitive = 0  # Novikov complexes whose answer changes with depth
+    for d in _corpus():
         n = len(d.basis_forms)
         nonzero = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
                         for _ in range(n))
@@ -211,11 +225,12 @@ def test_laurent_assembly_reduces_like_its_image():
                     if C.regime == NOV:
                         grid = itertools.product(DEPTHS, MAX_ITERS)
                     for U, D in zip(C.diffs, image.diffs, strict=True):
-                        count, rest = cancel_units(U)
-                        assert (count, specialise(rest, C.regime, C.scale)) \
+                        pivots, rest = cancel_units(U)
+                        assert (pivots, specialise(rest, C.regime, C.scale)) \
                             == cancel_units(D)
                         if C.regime == EXPSUM:
                             assert rank_expsum(U) == rank_expsum(D)
+                    by_depth = set()
                     for depth, max_iter in grid:
                         got = homology(C, depth, max_iter)
                         assert got == homology(image, depth, max_iter), \
@@ -223,9 +238,13 @@ def test_laurent_assembly_reduces_like_its_image():
                         if not got.complete:
                             seen["stuck"] += 1
                             seen["stuck cochains"] += C.ascending
+                        if max_iter == 10000:
+                            by_depth.add(got)
                     seen[C.regime] += 1
                     seen["ints"] += isinstance(C.diffs[0].zero, int)
+                    depth_sensitive += len(by_depth) > 1
     assert min(seen.values()) >= 20, seen
+    assert depth_sensitive >= 4, depth_sensitive
 
 
 def test_novikov_depth_is_counted_in_powers_of_u():
@@ -252,7 +271,7 @@ def test_specialised_leftover_has_no_unit():
     # specialised leftover would cancel nothing: one pass over ℤ[u, u⁻¹]
     # is the whole unit reduction
     rng = random.Random(57721)
-    for d in _catalog_and_tori():
+    for d in _corpus():
         n = len(d.basis_forms)
         nonzero = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
                         for _ in range(n))
@@ -266,32 +285,46 @@ def test_specialised_leftover_has_no_unit():
                         assert not [e for row in rest.data
                                     for e in row.values()
                                     if _unit_inverse(e) is not None], rest
-                        assert cancel_units(rest) == (0, rest)
+                        assert cancel_units(rest) == ((), rest)
 
 
 @pytest.mark.parametrize("flavor", ["exp", "nov"])
 @pytest.mark.parametrize("cls", [(1, F(1, 3)), (0, 0)])
 def test_one_unit_pass_per_twisted_boundary(monkeypatch, flavor, cls):
     # homology hands each non-empty boundary over ℤ[u, u⁻¹] to its regime's
-    # reducer once, so the unit pass runs once per boundary, on the stored
-    # matrix itself; it is counted wherever the package binds it
+    # reducer once, top-down, so the unit pass runs once per boundary: on
+    # the top boundary as stored, and on the one below it less the cells
+    # of their shared degree that the top pass paired, which are columns
+    # of a descending boundary and rows of an ascending one; the pass is
+    # counted wherever the package binds it
     assert not hasattr(chains, "cancel_units")
     assert not hasattr(chains, "specialise")
     calls = []
     original = linalg.cancel_units
+
+    def counted(A):
+        calls.append((A, original(A)))
+        return calls[-1][1]
     for name, module in list(sys.modules.items()):
         if name.startswith("morsetwist") and \
                 getattr(module, "cancel_units", None) is original:
-            monkeypatch.setattr(module, "cancel_units",
-                                lambda A: calls.append(A) or original(A))
+            monkeypatch.setattr(module, "cancel_units", counted)
     chain = steenrod_boundary(twisted_torus_cw(4),
                               LocalSystem.named(flavor, cls))
     for C in (chain, dualize(chain)):
         calls.clear()
         homology(C)
-        stored = [d for d in C.diffs if any(d.data)]
-        assert len(stored) == 2
-        assert [id(A) for A in calls] == [id(d) for d in stored]
+        lower, top = [d for d in C.diffs if any(d.data)]
+        assert len(calls) == 2
+        (first, (paired, _)), (second, _) = calls
+        assert first is top
+        assert paired
+        if C.ascending:
+            assert (second.rows, second.cols) == \
+                (lower.rows - len(paired), lower.cols)
+        else:
+            assert (second.rows, second.cols) == \
+                (lower.rows, lower.cols - len(paired))
 
 
 def test_replaced_boundaries_are_read_with_the_complex():
@@ -349,3 +382,90 @@ def test_stuck_degree_over_u_reads_as_its_image():
     S = homology(C)
     assert [s.status for s in S.degrees] == ["stuck", "stuck"]
     assert S == homology(image_complex(C))
+
+
+def _no_worse(got, ref, full):
+    # a degree that the per-matrix reference completes is completed with
+    # the same answer; one it leaves stuck may complete, and then gives the
+    # reference's answer at the full budget wherever that one is complete
+    moved = 0
+    for g, r, f in zip(got.degrees, ref.degrees, full.degrees, strict=True):
+        if r.status == "complete":
+            assert g == r
+        elif g.status == "complete":
+            moved += 1
+            assert f.status == "stuck" or g == f
+    return moved
+
+
+def test_whole_complex_pass_equals_per_matrix_reference():
+    # the unit pass across the whole complex drops from each boundary the
+    # cells the boundary above paired; ranks, torsion and statuses equal
+    # the reference that reduces every stored boundary on its own, in all
+    # four systems, chains and cochains, Novikov over a depth x max_iter
+    # grid; a stuck degree may complete, none may get stuck
+    rng = random.Random(14142)
+    seen = {INT: 0, EXPSUM: 0, NOV: 0, "stuck": 0, "completed": 0,
+            "torsion": 0}
+    for d in _corpus():
+        n = len(d.basis_forms)
+        nonzero = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                        for _ in range(n))
+        for flavor in ("trivial", "unit-rep", "exp", "nov"):
+            for cls in ((F(0),) * n, nonzero):
+                try:
+                    chain = build_complex(d, LocalSystem.named(flavor, cls))
+                except MissingUnitTag:
+                    continue
+                for C in (chain, dualize(chain)):
+                    full = homology_per_matrix(C)
+                    grid = [(16, 10000)]
+                    if C.regime == NOV:
+                        grid = itertools.product(DEPTHS, MAX_ITERS)
+                    for depth, max_iter in grid:
+                        got = homology(C, depth, max_iter)
+                        ref = homology_per_matrix(C, depth, max_iter)
+                        seen["completed"] += _no_worse(got, ref, full)
+                        seen["stuck"] += not ref.complete
+                        seen["torsion"] += any(map(got.torsion,
+                                                   range(C.dimension + 1)))
+                    seen[C.regime] += 1
+    facets = random_facet_lists(random.Random(17320), 300)
+    facets += [freudenthal_torus_facets(3), freudenthal_torus_facets(4),
+               freudenthal_torus_facets(3, dim=4)]
+    for fl in facets:
+        chain = simplicial_boundary(fl)
+        for C in (chain, dualize(chain)):
+            got = homology(C)
+            assert got == homology_per_matrix(C), fl
+            seen[INT] += 1
+    for fl, betti in zip(facets[-3:], [(1, 3, 3, 1)] * 2 + [(1, 4, 6, 4, 1)]):
+        assert homology(simplicial_boundary(fl)).betti == betti
+    assert min(seen.values()) >= 20, seen
+
+
+def test_int_universal_coefficients():
+    # over ℤ the torsion of H^k is the torsion of H_(k-1), and the free
+    # ranks agree: the cochain walk drops rows where the chain walk drops
+    # columns, and must land on the same invariant factors
+    complexes = []
+    for name in [n for n in example_names() if n != "rpn(N)"] + ["rpn(5)"]:
+        d = get_example(name).datum
+        for flavor in ("trivial", "unit-rep"):
+            try:
+                complexes.append(build_complex(d, LocalSystem.named(flavor)))
+            except MissingUnitTag:
+                continue
+    facets = random_facet_lists(random.Random(22360), 300)
+    facets += [grid_facets(n, klein=True) for n in (3, 5)]
+    complexes += [simplicial_boundary(fl) for fl in facets]
+    torsion = 0
+    for C in complexes:
+        assert C.regime == INT
+        H, coH = homology(C), homology(dualize(C))
+        assert coH.betti == H.betti
+        assert coH.torsion(0) == ()
+        for k in range(1, C.dimension + 1):
+            assert coH.torsion(k) == H.torsion(k - 1), (C.generators, k)
+            torsion += bool(H.torsion(k - 1))
+    assert torsion >= 5, torsion

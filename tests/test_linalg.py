@@ -115,13 +115,13 @@ def test_bruteforce_examples():
 
 def test_rank_expsum_nonzero_single():
     e = ExpSum([(1, F(-1, 2)), (-1, F(1, 2))])
-    assert rank_expsum(M([[e]])) == 1
+    assert rank_expsum(M([[e]])).rank == 1
 
 
 def test_rank_expsum_formal_cancellation():
     a = F(5, 3)
     e = ExpSum([(1, a), (-1, a)])
-    assert rank_expsum(M([[e]])) == 0
+    assert rank_expsum(M([[e]])).rank == 0
 
 
 def test_rank_expsum_one_by_four():
@@ -129,7 +129,7 @@ def test_rank_expsum_one_by_four():
     one = ExpSum.one()
     t = ExpSum.monomial(1, 1)
     z = ExpSum.zero()
-    assert rank_expsum(M([[one - t, z, z, z]])) == 1
+    assert rank_expsum(M([[one - t, z, z, z]])).rank == 1
 
 
 def test_rank_expsum_matches_snf_on_constants():
@@ -140,7 +140,7 @@ def test_rank_expsum_matches_snf_on_constants():
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         A = M(rows)
         B = M([[ExpSum([(x, 0)]) for x in row] for row in rows])
-        assert rank_expsum(B) == snf_int(A).rank
+        assert rank_expsum(B).rank == snf_int(A).rank
 
 
 def test_rank_expsum_dense_random():
@@ -152,10 +152,10 @@ def test_rank_expsum_dense_random():
         rows = [[ExpSum([(rng.randint(-2, 2), F(rng.randint(-2, 2), 2))
                          for _ in range(2)]) for _ in range(n)]
                 for _ in range(m)]
-        r = rank_expsum(M(rows))
+        r = rank_expsum(M(rows)).rank
         assert 0 <= r <= min(m, n)
         # rank of transpose agrees
-        assert rank_expsum(M(rows).transpose()) == r
+        assert rank_expsum(M(rows).transpose()).rank == r
 
 
 def test_expsum_divexact():
@@ -208,7 +208,7 @@ def test_nov_reduce_soundness_random():
             continue
         done += 1
         assert r.rank == rank_expsum(M([[ExpSum(e.terms) for e in row]
-                                        for row in rows]))
+                                        for row in rows])).rank
     assert done >= 50
 
 
@@ -252,7 +252,7 @@ def test_zero_column_never_changes_rank():
     rows_e = [[ExpSum([(x, F(1, 2))]) for x in row] for row in rows_int]
     B = M(rows_e)
     B2 = M([row + [ExpSum.zero()] for row in rows_e])
-    assert rank_expsum(B) == rank_expsum(B2)
+    assert rank_expsum(B).rank == rank_expsum(B2).rank
 
     rows_n = [[NovElem([(x, 0)]) for x in row] for row in rows_int]
     C = M(rows_n)
@@ -312,7 +312,7 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
                                               _halves(r)),
                     lambda r: ExpSum([(r.choice([1, -1, 2]), _halves(r))
                                       for _ in range(2)]))
-        assert rank_expsum(A) == _rank_leaf(A), A
+        assert rank_expsum(A).rank == _rank_leaf(A), A
 
     both = 0
     for _ in range(40):
@@ -354,7 +354,8 @@ def test_lazy_unit_pass_equals_eager_reference():
                               LocalSystem.trivial())
         cases += C.diffs
     for A in cases:
-        count, rest = cancel_units(A)
+        pivots, rest = cancel_units(A)
+        count = len(pivots)
         assert rest.zero == A.zero
         assert (count, rest.entries) == unit_pivots_eager(A), A
 
@@ -495,13 +496,14 @@ def test_laurent_pass_specialises_to_the_regime_pass():
     for n in range(120):
         A = _laurent_sparse(rng, ints=n % 4 == 0)
         scale = rng.choice([1, 2, 3, 12])
-        count, rest = cancel_units(A)
+        pivots, rest = cancel_units(A)
         leftovers += rest.rows > 0
         for regime in (NOV, EXPSUM):
-            assert (count, specialise(rest, regime, scale)) == \
+            assert (pivots, specialise(rest, regime, scale)) == \
                 cancel_units(specialise(A, regime, scale)), (A, regime)
-        assert count + rank_expsum(specialise(rest, EXPSUM, scale)) == \
-            rank_expsum(specialise(A, EXPSUM, scale)) == rank_expsum(A), A
+        assert len(pivots) + rank_expsum(specialise(rest, EXPSUM, scale)).rank \
+            == rank_expsum(specialise(A, EXPSUM, scale)).rank \
+            == rank_expsum(A).rank, A
         for depth, max_iter in ((F(1, 2), 10), (2, 200)):
             got = nov_reduce(A, depth * scale, max_iter)
             assert got == nov_reduce(specialise(A, NOV, scale), depth,
