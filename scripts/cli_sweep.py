@@ -31,7 +31,9 @@ max-iter grid on ``cohomology --system nov`` and on the 4 x 4 twisted
 torus under non-integral classes; then inputs of thousands of cells:
 ``from-triangulation`` on the Freudenthal 3-torus n=4 and 4-torus n=3,
 and ``homology``/``cohomology --system exp`` and ``novikov`` on the
-12 x 12 twisted torus under the zero class and 1,1/3.  The broken files hold period
+12 x 12 twisted torus under the zero class and 1,1/3; and the Novikov
+commands on the torsion block under the class 1/100, whose unit inverses
+run to thousands of terms.  The broken files hold period
 values of every JSON type, padded and non-ASCII-digit strings, in a flow
 and in a CW incidence, and one flow with both a bad unit tag and a bad
 period.
@@ -346,6 +348,14 @@ def north_star():
         yield ["novikov", path, f"--class={cls}"]
 
 
+def long_inverses():
+    """The Novikov commands on the torsion block under the class 1/100,
+    whose truncated unit inverses run to thousands of terms."""
+    for cmd in (["homology", "--system", "nov"],
+                ["cohomology", "--system", "nov"], ["novikov"]):
+        yield [cmd[0], "torsion-block.json", *cmd[1:], "--class=1/100"]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -398,6 +408,7 @@ def invocations():
     yield from error_inputs()
     yield from budget_grid()
     yield from north_star()
+    yield from long_inverses()
 
 
 def run():

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry, NotAUnit
-from .linalg import Matrix, nov_reduce, rank_expsum, snf_int
+from .linalg import Matrix, Reduction, nov_reduce, rank_expsum, snf_int
 from .rings import ExpSum, NovElem, laurent_image
 
 INT = "INT"
@@ -137,42 +137,40 @@ class HomologySummary:
 
 
 def _matrix_data(C: ChainComplex, depth, max_iter):
-    """Per stored matrix: (rank, torsion invariants, status), from one run
-    of the regime's reducer per matrix, top-down, so the unit pass runs
-    once across the complex.  Each unit pivot pairs two cells, and the
-    matrix below drops the paired cells of the degree they share: columns
-    if descending, rows if ascending.  The pivots form a block invertible
-    over the ring, and ∂∂ = 0, so each dropped column (row) is a ring
-    combination of the kept ones, and rank and invariant factors stay.  A
-    matrix whose neighbour above paired nothing is reduced as stored.  Over
-    ℤ[u, u⁻¹], u = t^(1/scale), ``depth·scale`` is ``depth`` on the image
-    (t ↦ t^scale is a Novikov ring automorphism).  A stuck reduction's
-    partial counts, from the trimmed matrix, are returned as they are.  A
-    matrix with no stored entry has rank 0 and is not reduced."""
-    out, paired = [], set()
+    """One ``Reduction`` per stored matrix, from one run of the regime's
+    reducer per matrix, top-down, so the unit pass runs once across the
+    complex.  Each unit pivot pairs two cells, and the matrix below drops
+    the paired cells of the degree they share: columns if descending, rows
+    if ascending.  The pivots form a block invertible over the ring, and
+    ∂∂ = 0, so each dropped column (row) is a ring combination of the kept
+    ones, and rank and invariant factors stay.  A matrix whose neighbour
+    above paired nothing is reduced as stored.  Over ℤ[u, u⁻¹], u =
+    t^(1/scale), ``depth·scale`` is ``depth`` on the image (t ↦ t^scale is
+    a Novikov ring automorphism).  A stuck reduction's partial counts, from
+    the trimmed matrix, are returned as they are.  A matrix with no stored
+    entry is not reduced: it is ``Reduction(0)``, which pairs nothing."""
+    out, paired = [], ()
     for d in reversed(C.diffs):
         if not any(d.data):
-            out.append((0, (), "complete"))
-            paired = set()
-            continue
-        if paired and C.ascending:
-            rows = [row for i, row in enumerate(d.data) if i not in paired]
-            d = Matrix(len(rows), d.cols, rows, d.zero)
-        elif paired:
-            kept = sorted(set(range(d.cols)) - paired)
-            new = dict(zip(kept, range(len(kept))))
-            d = Matrix(d.rows, len(new), [{new[j]: e for j, e in row.items()
-                                           if j in new} for row in d.data],
-                       d.zero)
-        if C.regime == INT:
-            r = snf_int(d)
-            out.append((r.rank, r.invariant_factors, "complete"))
-        elif C.regime == EXPSUM:
-            r = rank_expsum(d)
-            out.append((r.rank, (), "complete"))
+            r = Reduction(0)
         else:
-            r = nov_reduce(d, depth=depth * (C.scale or 1), max_iter=max_iter)
-            out.append((r.rank, r.nonunit_invariants, r.status))
+            if paired and C.ascending:
+                rows = [row for i, row in enumerate(d.data) if i not in paired]
+                d = Matrix(len(rows), d.cols, rows, d.zero)
+            elif paired:
+                kept = sorted(set(range(d.cols)) - paired)
+                new = dict(zip(kept, range(len(kept))))
+                d = Matrix(d.rows, len(new), [{new[j]: e for j, e in row.items()
+                                               if j in new} for row in d.data],
+                           d.zero)
+            if C.regime == INT:
+                r = snf_int(d)
+            elif C.regime == EXPSUM:
+                r = rank_expsum(d)
+            else:
+                r = nov_reduce(d, depth=depth * (C.scale or 1),
+                               max_iter=max_iter)
+        out.append(r)
         # a pivot's row (descending) or column (ascending) lies in the
         # degree shared with the matrix below, indexed as stored
         paired = {p[C.ascending] for p in r.pivots}
@@ -181,31 +179,23 @@ def _matrix_data(C: ChainComplex, depth, max_iter):
 
 def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
     """Betti ranks plus torsion per degree; NOV stuck reductions are flagged,
-    not guessed."""
+    not guessed.  Degree k sits between the matrices into and out of it,
+    whichever way they point; the rank of a map equals that of its
+    transpose, so one formula serves chains and cochains, and the torsion
+    of degree k comes from the matrix into degree k."""
     bad = validate_complex(C)
     if bad is not None:
         raise InvalidComplex(bad.describe())
-    data = _matrix_data(C, depth, max_iter)
-    counts = C.counts()
+    data = [Reduction(0), *_matrix_data(C, depth, max_iter), Reduction(0)]
     degrees = []
-    for k in range(len(counts)):
-        # both orientations: the two matrices touching degree k are
-        # diffs[k-1] and diffs[k]; rank of a map equals rank of its
-        # transpose, so the same formula applies ascending or descending
-        below = data[k - 1] if k - 1 >= 0 else (0, (), "complete")
-        above = data[k] if k < len(data) else (0, (), "complete")
-        betti = counts[k] - below[0] - above[0]
-        # torsion at degree k comes from the map INTO degree k
-        if C.ascending:
-            torsion = below[1] if k - 1 >= 0 else ()
-        else:
-            torsion = above[1] if k < len(data) else ()
+    for k, count in enumerate(C.counts()):
+        below, above = data[k], data[k + 1]
+        betti = count - below.rank - above.rank
         status = "complete"
-        if below[2] == "stuck" or above[2] == "stuck":
-            status = "stuck"
-            betti = max(betti, 0)
-        degrees.append(DegreeSummary(betti=betti, torsion=tuple(torsion),
-                                     status=status))
+        if "stuck" in (below.status, above.status):
+            status, betti = "stuck", max(betti, 0)
+        into = below if C.ascending else above
+        degrees.append(DegreeSummary(betti, into.torsion, status))
     return HomologySummary(regime=C.regime, degrees=tuple(degrees))
 
 

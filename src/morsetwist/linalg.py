@@ -8,14 +8,15 @@
 * ``nov_reduce`` — valuation-pivoted diagonalization over the Novikov
   ring, with truncated unit inversion and an explicit iteration budget.
 
-Each first runs ``cancel_units``, one sparse pass that cancels every
-entry that is a unit under one rule for every ring: ±1, or a single term
-±t^a (±u^k over ℤ[u, u⁻¹]), whose exact inverse is the entry itself or
-its ``invert_exponents()`` (algebraic Morse reduction).  Boundary
-matrices of cell complexes are sparse and mostly made of such entries,
-so only a small dense leftover reaches a leaf loop: Bareiss elimination
-for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce`` one
-Euclidean loop over the Novikov ring, of which the integers are the
+Each returns one ``Reduction`` (rank, torsion, status, pivots) from one
+body, ``_reduce``.  It first runs ``cancel_units``, one sparse pass that
+cancels every entry that is a unit under one rule for every ring: ±1, or
+a single term ±t^a (±u^k over ℤ[u, u⁻¹]), whose exact inverse is the
+entry itself or its ``invert_exponents()`` (algebraic Morse reduction).
+Boundary matrices of cell complexes are sparse and mostly made of such
+entries, so only a small dense leftover reaches a leaf loop: Bareiss
+elimination for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce``
+one Euclidean loop over the Novikov ring, of which the integers are the
 exponent-0 part.  A twisted complex is assembled over ℤ[u, u⁻¹], u =
 t^(1/L), and ``rank_expsum`` and ``nov_reduce`` take it as it is: the
 pass and the leaves run on int exponents, in units of 1/L.
@@ -222,19 +223,28 @@ def _as_nov(e) -> NovElem:
 
 
 @dataclass(frozen=True)
-class SnfResult:
+class Reduction:
+    """What a reducer returns in every regime: the rank, the invariant
+    factors that are not units (integer torsion, or the orders |c| of
+    Novikov cyclic summands), "complete" or "stuck", and the unit pass's
+    (row, col) pivots, in the order taken, stuck or not.  A stuck rank is
+    the leaf's partial count and no answer."""
     rank: int
-    invariant_factors: tuple
-    pivots: tuple = ()  # the unit pass's (row, col) pivots
+    torsion: tuple = ()
+    status: str = "complete"  # "complete" | "stuck"
+    pivots: tuple = ()
 
 
-@dataclass(frozen=True)
-class RankResult:
-    rank: int
-    pivots: tuple = ()  # the unit pass's (row, col) pivots
+def _reduce(A: Matrix, leaf) -> Reduction:
+    """Cancel A's units, run ``leaf`` on the leftover, and count each
+    cancelled pivot as one more rank when the leaf completes."""
+    pivots, rest = cancel_units(A)
+    r = leaf(rest)
+    units = len(pivots) if r.status == "complete" else 0
+    return Reduction(units + r.rank, r.torsion, r.status, pivots)
 
 
-def snf_int(A: Matrix) -> SnfResult:
+def snf_int(A: Matrix) -> Reduction:
     """Rank and invariant factors d1 | d2 | ... of the Smith normal form.
 
     Every cancelled unit pivot is a Smith factor 1, so the leftover's
@@ -244,10 +254,7 @@ def snf_int(A: Matrix) -> SnfResult:
     stays 0, its descent floor never fires, and the Smith form is unique.
     Each step clears an entry or shrinks the smallest nonzero |entry|, so
     the loop ends without an op budget."""
-    pivots, rest = cancel_units(A)
-    leaf = _nov_leaf(rest, 1, inf)
-    return SnfResult(rank=len(pivots) + leaf.rank,
-                     invariant_factors=leaf.nonunit_invariants, pivots=pivots)
+    return _reduce(A, lambda rest: _nov_leaf(rest, 1, inf))
 
 
 _DIV_CAP = 100000
@@ -270,14 +277,13 @@ def expsum_divexact(a: ExpSum, b: ExpSum) -> ExpSum:
     raise ArithmeticError("inexact division in expsum_divexact")
 
 
-def rank_expsum(A: Matrix) -> RankResult:
+def rank_expsum(A: Matrix) -> Reduction:
     """Rank over the fraction field: cancelled unit pivots ±t^a plus the
     leftover's rank.  An entry over ℤ[u, u⁻¹] is read as a sum in u."""
-    pivots, rest = cancel_units(A)
-    return RankResult(len(pivots) + _rank_leaf(rest), pivots)
+    return _reduce(A, _rank_leaf)
 
 
-def _rank_leaf(A: Matrix) -> int:
+def _rank_leaf(A: Matrix) -> Reduction:
     """Rank over the fraction field via fraction-free Bareiss elimination."""
     m, n = A.rows, A.cols
     a = [[_as_expsum(e) for e in row] for row in A.entries]
@@ -293,7 +299,7 @@ def _rank_leaf(A: Matrix) -> int:
             if piv is not None:
                 break
         if piv is None:
-            return k
+            return Reduction(k)
         if piv[0] != k:
             a[k], a[piv[0]] = a[piv[0]], a[k]
         if piv[1] != k:
@@ -306,19 +312,7 @@ def _rank_leaf(A: Matrix) -> int:
             a[i][k] = ExpSum.zero()
         prev = a[k][k]
         k += 1
-    return k
-
-
-@dataclass(frozen=True)
-class NovReduction:
-    unit_count: int
-    nonunit_invariants: tuple
-    status: str  # "complete" | "stuck"
-    pivots: tuple = ()  # the unit pass's (row, col) pivots, stuck or not
-
-    @property
-    def rank(self) -> int:
-        return self.unit_count + len(self.nonunit_invariants)
+    return Reduction(k)
 
 
 def _nov_zero(e: NovElem) -> bool:
@@ -326,29 +320,25 @@ def _nov_zero(e: NovElem) -> bool:
     return not e.terms
 
 
-def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> NovReduction:
+def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
     """Diagonalize over the Novikov ring; a truncated entry is refused
     with ``ValueError`` before any pivot.  Over ℤ[u, u⁻¹], ``depth`` counts
-    powers of u.
+    powers of u.  The torsion is the orders |c| of the cyclic summands
+    Nov/c, in a divisibility chain.
 
     Exact unit pivots ±t^a are cancelled first; they are finite, exact
     steps and are not charged against ``max_iter``, which budgets the leaf
-    loop on the leftover only.  A stuck leaf's counts are returned as they
-    are, with the pass's pivots: they are partial, so a stuck degree's
+    loop on the leftover only.  A stuck leaf's partial rank is returned as
+    it is, without the pass's units but with its pivots: a stuck degree's
     numbers are not an answer.
     """
     if any(getattr(e, "floor", None) is not None
            for row in A.data for e in row.values()):
         raise ValueError("nov_reduce requires exact (untruncated) entries")
-    pivots, rest = cancel_units(A)
-    leaf = _nov_leaf(rest, depth, max_iter)
-    units = len(pivots) if leaf.status == "complete" else 0
-    return NovReduction(unit_count=units + leaf.unit_count,
-                        nonunit_invariants=leaf.nonunit_invariants,
-                        status=leaf.status, pivots=pivots)
+    return _reduce(A, lambda rest: _nov_leaf(rest, depth, max_iter))
 
 
-def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
+def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
     """Legal moves: swaps, adding a monomial (or truncated-unit) multiple of
     a row/column to another, and multiplying a row by a truncated unit.
     Pivot choice: smallest |top coefficient|, ties to the larger top
@@ -371,13 +361,6 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
     # give up early rather than grind through the whole op budget.
     all_exps = [e for row in a for elt in row for _, e in elt.terms]
     work_floor = (min(all_exps) - depth) if all_exps else -depth
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
 
     # An exact zero source adds nothing; a truncated one still raises the
     # floor of its target, so only exact zeros are skipped.
@@ -412,9 +395,10 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
         if piv is None:
             break
         if piv[0] != k:
-            swap_rows(k, piv[0])
+            a[k], a[piv[0]] = a[piv[0]], a[k]
         if piv[1] != k:
-            swap_cols(k, piv[1])
+            for r in a:
+                r[k], r[piv[1]] = r[piv[1]], r[k]
         pc, px = a[k][k].top()
         if abs(pc) == 1:
             row = a[k]
@@ -484,55 +468,41 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> NovReduction:
             continue  # re-select pivot at the same k
         k += 1
 
-    unit_count = 0
+    units = 0
     nonunit = []
-    if not stuck:
-        # off-diagonal residue anywhere means we did not actually finish
-        for i in range(m):
-            for j in range(n):
-                if i != j and not _nov_zero(a[i][j]):
-                    stuck = True
+    # off-diagonal residue anywhere means we did not actually finish
+    stuck = stuck or any(i != j and not _nov_zero(a[i][j])
+                         for i in range(m) for j in range(n))
     if not stuck:
         for e in (a[i][i] for i in range(min(m, n))):
             if _nov_zero(e):
                 continue
             c, x = e.top()
             if abs(c) == 1:
-                unit_count += 1
-            else:
+                units += 1
+            elif all(ci % c == 0 for ci, _ in e.terms):
                 # report Nov/|c| only when the entry is (monomial)*(unit),
                 # i.e. every coefficient is a multiple of the top one
-                if all(ci % c == 0 for ci, _ in e.terms):
-                    nonunit.append(abs(c))
-                else:
-                    stuck = True
-                    break
-    if not stuck:
-        chain = _divisibility_chain(nonunit)
-        unit_count += sum(1 for v in chain if v == 1)
-        nonunit = [v for v in chain if v > 1]
-    return NovReduction(
-        unit_count=unit_count,
-        nonunit_invariants=tuple(nonunit) if not stuck else (),
-        status="stuck" if stuck else "complete",
-    )
+                nonunit.append(abs(c))
+            else:
+                stuck = True
+                break
+    if stuck:
+        return Reduction(units, status="stuck")
+    chain = _divisibility_chain(nonunit)
+    return Reduction(units + len(chain), tuple(v for v in chain if v > 1))
 
 
 def _divisibility_chain(values):
-    """Normalize cyclic-module orders so d1 | d2 | ... (gcd/lcm fixpoint).
+    """Normalize cyclic-module orders so d1 | d2 | ...: pairing position i
+    with each later one replaces the two by their gcd and lcm, so once i
+    has met them all it divides every later position.
 
     Keeps the count: a coprime pair (2,3) becomes (1,6), and the 1 is a
     unit (rank) contribution, not a dropped module."""
-    vals = sorted(int(v) for v in values)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                g = gcd(vals[i], vals[j])
-                l = vals[i] * vals[j] // g
-                if (vals[i], vals[j]) != (g, l):
-                    vals[i], vals[j] = g, l
-                    changed = True
-        vals = sorted(vals)
+    vals = list(values)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            g = gcd(vals[i], vals[j])
+            vals[i], vals[j] = g, vals[i] * vals[j] // g
     return vals

@@ -28,6 +28,7 @@ automorphism and changes no rank, unit status, or torsion downstream.
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
 
@@ -351,25 +352,36 @@ class NovElem:
         """Truncated inverse: result floor is its own top exponent minus
         depth, or higher when the input is truncated.  An unknown part at or
         below the input's floor f changes the inverse at or below f − 2·e0,
-        where e0 is the input's top exponent."""
+        where e0 is the input's top exponent.  By long division: each step
+        moves the remainder's top term into the quotient, at one product
+        per term of the input."""
         depth = _rat(depth)
         if depth <= 0:
             raise ValueError("inversion depth must be > 0")
         if not self.is_unit():
             raise NotAUnit(f"not a Novikov unit: {self.render()}")
         n0, e0 = self.terms[0]
-        # self = n0 t^e0 (1 + w) with w strictly below exponent 0, so
-        # 1/self = n0 t^(-e0) (1 - w + w^2 - ...), cut below t^(-depth)
-        # and, for a truncated input, at its floor shifted to exponent 0.
+        # self = n0 t^e0 (1 + w) with w strictly below exponent 0; divide 1
+        # by 1 + w down to t^(-depth) or, for a truncated input, its floor
+        # shifted to exponent 0.  A step only adds remainder terms below its
+        # own, so those at or below the cut are never kept.
         cut = -depth if self.floor is None else max(-depth, self.floor - e0)
-        minus_w = tuple([(-c * n0, e - e0) for c, e in self.terms[1:]])  # n0 in {1,-1}
-        inv = power = ((1, _ZERO),)
-        while True:
-            power = _cut(_mul_terms(power, minus_w), cut)
-            if not power:
-                break
-            inv = _add_terms(inv, power)
-        return _make(NovElem, tuple([(c * n0, e - e0) for c, e in inv]), cut - e0)
+        w = [(c * n0, e - e0) for c, e in self.terms[1:]]  # n0 in {1,-1}
+        zero = e0 - e0  # 0 in the exponents' type
+        rem, heap, quot = {zero: 1}, [zero], []  # heap: negated exponents
+        while heap:
+            e = -heapq.heappop(heap)
+            c = rem.pop(e)
+            if c:
+                quot.append((c * n0, e - e0))
+                for cw, ew in w:
+                    x = e + ew
+                    if x > cut:
+                        if x not in rem:
+                            rem[x] = 0
+                            heapq.heappush(heap, -x)
+                        rem[x] -= c * cw
+        return _make(NovElem, tuple(quot), cut - e0)
 
     def invert_exponents(self) -> "NovElem":
         if self.floor is not None:

@@ -40,7 +40,7 @@ from morsetwist.cw import FacetList, Incidence, RegularCW
 from morsetwist.errors import Disconnected, ParseError
 from morsetwist.linalg import (
     Matrix,
-    NovReduction,
+    Reduction,
     _as_nov,
     _divisibility_chain,
     _nov_zero,
@@ -265,25 +265,24 @@ def homology_per_matrix(C, depth=16, max_iter=10000):
     data = []
     for d in C.diffs:
         if not any(d.data):
-            data.append((0, (), "complete"))
+            data.append(Reduction(0))
         elif C.regime == INT:
-            s = snf_int(d)
-            data.append((s.rank, s.invariant_factors, "complete"))
+            data.append(snf_int(d))
         elif C.regime == EXPSUM:
-            data.append((rank_expsum(d).rank, (), "complete"))
+            data.append(rank_expsum(d))
         else:
-            r = nov_reduce(d, depth=depth * (C.scale or 1), max_iter=max_iter)
-            data.append((r.rank, r.nonunit_invariants, r.status))
-    none = (0, (), "complete")
+            data.append(nov_reduce(d, depth=depth * (C.scale or 1),
+                                   max_iter=max_iter))
+    none = Reduction(0)
     degrees = []
     for k, count in enumerate(C.counts()):
         below = data[k - 1] if k else none
         above = data[k] if k < len(data) else none
-        betti = count - below[0] - above[0]
+        betti = count - below.rank - above.rank
         status = "complete"
-        if "stuck" in (below[2], above[2]):
+        if "stuck" in (below.status, above.status):
             status, betti = "stuck", max(betti, 0)
-        torsion = below[1] if C.ascending else above[1]
+        torsion = below.torsion if C.ascending else above.torsion
         degrees.append(DegreeSummary(betti, tuple(torsion), status))
     return HomologySummary(C.regime, tuple(degrees))
 
@@ -627,15 +626,10 @@ def nov_leaf_reference(A, depth, max_iter):
                 else:
                     stuck = True
                     break
-    if not stuck:
-        chain = _divisibility_chain(nonunit)
-        unit_count += sum(1 for v in chain if v == 1)
-        nonunit = [v for v in chain if v > 1]
-    return NovReduction(
-        unit_count=unit_count,
-        nonunit_invariants=tuple(nonunit) if not stuck else (),
-        status="stuck" if stuck else "complete",
-    )
+    if stuck:
+        return Reduction(unit_count, status="stuck")
+    chain = _divisibility_chain(nonunit)
+    return Reduction(unit_count + len(chain), tuple(v for v in chain if v > 1))
 
 
 # --- per-element reference of the JSON reader -------------------------------

@@ -19,6 +19,7 @@ from morsetwist.chains import EXPSUM, NOV
 from morsetwist.cw import from_simplicial, steenrod_boundary
 from morsetwist.linalg import (
     Matrix,
+    _divisibility_chain,
     _nov_leaf,
     _rank_leaf,
     _unit_inverse,
@@ -39,26 +40,26 @@ def M(rows):
 def test_snf_single_two():
     r = snf_int(M([[2]]))
     assert r.rank == 1
-    assert r.invariant_factors == (2,)
+    assert r.torsion == (2,)
 
 
 def test_snf_zero_matrix():
     r = snf_int(M([[0, 0]] * 3))
     assert r.rank == 0
-    assert r.invariant_factors == ()
+    assert r.torsion == ()
 
 
 def test_snf_lifted_circle_boundary():
     r = snf_int(M([[1, -1], [-1, 1]]))
     assert r.rank == 1
-    assert r.invariant_factors == ()
+    assert r.torsion == ()
 
 
 def test_snf_known_matrix_divisibility_chain(minors_oracle):
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     r = snf_int(M(rows))
     # d1 = 2, d2 = 4, d3 = |det| = 624
-    assert (r.rank, r.invariant_factors) == (3, (2, 2, 156))
+    assert (r.rank, r.torsion) == (3, (2, 2, 156))
     assert minors_oracle(rows) == (3, (2, 2, 156))
 
 
@@ -71,7 +72,7 @@ def test_snf_vs_bruteforce_random(minors_oracle):
         A = M(rows)
         r = snf_int(A)
         assert r.rank == rank_int_bruteforce(A)
-        assert (r.rank, r.invariant_factors) == minors_oracle(rows)
+        assert (r.rank, r.torsion) == minors_oracle(rows)
 
 
 def _scramble(diagonal, rng, multiplier, zero, steps=8):
@@ -103,7 +104,7 @@ def test_snf_equivalence_oracle():
         A = _scramble([1, 2, 6, 12, 0], rng,
                       lambda r: r.choice([-3, -2, -1, 1, 2, 3]), 0)
         r = snf_int(A)
-        assert (r.rank, r.invariant_factors) == (4, (2, 6, 12)), A
+        assert (r.rank, r.torsion) == (4, (2, 6, 12)), A
 
 
 def test_bruteforce_examples():
@@ -168,23 +169,23 @@ def test_nov_reduce_nonunit_single():
     e = NovElem([(-2, F(3))])
     r = nov_reduce(M([[e]]))
     assert r.status == "complete"
-    assert r.unit_count == 0
-    assert r.nonunit_invariants == (2,)
+    assert r.rank == 1
+    assert r.torsion == (2,)
 
 
 def test_nov_reduce_unit_single():
     e = NovElem([(1, F(1, 2)), (-1, F(-1, 2))])
     r = nov_reduce(M([[e]]))
     assert r.status == "complete"
-    assert r.unit_count == 1
-    assert r.nonunit_invariants == ()
+    assert r.rank == 1
+    assert r.torsion == ()
 
 
 def test_nov_reduce_identity():
     one = NovElem.one()
     z = NovElem.zero()
     r = nov_reduce(M([[one, z, z], [z, one, z], [z, z, one]]))
-    assert r.unit_count == 3
+    assert (r.rank, r.torsion) == (3, ())
     assert r.status == "complete"
 
 
@@ -225,8 +226,8 @@ def test_nov_reduce_equivalence_oracle():
     for _ in range(200):
         A = _scramble(diagonal, rng, _nov_multiplier, NovElem.zero())
         r = nov_reduce(A, max_iter=1000)
-        assert (r.status, r.unit_count, r.nonunit_invariants) == \
-            ("complete", 2, (2, 4)), A
+        assert (r.status, r.rank, r.torsion) == \
+            ("complete", 4, (2, 4)), A
 
 
 def test_nov_reduce_matches_snf_on_integer_constants():
@@ -238,8 +239,30 @@ def test_nov_reduce_matches_snf_on_integer_constants():
         s = snf_int(M(rows))
         r = nov_reduce(M([[NovElem([(x, 0)]) for x in row] for row in rows]))
         assert r.status == "complete"
-        assert r.unit_count + len(r.nonunit_invariants) == s.rank
-        assert r.nonunit_invariants == s.invariant_factors
+        assert r.rank == s.rank
+        assert r.torsion == s.torsion
+
+
+def _valuation(v, p):
+    k = 0
+    while v % p == 0:
+        v, k = v // p, k + 1
+    return k
+
+
+def test_divisibility_chain_is_the_invariant_factor_form():
+    # Z/a + Z/b = Z/gcd + Z/lcm, so the chain keeps the count and each
+    # prime's multiset of exponents; with d1 | d2 | ... that fixes it
+    rng = random.Random(1998)
+    for _ in range(2000):
+        values = [2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2)
+                  * 5 ** rng.randint(0, 1) for _ in range(rng.randint(0, 7))]
+        chain = _divisibility_chain(values)
+        assert len(chain) == len(values)
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:])), values
+        for p in (2, 3, 5):
+            assert sorted(_valuation(v, p) for v in chain) == \
+                sorted(_valuation(v, p) for v in values), values
 
 
 def test_zero_column_never_changes_rank():
@@ -301,10 +324,9 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
                     lambda r: r.choice([-4, -2, 2, 3, 6]))
         s, leaf = snf_int(A), _nov_leaf(A, 1, inf)
         assert leaf.status == "complete", A
-        assert (s.rank, s.invariant_factors) == \
-            (leaf.rank, leaf.nonunit_invariants), A
+        assert (s.rank, s.torsion) == (leaf.rank, leaf.torsion), A
         if A.rows <= 5 and A.cols <= 5:
-            assert (s.rank, s.invariant_factors) == minors_oracle(A.entries)
+            assert (s.rank, s.torsion) == minors_oracle(A.entries)
 
     for _ in range(40):
         A = _sparse(rng, ExpSum.zero(),
@@ -312,7 +334,7 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
                                               _halves(r)),
                     lambda r: ExpSum([(r.choice([1, -1, 2]), _halves(r))
                                       for _ in range(2)]))
-        assert rank_expsum(A).rank == _rank_leaf(A), A
+        assert rank_expsum(A).rank == _rank_leaf(A).rank, A
 
     both = 0
     for _ in range(40):
@@ -323,8 +345,7 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
         if "stuck" in (r.status, leaf.status):
             continue
         both += 1
-        assert (r.unit_count, r.nonunit_invariants) == \
-            (leaf.unit_count, leaf.nonunit_invariants), A
+        assert (r.rank, r.torsion) == (leaf.rank, leaf.torsion), A
     # 39 of 40 complete both ways; in the other the unit pass's Schur fill
     # widens an entry's exponent span past depth 8 and nov_reduce is stuck
     assert both >= 39
@@ -412,7 +433,7 @@ def test_nov_leaf_equals_whole_row_and_column_reference():
         got, want = _nov_leaf(A, 1, budget), nov_leaf_reference(A, 1, budget)
         assert got == want, A
         seen[got.status] += 1
-        seen["torsion"] += bool(got.nonunit_invariants)
+        seen["torsion"] += bool(got.torsion)
     for _ in range(300):
         A = _sparse(rng, NovElem.zero(), _nov_unit, _nov_inexact,
                     unit_share=rng.random(), size=7,
@@ -422,7 +443,7 @@ def test_nov_leaf_equals_whole_row_and_column_reference():
         got = _nov_leaf(A, depth, budget)
         assert got == nov_leaf_reference(A, depth, budget), (A, depth, budget)
         seen[got.status] += 1
-        seen["torsion"] += bool(got.nonunit_invariants)
+        seen["torsion"] += bool(got.torsion)
     # rows that are unit multiples or sums of earlier rows: the Schur
     # complement leaves entries whose known terms all cancel, and such a
     # truncated zero must still lower what it is added to

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import agrees_with, rescale
 from morsetwist import rings
 from morsetwist.errors import NotAUnit, ZeroElement
-from morsetwist.rings import ExpSum, NovElem
+from morsetwist.rings import ExpSum, NovElem, laurent
 
 
 def test_normalize_cancellation():
@@ -90,6 +90,35 @@ def test_nov_invert_truncated_input_keeps_its_floor():
 def test_nov_invert_nonunit_rejected():
     with pytest.raises(NotAUnit):
         NovElem([(2, 0)]).invert(4)
+
+
+def test_nov_invert_multiplies_back_to_one_above_its_floor():
+    # units ±t^a plus lower terms with non-unit coefficients, exact or
+    # truncated, whose exponent gaps have mixed denominators, so an inverse
+    # runs to many terms: the product is 1 above its floor
+    rng = random.Random(1919)
+    longest = 0
+    for _ in range(300):
+        top = F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        terms = [(rng.choice([1, -1]), top)]
+        terms += [(rng.choice([-4, -3, -2, 2, 3, 5]),
+                   top - F(rng.randint(1, 12), rng.choice([1, 2, 3, 5])))
+                  for _ in range(rng.randint(1, 4))]
+        floor = rng.choice([None, top - F(rng.randint(2, 9), 2)])
+        x = NovElem(terms, floor)
+        depth = rng.choice([F(1, 2), 3, F(17, 3), 12])
+        inv = x.invert(depth)
+        assert agrees_with(x * inv, NovElem.one()), (x, depth)
+        longest = max(longest, len(inv.terms))
+    assert longest > 100
+
+
+def test_nov_invert_long_series_closed_form():
+    # (1 + u⁻¹)⁻¹ = Σ (−1)^k u^(−k) over ℤ[u, u⁻¹], one term per division
+    # step, to a u-depth of 20,000
+    inv = (laurent(1, 0) + laurent(1, -1)).invert(20000)
+    assert inv.terms == tuple(((-1) ** k, -k) for k in range(20000))
+    assert inv.floor == -20000
 
 
 def test_rescale():
