@@ -160,7 +160,7 @@ class FacetList:
     facets: tuple
 
     def __post_init__(self):
-        facets = tuple(tuple(int(v) for v in f) for f in self.facets)
+        facets = tuple(tuple(map(int, f)) for f in self.facets)
         object.__setattr__(self, "facets", facets)
         if not facets:
             raise MalformedFacets("no facets given")
@@ -169,15 +169,16 @@ class FacetList:
         if bound > MAX_FACES:
             raise MalformedFacets(f"face bound {len(facets)} x (2^{size} - 1) "
                                   f"= {bound} exceeds the cap {MAX_FACES}")
+        n = self.n_vertices
         seen = set()
         for f in facets:
             if len(f) != size:
                 raise MalformedFacets("facets must all have the same dimension")
             if len(set(f)) != len(f):
                 raise MalformedFacets(f"facet {f} repeats a vertex")
-            if any(not 0 <= v < self.n_vertices for v in f):
-                raise MalformedFacets(f"facet {f} has a vertex out of range")
             key = tuple(sorted(f))
+            if key and (key[0] < 0 or key[-1] >= n):
+                raise MalformedFacets(f"facet {f} has a vertex out of range")
             if key in seen:
                 raise MalformedFacets(f"duplicate facet {f}")
             seen.add(key)
@@ -212,9 +213,11 @@ def simplicial_boundary(fl: FacetList) -> ChainComplex:
     for k in range(1, len(layers)):
         row = {s: r for r, s in enumerate(layers[k - 1])}
         data = [{} for _ in layers[k - 1]]
+        # combinations(s, k) drops vertex k - m of s at position m
+        signs = [-1 if (k - m) % 2 else 1 for m in range(k + 1)]
         for c, s in enumerate(layers[k]):
-            for i in range(k + 1):
-                data[row[s[:i] + s[i + 1:]]][c] = -1 if i % 2 else 1
+            for face, sign in zip(itertools.combinations(s, k), signs):
+                data[row[face]][c] = sign
         diffs.append(Matrix(len(layers[k - 1]), len(layers[k]), data))
     return ChainComplex(INT, layers, diffs)
 

@@ -79,18 +79,23 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
 
 
+def _is_unit(e) -> bool:
+    """Whether e is a unit that the pass cancels: ±1, or a single term ±t^a."""
+    if type(e) is int:
+        return e == 1 or e == -1
+    terms = e.terms
+    return len(terms) == 1 and terms[0][0] in (1, -1)
+
+
 def _unit_inverse(e):
     """The exact inverse of a unit ±1 or ±t^a, else None."""
-    if type(e) is int:
-        return e if e == 1 or e == -1 else None
-    terms = e.terms
-    if len(terms) == 1 and terms[0][0] in (1, -1):
-        return e.invert_exponents()
-    return None
+    if not _is_unit(e):
+        return None
+    return e if type(e) is int else e.invert_exponents()
 
 
 def cancel_units(A: Matrix):
-    """Cancel every unit entry of A that ``_unit_inverse`` recognises.
+    """Cancel every unit entry of A that ``_is_unit`` recognises.
 
     Returns (pivots, leftover Matrix with A's zero), the pivots as the
     (row, col) of A that each step pivoted on, in order.  Each step takes
@@ -98,112 +103,108 @@ def cancel_units(A: Matrix):
     the lowest (row, col), and replaces the matrix by its Schur
     complement: the pivot's inverse lies in the ring, so A is equivalent
     to diag(pivots, leftover), and rank, invariant factors and torsion all
-    come from the leftover.  A pivot pairs the cells of its row and column;
-    ``chains.homology`` drops them from the neighbouring boundaries.
+    come from the leftover.  Only a pivot's inverse is built, by
+    ``_unit_inverse`` when it is taken.  A pivot pairs the cells of its row
+    and column; ``chains.homology`` drops them from the neighbouring
+    boundaries.
     """
+    ncols = A.cols
+    span = A.rows * ncols
     rows = {}       # row -> {col: nonzero entry}
     cols = {}       # col -> set of rows holding a nonzero entry there
-    inverses = {}   # (row, col) -> inverse of the unit stored there
-    # Lazily re-keyed heap.  best[u] is the key of unit u's live item (an
-    # older item of u is dropped when it surfaces) and never exceeds u's
-    # cost: after a pivot a unit is offered again only if its row or column
-    # got shorter or its entry was rewritten, and queued only if its cost
-    # fell below best[u]; a live item that surfaces below its unit's cost
-    # is queued again at that cost.  So the first live item popped at its
-    # cost is the lowest-cost unit, ties to the lowest (row, col), exactly
-    # as if every cost were re-keyed after every pivot.
+    # Lazily re-keyed heap.  A unit u at (row, col) sits at position
+    # row·ncols + col, and its heap items are the ints key·span + position,
+    # which order exactly like (key, row, col) tuples.  best[u] is the key
+    # of unit u's live item (an older item of u is dropped when it
+    # surfaces) and never exceeds u's cost: after a pivot a unit is offered
+    # again only if its row or column got shorter or its entry was
+    # rewritten, and queued only if its cost fell below best[u]; a live
+    # item that surfaces below its unit's cost is queued again at that
+    # cost.  So the first live item popped at its cost is the lowest-cost
+    # unit, ties to the lowest (row, col), exactly as if every cost were
+    # re-keyed after every pivot.
     best = {}
     heap = []
-
-    def put(i, j, v):
-        rows[i][j] = v
-        inv = _unit_inverse(v)
-        if inv is None:
-            drop(i, j)
-        else:
-            inverses[i, j] = inv
-
-    def drop(i, j):
-        inverses.pop((i, j), None)
-        best.pop((i, j), None)
-
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    def offer(i, j):
-        if (i, j) in inverses:
-            k = cost(i, j)
-            if k < best.get((i, j), inf):
-                best[i, j] = k
-                heapq.heappush(heap, (k, i, j))
-
     for i, row in enumerate(A.data):
         if row:
-            rows[i] = {}
-            for j, e in row.items():
-                put(i, j, e)
+            rows[i] = dict(row)
+            for j in row:
                 cols.setdefault(j, set()).add(i)
-    for i, j in inverses:
-        best[i, j] = k = cost(i, j)
-        heap.append((k, i, j))
+    for i, row in rows.items():
+        rk = len(row) - 1
+        for j, e in row.items():
+            if _is_unit(e):
+                p = i * ncols + j
+                best[p] = k = rk * (len(cols[j]) - 1)
+                heap.append(k * span + p)
     heapq.heapify(heap)
 
     pivots = []
     while heap:
-        key, r, c = heapq.heappop(heap)
-        if best.get((r, c)) != key:
+        key, p = divmod(heapq.heappop(heap), span)
+        if best.get(p) != key:
             continue
-        k = cost(r, c)
+        r, c = divmod(p, ncols)
+        k = (len(rows[r]) - 1) * (len(cols[c]) - 1)
         if key < k:
-            best[r, c] = k
-            heapq.heappush(heap, (k, r, c))
+            best[p] = k
+            heapq.heappush(heap, k * span + p)
             continue
-        inv = inverses[r, c]
         pivots.append((r, c))
+        del best[p]
         prow = rows.pop(r)
-        del prow[c]
+        inv = _unit_inverse(prow.pop(c))
         pcol = cols.pop(c)
         pcol.discard(r)
-        drop(r, c)
+        base = p - c
         col_len = {}    # col -> its length before the pivot
         for j in prow:
-            drop(r, j)
-            col_len[j] = len(cols[j])
-            cols[j].discard(r)
-        for i in pcol:
-            drop(i, c)
-        shorter = []
-        written = []
+            best.pop(base + j, None)
+            col = cols[j]
+            col_len[j] = len(col)
+            col.discard(r)
+        offers = []     # positions of units to offer again
         for i in pcol:
             row = rows[i]
             before = len(row)
+            base = i * ncols
+            best.pop(base + c, None)
             f = row.pop(c) * inv
             for j, x in prow.items():
-                v = row[j] - f * x if j in row else -(f * x)
-                if v:
-                    put(i, j, v)
+                if j in row:
+                    v = row[j] - f * x
+                    if not v:
+                        del row[j]
+                        best.pop(base + j, None)
+                        cols[j].discard(i)
+                        continue
+                else:
+                    v = -(f * x)
+                    if not v:
+                        continue
                     cols[j].add(i)
-                    written.append((i, j))
-                elif j in row:
-                    del row[j]
-                    drop(i, j)
-                    cols[j].discard(i)
+                row[j] = v
+                if _is_unit(v):
+                    offers.append(base + j)
+                else:
+                    best.pop(base + j, None)
             if not row:
                 del rows[i]
             elif len(row) < before:
-                shorter.append(i)
-        for i in shorter:
-            for j in rows[i]:
-                offer(i, j)
+                offers += [base + j for j, e in row.items() if _is_unit(e)]
         for j in prow:
             col = cols[j]
             if not col:
                 del cols[j]
             elif len(col) < col_len[j]:
-                for i in col:
-                    offer(i, j)
-        for i, j in written:
-            offer(i, j)
+                offers += [i * ncols + j for i in col
+                           if _is_unit(rows[i][j])]
+        for p in offers:
+            i, j = divmod(p, ncols)
+            k = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+            if k < best.get(p, inf):
+                best[p] = k
+                heapq.heappush(heap, k * span + p)
 
     live_cols = {j: n for n, j in enumerate(sorted(cols))}
     leftover = [{live_cols[j]: v for j, v in rows[i].items()}

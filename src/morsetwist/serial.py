@@ -244,18 +244,22 @@ def facets_to_text(fl: FacetList) -> str:
 
 
 def facets_from_text(text: str) -> FacetList:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines())
+             if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("vertices "):
         raise ParseError("facet file must start with 'vertices N'")
+    # exactly "vertices N" with N a non-negative integer
+    head = lines[0].split()
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"bad vertex count line {lines[0]!r}") from exc
+        n = int(head[1]) if len(head) == 2 and head[1].isdecimal() else -1
+    except ValueError:  # more digits than int() reads
+        n = -1
+    if n < 0:
+        raise ParseError(f"bad vertex count line {lines[0]!r}")
     facets = []
     for ln in lines[1:]:
         try:
-            facets.append(tuple(int(v) for v in ln.split()))
+            facets.append(tuple(map(int, ln.split())))
         except ValueError as exc:
             raise ParseError(f"bad facet line {ln!r}") from exc
     return FacetList(n_vertices=n, facets=tuple(facets))

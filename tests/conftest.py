@@ -404,7 +404,8 @@ def unit_pivots_eager(A):
     unit rule, read from the dense view: after every pivot, every unit of
     every row and column the pivot touched is pushed again at its current
     cost, so the heap always holds each live unit at its cost and stale
-    items are dropped when they surface.  Returns (pivots cancelled, leftover as dense rows)."""
+    items are dropped when they surface.  Returns (the (row, col) pivots in
+    the order taken, leftover as dense rows)."""
     rows = {}       # row -> {col: nonzero entry}
     cols = {}       # col -> set of rows holding a nonzero entry there
     inverses = {}   # (row, col) -> inverse of the unit last written there
@@ -430,14 +431,14 @@ def unit_pivots_eager(A):
 
     heap = [(cost(i, j), i, j) for i, j in inverses]
     heapq.heapify(heap)
-    count = 0
+    pivots = []
     while heap:
         key, r, c = heapq.heappop(heap)
         if c not in rows.get(r, ()) or (r, c) not in inverses \
                 or key != cost(r, c):
             continue
         inv = inverses[r, c]
-        count += 1
+        pivots.append((r, c))
         prow = rows.pop(r)
         del prow[c]
         pcol = cols.pop(c)
@@ -471,7 +472,7 @@ def unit_pivots_eager(A):
 
     zero = A.zero
     live_cols = sorted(cols)
-    return count, [[rows[i].get(j, zero) for j in live_cols]
+    return pivots, [[rows[i].get(j, zero) for j in live_cols]
                    for i in sorted(rows)]
 
 

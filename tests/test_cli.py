@@ -1,9 +1,13 @@
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
-from conftest import freudenthal_torus_facets
+from conftest import freudenthal_torus_facets, grid_facets
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import morsetwist.cli as cli
 from morsetwist.cli import main
@@ -253,6 +257,71 @@ def test_malformed_facets_is_parse_error(tmp_path, capsys):
     out, err = run(capsys, "from-triangulation", str(path), code=2)
     assert out == ""
     assert err == "error: facet (0, 0, 1) repeats a vertex\n"
+
+
+def test_facet_header_with_trailing_tokens_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "junk.facets"
+    path.write_text("vertices 3 junk\n0 1 2\n")
+    out, err = run(capsys, "from-triangulation", str(path), code=2)
+    assert out == ""
+    assert err == "error: bad vertex count line 'vertices 3 junk'\n"
+
+
+_FACET_FILES = [
+    [ln.split() for ln in facets_to_text(fl).splitlines()]
+    for fl in (FacetList(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+               FacetList(6, RP2_SIX_VERTEX_FACETS), grid_facets(3),
+               FacetList(3, ((0, 1), (1, 2), (0, 2))))]
+_TOKENS = ["0", "1", "2", "5", "9", "-1", "-0", "+2", "1.5", "x", "#",
+           "vertices", "99999999999999999999", "٣"]
+
+
+@st.composite
+def mutated_facet_files(draw):
+    """A small facet file after a few token and line edits: inserted and
+    deleted tokens, swapped lines, a garbled header, negated vertices and
+    comments; at most 31 lines of at most 6 tokens."""
+    lines = [list(ln) for ln in draw(st.sampled_from(_FACET_FILES))]
+    for _ in range(draw(st.integers(1, 5))):
+        i = draw(st.integers(1, len(lines) - 1))  # a facet line
+        line = lines[i]
+        k = draw(st.integers(0, len(line)))
+        op = draw(st.sampled_from(["insert", "delete", "swap", "header",
+                                   "negate", "comment"]))
+        if op == "insert":
+            line.insert(k, draw(st.sampled_from(_TOKENS)))
+        elif op == "delete" and k < len(line):
+            del line[k]
+        elif op == "swap":
+            j = draw(st.integers(1, len(lines) - 1))
+            lines[i], lines[j] = lines[j], line
+        elif op == "header":
+            lines[0] = draw(st.lists(st.sampled_from(_TOKENS), max_size=3))
+            if draw(st.integers(0, 3)):
+                lines[0].insert(0, "vertices")
+        elif op == "negate" and k < len(line):
+            line[k] = "-" + line[k]
+        elif op == "comment":
+            lines.insert(i, ["#"] + draw(st.lists(st.sampled_from(_TOKENS),
+                                                  max_size=2)))
+    return "\n".join(" ".join(ln[:6]) for ln in lines[:31]) + "\n"
+
+
+@given(text=mutated_facet_files())
+@settings(max_examples=200, deadline=None)
+def test_mutated_facet_files_fail_cleanly(tmp_path_factory, text):
+    # every edit of a valid facet file is answered or refused with one
+    # error line and exit code 1 or 2, never with a traceback
+    path = tmp_path_factory.getbasetemp() / "mutated.facets"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["from-triangulation", str(path)])
+    assert code in (0, 1, 2), (code, text)
+    assert "Traceback" not in err.getvalue(), text
+    if code:
+        assert err.getvalue().startswith("error: ") \
+            and err.getvalue().count("\n") == 1, (err.getvalue(), text)
 
 
 def test_facet_face_bound_over_the_cap_is_parse_error(tmp_path, capsys,

@@ -168,6 +168,25 @@ def test_facet_list_validation():
         FacetList(3, ((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("facets, message", [
+    # the second facet breaks the named rule and every rule checked after
+    # it; the third facet breaks a later rule again (a duplicate of the
+    # first, or a vertex out of range), too late to win
+    (((0, 1, 2), (-1, -1), (2, 1, 0)),
+     "facets must all have the same dimension"),
+    (((0, 1, 2), (-1, -1, 3), (2, 1, 0)), "facet (-1, -1, 3) repeats a vertex"),
+    (((0, 1, 2), (-1, 1, 3), (2, 1, 0)),
+     "facet (-1, 1, 3) has a vertex out of range"),
+    (((0, 1, 2), (2, 1, 0), (0, 1, 3)), "duplicate facet (2, 1, 0)"),
+])
+def test_facet_checks_fire_in_order(facets, message):
+    # the facets are checked in list order, and each one for its size,
+    # then a repeated vertex, then its range, then a duplicate
+    with pytest.raises(MalformedFacets) as err:
+        FacetList(3, facets)
+    assert str(err.value) == message
+
+
 def test_facet_face_bound_cap():
     # the Freudenthal 4-torus n=4, 6,144 facets of 5 vertices, is the
     # largest list in use; a 20-vertex facet's 2^20 - 1 faces are refused

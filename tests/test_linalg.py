@@ -13,13 +13,15 @@ from conftest import (
     nov_leaf_reference,
     rank_int_bruteforce,
     specialise,
+    twisted_torus_cw,
     unit_pivots_eager,
 )
 from morsetwist.chains import EXPSUM, NOV
-from morsetwist.cw import from_simplicial, steenrod_boundary
+from morsetwist.cw import cw_to_morse, from_simplicial, steenrod_boundary
 from morsetwist.linalg import (
     Matrix,
     _divisibility_chain,
+    _is_unit,
     _nov_leaf,
     _rank_leaf,
     _unit_inverse,
@@ -29,7 +31,7 @@ from morsetwist.linalg import (
     rank_expsum,
     snf_int,
 )
-from morsetwist.morse import LocalSystem
+from morsetwist.morse import LocalSystem, build_complex
 from morsetwist.rings import ExpSum, NovElem, laurent
 
 
@@ -352,8 +354,9 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
 
 
 def test_lazy_unit_pass_equals_eager_reference():
-    # the lazily re-keyed heap must pick the eager heap's pivot sequence, so
-    # both cancel as many units and leave the same leftover
+    # the lazily re-keyed heap must take the eager heap's pivots in the same
+    # order, since the pivots decide which cells homology drops from the
+    # next boundary, and leave the same leftover
     rng = random.Random(31415)
     regimes = [
         (0, lambda r: r.choice([1, -1]), lambda r: r.choice([-3, 2, 4])),
@@ -374,11 +377,16 @@ def test_lazy_unit_pass_equals_eager_reference():
         C = steenrod_boundary(from_simplicial(grid_facets(n, klein=True)),
                               LocalSystem.trivial())
         cases += C.diffs
+    # boundaries over ℤ[u, u⁻¹] that mix int ±1 with ±u^k
+    for n in range(3, 7):
+        d = cw_to_morse(twisted_torus_cw(n))
+        for system in (LocalSystem.exp, LocalSystem.nov):
+            for cls in ((0, 0), (1, F(1, 3))):
+                cases += build_complex(d, system(cls)).diffs
     for A in cases:
         pivots, rest = cancel_units(A)
-        count = len(pivots)
         assert rest.zero == A.zero
-        assert (count, rest.entries) == unit_pivots_eager(A), A
+        assert (list(pivots), rest.entries) == unit_pivots_eager(A), A
 
 
 def test_one_unit_rule_for_every_ring():
@@ -387,12 +395,15 @@ def test_one_unit_rule_for_every_ring():
     units = [1, -1, ExpSum.monomial(1, F(1, 2)), ExpSum.monomial(-1, -3),
              NovElem.one(), NovElem.monomial(-1, F(-2, 3)), laurent(1, 4),
              laurent(-1, -2)]
+    others = [2, -3, ExpSum.monomial(2, 1), ExpSum.monomial(F(-1, 3), 0),
+              ExpSum([(1, 1), (1, 0)]), NovElem.monomial(2, F(1, 2)),
+              NovElem([(1, 0), (-1, -1)]), laurent(3, 1)]
     for u in units:
         assert u * _unit_inverse(u) == 1, u
-    for e in [2, -3, ExpSum.monomial(2, 1), ExpSum.monomial(F(-1, 3), 0),
-              ExpSum([(1, 1), (1, 0)]), NovElem.monomial(2, F(1, 2)),
-              NovElem([(1, 0), (-1, -1)]), laurent(3, 1)]:
+    for e in others:
         assert _unit_inverse(e) is None, e
+    for e in units + others:
+        assert _is_unit(e) == (_unit_inverse(e) is not None), e
 
 
 def test_nov_reduce_rejects_truncated_entries_before_any_pivot(monkeypatch):

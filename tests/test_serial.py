@@ -93,6 +93,17 @@ def test_facets_text_errors():
         facets_from_text("vertices 3\n0 one")
 
 
+@pytest.mark.parametrize("header", ["vertices 3 junk", "vertices -2",
+                                    "vertices 3.0", "vertices +3",
+                                    "vertices " + "9" * 5000])
+def test_facet_header_is_exactly_vertices_n(header):
+    # trailing tokens are rejected, not ignored, and a bad count is blamed
+    # on the header rather than on a facet
+    with pytest.raises(ParseError) as err:
+        facets_from_text(f"# comment\n  {header}  \n0 1 2\n")
+    assert str(err.value) == f"bad vertex count line {header!r}"
+
+
 def test_each_distinct_period_string_parsed_once(monkeypatch):
     calls = []
     parse = serial.parse_rational
