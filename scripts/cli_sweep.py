@@ -38,10 +38,11 @@ values of every JSON type, padded and non-ASCII-digit strings, in a flow
 and in a CW incidence, and one flow with both a bad unit tag and a bad
 period.
 Files are written to a temporary directory and named relative to it, so
-no machine-specific path reaches the output.  The invocation count goes
-to stderr.
+no machine-specific path reaches the output.  The invocation count and
+the sha256 of the whole output go to stderr, on one line.
 """
 
+import hashlib
 import io
 import itertools
 import json
@@ -413,16 +414,19 @@ def invocations():
 
 def run():
     count = 0
+    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
             for argv in invocations():
-                sys.stdout.write(json.dumps(call(argv), sort_keys=True) + "\n")
+                line = json.dumps(call(argv), sort_keys=True) + "\n"
+                sys.stdout.write(line)
+                digest.update(line.encode())
                 count += 1
         finally:
             os.chdir(cwd)
-    print(f"{count} invocations", file=sys.stderr)
+    print(f"{count} invocations, sha256 {digest.hexdigest()}", file=sys.stderr)
     return 0
 
 

@@ -39,13 +39,11 @@ from .morse import (
     build_cochain,
     build_complex,
     gauge_transform,
-    h0_cohomology,
-    h0_quotient,
     is_simple,
     lift_cover,
     potential_shift,
     rescale_datum,
 )
-from .rings import ExpSum, NovElem
+from .rings import NovElem
 
 __version__ = "0.1.0"

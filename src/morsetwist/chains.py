@@ -4,9 +4,9 @@ A ``ChainComplex`` stores generator labels per degree and one boundary
 matrix per composable pair of degrees.  Cochain complexes reuse the same
 container with ``ascending=True``: the stored matrices are then the
 coboundaries delta_k (rows indexed by degree k+1 generators), and the same
-homology engine reports H^k from degree-k data.  A twisted complex built
-from a Morse datum holds its matrices over ℤ[u, u⁻¹], u = t^(1/scale),
-and is reduced there by its regime's reducer.
+homology engine reports H^k from degree-k data.  A twisted (exponential
+or Novikov) complex holds its matrices over ℤ[u, u⁻¹], u = t^(1/scale),
+and is checked, reduced and reported there.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry, NotAUnit
 from .linalg import Matrix, Reduction, nov_reduce, rank_expsum, snf_int
-from .rings import ExpSum, NovElem, laurent_image
+from .rings import laurent_image
 
 INT = "INT"
 EXPSUM = "EXPSUM"
 NOV = "NOV"
-
-_ZEROS = {INT: 0, EXPSUM: ExpSum.zero(), NOV: NovElem.zero()}
 
 
 @dataclass(frozen=True)
@@ -31,10 +29,10 @@ class ChainComplex:
     Descending (default): diffs[k] maps degree k+1 to degree k, so
     diffs[k] has |generators[k]| rows and |generators[k+1]| columns.
     Ascending: diffs[k] maps degree k to degree k+1 (transposed shape).
-    With ``scale`` None the entries lie in the regime's ring.  Otherwise
-    (EXPSUM or NOV) they lie in ℤ[u, u⁻¹], as ints or ``NovElem``s with int
-    exponents, and u = t^(1/scale) in either regime.  ``scale`` gives the
-    meaning of u in ``diffs``, so the two are replaced together.
+    INT entries are ints and ``scale`` is None.  EXPSUM and NOV entries lie
+    in ℤ[u, u⁻¹], as ints or ``NovElem``s, u = t^(1/scale) with an int
+    ``scale`` >= 1 (1 for a complex written with t-exponents), so
+    ``scale`` and ``diffs`` are replaced together.
     """
 
     regime: str
@@ -44,9 +42,10 @@ class ChainComplex:
     scale: int | None = None
 
     def __post_init__(self):
-        if self.regime not in _ZEROS:
+        if self.regime not in (INT, EXPSUM, NOV):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.scale is not None and (self.regime == INT or self.scale < 1):
+        kind = int if self.regime != INT else type(None)
+        if type(self.scale) is not kind or kind is int and self.scale < 1:
             raise ValueError(f"no scale {self.scale} for a {self.regime} complex")
         gens = tuple(tuple(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
@@ -67,9 +66,6 @@ class ChainComplex:
     def counts(self):
         return tuple(len(g) for g in self.generators)
 
-    def zero(self):
-        return _ZEROS[self.regime]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -89,13 +85,14 @@ def validate_complex(C: ChainComplex):
     composite.  Each row of a composite sums the products of the left
     row's nonzero entries with the nonzero entries of the right matrix's
     matching rows, so the check costs one product per nonzero pair.  A
-    complex over ℤ[u, u⁻¹] is checked there; a violation shows its image."""
+    twisted complex is checked over ℤ[u, u⁻¹]; a violation shows its image
+    in t = u^scale."""
     diffs = C.diffs
     for k in range(len(diffs) - 1):
         left, right = diffs[k], diffs[k + 1]
         if C.ascending:
             left, right = right, left
-        z = C.zero() if C.scale is None else left.zero
+        z = left.zero
         below = right.data
         for i, lrow in enumerate(left.data):
             comp: dict = {}
@@ -106,8 +103,8 @@ def validate_complex(C: ChainComplex):
             if bad:
                 j = min(bad)
                 value = comp[j]
-                if C.scale is not None:
-                    value = laurent_image(value, C.scale, type(C.zero()))
+                if C.regime != INT:
+                    value = laurent_image(value, C.scale)
                 return Violation(degree=k + 1, row=i, col=j, value=value)
     return None
 
@@ -168,8 +165,7 @@ def _matrix_data(C: ChainComplex, depth, max_iter):
             elif C.regime == EXPSUM:
                 r = rank_expsum(d)
             else:
-                r = nov_reduce(d, depth=depth * (C.scale or 1),
-                               max_iter=max_iter)
+                r = nov_reduce(d, depth=depth * C.scale, max_iter=max_iter)
         out.append(r)
         # a pivot's row (descending) or column (ascending) lies in the
         # degree shared with the matrix below, indexed as stored
@@ -200,7 +196,7 @@ def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
 
 
 def _invert_entry(e):
-    if not isinstance(e, (ExpSum, NovElem)):
+    if type(e) is int:
         return e  # a constant, such as a sum of +-1 transports, is fixed
     try:
         return e.invert_exponents()

@@ -37,7 +37,7 @@ from .morse import (
     flow_periods,
 )
 from .rings import parse_rational
-from .serial import dump_json, facets_from_text, load_json
+from .serial import decimals, dump_json, facets_from_text, load_json
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -57,7 +57,7 @@ def _parse_zeros(text, degrees):
     if text is None:
         return None
     try:
-        zeros = tuple(int(part.strip()) for part in text.split(","))
+        zeros = decimals(part.strip() for part in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad zero counts {text!r}: {exc}") from exc
     if len(zeros) != degrees:
@@ -302,11 +302,10 @@ def _depth(text) -> Fraction:
 
 def _max_iter(text) -> int:
     try:
-        max_iter = int(text)
+        max_iter, = decimals([text.strip()])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if max_iter < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        raise argparse.ArgumentTypeError(
+            f"not a count in decimal digits: {text!r}") from None
     return max_iter
 
 

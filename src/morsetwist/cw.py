@@ -165,6 +165,8 @@ class FacetList:
         if not facets:
             raise MalformedFacets("no facets given")
         size = len(facets[0])
+        if not size:
+            raise MalformedFacets("a facet has no vertex")
         bound = len(facets) * (2 ** size - 1)
         if bound > MAX_FACES:
             raise MalformedFacets(f"face bound {len(facets)} x (2^{size} - 1) "

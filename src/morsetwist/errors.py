@@ -25,6 +25,10 @@ class NonInvertibleEntry(MorsetwistError):
     """Dualization hit a transport that cannot be inverted."""
 
 
+class TooManyTerms(MorsetwistError):
+    """A truncated Novikov inverse would exceed ``linalg.MAX_TERMS`` terms."""
+
+
 class Indeterminate(MorsetwistError):
     """A result depends on a degree whose reduction got stuck."""
 
@@ -43,10 +47,6 @@ class MissingDeckTag(MorsetwistError):
 
 class UnknownGroupElement(MorsetwistError):
     """Deck tag not an element of the declared deck group."""
-
-
-class Disconnected(MorsetwistError):
-    """Degree-zero closed forms need a connected 1-skeleton."""
 
 
 class MissingHolonomy(MorsetwistError):

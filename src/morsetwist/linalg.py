@@ -2,9 +2,9 @@
 
 * ``snf_int`` — Smith normal form over the integers, giving ranks and
   torsion invariant factors.
-* ``rank_expsum`` — rank over the group ring of formal exponential sums.
-  Distinct rational exponents evaluate to linearly independent reals, so
-  the formal rank equals the real one.
+* ``rank_expsum`` — rank over the fraction field of ℤ[u, u⁻¹].  Distinct
+  exponents evaluate to linearly independent reals, so the formal rank
+  equals the real one.
 * ``nov_reduce`` — valuation-pivoted diagonalization over the Novikov
   ring, with truncated unit inversion and an explicit iteration budget.
 
@@ -19,7 +19,7 @@ elimination for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce``
 one Euclidean loop over the Novikov ring, of which the integers are the
 exponent-0 part.  A twisted complex is assembled over ℤ[u, u⁻¹], u =
 t^(1/L), and ``rank_expsum`` and ``nov_reduce`` take it as it is: the
-pass and the leaves run on int exponents, in units of 1/L.
+pass and the leaves run on ints and int exponents, in units of 1/L.
 All functions are pure.  ``Matrix`` stores only nonzero entries, one
 ``{column: entry}`` map per row, from assembly through the unit pass;
 the leaf loops read the small leftover through its dense ``entries`` view.
@@ -32,8 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 
-from .errors import ZeroElement
-from .rings import ExpSum, NovElem
+from .errors import TooManyTerms, ZeroElement
+from .rings import NovElem, laurent
+
+# The largest depth nov_reduce takes: in powers of u, it bounds the terms of
+# a truncated inverse over ℤ[u, u⁻¹] (the sweep's largest has 3,200).
+MAX_TERMS = 10**6
 
 
 class Matrix:
@@ -213,14 +217,8 @@ def cancel_units(A: Matrix):
                                  A.zero)
 
 
-def _as_expsum(e) -> ExpSum:
-    if isinstance(e, NovElem):  # over ℤ[u, u⁻¹]: read through its terms
-        return ExpSum(e.terms)
-    return e if isinstance(e, ExpSum) else ExpSum([(e, 0)])
-
-
 def _as_nov(e) -> NovElem:
-    return e if isinstance(e, NovElem) else NovElem([(e, 0)])
+    return e if type(e) is not int else laurent(e, 0) if e else NovElem.zero()
 
 
 @dataclass(frozen=True)
@@ -258,43 +256,44 @@ def snf_int(A: Matrix) -> Reduction:
     return _reduce(A, lambda rest: _nov_leaf(rest, 1, inf))
 
 
-_DIV_CAP = 100000
-
-
-def expsum_divexact(a: ExpSum, b: ExpSum) -> ExpSum:
-    """Exact quotient a/b in the group ring; a must be a multiple of b."""
-    if b.is_zero:
-        raise ZeroElement("division by zero ExpSum")
-    quot = ExpSum.zero()
-    rem = a
-    for _ in range(_DIV_CAP):
-        if rem.is_zero:
-            return quot
-        ca, ea = rem.leading()
-        cb, eb = b.leading()
-        term = ExpSum.monomial(ca / cb, ea - eb)
+def nov_divexact(a: NovElem, b: NovElem) -> NovElem:
+    """Exact quotient a/b over ℤ[u, u⁻¹] by long division on top terms, each
+    of whose coefficients divides exactly, down to bottom(a) − bottom(b);
+    ArithmeticError when b does not divide a."""
+    if not b.terms:
+        raise ZeroElement("division by zero")
+    cb, eb = b.terms[0]
+    low = a.terms[-1][1] - b.terms[-1][1] if a.terms else 0
+    quot, rem = NovElem.zero(), a
+    while rem.terms:
+        ca, ea = rem.terms[0]
+        c, r = divmod(ca, cb)
+        if r or ea - eb < low:
+            raise ArithmeticError(f"{b.render()} does not divide {a.render()}")
+        term = laurent(c, ea - eb)
         quot = quot + term
         rem = rem - term * b
-    raise ArithmeticError("inexact division in expsum_divexact")
+    return quot
 
 
 def rank_expsum(A: Matrix) -> Reduction:
-    """Rank over the fraction field: cancelled unit pivots ±t^a plus the
-    leftover's rank.  An entry over ℤ[u, u⁻¹] is read as a sum in u."""
+    """Rank over the fraction field of ℤ[u, u⁻¹]: cancelled unit pivots
+    ±u^k plus the leftover's rank."""
     return _reduce(A, _rank_leaf)
 
 
 def _rank_leaf(A: Matrix) -> Reduction:
-    """Rank over the fraction field via fraction-free Bareiss elimination."""
+    """Rank via fraction-free Bareiss elimination: every entry stays a
+    minor, so each division by the previous pivot is exact."""
     m, n = A.rows, A.cols
-    a = [[_as_expsum(e) for e in row] for row in A.entries]
-    prev = ExpSum.one()
+    a = [[_as_nov(e) for e in row] for row in A.entries]
+    prev, zero = laurent(1, 0), NovElem.zero()
     k = 0
     while k < min(m, n):
         piv = None
         for i in range(k, m):
             for j in range(k, n):
-                if not a[i][j].is_zero:
+                if a[i][j].terms:
                     piv = (i, j)
                     break
             if piv is not None:
@@ -309,8 +308,8 @@ def _rank_leaf(A: Matrix) -> Reduction:
         for i in range(k + 1, m):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = expsum_divexact(num, prev)
-            a[i][k] = ExpSum.zero()
+                a[i][j] = nov_divexact(num, prev)
+            a[i][k] = zero
         prev = a[k][k]
         k += 1
     return Reduction(k)
@@ -322,10 +321,11 @@ def _nov_zero(e: NovElem) -> bool:
 
 
 def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
-    """Diagonalize over the Novikov ring; a truncated entry is refused
-    with ``ValueError`` before any pivot.  Over ℤ[u, u⁻¹], ``depth`` counts
-    powers of u.  The torsion is the orders |c| of the cyclic summands
-    Nov/c, in a divisibility chain.
+    """Diagonalize over the Novikov ring.  A truncated entry
+    (``ValueError``) and a depth above ``MAX_TERMS`` (``TooManyTerms``) are
+    refused before any pivot.  Over ℤ[u, u⁻¹], ``depth`` counts powers of
+    u.  The torsion is the orders |c| of the cyclic summands Nov/c, in a
+    divisibility chain.
 
     Exact unit pivots ±t^a are cancelled first; they are finite, exact
     steps and are not charged against ``max_iter``, which budgets the leaf
@@ -336,6 +336,9 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
     if any(getattr(e, "floor", None) is not None
            for row in A.data for e in row.values()):
         raise ValueError("nov_reduce requires exact (untruncated) entries")
+    if depth > MAX_TERMS:
+        raise TooManyTerms(f"Novikov depth {depth} in powers of u exceeds "
+                           f"the cap of {MAX_TERMS} inverse terms")
     return _reduce(A, lambda rest: _nov_leaf(rest, depth, max_iter))
 
 

@@ -27,7 +27,6 @@ from math import lcm
 
 from .chains import EXPSUM, INT, NOV, ChainComplex, dualize
 from .errors import (
-    Disconnected,
     MissingDeckTag,
     MissingUnitTag,
     NonUnit,
@@ -340,15 +339,15 @@ def lift_cover(d: MorseDatum, group: DeckGroup | None = None) -> MorseDatum:
                       basis_forms=(), points=points, flows=tuple(flows))
 
 
-# --- loop detection and the degree-zero closed forms ----------------------
+# --- loop detection ---------------------------------------------------------
 
 def _loop_data(d: MorseDatum, per):
     """Loop units detectable from the datum, given each flow's class
     period ``per`` (``flow_periods``).
 
-    Returns (connected, loops) where each loop is a pair (period, unit):
-    period is class . (componentwise period around the loop), unit the
-    product of +-1 unit tags (1 when tags are absent).  By linearity the
+    Returns the loops, each a pair (period, unit): period is the class
+    applied to the componentwise period around the loop, unit the product
+    of +-1 unit tags (1 when tags are absent).  By linearity the
     scalar is carried instead of the vector.  Sources: pairs of parallel
     flow lines anywhere, plus independent cycles of the index <= 1
     skeleton."""
@@ -397,16 +396,14 @@ def _loop_data(d: MorseDatum, per):
                 pu, uu = pot[u]
                 pvv, uv = pot[v]
                 loops.append((pu + pv - pvv, uu * un * uv))
-    connected = all(v in pot for v in verts) if verts else True
-    return connected, loops
+    return loops
 
 
 def loop_periods(d: MorseDatum, class_vector, periods=None):
     """Scalar periods (class . loop) over all detected loops."""
     if periods is None:
         periods = flow_periods(d, tuple(Fraction(c) for c in class_vector))
-    _, loops = _loop_data(d, periods)
-    return [Fraction(a) for a, _ in loops]
+    return [Fraction(a) for a, _ in _loop_data(d, periods)]
 
 
 def is_simple(d: MorseDatum, sys: LocalSystem, periods=None) -> bool:
@@ -417,39 +414,10 @@ def is_simple(d: MorseDatum, sys: LocalSystem, periods=None) -> bool:
     sys.check_compatible(d)
     if periods is None:
         periods = flow_periods(d, sys.class_vector)
-    _, loops = _loop_data(d, periods)
+    loops = _loop_data(d, periods)
     if sys.flavor == UNIT_REP:
         return all(unit == 1 for _, unit in loops)
     if sys.flavor in (EXP, NOV_SYS):
         return all(a == 0 for a, _ in loops)
     return True
 
-
-def _h0(d: MorseDatum, sys: LocalSystem, sign_loop: str) -> str:
-    """Degree-zero group of a connected datum; ``sign_loop`` is the answer
-    for a +-1 representation with some loop unit -1."""
-    sys.check_compatible(d)
-    connected, loops = _loop_data(d, flow_periods(d, sys.class_vector))
-    if not connected:
-        raise Disconnected(f"index <= 1 skeleton of {d.name} is not connected")
-    if sys.flavor == TRIVIAL:
-        return "Z"
-    if sys.flavor == UNIT_REP:
-        if any(unit == -1 for _, unit in loops):
-            return sign_loop
-        return "Z"
-    if any(a != 0 for a, _ in loops):
-        # 1 - t^c is invertible (field fraction / Novikov unit): quotient dies
-        return "0"
-    return "R" if sys.flavor == EXP else "Nov"
-
-
-def h0_quotient(d: MorseDatum, sys: LocalSystem) -> str:
-    """H_0 as fiber modulo the subgroup generated by (1 - loop unit)."""
-    # fiber Z; 1 - (-1) = 2 whenever some loop unit is -1
-    return _h0(d, sys, "Z/2")
-
-
-def h0_cohomology(d: MorseDatum, sys: LocalSystem) -> str:
-    """H^0 as the subgroup of the fiber fixed by every loop unit."""
-    return _h0(d, sys, "0")  # fixed points of s -> -s on Z

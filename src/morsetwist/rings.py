@@ -1,24 +1,21 @@
-"""Exact coefficient arithmetic: formal exponential sums and Novikov elements.
+"""Exact coefficient arithmetic over ℤ[u, u⁻¹] and the Novikov ring.
 
-Both types are formal sums of monomials ``c * t^a`` with exact rational
-exponents.  ``ExpSum`` has rational coefficients and models the group ring
-Q[Q] (the formal home of the exponential transport weights).  ``NovElem``
-has integer coefficients and models the rational-exponent part of the
-Novikov ring; a truncation floor marks where a series computed by unit
-inversion stops being known.
+Every twisted complex is built, checked and reduced as ints and
+``NovElem``s: sums of monomials ``c * u^k`` with int coefficients and,
+over ℤ[u, u⁻¹] (``laurent``), int exponents; ``laurent_image`` reads one
+in t = u^scale.  A truncation floor marks where a series computed by
+unit inversion stops being known.  ``ExpSum`` holds such sums with
+rational coefficients; no reduction computes in it.
 
 Every element holds a canonical term tuple: ``(coeff, exp)`` pairs whose
-exponents are distinct ``Fraction``s in strictly descending order, with no
-zero coefficient; coefficients are ``Fraction`` in an ``ExpSum`` and
-``int`` in a ``NovElem``, and every term of a truncated ``NovElem`` lies
-above its floor.  The constructors ``ExpSum(raw)``/``NovElem(raw)`` (via
-``_merge_terms``) and ``monomial`` are the only paths that accept outside
-values, and they cast and check every one.  Arithmetic on two canonical
-operands builds a canonical result directly (``_add_terms``,
-``_mul_terms``, ``_make``) and never re-normalises it.  The Laurent ring
-ℤ[u, u⁻¹] is held as exact ``NovElem``s with ``int`` exponents
-(``laurent``), so its arithmetic runs on ints; ``laurent_image`` reads an
-element as a series in t = u^scale.
+exponents are distinct exact rationals in strictly descending order, with
+no zero coefficient; coefficients are ``int`` in a ``NovElem`` and
+``Fraction`` in an ``ExpSum``, and every term of a truncated ``NovElem``
+lies above its floor.  The constructors ``NovElem(raw)``/``ExpSum(raw)``
+(via ``_merge_terms``) and ``monomial`` are the only paths that accept
+outside values, and they cast and check every one.  Arithmetic on two
+canonical operands builds a canonical result directly (``_add_terms``,
+``_mul_terms``, ``_make``) and never re-normalises it.
 
 All exponents are exact rationals.  Transcendental period values coming
 from angular forms are stored after dividing by one full turn, so a half
@@ -41,9 +38,7 @@ _ONE = Fraction(1)
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -423,14 +418,12 @@ def laurent(c, k) -> NovElem:
     return _make(NovElem, ((c, k),))
 
 
-def laurent_image(e, scale, cls):
+def laurent_image(e, scale) -> NovElem:
     """Image of e in ℤ[u, u⁻¹] (an int, or a ``NovElem`` with int
-    exponents) under u ↦ t^(1/scale), an injective ring homomorphism into
-    ``ExpSum`` or ``NovElem`` (``cls``): a rescale of every exponent."""
-    terms = ((e, 0),) if isinstance(e, int) else e.terms
-    if cls is ExpSum:
-        terms = [(Fraction(c), k) for c, k in terms]
-    return _make(cls, tuple([(c, Fraction(k, scale)) for c, k in terms]))
+    exponents) under u ↦ t^(1/scale), an injective ring homomorphism: a
+    rescale of every exponent."""
+    terms = ((e, 0),) if type(e) is int else e.terms
+    return _make(NovElem, tuple([(c, Fraction(k, scale)) for c, k in terms]))
 
 
 def _max_floor(a, b):

@@ -243,23 +243,29 @@ def facets_to_text(fl: FacetList) -> str:
     return "\n".join(lines) + "\n"
 
 
+def decimals(tokens) -> tuple:
+    """The integers that ``tokens`` spell in decimal digits only (no sign,
+    ``_``, whitespace or empty token; non-ASCII digits count, as in a
+    period), else ValueError: every integer of a facet file or option."""
+    tokens = tuple(tokens)
+    if not all(tokens) or not "".join(tokens).isdecimal():
+        raise ValueError(f"not decimal digits: {tokens}")
+    return tuple(map(int, tokens))
+
+
 def facets_from_text(text: str) -> FacetList:
     lines = [ln for ln in map(str.strip, text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("vertices "):
         raise ParseError("facet file must start with 'vertices N'")
-    # exactly "vertices N" with N a non-negative integer
-    head = lines[0].split()
-    try:
-        n = int(head[1]) if len(head) == 2 and head[1].isdecimal() else -1
-    except ValueError:  # more digits than int() reads
-        n = -1
-    if n < 0:
-        raise ParseError(f"bad vertex count line {lines[0]!r}")
+    try:  # exactly "vertices N"
+        n, = decimals(lines[0].split()[1:])
+    except ValueError:
+        raise ParseError(f"bad vertex count line {lines[0]!r}") from None
     facets = []
     for ln in lines[1:]:
         try:
-            facets.append(tuple(map(int, ln.split())))
-        except ValueError as exc:
-            raise ParseError(f"bad facet line {ln!r}") from exc
+            facets.append(decimals(ln.split()))
+        except ValueError:
+            raise ParseError(f"bad facet line {ln!r}") from None
     return FacetList(n_vertices=n, facets=tuple(facets))

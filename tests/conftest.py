@@ -2,8 +2,10 @@
 expansion and integer invariant factors from determinantal divisors, both
 independent of any reduction; reference helpers on elements and matrices
 (a matrix from dense rows, exponent rescaling, agreement above a
-truncation floor); the componentwise (vector) period path that the scalar
-loop periods of ``morsetwist.morse`` must agree with; the image of a
+truncation floor, a matrix over ℤ[u, u⁻¹] with the rank of rational
+dense rows); the componentwise (vector) period path that the scalar
+loop periods of ``morsetwist.morse`` must agree with, and the degree-zero
+group read off it; the image of a
 complex over ℤ[u, u⁻¹] in its regime's ring, which the reduction of the
 complex itself must agree with; homology with each boundary reduced on
 its own, which the unit pass across the whole complex must agree with;
@@ -24,7 +26,7 @@ import itertools
 import json
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -37,7 +39,7 @@ from morsetwist.chains import (
     validate_complex,
 )
 from morsetwist.cw import FacetList, Incidence, RegularCW
-from morsetwist.errors import Disconnected, ParseError
+from morsetwist.errors import MorsetwistError, ParseError
 from morsetwist.linalg import (
     Matrix,
     Reduction,
@@ -59,7 +61,7 @@ from morsetwist.morse import (
     FlowLine,
     MorseDatum,
 )
-from morsetwist.rings import ExpSum, NovElem, laurent_image
+from morsetwist.rings import ExpSum, NovElem, laurent, laurent_image
 
 
 def _det(rows):
@@ -127,6 +129,21 @@ def rescale(x, s):
     if isinstance(x, ExpSum):
         return ExpSum(terms)
     return NovElem(terms, None if x.floor is None else x.floor * s)
+
+
+def laurent_matrix(rows):
+    """(A, L): A over ℤ[u, u⁻¹] with the rank of ``rows``, dense rows whose
+    entries are lists of (coefficient, exponent) terms in t, both
+    rational (0 for no terms).  Every coefficient is multiplied by the lcm
+    of their denominators, a unit of the fraction field, and u = t^(1/L)
+    with L the lcm of the exponents' denominators, an injective ring map,
+    so no rank changes."""
+    terms = [t for row in rows for e in row if e for t in e]
+    den = lcm(*(Fraction(c).denominator for c, _ in terms))
+    scale = lcm(*(Fraction(e).denominator for _, e in terms))
+    return from_rows([[sum((laurent(int(c * den), int(e * scale))
+                            for c, e in entry or () if c), 0)
+                       for entry in row] for row in rows]), scale
 
 
 def agrees_with(a, b):
@@ -214,8 +231,15 @@ def is_simple_vector(d, sys):
     return True
 
 
+class Disconnected(MorsetwistError):
+    """Degree-zero closed forms need a connected 1-skeleton."""
+
+
 def h0_vector(d, sys, sign_loop):
-    """The degree-zero group from the vector loops."""
+    """The degree-zero group of a connected datum from the vector loops:
+    the fiber modulo (1 − loop unit) with ``sign_loop`` "Z/2" for H_0, or
+    the fixed part with "0" for H^0, where a ±1 representation has some
+    loop unit −1; 1 − t^c is invertible in both twisted rings."""
     sys.check_compatible(d)
     connected, loops = loop_data_vector(d)
     if not connected:
@@ -235,23 +259,22 @@ def rank_of_class_vector(d, class_vector):
 
 # --- the image of a complex over ℤ[u, u⁻¹] ----------------------------------
 
-def specialise(A, regime, scale):
-    """The EXPSUM or NOV image of a matrix over ℤ[u, u⁻¹] under
-    u ↦ t^(1/scale), entry by entry.  A ``scale`` of None means A is its
-    own image."""
-    if scale is None:
-        return A
-    cls = ExpSum if regime == EXPSUM else NovElem
+def specialise(A, scale):
+    """The image of a matrix over ℤ[u, u⁻¹] under u ↦ t^(1/scale), entry
+    by entry, as ``NovElem``s with rational exponents."""
     return Matrix(A.rows, A.cols,
-                  [{j: laurent_image(e, scale, cls) for j, e in row.items()}
-                   for row in A.data], cls.zero())
+                  [{j: laurent_image(e, scale) for j, e in row.items()}
+                   for row in A.data], NovElem.zero())
 
 
 def image_complex(C):
-    """The same complex with its boundaries in the regime's ring."""
+    """A twisted complex with its boundaries read in t, at scale 1; an
+    integer complex is its own image."""
+    if C.regime == INT:
+        return C
     return ChainComplex(C.regime, C.generators,
-                        tuple(specialise(d, C.regime, C.scale)
-                              for d in C.diffs), C.ascending)
+                        tuple(specialise(d, C.scale) for d in C.diffs),
+                        C.ascending, 1)
 
 
 # --- homology with each boundary reduced on its own ------------------------
@@ -271,7 +294,7 @@ def homology_per_matrix(C, depth=16, max_iter=10000):
         elif C.regime == EXPSUM:
             data.append(rank_expsum(d))
         else:
-            data.append(nov_reduce(d, depth=depth * (C.scale or 1),
+            data.append(nov_reduce(d, depth=depth * C.scale,
                                    max_iter=max_iter))
     none = Reduction(0)
     degrees = []

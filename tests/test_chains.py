@@ -47,7 +47,7 @@ from morsetwist.morse import (
     MorseDatum,
     build_complex,
 )
-from morsetwist.rings import ExpSum, NovElem
+from morsetwist.rings import NovElem, laurent
 
 
 def int_complex(gens, mats):
@@ -104,9 +104,10 @@ def test_zero_boundaries_betti_equals_counts():
 
 
 def test_expsum_homology_and_dual():
-    e = ExpSum([(1, F(-1, 2)), (-1, F(1, 2))])
+    # t^(-1/2) - t^(1/2) over u = t^(1/2)
+    e = laurent(1, -1) - laurent(1, 1)
     C = ChainComplex(regime="EXPSUM", generators=(("p",), ("q",)),
-                     diffs=(from_rows([[e]]),))
+                     diffs=(from_rows([[e]]),), scale=2)
     s = homology(C)
     assert s.betti == (0, 0)
     D = dualize(C)
@@ -144,7 +145,7 @@ def test_dualize_inverts_nonzero_entries_only(monkeypatch):
 def test_nov_homology_with_torsion():
     e = NovElem([(-2, F(0))])
     C = ChainComplex(regime="NOV", generators=(("p",), ("q",)),
-                     diffs=(from_rows([[e]]),))
+                     diffs=(from_rows([[e]]),), scale=1)
     s = homology(C)
     # the map is injective over Nov, so only torsion survives: Nov/2 at 0
     assert s.betti == (0, 0)
@@ -199,8 +200,9 @@ def test_laurent_assembly_reduces_like_its_image():
     # there equals the pass on the image entry for entry, rank_expsum
     # gives the image's rank, and every homology summary equals the
     # image's, Novikov chains and cochains over a depth x max_iter grid,
-    # stuck results included; the image of a dual is the dual of the
-    # image (u ↦ u⁻¹ then specialise equals specialise then t ↦ t⁻¹)
+    # stuck results included, and so does the per-matrix reference's;
+    # the image of a dual is the dual of the image (u ↦ u⁻¹ then
+    # specialise equals specialise then t ↦ t⁻¹)
     rng = random.Random(57721)
     seen = {EXPSUM: 0, NOV: 0, "ints": 0, "stuck": 0, "stuck cochains": 0}
     depth_sensitive = 0  # Novikov complexes whose answer changes with depth
@@ -226,7 +228,7 @@ def test_laurent_assembly_reduces_like_its_image():
                         grid = itertools.product(DEPTHS, MAX_ITERS)
                     for U, D in zip(C.diffs, image.diffs, strict=True):
                         pivots, rest = cancel_units(U)
-                        assert (pivots, specialise(rest, C.regime, C.scale)) \
+                        assert (pivots, specialise(rest, C.scale)) \
                             == cancel_units(D)
                         if C.regime == EXPSUM:
                             assert rank_expsum(U) == rank_expsum(D)
@@ -235,6 +237,8 @@ def test_laurent_assembly_reduces_like_its_image():
                         got = homology(C, depth, max_iter)
                         assert got == homology(image, depth, max_iter), \
                             (d.name, flavor, cls, C.ascending, depth, max_iter)
+                        assert homology_per_matrix(C, depth, max_iter) == \
+                            homology_per_matrix(image, depth, max_iter)
                         if not got.complete:
                             seen["stuck"] += 1
                             seen["stuck cochains"] += C.ascending
@@ -280,8 +284,7 @@ def test_specialised_leftover_has_no_unit():
                 chain = build_complex(d, LocalSystem.named(flavor, cls))
                 for C in (chain, dualize(chain)):
                     for U in C.diffs:
-                        rest = specialise(cancel_units(U)[1], C.regime,
-                                          C.scale)
+                        rest = specialise(cancel_units(U)[1], C.scale)
                         assert not [e for row in rest.data
                                     for e in row.values()
                                     if _unit_inverse(e) is not None], rest
@@ -344,8 +347,11 @@ def test_replaced_boundaries_are_read_with_the_complex():
     assert Y == W
     assert homology(Y) == homology(W)
     assert image_complex(replace(C, diffs=W.diffs)) != image_complex(W)
-    with pytest.raises(ValueError):
-        replace(Z, regime=INT)
+    # an integer complex has no scale, and a twisted one an int scale >= 1
+    for regime, scale in ((INT, 1), (EXPSUM, None), (NOV, None), (NOV, 0),
+                          (NOV, F(2)), (EXPSUM, True)):
+        with pytest.raises(ValueError):
+            replace(Z, regime=regime, scale=scale)
 
 
 @pytest.mark.parametrize("flavor", ["exp", "nov"])

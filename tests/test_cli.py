@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsetwist.cli as cli
+import morsetwist.linalg as linalg
 from morsetwist.cli import main
 from morsetwist.serial import dump_json, facets_to_text
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
@@ -199,6 +200,8 @@ def test_cw_with_flipped_two_cell_incidence(tmp_path, capsys):
     ["novikov", "--example", "torus", "--class=1,0", "--depth", "0"],
     ["novikov", "--example", "torus", "--class=1,0", "--depth=-1"],
     ["novikov", "--example", "torus", "--class=1,0", "--max-iter=-1"],
+    ["novikov", "--example", "torus", "--class=1,0", "--max-iter", "1_000"],
+    ["novikov", "--example", "torus", "--class=1,0", "--max-iter", "+5"],
     ["example", "run", "torus", "--depth", "0"],
 ])
 def test_out_of_range_budget_is_usage_error(capsys, argv):
@@ -411,6 +414,40 @@ def test_zero_count_list_of_wrong_length_is_parse_error(capsys):
                    "--class", "0", "--zeros", "1,1", code=2)
     assert out == ""
     assert err == "error: bad zero counts '1,1': 2 counts for 3 degrees\n"
+
+
+@pytest.mark.parametrize("zeros", ["1,+1,0", "1,1_0,0", "1,,0", "1,1 0,0"])
+def test_zero_counts_are_decimal_digits_only(capsys, zeros):
+    # a zero count is read like a facet vertex; space around it is allowed
+    out, _ = run(capsys, "novikov", "--example", "klein", "--class", "0",
+                 "--zeros", " 1, 2 ,\u0661")
+    assert out.endswith("zero-count bounds: slack 0,0,0 -> pass\n")
+    out, err = run(capsys, "novikov", "--example", "klein",
+                   "--class", "0", "--zeros", zeros, code=2)
+    assert out == ""
+    assert err.startswith(f"error: bad zero counts {zeros!r}: ")
+
+
+def test_max_iter_reads_decimal_digits():
+    assert cli._max_iter(" 1000 ") == cli._max_iter("\u0661\u0660\u0660\u0660") \
+        == 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--example", "circle-std", "--system", "nov", "--class=1/7"],
+    ["novikov", "--example", "circle-std", "--class=1/7"],
+])
+def test_novikov_depth_past_the_term_cap_is_math_error(capsys, monkeypatch,
+                                                       argv):
+    # depth 16 under u = t^(1/14) is 224 powers of u: past a cap of 100 the
+    # command fails with one error line and exit 1 before any inverse is
+    # built; at depth 7, 98 powers, it runs
+    monkeypatch.setattr(linalg, "MAX_TERMS", 100)
+    out, err = run(capsys, *argv, code=1)
+    assert out == ""
+    assert err == ("error: Novikov depth 224 in powers of u exceeds the cap "
+                   "of 100 inverse terms\n")
+    run(capsys, *argv, "--depth", "7")
 
 
 def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):

@@ -187,6 +187,13 @@ def test_facet_checks_fire_in_order(facets, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("facets", [((),), ((), ())])
+def test_empty_facet_is_refused(facets):
+    # an empty tuple is not a simplex
+    with pytest.raises(MalformedFacets, match="a facet has no vertex"):
+        FacetList(3, facets)
+
+
 def test_facet_face_bound_cap():
     # the Freudenthal 4-torus n=4, 6,144 facets of 5 vertices, is the
     # largest list in use; a 20-vertex facet's 2^20 - 1 faces are refused

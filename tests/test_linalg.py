@@ -10,14 +10,16 @@ from conftest import (
     TooLarge,
     from_rows,
     grid_facets,
+    laurent_matrix,
     nov_leaf_reference,
     rank_int_bruteforce,
     specialise,
     twisted_torus_cw,
     unit_pivots_eager,
 )
-from morsetwist.chains import EXPSUM, NOV
+import morsetwist.linalg as linalg
 from morsetwist.cw import cw_to_morse, from_simplicial, steenrod_boundary
+from morsetwist.errors import TooManyTerms, ZeroElement
 from morsetwist.linalg import (
     Matrix,
     _divisibility_chain,
@@ -26,13 +28,13 @@ from morsetwist.linalg import (
     _rank_leaf,
     _unit_inverse,
     cancel_units,
-    expsum_divexact,
+    nov_divexact,
     nov_reduce,
     rank_expsum,
     snf_int,
 )
 from morsetwist.morse import LocalSystem, build_complex
-from morsetwist.rings import ExpSum, NovElem, laurent
+from morsetwist.rings import NovElem, laurent
 
 
 def M(rows):
@@ -117,21 +119,22 @@ def test_bruteforce_examples():
 
 
 def test_rank_expsum_nonzero_single():
-    e = ExpSum([(1, F(-1, 2)), (-1, F(1, 2))])
+    # t^(-1/2) - t^(1/2) over u = t^(1/2)
+    e = laurent(1, -1) - laurent(1, 1)
     assert rank_expsum(M([[e]])).rank == 1
 
 
 def test_rank_expsum_formal_cancellation():
-    a = F(5, 3)
-    e = ExpSum([(1, a), (-1, a)])
-    assert rank_expsum(M([[e]])).rank == 0
+    A, scale = laurent_matrix([[[(1, F(5, 3)), (-1, F(5, 3))]]])
+    assert scale == 3
+    assert rank_expsum(A).rank == 0
 
 
 def test_rank_expsum_one_by_four():
     # a single row whose entries are 1 - t^{c_i}, only one nonzero
-    one = ExpSum.one()
-    t = ExpSum.monomial(1, 1)
-    z = ExpSum.zero()
+    one = NovElem.one()
+    t = laurent(1, 1)
+    z = NovElem.zero()
     assert rank_expsum(M([[one - t, z, z, z]])).rank == 1
 
 
@@ -142,8 +145,8 @@ def test_rank_expsum_matches_snf_on_constants():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         A = M(rows)
-        B = M([[ExpSum([(x, 0)]) for x in row] for row in rows])
-        assert rank_expsum(B).rank == snf_int(A).rank
+        B = M([[NovElem([(x, 0)]) for x in row] for row in rows])
+        assert rank_expsum(A).rank == rank_expsum(B).rank == snf_int(A).rank
 
 
 def test_rank_expsum_dense_random():
@@ -152,19 +155,31 @@ def test_rank_expsum_dense_random():
     for _ in range(20):
         m = rng.randint(2, 4)
         n = rng.randint(2, 4)
-        rows = [[ExpSum([(rng.randint(-2, 2), F(rng.randint(-2, 2), 2))
-                         for _ in range(2)]) for _ in range(n)]
+        rows = [[[(rng.randint(-2, 2), F(rng.randint(-2, 2), 2))
+                  for _ in range(2)] for _ in range(n)]
                 for _ in range(m)]
-        r = rank_expsum(M(rows)).rank
+        A, _ = laurent_matrix(rows)
+        r = rank_expsum(A).rank
         assert 0 <= r <= min(m, n)
         # rank of transpose agrees
-        assert rank_expsum(M(rows).transpose()).rank == r
+        assert rank_expsum(A.transpose()).rank == r
 
 
-def test_expsum_divexact():
-    t = ExpSum.monomial(1, 1)
+def test_nov_divexact():
+    t = laurent(1, 1)
     a = (t - 1) * (t + 1)
-    assert expsum_divexact(a, t - 1) == t + 1
+    assert nov_divexact(a, t - 1) == t + 1
+    assert nov_divexact(laurent(6, 2) - laurent(4, -1), laurent(-2, 3)) \
+        == laurent(-3, -1) + laurent(2, -4)
+    assert nov_divexact(NovElem.zero(), t) == 0
+    # a top coefficient that does not divide, and quotients that would run
+    # below bottom(a) - bottom(b): (t² − 1)/(t − 2), 1/(1 − u⁻¹)
+    for x, y in ((laurent(3, 0), laurent(2, 0)), (a, t - 2),
+                 (NovElem.one(), 1 - laurent(1, -1))):
+        with pytest.raises(ArithmeticError):
+            nov_divexact(x, y)
+    with pytest.raises(ZeroElement):
+        nov_divexact(a, NovElem.zero())
 
 
 def test_nov_reduce_nonunit_single():
@@ -199,7 +214,7 @@ def _nov_rand(rng, max_terms=2):
 
 def test_nov_reduce_soundness_random():
     # Laurent polynomials in t^(1/2) sit inside the Novikov field, so a
-    # completed reduction has the rank the same entries have as ExpSums
+    # completed reduction has the rank of the fraction field of ℤ[t^(±1/2)]
     rng = random.Random(424242)
     done = 0
     for _ in range(100):
@@ -210,8 +225,7 @@ def test_nov_reduce_soundness_random():
         if r.status != "complete":
             continue
         done += 1
-        assert r.rank == rank_expsum(M([[ExpSum(e.terms) for e in row]
-                                        for row in rows])).rank
+        assert r.rank == rank_expsum(M(rows)).rank
     assert done >= 50
 
 
@@ -274,9 +288,9 @@ def test_zero_column_never_changes_rank():
     A2 = M([row + [0] for row in rows_int])
     assert snf_int(A).rank == snf_int(A2).rank
 
-    rows_e = [[ExpSum([(x, F(1, 2))]) for x in row] for row in rows_int]
+    rows_e = [[laurent(x, 1) if x else 0 for x in row] for row in rows_int]
     B = M(rows_e)
-    B2 = M([row + [ExpSum.zero()] for row in rows_e])
+    B2 = M([row + [NovElem.zero()] for row in rows_e])
     assert rank_expsum(B).rank == rank_expsum(B2).rank
 
     rows_n = [[NovElem([(x, 0)]) for x in row] for row in rows_int]
@@ -331,11 +345,10 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
             assert (s.rank, s.torsion) == minors_oracle(A.entries)
 
     for _ in range(40):
-        A = _sparse(rng, ExpSum.zero(),
-                    lambda r: ExpSum.monomial(r.choice([1, -1, 2, F(-1, 3)]),
-                                              _halves(r)),
-                    lambda r: ExpSum([(r.choice([1, -1, 2]), _halves(r))
-                                      for _ in range(2)]))
+        A, _ = laurent_matrix(_sparse(
+            rng, 0, lambda r: [(r.choice([1, -1, 2, F(-1, 3)]), _halves(r))],
+            lambda r: [(r.choice([1, -1, 2]), _halves(r))
+                       for _ in range(2)]).entries)
         assert rank_expsum(A).rank == _rank_leaf(A).rank, A
 
     both = 0
@@ -360,9 +373,10 @@ def test_lazy_unit_pass_equals_eager_reference():
     rng = random.Random(31415)
     regimes = [
         (0, lambda r: r.choice([1, -1]), lambda r: r.choice([-3, 2, 4])),
-        (ExpSum.zero(),
-         lambda r: ExpSum.monomial(r.choice([1, -1, F(2, 3)]), _halves(r)),
-         lambda r: ExpSum([(1, _halves(r)), (r.choice([1, -2]), 2)])),
+        (NovElem.zero(),
+         lambda r: laurent(r.choice([1, -1]), r.randint(-3, 3)),
+         lambda r: laurent(1, r.randint(-3, 3)) + laurent(r.choice([1, -2]),
+                                                          4)),
         (NovElem.zero(),
          lambda r: NovElem.monomial(r.choice([1, -1]), _halves(r)),
          _nov_inexact),
@@ -392,12 +406,11 @@ def test_lazy_unit_pass_equals_eager_reference():
 def test_one_unit_rule_for_every_ring():
     # ±1 and the single terms ±t^a are the units, each inverted exactly;
     # c·t^a with |c| ≠ 1 and every sum of two terms are not
-    units = [1, -1, ExpSum.monomial(1, F(1, 2)), ExpSum.monomial(-1, -3),
-             NovElem.one(), NovElem.monomial(-1, F(-2, 3)), laurent(1, 4),
-             laurent(-1, -2)]
-    others = [2, -3, ExpSum.monomial(2, 1), ExpSum.monomial(F(-1, 3), 0),
-              ExpSum([(1, 1), (1, 0)]), NovElem.monomial(2, F(1, 2)),
-              NovElem([(1, 0), (-1, -1)]), laurent(3, 1)]
+    units = [1, -1, NovElem.one(), NovElem.monomial(-1, F(-2, 3)),
+             laurent(1, 4), laurent(-1, -2)]
+    others = [2, -3, laurent(2, 1), laurent(-3, 0), laurent(1, 1) + 1,
+              NovElem.monomial(2, F(1, 2)), NovElem([(1, 0), (-1, -1)]),
+              laurent(3, 1)]
     for u in units:
         assert u * _unit_inverse(u) == 1, u
     for e in others:
@@ -516,30 +529,57 @@ def _laurent_sparse(rng, ints):
     return Matrix(A.rows, A.cols, A.data, 0 if ints else NovElem.zero())
 
 
+def _short_rows(rng):
+    """A matrix over ℤ[u, u⁻¹] whose Novikov answer depends on the depth:
+    short rows (−c·u^(−a), c − u^(−b)), c in {2, 3}, whose Euclidean step
+    reaches u^(−a−b), below every entry, so a shallow depth stops at the
+    work floor; with a unit row (1, u^(−a)) beside them at random."""
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        a, b, c = rng.randint(1, 4), rng.randint(2, 6), rng.choice([2, 3])
+        rows.append([laurent(-c, -a), c - laurent(1, -b)])
+    if rng.random() < 0.5:
+        rows.append([1, laurent(1, -rng.randint(1, 4))])
+    return M(rows)
+
+
 def test_laurent_pass_specialises_to_the_regime_pass():
-    # the units ±u^k map to the units ±t^a and nothing else does, in both
-    # images, so the pass over ℤ[u, u⁻¹] is the pass over each image,
-    # count and leftover entry for entry; and each reducer run on the
-    # matrix over ℤ[u, u⁻¹] gives its image's answer, nov_reduce at
-    # depth·scale, since t ↦ t^scale matches each of its steps
+    # the units ±u^k map to the units ±t^a and nothing else does, so the
+    # pass over ℤ[u, u⁻¹] is the pass over the image, pivots and leftover
+    # entry for entry; and each reducer run on the matrix over ℤ[u, u⁻¹]
+    # gives its image's answer, nov_reduce at depth·scale, since
+    # t ↦ t^scale matches each of its steps: on short rows whose answer
+    # depends on the depth, a depth not multiplied by the scale differs
     rng = random.Random(16180)
-    leftovers = 0
-    stuck = 0
-    for n in range(120):
-        A = _laurent_sparse(rng, ints=n % 4 == 0)
-        scale = rng.choice([1, 2, 3, 12])
+    leftovers = stuck = by_depth = 0
+    for n in range(160):
+        A = _laurent_sparse(rng, ints=n % 4 == 0) if n < 120 \
+            else _short_rows(rng)
+        scale = rng.choice([1, 2, 3, 12]) if n < 120 else rng.choice([2, 3])
         pivots, rest = cancel_units(A)
         leftovers += rest.rows > 0
-        for regime in (NOV, EXPSUM):
-            assert (pivots, specialise(rest, regime, scale)) == \
-                cancel_units(specialise(A, regime, scale)), (A, regime)
-        assert len(pivots) + rank_expsum(specialise(rest, EXPSUM, scale)).rank \
-            == rank_expsum(specialise(A, EXPSUM, scale)).rank \
+        assert (pivots, specialise(rest, scale)) == \
+            cancel_units(specialise(A, scale)), A
+        assert len(pivots) + rank_expsum(specialise(rest, scale)).rank \
+            == rank_expsum(specialise(A, scale)).rank \
             == rank_expsum(A).rank, A
         for depth, max_iter in ((F(1, 2), 10), (2, 200)):
             got = nov_reduce(A, depth * scale, max_iter)
-            assert got == nov_reduce(specialise(A, NOV, scale), depth,
+            assert got == nov_reduce(specialise(A, scale), depth,
                                      max_iter), (A, depth, max_iter)
             stuck += got.status == "stuck"
+            if n >= 120 and got != nov_reduce(A, depth, max_iter):
+                by_depth += 1
     assert leftovers >= 50
     assert stuck >= 10
+    assert by_depth >= 8, by_depth
+
+
+def test_nov_depth_past_the_term_cap_is_refused(monkeypatch):
+    # a depth above MAX_TERMS, in powers of u, is refused before any
+    # inverse is built; at the cap the reduction runs
+    A = M([[laurent(1, 0) + laurent(1, -1), laurent(2, 0)]])
+    monkeypatch.setattr(linalg, "MAX_TERMS", 12)
+    assert nov_reduce(A, depth=12).status == "complete"
+    with pytest.raises(TooManyTerms):
+        nov_reduce(A, depth=F(25, 2))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    Disconnected,
     flow_period_vector,
     h0_vector,
     image_complex,
@@ -15,7 +16,6 @@ from conftest import (
 from morsetwist.catalog import get_example
 from morsetwist.chains import euler_cells, homology, validate_complex
 from morsetwist.errors import (
-    Disconnected,
     MissingDeckTag,
     MissingUnitTag,
     MorsetwistError,
@@ -33,15 +33,13 @@ from morsetwist.morse import (
     class_support,
     flow_period,
     gauge_transform,
-    h0_cohomology,
-    h0_quotient,
     is_simple,
     lift_cover,
     loop_periods,
     potential_shift,
     rescale_datum,
 )
-from morsetwist.rings import ExpSum, NovElem
+from morsetwist.rings import NovElem
 
 CIRCLE = get_example("circle-std").datum
 RP2 = get_example("rp2").datum
@@ -57,7 +55,7 @@ def test_flow_weight_conventions():
     def weight(sys):
         return image_complex(build_complex(right, sys)).diffs[0][0, 0]
 
-    assert weight(LocalSystem.exp((F(1),))) == ExpSum.monomial(1, F(-1, 2))
+    assert weight(LocalSystem.exp((F(1),))) == NovElem.monomial(1, F(-1, 2))
     assert weight(LocalSystem.nov((F(1),))) == NovElem.monomial(1, F(1, 2))
     assert weight(LocalSystem.trivial()) == 1
     assert weight(LocalSystem.unit_rep()) == 1
@@ -66,7 +64,7 @@ def test_flow_weight_conventions():
 def test_build_complex_circle_exp():
     C = build_complex(CIRCLE, LocalSystem.exp((F(1),)))
     assert image_complex(C).diffs[0].entries[0][0] == \
-        ExpSum([(1, F(-1, 2)), (-1, F(1, 2))])
+        NovElem([(1, F(-1, 2)), (-1, F(1, 2))])
 
 
 def test_build_complex_rp2_sign():
@@ -101,7 +99,8 @@ def test_build_complex_stores_no_cancelled_entry():
                 LocalSystem.exp((F(3),)), LocalSystem.nov((F(-1, 3),))):
         C = build_complex(pair, sys)
         assert C.diffs[0].data == [{}], sys
-        assert image_complex(C).diffs[0].entries == [[C.zero()]], sys
+        image = image_complex(C).diffs[0]
+        assert image.entries == [[image.zero]] == [[0]], sys
         assert homology(C).betti == (1, 1), sys
 
 
@@ -191,6 +190,16 @@ def test_lift_missing_tags():
         lift_cover(RP2, DeckGroup(elements=("e",), table={("e", "e"): "e"}))
 
 
+def h0_quotient(d, sys_):
+    """H_0 as the fiber modulo the subgroup generated by (1 - loop unit)."""
+    return h0_vector(d, sys_, "Z/2")
+
+
+def h0_cohomology(d, sys_):
+    """H^0 as the subgroup of the fiber fixed by every loop unit."""
+    return h0_vector(d, sys_, "0")
+
+
 def test_h0_quotient():
     assert h0_quotient(CIRCLE, LocalSystem.unit_rep()) == "Z/2"
     assert h0_quotient(CIRCLE, LocalSystem.trivial()) == "Z"
@@ -206,13 +215,27 @@ def test_h0_cohomology():
 
 
 def test_h0_matches_engine():
-    # the closed-form degree-0 answers agree with the matrix engine
-    for sys_, expect_betti0 in [
-        (LocalSystem.exp((F(1),)), 0),
-        (LocalSystem.exp((F(0),)), 1),
-    ]:
-        s = homology(build_complex(CIRCLE, sys_))
-        assert s.betti[0] == expect_betti0
+    # the closed-form degree-0 answers agree with the matrix engine: the
+    # rank of H_0 and of H^0, and the torsion of H_0
+    ranks = {"0": 0, "Z/2": 0, "Z": 1, "R": 1, "Nov": 1}
+    checked = 0
+    for name in ("circle-std", "rp2", "torus", "klein", "genus2"):
+        d = get_example(name).datum
+        n = len(d.basis_forms)
+        for sys_ in (LocalSystem.trivial(), LocalSystem.unit_rep(),
+                     LocalSystem.exp((F(1),) + (F(0),) * (n - 1)),
+                     LocalSystem.exp((F(0),) * n),
+                     LocalSystem.nov((F(1, 2),) * n)):
+            try:
+                h0, co = h0_quotient(d, sys_), h0_cohomology(d, sys_)
+            except MissingUnitTag:
+                continue
+            H = homology(build_complex(d, sys_))
+            assert H.betti[0] == ranks[h0], (name, sys_)
+            assert H.torsion(0) == ((2,) if h0 == "Z/2" else ()), (name, sys_)
+            assert homology(build_cochain(d, sys_)).betti[0] == ranks[co]
+            checked += 1
+    assert checked >= 15, checked
 
 
 def test_h0_disconnected():
@@ -310,9 +333,5 @@ def test_scalar_loop_periods_equal_vector_reference():
                     simple = _outcome(is_simple, dv, sys_)
                     assert simple == _outcome(is_simple_vector, dv, sys_)
                     compared["not simple"] += simple is False
-                    for fn, sign_loop in ((h0_quotient, "Z/2"),
-                                          (h0_cohomology, "0")):
-                        assert (_outcome(fn, dv, sys_)
-                                == _outcome(h0_vector, dv, sys_, sign_loop))
     # the data exercise every branch
     assert min(compared.values()) > 30, compared

@@ -19,6 +19,7 @@ from morsetwist.serial import (
     cw_to_dict,
     datum_from_dict,
     datum_to_dict,
+    decimals,
     dump_json,
     facets_from_text,
     facets_to_text,
@@ -102,6 +103,26 @@ def test_facet_header_is_exactly_vertices_n(header):
     with pytest.raises(ParseError) as err:
         facets_from_text(f"# comment\n  {header}  \n0 1 2\n")
     assert str(err.value) == f"bad vertex count line {header!r}"
+
+
+@pytest.mark.parametrize("tokens", [["+2"], ["1_0"], ["-1"], [""], ["1 2"],
+                                    [" 1"], [], ["3.0"], ["0x1"], ["\u00b2"],
+                                    ["1", "2", "x"]])
+def test_decimals_take_decimal_digits_only(tokens):
+    # no sign, no underscore, no whitespace, no empty or superscript token;
+    # non-ASCII decimal digits count, as they do in a period
+    assert decimals(["0", "12", "\u0661\u0661", "007"]) == (0, 12, 11, 7)
+    with pytest.raises(ValueError):
+        decimals(tokens)
+
+
+def test_facet_lines_read_decimal_digits_only():
+    # 1_0 and +2 are not vertices; the header and the facets share one rule
+    with pytest.raises(ParseError) as err:
+        facets_from_text("vertices 11\n0 1_0 +2\n")
+    assert str(err.value) == "bad facet line '0 1_0 +2'"
+    fl = facets_from_text("vertices \u0661\u0661\n0 \u0661 10\n")
+    assert (fl.n_vertices, fl.facets) == (11, ((0, 1, 10),))
 
 
 def test_each_distinct_period_string_parsed_once(monkeypatch):
