@@ -7,6 +7,7 @@ from .chains import (
     euler_cells,
     euler_homology,
     homology,
+    reduce,
     validate_complex,
 )
 from .catalog import CatalogEntry, get_example, run_all

@@ -4,9 +4,12 @@ A ``ChainComplex`` stores generator labels per degree and one boundary
 matrix per composable pair of degrees.  Cochain complexes reuse the same
 container with ``ascending=True``: the stored matrices are then the
 coboundaries delta_k (rows indexed by degree k+1 generators), and the same
-homology engine reports H^k from degree-k data.  A twisted (exponential
-or Novikov) complex holds its matrices over ℤ[u, u⁻¹], u = t^(1/scale),
-and is checked, reduced and reported there.
+homology engine reports H^k from degree-k data.  ``reduce`` cancels
+every unit incidence across the complex and returns the smaller complex
+that is left; ``homology`` reads each degree off that complex with its
+regime's leaf reducer.  A twisted (exponential or Novikov) complex holds
+its matrices over ℤ[u, u⁻¹], u = t^(1/scale), and is checked, reduced and
+reported there.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry, NotAUnit
-from .linalg import Matrix, Reduction, nov_reduce, rank_expsum, snf_int
+from .linalg import (Matrix, Reduction, cancel_units, nov_reduce, rank_expsum,
+                     snf_int)
 from .rings import laurent_image
 
 INT = "INT"
@@ -133,58 +137,66 @@ class HomologySummary:
         return all(d.status == "complete" for d in self.degrees)
 
 
-def _matrix_data(C: ChainComplex, depth, max_iter):
-    """One ``Reduction`` per stored matrix, from one run of the regime's
-    reducer per matrix, top-down, so the unit pass runs once across the
-    complex.  Each unit pivot pairs two cells, and the matrix below drops
-    the paired cells of the degree they share: columns if descending, rows
-    if ascending.  The pivots form a block invertible over the ring, and
-    ∂∂ = 0, so each dropped column (row) is a ring combination of the kept
-    ones, and rank and invariant factors stay.  A matrix whose neighbour
-    above paired nothing is reduced as stored.  Over ℤ[u, u⁻¹], u =
-    t^(1/scale), ``depth·scale`` is ``depth`` on the image (t ↦ t^scale is
-    a Novikov ring automorphism).  A stuck reduction's partial counts, from
-    the trimmed matrix, are returned as they are.  A matrix with no stored
-    entry is not reduced: it is ``Reduction(0)``, which pairs nothing."""
-    out, paired = [], ()
-    for d in reversed(C.diffs):
-        if not any(d.data):
-            r = Reduction(0)
-        else:
-            if paired and C.ascending:
-                rows = [row for i, row in enumerate(d.data) if i not in paired]
-                d = Matrix(len(rows), d.cols, rows, d.zero)
-            elif paired:
-                kept = sorted(set(range(d.cols)) - paired)
-                new = dict(zip(kept, range(len(kept))))
-                d = Matrix(d.rows, len(new), [{new[j]: e for j, e in row.items()
-                                               if j in new} for row in d.data],
-                           d.zero)
-            if C.regime == INT:
-                r = snf_int(d)
-            elif C.regime == EXPSUM:
-                r = rank_expsum(d)
-            else:
-                r = nov_reduce(d, depth=depth * C.scale, max_iter=max_iter)
-        out.append(r)
-        # a pivot's row (descending) or column (ascending) lies in the
-        # degree shared with the matrix below, indexed as stored
-        paired = {p[C.ascending] for p in r.pivots}
-    return out[::-1]
+def _drop(d: Matrix, cells, rows: bool) -> Matrix:
+    """d without the rows (else the columns) at ``cells``, kept in order."""
+    if rows:
+        data = [row for i, row in enumerate(d.data) if i not in cells]
+        return Matrix(len(data), d.cols, data, d.zero)
+    new = {j: n for n, j in enumerate(sorted(set(range(d.cols)) - cells))}
+    return Matrix(d.rows, len(new), [{new[j]: e for j, e in row.items()
+                                      if j in new} for row in d.data], d.zero)
+
+
+def reduce(C: ChainComplex) -> ChainComplex:
+    """The complex that ``cancel_units`` leaves, one pass per non-empty
+    boundary, top-down: each unit pivot pairs a cell of each of two
+    adjacent degrees, the boundary becomes its Schur complement over the
+    unpaired cells, and the boundaries above and below lose the paired
+    cells of the degree they share (rows or columns, whichever way the
+    complex points).  The pivots form a block invertible over the ring, so
+    for ∂∂ = 0 this is the elimination of Kaczynski–Mrozek–Ślusarek: a
+    complex with the same homology, regime, ``scale`` and direction, the
+    surviving generators in order, and no unit entry.  A complex with no
+    unit is returned as it is."""
+    gens, diffs, asc = list(C.generators), list(C.diffs), C.ascending
+    for k in reversed(range(len(diffs))):
+        pivots, rest = (cancel_units(diffs[k]) if any(diffs[k].data)
+                        else ((), None))
+        if not pivots:
+            continue
+        diffs[k] = rest
+        # the pivots' degree-k and degree-(k+1) cells, as stored
+        lo, hi = ({p[side] for p in pivots} for side in (asc, not asc))
+        gens[k] = [g for i, g in enumerate(gens[k]) if i not in lo]
+        gens[k + 1] = [g for i, g in enumerate(gens[k + 1]) if i not in hi]
+        if k + 1 < len(diffs):
+            diffs[k + 1] = _drop(diffs[k + 1], hi, rows=not asc)
+        if k:
+            diffs[k - 1] = _drop(diffs[k - 1], lo, rows=asc)
+    if gens == list(C.generators):
+        return C
+    return ChainComplex(C.regime, gens, diffs, asc, C.scale)
 
 
 def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
     """Betti ranks plus torsion per degree; NOV stuck reductions are flagged,
-    not guessed.  Degree k sits between the matrices into and out of it,
-    whichever way they point; the rank of a map equals that of its
-    transpose, so one formula serves chains and cochains, and the torsion
-    of degree k comes from the matrix into degree k."""
+    not guessed.  ∂² is checked on C, then the regime's leaf runs on each
+    non-empty boundary of ``reduce(C)``: ``snf_int``, ``rank_expsum``, or
+    ``nov_reduce`` at ``depth·scale`` (``depth`` on the image in t).
+    Degree k sits between the matrices into and out of it, whichever way
+    they point; a map and its transpose have one rank, so one formula
+    serves chains and cochains, and the torsion of degree k comes from the
+    matrix into it.  A stuck degree shows the reduced complex's counts."""
     bad = validate_complex(C)
     if bad is not None:
         raise InvalidComplex(bad.describe())
-    data = [Reduction(0), *_matrix_data(C, depth, max_iter), Reduction(0)]
+    R = reduce(C)
+    leaf = {INT: snf_int, EXPSUM: rank_expsum}.get(C.regime) or (
+        lambda d: nov_reduce(d, depth=depth * C.scale, max_iter=max_iter))
+    data = [Reduction(0), *(leaf(d) if any(d.data) else Reduction(0)
+                            for d in R.diffs), Reduction(0)]
     degrees = []
-    for k, count in enumerate(C.counts()):
+    for k, count in enumerate(R.counts()):
         below, above = data[k], data[k + 1]
         betti = count - below.rank - above.rank
         status = "complete"

@@ -152,16 +152,21 @@ MAX_FACES = 10 ** 6
 
 @dataclass(frozen=True)
 class FacetList:
-    """Facets of a pure simplicial complex.  A k-vertex facet has 2^k − 1
-    faces, so a list whose face bound (facets)·(2^k − 1) exceeds
+    """Facets of a pure simplicial complex, each vertex and the vertex
+    count an ``int`` (not a bool, float or string).  A k-vertex facet has
+    2^k − 1 faces, so a list whose face bound (facets)·(2^k − 1) exceeds
     ``MAX_FACES`` is refused before any face is enumerated."""
 
     n_vertices: int
     facets: tuple
 
     def __post_init__(self):
-        facets = tuple(tuple(map(int, f)) for f in self.facets)
+        facets = tuple(map(tuple, self.facets))
         object.__setattr__(self, "facets", facets)
+        bad = [v for f in ((self.n_vertices,), *facets) for v in f
+               if type(v) is not int]
+        if bad:
+            raise MalformedFacets(f"{bad[0]!r} is not an int vertex or count")
         if not facets:
             raise MalformedFacets("no facets given")
         size = len(facets[0])

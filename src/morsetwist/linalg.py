@@ -1,5 +1,10 @@
 """Exact matrix reduction over the three coefficient regimes.
 
+* ``cancel_units`` — one sparse pass that cancels every entry that is a
+  unit under one rule for every ring: ±1, or a single term ±t^a (±u^k
+  over ℤ[u, u⁻¹]), whose exact inverse is the entry itself or its
+  ``invert_exponents()`` (algebraic Morse reduction).  ``chains.reduce``
+  runs it once across a whole complex, and nothing else calls it.
 * ``snf_int`` — Smith normal form over the integers, giving ranks and
   torsion invariant factors.
 * ``rank_expsum`` — rank over the fraction field of ℤ[u, u⁻¹].  Distinct
@@ -8,21 +13,18 @@
 * ``nov_reduce`` — valuation-pivoted diagonalization over the Novikov
   ring, with truncated unit inversion and an explicit iteration budget.
 
-Each returns one ``Reduction`` (rank, torsion, status, pivots) from one
-body, ``_reduce``.  It first runs ``cancel_units``, one sparse pass that
-cancels every entry that is a unit under one rule for every ring: ±1, or
-a single term ±t^a (±u^k over ℤ[u, u⁻¹]), whose exact inverse is the
-entry itself or its ``invert_exponents()`` (algebraic Morse reduction).
-Boundary matrices of cell complexes are sparse and mostly made of such
-entries, so only a small dense leftover reaches a leaf loop: Bareiss
-elimination for ``rank_expsum``, and for ``snf_int`` and ``nov_reduce``
-one Euclidean loop over the Novikov ring, of which the integers are the
-exponent-0 part.  A twisted complex is assembled over ℤ[u, u⁻¹], u =
-t^(1/L), and ``rank_expsum`` and ``nov_reduce`` take it as it is: the
-pass and the leaves run on ints and int exponents, in units of 1/L.
-All functions are pure.  ``Matrix`` stores only nonzero entries, one
-``{column: entry}`` map per row, from assembly through the unit pass;
-the leaf loops read the small leftover through its dense ``entries`` view.
+The reducers are the leaves of ``chains.homology``, which hands them the
+small boundaries of the reduced complex: each returns one ``Reduction``
+(rank, torsion, status) and runs no unit pass of its own.  Bareiss
+elimination serves ``rank_expsum``; one Euclidean loop over the Novikov
+ring, whose exponent-0 part is the integers, serves ``snf_int`` and
+``nov_reduce``.  Called directly on a whole matrix, a reducer is dense,
+and ``nov_reduce`` charges every pivot, units included, to ``max_iter``.
+A twisted complex is assembled over ℤ[u, u⁻¹], u = t^(1/L), and the pass
+and the leaves run on it as it is, on ints and int exponents in units of
+1/L.  All functions are pure.  ``Matrix`` stores only nonzero entries,
+one ``{column: entry}`` map per row; the leaves read its dense
+``entries`` view.
 """
 
 from __future__ import annotations
@@ -102,15 +104,16 @@ def cancel_units(A: Matrix):
     """Cancel every unit entry of A that ``_is_unit`` recognises.
 
     Returns (pivots, leftover Matrix with A's zero), the pivots as the
-    (row, col) of A that each step pivoted on, in order.  Each step takes
-    the unit of lowest Markowitz cost (row nnz - 1)·(col nnz - 1), ties to
-    the lowest (row, col), and replaces the matrix by its Schur
-    complement: the pivot's inverse lies in the ring, so A is equivalent
-    to diag(pivots, leftover), and rank, invariant factors and torsion all
-    come from the leftover.  Only a pivot's inverse is built, by
-    ``_unit_inverse`` when it is taken.  A pivot pairs the cells of its row
-    and column; ``chains.homology`` drops them from the neighbouring
-    boundaries.
+    (row, col) of A that each step pivoted on, in order, and the leftover
+    over every row and column of A that no pivot took, in A's order, zero
+    ones included.  Each step takes the unit of lowest Markowitz cost
+    (row nnz - 1)·(col nnz - 1), ties to the lowest (row, col), and
+    replaces the matrix by its Schur complement: the pivot's inverse lies
+    in the ring, so A is equivalent to diag(pivots, leftover), and rank,
+    invariant factors and torsion all come from the leftover.  Only a
+    pivot's inverse is built, by ``_unit_inverse`` when it is taken.  A
+    pivot pairs the cells of its row and column; ``chains.reduce`` drops
+    them from the generators and the neighbouring boundaries.
     """
     ncols = A.cols
     span = A.rows * ncols
@@ -210,11 +213,11 @@ def cancel_units(A: Matrix):
                 best[p] = k
                 heapq.heappush(heap, k * span + p)
 
-    live_cols = {j: n for n, j in enumerate(sorted(cols))}
-    leftover = [{live_cols[j]: v for j, v in rows[i].items()}
-                for i in sorted(rows)]
-    return tuple(pivots), Matrix(len(leftover), len(live_cols), leftover,
-                                 A.zero)
+    prows, pcols = map(set, zip(*pivots)) if pivots else (set(), set())
+    live = {j: n for n, j in enumerate(sorted(set(range(ncols)) - pcols))}
+    leftover = [{live[j]: v for j, v in rows.get(i, {}).items()}
+                for i in range(A.rows) if i not in prows]
+    return tuple(pivots), Matrix(len(leftover), len(live), leftover, A.zero)
 
 
 def _as_nov(e) -> NovElem:
@@ -225,35 +228,22 @@ def _as_nov(e) -> NovElem:
 class Reduction:
     """What a reducer returns in every regime: the rank, the invariant
     factors that are not units (integer torsion, or the orders |c| of
-    Novikov cyclic summands), "complete" or "stuck", and the unit pass's
-    (row, col) pivots, in the order taken, stuck or not.  A stuck rank is
+    Novikov cyclic summands), and "complete" or "stuck".  A stuck rank is
     the leaf's partial count and no answer."""
     rank: int
     torsion: tuple = ()
     status: str = "complete"  # "complete" | "stuck"
-    pivots: tuple = ()
-
-
-def _reduce(A: Matrix, leaf) -> Reduction:
-    """Cancel A's units, run ``leaf`` on the leftover, and count each
-    cancelled pivot as one more rank when the leaf completes."""
-    pivots, rest = cancel_units(A)
-    r = leaf(rest)
-    units = len(pivots) if r.status == "complete" else 0
-    return Reduction(units + r.rank, r.torsion, r.status, pivots)
 
 
 def snf_int(A: Matrix) -> Reduction:
     """Rank and invariant factors d1 | d2 | ... of the Smith normal form.
 
-    Every cancelled unit pivot is a Smith factor 1, so the leftover's
-    factors are the whole torsion.  The integers are the exponent-0 part of
-    the Novikov ring, with units ±1 and integer division as the Euclidean
-    step, so the Novikov leaf diagonalizes the leftover: every exponent
-    stays 0, its descent floor never fires, and the Smith form is unique.
-    Each step clears an entry or shrinks the smallest nonzero |entry|, so
-    the loop ends without an op budget."""
-    return _reduce(A, lambda rest: _nov_leaf(rest, 1, inf))
+    The integers are the exponent-0 part of the Novikov ring, with units
+    ±1 and integer division as the Euclidean step, so the Novikov leaf
+    diagonalizes A: every exponent stays 0, its descent floor never fires,
+    and the Smith form is unique.  Each step clears an entry or shrinks the
+    smallest nonzero |entry|, so the loop ends without an op budget."""
+    return _nov_leaf(A, 1, inf)
 
 
 def nov_divexact(a: NovElem, b: NovElem) -> NovElem:
@@ -277,14 +267,9 @@ def nov_divexact(a: NovElem, b: NovElem) -> NovElem:
 
 
 def rank_expsum(A: Matrix) -> Reduction:
-    """Rank over the fraction field of ℤ[u, u⁻¹]: cancelled unit pivots
-    ±u^k plus the leftover's rank."""
-    return _reduce(A, _rank_leaf)
-
-
-def _rank_leaf(A: Matrix) -> Reduction:
-    """Rank via fraction-free Bareiss elimination: every entry stays a
-    minor, so each division by the previous pivot is exact."""
+    """Rank over the fraction field of ℤ[u, u⁻¹] by fraction-free Bareiss
+    elimination: every entry stays a minor, so each division by the
+    previous pivot is exact."""
     m, n = A.rows, A.cols
     a = [[_as_nov(e) for e in row] for row in A.entries]
     prev, zero = laurent(1, 0), NovElem.zero()
@@ -325,13 +310,10 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
     (``ValueError``) and a depth above ``MAX_TERMS`` (``TooManyTerms``) are
     refused before any pivot.  Over ℤ[u, u⁻¹], ``depth`` counts powers of
     u.  The torsion is the orders |c| of the cyclic summands Nov/c, in a
-    divisibility chain.
-
-    Exact unit pivots ±t^a are cancelled first; they are finite, exact
-    steps and are not charged against ``max_iter``, which budgets the leaf
-    loop on the leftover only.  A stuck leaf's partial rank is returned as
-    it is, without the pass's units but with its pivots: a stuck degree's
-    numbers are not an answer.
+    divisibility chain.  Every pivot, a unit ±t^a included, is charged
+    against ``max_iter``; ``chains.reduce`` cancels those units first, free
+    of charge, so ``chains.homology`` budgets the leaf on its leftover only.
+    A stuck run's partial rank is returned as it is and is no answer.
     """
     if any(getattr(e, "floor", None) is not None
            for row in A.data for e in row.values()):
@@ -339,7 +321,7 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
     if depth > MAX_TERMS:
         raise TooManyTerms(f"Novikov depth {depth} in powers of u exceeds "
                            f"the cap of {MAX_TERMS} inverse terms")
-    return _reduce(A, lambda rest: _nov_leaf(rest, depth, max_iter))
+    return _nov_leaf(A, depth, max_iter)
 
 
 def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:

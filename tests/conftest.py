@@ -47,6 +47,7 @@ from morsetwist.linalg import (
     _divisibility_chain,
     _nov_zero,
     _unit_inverse,
+    cancel_units,
     nov_reduce,
     rank_expsum,
     snf_int,
@@ -279,23 +280,36 @@ def image_complex(C):
 
 # --- homology with each boundary reduced on its own ------------------------
 
+def pass_then_leaf(A, leaf):
+    """A reducer as it was when it ran its own unit pass: cancel A's units,
+    run ``leaf`` on the leftover less its zero rows and columns, and count
+    each cancelled pivot as one more rank when the leaf completes."""
+    pivots, rest = cancel_units(A)
+    rows = [row for row in rest.data if row]
+    new = {j: n for n, j in enumerate(sorted({j for row in rows for j in row}))}
+    r = leaf(Matrix(len(rows), len(new), [{new[j]: e for j, e in row.items()}
+                                          for row in rows], rest.zero))
+    units = len(pivots) if r.status == "complete" else 0
+    return Reduction(units + r.rank, r.torsion, r.status)
+
+
 def homology_per_matrix(C, depth=16, max_iter=10000):
     """``chains.homology`` as it was before the unit pass ran across the
-    whole complex: each stored boundary goes to its regime's reducer as it
-    is, whatever the boundary above paired.  Ranks and torsion are read
-    off per degree the same way."""
+    whole complex: each stored boundary goes through the unit pass and its
+    regime's leaf as it is, whatever the boundaries beside it paired.
+    Ranks and torsion are read off per degree the same way."""
     assert validate_complex(C) is None
     data = []
     for d in C.diffs:
         if not any(d.data):
             data.append(Reduction(0))
         elif C.regime == INT:
-            data.append(snf_int(d))
+            data.append(pass_then_leaf(d, snf_int))
         elif C.regime == EXPSUM:
-            data.append(rank_expsum(d))
+            data.append(pass_then_leaf(d, rank_expsum))
         else:
-            data.append(nov_reduce(d, depth=depth * C.scale,
-                                   max_iter=max_iter))
+            data.append(pass_then_leaf(d, lambda rest: nov_reduce(
+                rest, depth=depth * C.scale, max_iter=max_iter)))
     none = Reduction(0)
     degrees = []
     for k, count in enumerate(C.counts()):
@@ -428,7 +442,8 @@ def unit_pivots_eager(A):
     every row and column the pivot touched is pushed again at its current
     cost, so the heap always holds each live unit at its cost and stale
     items are dropped when they surface.  Returns (the (row, col) pivots in
-    the order taken, leftover as dense rows)."""
+    the order taken, leftover as dense rows over every row and column that
+    no pivot took, zero ones included)."""
     rows = {}       # row -> {col: nonzero entry}
     cols = {}       # col -> set of rows holding a nonzero entry there
     inverses = {}   # (row, col) -> inverse of the unit last written there
@@ -494,9 +509,10 @@ def unit_pivots_eager(A):
                     heapq.heappush(heap, (cost(i, j), i, j))
 
     zero = A.zero
-    live_cols = sorted(cols)
-    return pivots, [[rows[i].get(j, zero) for j in live_cols]
-                   for i in sorted(rows)]
+    prows, pcols = {r for r, _ in pivots}, {c for _, c in pivots}
+    live_cols = [j for j in range(A.cols) if j not in pcols]
+    return pivots, [[rows.get(i, {}).get(j, zero) for j in live_cols]
+                    for i in range(A.rows) if i not in prows]
 
 
 # --- the Novikov leaf with whole-row and whole-column unit steps -------------

@@ -231,7 +231,8 @@ def test_laurent_assembly_reduces_like_its_image():
                         assert (pivots, specialise(rest, C.scale)) \
                             == cancel_units(D)
                         if C.regime == EXPSUM:
-                            assert rank_expsum(U) == rank_expsum(D)
+                            assert rank_expsum(rest) == \
+                                rank_expsum(specialise(rest, C.scale))
                     by_depth = set()
                     for depth, max_iter in grid:
                         got = homology(C, depth, max_iter)
@@ -294,15 +295,15 @@ def test_specialised_leftover_has_no_unit():
 @pytest.mark.parametrize("flavor", ["exp", "nov"])
 @pytest.mark.parametrize("cls", [(1, F(1, 3)), (0, 0)])
 def test_one_unit_pass_per_twisted_boundary(monkeypatch, flavor, cls):
-    # homology hands each non-empty boundary over ℤ[u, u⁻¹] to its regime's
-    # reducer once, top-down, so the unit pass runs once per boundary: on
-    # the top boundary as stored, and on the one below it less the cells
-    # of their shared degree that the top pass paired, which are columns
-    # of a descending boundary and rows of an ascending one; the pass is
-    # counted wherever the package binds it
-    assert not hasattr(chains, "cancel_units")
+    # reduce hands each non-empty boundary over ℤ[u, u⁻¹] to the unit pass
+    # once, top-down: the top boundary as stored, and the one below it
+    # less the cells of their shared degree that the top pass paired,
+    # which are columns of a descending boundary and rows of an ascending
+    # one; homology runs the pass through reduce only, and its leaves get
+    # the reduced boundaries; the pass is counted wherever the package
+    # binds it
     assert not hasattr(chains, "specialise")
-    calls = []
+    calls, leaves = [], []
     original = linalg.cancel_units
 
     def counted(A):
@@ -312,10 +313,17 @@ def test_one_unit_pass_per_twisted_boundary(monkeypatch, flavor, cls):
         if name.startswith("morsetwist") and \
                 getattr(module, "cancel_units", None) is original:
             monkeypatch.setattr(module, "cancel_units", counted)
+    for leaf in ("rank_expsum", "nov_reduce"):
+        monkeypatch.setattr(chains, leaf, lambda A, *args, _leaf=getattr(
+            chains, leaf), **kw: leaves.append(A) or _leaf(A, *args, **kw))
     chain = steenrod_boundary(twisted_torus_cw(4),
                               LocalSystem.named(flavor, cls))
     for C in (chain, dualize(chain)):
         calls.clear()
+        R = chains.reduce(C)
+        assert len(calls) == 2
+        calls.clear()
+        leaves.clear()
         homology(C)
         lower, top = [d for d in C.diffs if any(d.data)]
         assert len(calls) == 2
@@ -328,6 +336,9 @@ def test_one_unit_pass_per_twisted_boundary(monkeypatch, flavor, cls):
         else:
             assert (second.rows, second.cols) == \
                 (lower.rows, lower.cols - len(paired))
+        assert R.counts() == (1, 2, 1)
+        assert leaves == [d for d in R.diffs if any(d.data)]
+        assert len(leaves) == (2 if any(cls) else 0)
 
 
 def test_replaced_boundaries_are_read_with_the_complex():

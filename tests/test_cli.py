@@ -1,8 +1,11 @@
 import io
 import json
+import re
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+import tempfile
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import freudenthal_torus_facets, grid_facets
@@ -14,7 +17,7 @@ import morsetwist.linalg as linalg
 from morsetwist.cli import main
 from morsetwist.serial import dump_json, facets_to_text
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
-from morsetwist.cw import FacetList
+from morsetwist.cw import FacetList, from_simplicial
 
 
 def _call(capsys, argv):
@@ -699,3 +702,129 @@ def test_obstructions_class_of_the_wrong_length(capsys, system, cls, n):
                    "--system", system, f"--class={cls}", code=2)
     assert out == ""
     assert err == f"error: class vector has {n} entries for 2 basis forms\n"
+
+
+# --- random argv ------------------------------------------------------------
+
+# Free text holds no digit and no "/": every number comes from a bounded
+# strategy below (depth <= 64, rpn(N) with N <= 50, class denominators <= 4),
+# and no path leaves the temporary directory the call runs in.
+_FREE = st.text(alphabet="abexyzAZ-_=,.:;()+* éßλ", max_size=6)
+_FILES = ["rp2.json", "cw.json", "rp2.facets", "broken.json", "bad.facets",
+          "empty.txt", "dir", "missing.json"]
+
+
+def _argv_files(root: Path):
+    """The input files that random argv names, written under ``root``."""
+    facets = FacetList(6, RP2_SIX_VERTEX_FACETS)
+    (root / "rp2.json").write_text(dump_json(get_example("rp2").datum))
+    (root / "cw.json").write_text(dump_json(from_simplicial(facets)))
+    (root / "rp2.facets").write_text(facets_to_text(facets))
+    (root / "broken.json").write_text('{"name": "x", "flows": [')
+    (root / "bad.facets").write_text("vertices 3\n0 1 9\n")
+    (root / "empty.txt").write_text("")
+    (root / "dir").mkdir()
+
+
+def _joined(items):
+    return st.lists(items, min_size=1, max_size=4).map(",".join)
+
+
+def _mostly(valid, junk):
+    """``valid`` four times in five, else one of the ``junk`` strings."""
+    return st.integers(0, 4).flatmap(
+        lambda n: valid if n else st.sampled_from(junk))
+
+
+_RATIONAL = st.builds(lambda p, q: f"{p}/{q}" if q > 1 else str(p),
+                      st.integers(-4, 4), st.integers(1, 4))
+_VALUES = {
+    "--example": _mostly(st.one_of(
+        st.sampled_from(["circle-regular", "circle-std", "genus2", "klein",
+                         "rp2", "rp2-lift", "rp2-triangulated", "torus"]),
+        st.integers(1, 50).map(lambda n: f"rpn({n})")),
+        ["rpn(N)", "rpn()", "rpn(0)", "rpn(-1)", "nope"]),
+    "--system": _mostly(st.sampled_from(["trivial", "unit-rep", "exp", "nov"]),
+                        ["z", ""]),
+    "--class": _mostly(_joined(_RATIONAL), ["", ",", "1,,2", "1/0", "x"]),
+    "--format": _mostly(st.sampled_from(["text", "json"]), ["xml"]),
+    "--depth": _mostly(st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 64),
+                                 st.integers(1, 3)),
+                       ["0", "-1", "1/0", "x", "1e3"]),
+    "--max-iter": _mostly(st.integers(0, 10000).map(str),
+                          ["-1", "1_0", "+3", "١", ""]),
+    "--zeros": _mostly(_joined(st.integers(0, 5).map(str)), ["", "-1", "a,b"]),
+    "-o": st.sampled_from(["out.json", "out.json", "dir", "missing/out.json"]),
+}
+_TOKEN = st.one_of(
+    st.sampled_from(sorted(_VALUES) + _FILES + [
+        "--output", "-h", "--", "--bogus", "list", "show", "run"]),
+    *_VALUES.values(), _FREE)
+
+
+_COMMON = ["--system", "--class", "--format", "--depth", "--max-iter"]
+_OPTIONS = {
+    "validate": [], "homology": _COMMON, "cohomology": _COMMON,
+    "euler": _COMMON, "obstructions": _COMMON,
+    "novikov": ["--class", "--format", "--depth", "--max-iter", "--zeros"],
+    "from-triangulation": ["-o"], "example": ["--depth", "--max-iter"],
+}
+
+
+@st.composite
+def random_argv(draw):
+    """A command with its input and some of its options, each option with
+    a value drawn for it, given as two tokens or joined by "="; then up to
+    two edits that insert, delete or replace a token at random."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command == "example":
+        argv += draw(st.sampled_from([["list"], ["show"], ["run"]]))
+        if draw(st.booleans()):
+            argv.append(draw(_VALUES["--example"]))
+    elif command in ("validate", "from-triangulation") or draw(st.booleans()):
+        good = (["rp2.facets"] if command == "from-triangulation"
+                else ["rp2.json", "cw.json"])
+        argv.append(draw(_mostly(st.sampled_from(good), _FILES)))
+    else:
+        argv += ["--example", draw(_VALUES["--example"])]
+    options = _OPTIONS[command]
+    for option in draw(st.lists(st.sampled_from(options), max_size=4,
+                                unique=True)) if options else ():
+        value = draw(_VALUES[option])
+        argv += ([f"{option}={value}"] if draw(st.booleans())
+                 else [option, value])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit != "insert" and i < len(argv):
+            del argv[i]
+        if edit != "delete":
+            argv.insert(i, draw(_TOKEN))
+    return argv
+
+
+@given(argv=random_argv())
+@settings(max_examples=400, deadline=None)
+def test_random_argv_exits_cleanly(argv):
+    # any argv exits 0, 1 or 2 and never shows a traceback; a nonzero exit
+    # shows one error: line, or argparse's usage and its error line, on
+    # stderr, or else a documented FAIL or stuck report on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root, chdir(root):
+        _argv_files(Path(root))
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in out + err, argv
+    if code:
+        lines = err.splitlines()
+        one_error = len(lines) == 1 and lines[0].startswith("error: ")
+        usage = err.startswith("usage: ") and re.match(
+            r"morsetwist( [a-z-]+)?: error: ", lines[-1])
+        report = not err and ("FAIL" in out or "stuck" in out)
+        assert one_error or usage or report, (argv, code, out, err)

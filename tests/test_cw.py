@@ -168,6 +168,19 @@ def test_facet_list_validation():
         FacetList(3, ((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("n, facets", [
+    (3, ((0, 1.9, 2),)),              # was truncated to the facet (0, 1, 2)
+    (11, (("0", "1_0", "+2"),)),      # was read as (0, 10, 2)
+    (3, ((0, True, 2),)),             # was read as vertex 1
+    (3.5, ((0, 1, 2),)),              # was written back as "vertices 3.5"
+], ids=["float", "strings", "bool", "float-count"])
+def test_facet_list_takes_ints_only(n, facets):
+    # only type(v) is int is a vertex or a vertex count, so every facet
+    # list there is can be written by facets_to_text and read back
+    with pytest.raises(MalformedFacets, match="is not an int vertex or count"):
+        FacetList(n, facets)
+
+
 @pytest.mark.parametrize("facets, message", [
     # the second facet breaks the named rule and every rule checked after
     # it; the third facet breaks a later rule again (a duplicate of the

@@ -12,6 +12,7 @@ from conftest import (
     grid_facets,
     laurent_matrix,
     nov_leaf_reference,
+    pass_then_leaf,
     rank_int_bruteforce,
     specialise,
     twisted_torus_cw,
@@ -25,7 +26,6 @@ from morsetwist.linalg import (
     _divisibility_chain,
     _is_unit,
     _nov_leaf,
-    _rank_leaf,
     _unit_inverse,
     cancel_units,
     nov_divexact,
@@ -333,12 +333,13 @@ def _nov_inexact(rng):
 
 def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
     # the unit pass replaces A by an equivalent diag(units, leftover), so
-    # every public answer equals the leaf loop's on the whole matrix
+    # the pass then a reducer on the leftover answers as the reducer, a
+    # leaf loop, does on the whole matrix
     rng = random.Random(60606)
     for _ in range(80):
         A = _sparse(rng, 0, lambda r: r.choice([1, -1]),
                     lambda r: r.choice([-4, -2, 2, 3, 6]))
-        s, leaf = snf_int(A), _nov_leaf(A, 1, inf)
+        s, leaf = pass_then_leaf(A, snf_int), snf_int(A)
         assert leaf.status == "complete", A
         assert (s.rank, s.torsion) == (leaf.rank, leaf.torsion), A
         if A.rows <= 5 and A.cols <= 5:
@@ -349,27 +350,29 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
             rng, 0, lambda r: [(r.choice([1, -1, 2, F(-1, 3)]), _halves(r))],
             lambda r: [(r.choice([1, -1, 2]), _halves(r))
                        for _ in range(2)]).entries)
-        assert rank_expsum(A).rank == _rank_leaf(A).rank, A
+        assert pass_then_leaf(A, rank_expsum).rank == rank_expsum(A).rank, A
 
     both = 0
     for _ in range(40):
         A = _sparse(rng, NovElem.zero(),
                     lambda r: NovElem.monomial(r.choice([1, -1]), _halves(r)),
                     _nov_inexact, unit_share=0.6)
-        r, leaf = nov_reduce(A, depth=8), _nov_leaf(A, 8, 10000)
+        r = pass_then_leaf(A, lambda rest: nov_reduce(rest, depth=8))
+        leaf = nov_reduce(A, depth=8)
         if "stuck" in (r.status, leaf.status):
             continue
         both += 1
         assert (r.rank, r.torsion) == (leaf.rank, leaf.torsion), A
     # 39 of 40 complete both ways; in the other the unit pass's Schur fill
-    # widens an entry's exponent span past depth 8 and nov_reduce is stuck
+    # widens an entry's exponent span past depth 8 and the leaf is stuck
     assert both >= 39
 
 
 def test_lazy_unit_pass_equals_eager_reference():
     # the lazily re-keyed heap must take the eager heap's pivots in the same
-    # order, since the pivots decide which cells homology drops from the
-    # next boundary, and leave the same leftover
+    # order, since the pivots decide which cells reduce drops from the
+    # generators and the next boundary, and leave the same leftover, over
+    # every row and column that no pivot took
     rng = random.Random(31415)
     regimes = [
         (0, lambda r: r.choice([1, -1]), lambda r: r.choice([-3, 2, 4])),
