@@ -33,7 +33,11 @@ torus under non-integral classes; then inputs of thousands of cells:
 and ``homology``/``cohomology --system exp`` and ``novikov`` on the
 12 x 12 twisted torus under the zero class and 1,1/3; and the Novikov
 commands on the torsion block under the class 1/100, whose unit inverses
-run to thousands of terms.  The broken files hold period
+run to thousands of terms; and at the very end ``homology`` and
+``cohomology``, trivial and under ``exp``/``nov`` with the class 1,0, on
+the 3 x 3 twisted torus written as a Morse datum with one flow's sign
+flipped, whose ``∂²`` violations have at least two cells at each end of
+the composite.  The broken files hold period
 values of every JSON type, padded and non-ASCII-digit strings, in a flow
 and in a CW incidence, and one flow with both a bad unit tag and a bad
 period.
@@ -56,7 +60,7 @@ from fractions import Fraction
 
 from morsetwist.catalog import example_names, get_example
 from morsetwist.cli import main
-from morsetwist.cw import Incidence, RegularCW
+from morsetwist.cw import Incidence, RegularCW, cw_to_morse
 from morsetwist.morse import potential_shift, rescale_datum
 from morsetwist.serial import dump_json, facets_to_text
 
@@ -357,6 +361,24 @@ def long_inverses():
         yield [cmd[0], "torsion-block.json", *cmd[1:], "--class=1/100"]
 
 
+def flipped_torus():
+    """``homology`` and ``cohomology``, trivial and under ``exp``/``nov``
+    with the class 1,0, on the 3 x 3 twisted torus as a Morse datum with
+    the sign flipped on its first flow that crosses the seam of the first
+    period: a chain and a cochain ``∂²`` violation on a complex with 9
+    vertices and 18 triangles, whose value carries that flow's transport."""
+    d = cw_to_morse(twisted_torus_cw(3))
+    k = next(i for i, f in enumerate(d.flows) if f.periods[0])
+    flows = list(d.flows)
+    flows[k] = replace(flows[k], sign=-flows[k].sign)
+    path = write("twisted-torus-3-flipped.json",
+                 dump_json(replace(d, flows=tuple(flows))))
+    for cmd in ("homology", "cohomology"):
+        yield [cmd, path]
+        for system in ("exp", "nov"):
+            yield [cmd, path, "--system", system, "--class=1,0"]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -410,6 +432,7 @@ def invocations():
     yield from budget_grid()
     yield from north_star()
     yield from long_inverses()
+    yield from flipped_torus()
 
 
 def run():

@@ -1,12 +1,13 @@
 """Graded chain complexes over the three coefficient regimes.
 
 A ``ChainComplex`` stores generator labels per degree and one boundary
-matrix per composable pair of degrees.  Cochain complexes reuse the same
-container with ``ascending=True``: the stored matrices are then the
-coboundaries delta_k (rows indexed by degree k+1 generators), and the same
-homology engine reports H^k from degree-k data.  ``reduce`` cancels
-every unit incidence across the complex and returns the smaller complex
-that is left; ``homology`` reads each degree off that complex with its
+matrix per composable pair of degrees, rows indexed by the lower degree.
+A cochain complex (``ascending=True``) stores each coboundary delta_k as
+its transpose, in the shape of the boundary it dualizes, so the check,
+the reduction and the leaves never ask which way a complex points; only
+the torsion of H^k is read from the other side.  ``reduce`` cancels every
+unit incidence across the complex and returns the smaller complex that
+is left; ``homology`` reads each degree off that complex with its
 regime's leaf reducer.  A twisted (exponential or Novikov) complex holds
 its matrices over ℤ[u, u⁻¹], u = t^(1/scale), and is checked, reduced and
 reported there.
@@ -30,13 +31,13 @@ NOV = "NOV"
 class ChainComplex:
     """Free graded modules with boundary (or coboundary) matrices.
 
-    Descending (default): diffs[k] maps degree k+1 to degree k, so
     diffs[k] has |generators[k]| rows and |generators[k+1]| columns.
-    Ascending: diffs[k] maps degree k to degree k+1 (transposed shape).
-    INT entries are ints and ``scale`` is None.  EXPSUM and NOV entries lie
-    in ℤ[u, u⁻¹], as ints or ``NovElem``s, u = t^(1/scale) with an int
-    ``scale`` >= 1 (1 for a complex written with t-exponents), so
-    ``scale`` and ``diffs`` are replaced together.
+    Descending (default), it is the boundary from degree k+1 to degree k;
+    ascending, it is the coboundary delta_k from degree k to degree k+1,
+    stored as its transpose.  INT entries are ints and ``scale`` is None.
+    EXPSUM and NOV entries lie in ℤ[u, u⁻¹], as ints or ``NovElem``s,
+    u = t^(1/scale) with an int ``scale`` >= 1 (1 for a complex written
+    with t-exponents), so ``scale`` and ``diffs`` are replaced together.
     """
 
     regime: str
@@ -57,8 +58,7 @@ class ChainComplex:
         if len(self.diffs) != max(len(gens) - 1, 0):
             raise ValueError("need exactly one matrix per adjacent degree pair")
         for k, d in enumerate(self.diffs):
-            lo, hi = len(gens[k]), len(gens[k + 1])
-            want = (hi, lo) if self.ascending else (lo, hi)
+            want = (len(gens[k]), len(gens[k + 1]))
             if (d.rows, d.cols) != want:
                 raise ValueError(
                     f"matrix {k} is {d.rows}x{d.cols}, expected {want[0]}x{want[1]}")
@@ -86,23 +86,21 @@ class Violation:
 def validate_complex(C: ChainComplex):
     """None if every composable pair of matrices multiplies to zero,
     else the Violation at the smallest (row, col) of the first nonzero
-    composite.  Each row of a composite sums the products of the left
-    row's nonzero entries with the nonzero entries of the right matrix's
-    matching rows, so the check costs one product per nonzero pair.  A
-    twisted complex is checked over ℤ[u, u⁻¹]; a violation shows its image
-    in t = u^scale."""
+    composite diffs[k]·diffs[k+1]: a degree-k row and a degree-(k+2)
+    column, for cochains too (their composite is the transpose of
+    delta_(k+1)·delta_k).  Each row of a composite sums the products of
+    the left row's nonzero entries with the nonzero entries of the right
+    matrix's matching rows, so the check costs one product per nonzero
+    pair.  A twisted complex is checked over ℤ[u, u⁻¹]; a violation shows
+    its image in t = u^scale."""
     diffs = C.diffs
     for k in range(len(diffs) - 1):
-        left, right = diffs[k], diffs[k + 1]
-        if C.ascending:
-            left, right = right, left
-        z = left.zero
-        below = right.data
-        for i, lrow in enumerate(left.data):
+        below = diffs[k + 1].data
+        for i, lrow in enumerate(diffs[k].data):
             comp: dict = {}
             for mid, a in lrow.items():
                 for j, b in below[mid].items():
-                    comp[j] = comp.get(j, z) + a * b
+                    comp[j] = comp[j] + a * b if j in comp else a * b
             bad = [j for j, e in comp.items() if e]
             if bad:
                 j = min(bad)
@@ -137,45 +135,32 @@ class HomologySummary:
         return all(d.status == "complete" for d in self.degrees)
 
 
-def _drop(d: Matrix, cells, rows: bool) -> Matrix:
-    """d without the rows (else the columns) at ``cells``, kept in order."""
-    if rows:
-        data = [row for i, row in enumerate(d.data) if i not in cells]
-        return Matrix(len(data), d.cols, data, d.zero)
-    new = {j: n for n, j in enumerate(sorted(set(range(d.cols)) - cells))}
-    return Matrix(d.rows, len(new), [{new[j]: e for j, e in row.items()
-                                      if j in new} for row in d.data], d.zero)
-
-
 def reduce(C: ChainComplex) -> ChainComplex:
-    """The complex that ``cancel_units`` leaves, one pass per non-empty
-    boundary, top-down: each unit pivot pairs a cell of each of two
-    adjacent degrees, the boundary becomes its Schur complement over the
-    unpaired cells, and the boundaries above and below lose the paired
-    cells of the degree they share (rows or columns, whichever way the
-    complex points).  The pivots form a block invertible over the ring, so
-    for ∂∂ = 0 this is the elimination of Kaczynski–Mrozek–Ślusarek: a
-    complex with the same homology, regime, ``scale`` and direction, the
-    surviving generators in order, and no unit entry.  A complex with no
-    unit is returned as it is."""
-    gens, diffs, asc = list(C.generators), list(C.diffs), C.ascending
+    """The complex that ``cancel_units`` leaves, one pass per boundary,
+    top-down: each unit pivot pairs a degree-k row with a degree-(k+1)
+    column, the boundary becomes its Schur complement over the unpaired
+    cells, and the boundaries above and below lose the paired rows and
+    columns.  The pivots form a block invertible over the ring, so for
+    ∂∂ = 0 this is the elimination of Kaczynski–Mrozek–Ślusarek: a complex
+    with the same homology, regime, ``scale`` and direction, the surviving
+    generators in order, and no unit entry.  A complex with no unit is
+    returned as it is.  u ↦ u⁻¹ keeps units and zeros, so ``reduce``
+    commutes with ``dualize``."""
+    gens, diffs = list(C.generators), list(C.diffs)
     for k in reversed(range(len(diffs))):
-        pivots, rest = (cancel_units(diffs[k]) if any(diffs[k].data)
-                        else ((), None))
+        pivots, diffs[k] = cancel_units(diffs[k])
         if not pivots:
             continue
-        diffs[k] = rest
-        # the pivots' degree-k and degree-(k+1) cells, as stored
-        lo, hi = ({p[side] for p in pivots} for side in (asc, not asc))
+        lo, hi = map(set, zip(*pivots))
         gens[k] = [g for i, g in enumerate(gens[k]) if i not in lo]
         gens[k + 1] = [g for i, g in enumerate(gens[k + 1]) if i not in hi]
         if k + 1 < len(diffs):
-            diffs[k + 1] = _drop(diffs[k + 1], hi, rows=not asc)
+            diffs[k + 1] = diffs[k + 1].without(rows=hi)
         if k:
-            diffs[k - 1] = _drop(diffs[k - 1], lo, rows=asc)
+            diffs[k - 1] = diffs[k - 1].without(cols=lo)
     if gens == list(C.generators):
         return C
-    return ChainComplex(C.regime, gens, diffs, asc, C.scale)
+    return ChainComplex(C.regime, gens, diffs, C.ascending, C.scale)
 
 
 def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
@@ -183,10 +168,10 @@ def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
     not guessed.  ∂² is checked on C, then the regime's leaf runs on each
     non-empty boundary of ``reduce(C)``: ``snf_int``, ``rank_expsum``, or
     ``nov_reduce`` at ``depth·scale`` (``depth`` on the image in t).
-    Degree k sits between the matrices into and out of it, whichever way
-    they point; a map and its transpose have one rank, so one formula
-    serves chains and cochains, and the torsion of degree k comes from the
-    matrix into it.  A stuck degree shows the reduced complex's counts."""
+    Degree k sits between the matrices below and above it, whose ranks
+    serve chains and cochains alike; its torsion comes from the matrix
+    into it, above for chains and below for cochains.  A stuck degree
+    shows the reduced complex's counts."""
     bad = validate_complex(C)
     if bad is not None:
         raise InvalidComplex(bad.describe())
@@ -217,21 +202,19 @@ def _invert_entry(e):
 
 
 def dualize(C: ChainComplex) -> ChainComplex:
-    """Cochain complex: transpose each boundary and invert every transport.
+    """Cochain complex: invert every transport of each boundary.
 
     Inverting a transport negates its exponent (u ↦ u⁻¹ over ℤ[u, u⁻¹]);
     the flow-line signs are untouched.  Only the stored (nonzero) entries
-    are inverted; zero is its own inverse.  The result is stored ascending.
+    are inverted; zero is its own inverse.  Each matrix keeps its shape,
+    so the result, marked ascending, stores delta_k as its transpose.
     """
     if C.ascending:
         raise ValueError("dualize expects a descending (chain) complex")
-    diffs = []
-    for d in C.diffs:
-        dual = d.transpose()
-        for row in dual.data:
-            for j, e in row.items():
-                row[j] = _invert_entry(e)
-        diffs.append(dual)
+    diffs = [Matrix(d.rows, d.cols, [{j: _invert_entry(e)
+                                      for j, e in row.items()}
+                                     for row in d.data])
+             for d in C.diffs]
     return ChainComplex(regime=C.regime, generators=C.generators,
                         diffs=diffs, ascending=True, scale=C.scale)
 

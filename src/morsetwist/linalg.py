@@ -23,8 +23,9 @@ and ``nov_reduce`` charges every pivot, units included, to ``max_iter``.
 A twisted complex is assembled over ℤ[u, u⁻¹], u = t^(1/L), and the pass
 and the leaves run on it as it is, on ints and int exponents in units of
 1/L.  All functions are pure.  ``Matrix`` stores only nonzero entries,
-one ``{column: entry}`` map per row; the leaves read its dense
-``entries`` view.
+one ``{column: entry}`` map per row, each absent entry 0 in every ring;
+the leaves read its dense ``entries`` view.  Chain and cochain boundaries
+share one shape, so nothing here asks which way a matrix points.
 """
 
 from __future__ import annotations
@@ -46,40 +47,37 @@ class Matrix:
     """Sparse row-major matrix over any ring whose elements support + and *.
 
     ``data[i]`` maps column -> entry for the nonzero entries of row i only;
-    ``zero`` is the ring's zero, which every absent entry stands for.
+    every absent entry is 0, the zero of each ring used here.
     """
 
-    __slots__ = ("rows", "cols", "data", "zero")
+    __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows, cols, data, zero=0):
+    def __init__(self, rows, cols, data):
         if len(data) != rows:
             raise ValueError(f"{len(data)} row maps for {rows} rows")
         self.rows = rows
         self.cols = cols
         self.data = data
-        self.zero = zero
 
     @property
     def entries(self):
-        """Dense rows filled with ``zero``, built on every read."""
-        z = self.zero
-        return [[r.get(j, z) for j in range(self.cols)] for r in self.data]
+        """Dense rows filled with 0, built on every read."""
+        return [[r.get(j, 0) for j in range(self.cols)] for r in self.data]
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i].get(j, self.zero)
-
-    def transpose(self) -> "Matrix":
-        data = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, e in row.items():
-                data[j][i] = e
-        return Matrix(self.cols, self.rows, data, self.zero)
+    def without(self, rows=(), cols=()) -> "Matrix":
+        """This matrix less the rows and columns at the given indices, the
+        rest kept in order."""
+        data = [row for i, row in enumerate(self.data) if i not in rows]
+        if not cols:
+            return Matrix(len(data), self.cols, data)
+        live = {j: n for n, j in enumerate(sorted(
+            set(range(self.cols)).difference(cols)))}
+        return Matrix(len(data), len(live), [
+            {live[j]: e for j, e in row.items() if j in live} for row in data])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data
-                and self.zero == other.zero)
+                and self.cols == other.cols and self.data == other.data)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
@@ -103,17 +101,18 @@ def _unit_inverse(e):
 def cancel_units(A: Matrix):
     """Cancel every unit entry of A that ``_is_unit`` recognises.
 
-    Returns (pivots, leftover Matrix with A's zero), the pivots as the
-    (row, col) of A that each step pivoted on, in order, and the leftover
-    over every row and column of A that no pivot took, in A's order, zero
-    ones included.  Each step takes the unit of lowest Markowitz cost
-    (row nnz - 1)·(col nnz - 1), ties to the lowest (row, col), and
-    replaces the matrix by its Schur complement: the pivot's inverse lies
-    in the ring, so A is equivalent to diag(pivots, leftover), and rank,
-    invariant factors and torsion all come from the leftover.  Only a
-    pivot's inverse is built, by ``_unit_inverse`` when it is taken.  A
-    pivot pairs the cells of its row and column; ``chains.reduce`` drops
-    them from the generators and the neighbouring boundaries.
+    Returns (pivots, leftover Matrix), the pivots as the (row, col) of A
+    that each step pivoted on, in order, and the leftover over every row
+    and column of A that no pivot took, in A's order, zero ones included;
+    with no unit to take, that is ((), A).  Each step takes the unit of
+    lowest Markowitz cost (row nnz - 1)·(col nnz - 1), ties to the lowest
+    (row, col), and replaces the matrix by its Schur complement: the
+    pivot's inverse lies in the ring, so A is equivalent to diag(pivots,
+    leftover), and rank, invariant factors and torsion all come from the
+    leftover.  Only a pivot's inverse is built, by ``_unit_inverse`` when
+    it is taken.  A pivot pairs the cells of its row and column;
+    ``chains.reduce`` drops them from the generators and the neighbouring
+    boundaries.
     """
     ncols = A.cols
     span = A.rows * ncols
@@ -144,6 +143,8 @@ def cancel_units(A: Matrix):
                 p = i * ncols + j
                 best[p] = k = rk * (len(cols[j]) - 1)
                 heap.append(k * span + p)
+    if not heap:
+        return (), A
     heapq.heapify(heap)
 
     pivots = []
@@ -213,11 +214,9 @@ def cancel_units(A: Matrix):
                 best[p] = k
                 heapq.heappush(heap, k * span + p)
 
-    prows, pcols = map(set, zip(*pivots)) if pivots else (set(), set())
-    live = {j: n for n, j in enumerate(sorted(set(range(ncols)) - pcols))}
-    leftover = [{live[j]: v for j, v in rows.get(i, {}).items()}
-                for i in range(A.rows) if i not in prows]
-    return tuple(pivots), Matrix(len(leftover), len(live), leftover, A.zero)
+    prows, pcols = map(set, zip(*pivots))
+    rest = [rows.get(i, {}) for i in range(A.rows) if i not in prows]
+    return tuple(pivots), Matrix(len(rest), ncols, rest).without(cols=pcols)
 
 
 def _as_nov(e) -> NovElem:

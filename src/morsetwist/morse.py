@@ -34,7 +34,7 @@ from .errors import (
     UnknownGroupElement,
 )
 from .linalg import Matrix
-from .rings import NovElem, fraction_tuple, laurent
+from .rings import fraction_tuple, laurent
 
 TRIVIAL = "TRIVIAL"
 UNIT_REP = "UNIT_REP"
@@ -232,7 +232,7 @@ def build_complex(d: MorseDatum, sys: LocalSystem,
     for p in d.points:
         gens[p.index].append(p.id)
     weights = [f.sign for f in d.flows]
-    zero, scale = 0, None
+    scale = None
     if sys.flavor == UNIT_REP:
         weights = [f.sign * f.unit_tag for f in d.flows]
     elif sys.flavor != TRIVIAL:
@@ -243,12 +243,11 @@ def build_complex(d: MorseDatum, sys: LocalSystem,
         ks = [sign * a.numerator * (scale // a.denominator) for a in periods]
         if any(ks):
             weights = [laurent(w, k) for w, k in zip(weights, ks)]
-            zero = NovElem.zero()
-    return ChainComplex(sys.regime, gens, _assemble(d, gens, weights, zero),
+    return ChainComplex(sys.regime, gens, _assemble(d, gens, weights),
                         scale=scale)
 
 
-def _assemble(d: MorseDatum, gens, weights, zero):
+def _assemble(d: MorseDatum, gens, weights):
     """Boundary matrices from one signed weight per flow."""
     pos = {pid: (k, i) for k, layer in enumerate(gens)
            for i, pid in enumerate(layer)}
@@ -261,7 +260,7 @@ def _assemble(d: MorseDatum, gens, weights, zero):
             target[col] = v
         else:
             del target[col]
-    return tuple(Matrix(len(gens[k - 1]), len(gens[k]), mats[k - 1], zero)
+    return tuple(Matrix(len(gens[k - 1]), len(gens[k]), mats[k - 1])
                  for k in range(1, d.dimension + 1))
 
 

@@ -265,7 +265,7 @@ def specialise(A, scale):
     by entry, as ``NovElem``s with rational exponents."""
     return Matrix(A.rows, A.cols,
                   [{j: laurent_image(e, scale) for j, e in row.items()}
-                   for row in A.data], NovElem.zero())
+                   for row in A.data])
 
 
 def image_complex(C):
@@ -288,7 +288,7 @@ def pass_then_leaf(A, leaf):
     rows = [row for row in rest.data if row]
     new = {j: n for n, j in enumerate(sorted({j for row in rows for j in row}))}
     r = leaf(Matrix(len(rows), len(new), [{new[j]: e for j, e in row.items()}
-                                          for row in rows], rest.zero))
+                                          for row in rows]))
     units = len(pivots) if r.status == "complete" else 0
     return Reduction(units + r.rank, r.torsion, r.status)
 
@@ -508,10 +508,9 @@ def unit_pivots_eager(A):
                 if (i, j) in inverses:
                     heapq.heappush(heap, (cost(i, j), i, j))
 
-    zero = A.zero
     prows, pcols = {r for r, _ in pivots}, {c for _, c in pivots}
     live_cols = [j for j in range(A.cols) if j not in pcols]
-    return pivots, [[rows.get(i, {}).get(j, zero) for j in live_cols]
+    return pivots, [[rows.get(i, {}).get(j, 0) for j in live_cols]
                     for i in range(A.rows) if i not in prows]
 
 

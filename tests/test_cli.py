@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import freudenthal_torus_facets, grid_facets
+from conftest import freudenthal_torus_facets, grid_facets, twisted_torus_cw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,7 @@ import morsetwist.linalg as linalg
 from morsetwist.cli import main
 from morsetwist.serial import dump_json, facets_to_text
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
-from morsetwist.cw import FacetList, from_simplicial
+from morsetwist.cw import FacetList, cw_to_morse, from_simplicial
 
 
 def _call(capsys, argv):
@@ -180,6 +180,30 @@ def test_homology_from_file_with_system(tmp_path, capsys):
     out, _ = run(capsys, "homology", str(path), "--system", "nov",
                  "--class", "1,0")
     assert out.splitlines() == ["H_0 = 0", "H_1 = 0", "H_2 = 0"]
+
+
+@pytest.mark.parametrize("system, chain, cochain", [
+    ("trivial", "2", "2"), ("exp", "2*t^(1)", "2*t^(-1)"),
+    ("nov", "2*t^(-1)", "2*t^(1)")])
+def test_flipped_flow_names_one_violation_for_chains_and_cochains(
+        tmp_path, capsys, system, chain, cochain):
+    # the 3 x 3 twisted torus with the sign flipped on its first flow across
+    # the seam of the first period: the composite of diffs[0] and diffs[1]
+    # is nonzero at (vertex 0, triangle 13), and a cochain complex, stored
+    # in the chain shape, names that same (degree-0 row, degree-2 column),
+    # with the transport inverted
+    d = cw_to_morse(twisted_torus_cw(3))
+    k = next(i for i, f in enumerate(d.flows) if f.periods[0])
+    flows = list(d.flows)
+    flows[k] = replace(flows[k], sign=-flows[k].sign)
+    path = tmp_path / "flipped.json"
+    path.write_text(dump_json(replace(d, flows=tuple(flows))))
+    for cmd, shown in (("homology", chain), ("cohomology", cochain)):
+        out, err = run(capsys, cmd, str(path), "--system", system,
+                       "--class=1,0", code=1)
+        assert out == ""
+        assert err == ("error: d.d != 0: composite through degree 1 has "
+                       f"entry (0,13) = {shown}\n")
 
 
 def test_cw_with_flipped_two_cell_incidence(tmp_path, capsys):
@@ -672,16 +696,28 @@ def test_point_under_a_twisted_system(tmp_path, capsys, obj, argv, first):
 def test_empty_boundaries_are_not_reduced(tmp_path, capsys, monkeypatch,
                                           argv, line):
     # one point per degree and no flow: every boundary is a 1x1 matrix with
-    # no stored entry, whose rank 0 needs no unit pass and no leaf; the pass
-    # is counted wherever the package binds it (chains imports it by name)
+    # no stored entry, whose rank 0 needs no leaf; the unit pass sees each
+    # boundary once, takes no pivot and hands it back as it is, building
+    # nothing; the pass and the leaves are counted wherever the package
+    # binds them (chains imports them by name)
     import morsetwist.linalg as linalg
-    calls = []
+    calls, leaves = [], []
+    originals = {name: getattr(linalg, name) for name in
+                 ("snf_int", "rank_expsum", "nov_reduce")}
     original = linalg.cancel_units
+
+    def counted(A):
+        calls.append((A, original(A)))
+        return calls[-1][1]
     for name, module in list(sys.modules.items()):
-        if name.startswith("morsetwist") and \
-                getattr(module, "cancel_units", None) is original:
-            monkeypatch.setattr(module, "cancel_units",
-                                lambda A: calls.append(A) or original(A))
+        if not name.startswith("morsetwist"):
+            continue
+        if getattr(module, "cancel_units", None) is original:
+            monkeypatch.setattr(module, "cancel_units", counted)
+        for leaf, fn in originals.items():
+            if getattr(module, leaf, None) is fn:
+                monkeypatch.setattr(module, leaf, lambda *a, _fn=fn, **kw:
+                                    leaves.append(a) or _fn(*a, **kw))
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({
         "name": "empty", "dimension": 50, "basis_forms": ["x"],
@@ -690,7 +726,10 @@ def test_empty_boundaries_are_not_reduced(tmp_path, capsys, monkeypatch,
     out, _ = run(capsys, argv[0], str(path), *argv[1:])
     lines = out.splitlines()
     assert lines[-51:] == [line.format(k=k) for k in range(51)]
-    assert calls == []
+    assert len(calls) == 50
+    assert all(A.data == [{}] and result[0] == () and result[1] is A
+               for A, result in calls)
+    assert leaves == []
 
 
 @pytest.mark.parametrize("system", ["exp", "nov", "trivial"])

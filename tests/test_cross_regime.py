@@ -3,9 +3,9 @@ and twisted triangulated tori under random classes.
 
 ℤ[t^ℚ] lies in the Novikov field, and t ↦ t⁻¹ carries the exponential sign
 convention onto the Novikov one, so a complete Novikov b_k is the
-exponential rank of H_k for the same class.  Dualizing transposes each
-boundary and applies the ring automorphism t ↦ t⁻¹, which keeps every
-rank, so exponential cohomology has the ranks of homology.
+exponential rank of H_k for the same class.  A coboundary is its
+boundary transposed under the ring automorphism t ↦ t⁻¹, which keeps
+every rank, so exponential cohomology has the ranks of homology.
 """
 
 from fractions import Fraction

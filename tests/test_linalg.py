@@ -22,7 +22,6 @@ import morsetwist.linalg as linalg
 from morsetwist.cw import cw_to_morse, from_simplicial, steenrod_boundary
 from morsetwist.errors import TooManyTerms, ZeroElement
 from morsetwist.linalg import (
-    Matrix,
     _divisibility_chain,
     _is_unit,
     _nov_leaf,
@@ -162,7 +161,7 @@ def test_rank_expsum_dense_random():
         r = rank_expsum(A).rank
         assert 0 <= r <= min(m, n)
         # rank of transpose agrees
-        assert rank_expsum(A.transpose()).rank == r
+        assert rank_expsum(M(list(zip(*A.entries)))).rank == r
 
 
 def test_nov_divexact():
@@ -389,7 +388,7 @@ def test_lazy_unit_pass_equals_eager_reference():
         for _ in range(150):
             A = _sparse(rng, zero, unit, other, unit_share=rng.random(),
                         size=14, density=rng.uniform(0.1, 0.6))
-            cases.append(Matrix(A.rows, A.cols, A.data, zero))
+            cases.append(A)
     for n in range(8, 13):
         C = steenrod_boundary(from_simplicial(grid_facets(n, klein=True)),
                               LocalSystem.trivial())
@@ -402,8 +401,29 @@ def test_lazy_unit_pass_equals_eager_reference():
                 cases += build_complex(d, system(cls)).diffs
     for A in cases:
         pivots, rest = cancel_units(A)
-        assert rest.zero == A.zero
+        # the leftover stores nonzero entries only, so each absent one is 0
+        assert all(e for row in rest.data for e in row.values())
         assert (list(pivots), rest.entries) == unit_pivots_eager(A), A
+
+
+def test_unit_free_matrix_is_its_own_leftover():
+    # with no unit to take the pass builds nothing and hands A back
+    for rows in ([[2, 0], [-2, 4]], [[0, 0]],
+                 [[laurent(1, 1) - 1, 3], [0, laurent(2, -1)]]):
+        A = M(rows)
+        assert cancel_units(A) == ((), A)
+        assert cancel_units(A)[1] is A
+    pivots, rest = cancel_units(M([[2, 1]]))
+    assert pivots == ((0, 1),) and (rest.rows, rest.cols) == (0, 1)
+
+
+def test_without_drops_rows_and_columns_in_order():
+    A = M([[1, 0, 2], [0, 3, 0], [4, 0, 5]])
+    assert A.without(rows={1}).entries == [[1, 0, 2], [4, 0, 5]]
+    assert A.without(cols={0}).entries == [[0, 2], [3, 0], [0, 5]]
+    B = A.without({0, 2}, {1})
+    assert (B.rows, B.cols, B.data) == (1, 2, [{}])
+    assert A.without() == A
 
 
 def test_one_unit_rule_for_every_ring():
@@ -527,9 +547,8 @@ def _laurent_sparse(rng, ints):
             return laurent(r.choice([-3, 2, 4]), k(r))
         return laurent(1, k(r)) + laurent(r.choice([1, -1, 2]), k(r) - 5)
 
-    A = _sparse(rng, 0, unit, other, unit_share=rng.uniform(0.3, 1),
-                size=14, density=rng.uniform(0.1, 0.5))
-    return Matrix(A.rows, A.cols, A.data, 0 if ints else NovElem.zero())
+    return _sparse(rng, 0, unit, other, unit_share=rng.uniform(0.3, 1),
+                   size=14, density=rng.uniform(0.1, 0.5))
 
 
 def _short_rows(rng):

@@ -2,7 +2,8 @@
 the reduced complex is a complex, holds no unit, keeps the Euler number,
 is its own reduction, has the input's homology (against the reference
 that reduces each boundary on its own), and its cell counts bound every
-complete Novikov result."""
+complete Novikov result; reducing commutes with dualizing, which keeps
+every matrix's shape; and a complex with no unit is its own reduction."""
 
 import random
 from fractions import Fraction as F
@@ -100,6 +101,39 @@ def test_reduced_complex_properties():
     assert min(seen.values()) >= 10, seen
 
 
+def test_reduce_commutes_with_dualize():
+    # u ↦ u⁻¹ is a ring automorphism that maps units to units and keeps
+    # every zero, so the unit pass takes the same pivots on a chain complex
+    # and on its dual, whose matrices have the chain shapes
+    seen = {"INT": 0, "EXPSUM": 0, "NOV": 0, "paired": 0}
+    for _, _, C in _corpus():
+        if C.ascending:
+            continue
+        D = dualize(C)
+        assert [(M.rows, M.cols) for M in D.diffs] == \
+            [(M.rows, M.cols) for M in C.diffs]
+        R = reduce(C)
+        assert reduce(D) == dualize(R), C.generators
+        seen[C.regime] += 1
+        seen["paired"] += R is not C
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("name, flavor, cls", [
+    ("rpn(4)", "trivial", None),
+    ("genus2", "exp", (1, F(1, 2), 0, -1)),
+], ids=["rp4-trivial", "genus2-exp"])
+def test_unit_free_complex_is_its_own_reduction(name, flavor, cls):
+    # entries 0 and ±2 on RP⁴, 1 − t^a on genus 2: no unit, so the pass
+    # takes no pivot, builds no leftover, and reduce hands C back
+    C = build_complex(get_example(name).datum, LocalSystem.named(flavor, cls))
+    assert not [e for M in C.diffs for row in M.data for e in row.values()
+                if _is_unit(e)]
+    assert any(any(M.data) for M in C.diffs)
+    for X in (C, dualize(C)):
+        assert reduce(X) is X
+
+
 @pytest.mark.parametrize("n", [6, 10, 30])
 @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
 def test_grid_surfaces_reduce_to_one_two_one(n, klein):
@@ -107,6 +141,7 @@ def test_grid_surfaces_reduce_to_one_two_one(n, klein):
     # and ∂₂ = 0 on the torus; on the Klein bottle ∂₂ holds ±2 only, with
     # the one invariant factor 2
     C = simplicial_boundary(grid_facets(n, klein))
+    assert reduce(dualize(C)) == dualize(reduce(C))
     for X in (C, dualize(C)):
         R = reduce(X)
         assert R.counts() == (1, 2, 1)
@@ -124,6 +159,7 @@ def test_twisted_torus_reduces_to_one_two_one(n, flavor):
     d = cw_to_morse(twisted_torus_cw(n))
     for cls in ((1, F(1, 3)), (0, 0), (F(-2, 3), 0)):
         chain = build_complex(d, LocalSystem.named(flavor, cls))
+        assert reduce(dualize(chain)) == dualize(reduce(chain))
         for C in (chain, dualize(chain)):
             R = reduce(C)
             assert R.counts() == (1, 2, 1)
