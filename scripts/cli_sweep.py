@@ -41,8 +41,11 @@ the composite.  The broken files hold period
 values of every JSON type, padded and non-ASCII-digit strings, in a flow
 and in a CW incidence, and one flow with both a bad unit tag and a bad
 period.
-Files are written to a temporary directory and named relative to it, so
-no machine-specific path reaches the output.  The invocation count and
+The twisted tori, grid surfaces and Freudenthal tori come from
+``tests/spaces.py``, the module the property suites build them from, so
+the sweep and the suites check the same spaces.  Files are written to a
+temporary directory and named relative to it, so no machine-specific
+path reaches the output.  The invocation count and
 the sha256 of the whole output go to stderr, on one line.
 """
 
@@ -60,9 +63,18 @@ from fractions import Fraction
 
 from morsetwist.catalog import example_names, get_example
 from morsetwist.cli import main
-from morsetwist.cw import Incidence, RegularCW, cw_to_morse
+from morsetwist.cw import cw_to_morse
 from morsetwist.morse import potential_shift, rescale_datum
 from morsetwist.serial import dump_json, facets_to_text
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+# the spaces the property suites build too; tests/ is not a package
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+from spaces import (
+    freudenthal_torus_facets,
+    grid_facets,
+    twisted_torus_cw,
+)
 
 SYSTEMS = ("trivial", "unit-rep", "exp", "nov")
 TWISTED = ("homology", "cohomology", "euler", "obstructions")
@@ -86,8 +98,7 @@ SMALL_FACETS = (("points", "vertices 3\n0\n2\n"),
                 ("bowtie", "vertices 5\n0 1 2\n0 3 4\n"),
                 ("three-on-an-edge", "vertices 5\n0 1 2\n0 1 3\n1 0 4\n"),
                 ("unused", "vertices 9\n6 4 1\n4 6 8\n1 8 4\n"))
-FACETS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "..", "docs", "examples", "rp2.facets")
+FACETS = os.path.join(ROOT, "docs", "examples", "rp2.facets")
 
 
 def call(argv):
@@ -186,34 +197,6 @@ def files():
     return out
 
 
-def twisted_torus_cw(n):
-    """The n x n triangulated torus as the quotient of the triangulated
-    plane by Z^2 translations.  A plane simplex is canonical when its
-    smallest vertex lies in [0, n)^2; each face of a canonical simplex is a
-    canonical face translated by g*n, and g is the incidence's periods."""
-    def canonical(simplex):
-        a, b = min(simplex)
-        g = (a // n, b // n)
-        return tuple((x - g[0] * n, y - g[1] * n) for x, y in simplex), g
-
-    layers = [set(), set(), set()]
-    for i, j in itertools.product(range(n), repeat=2):
-        layers[2].add(((i, j), (i + 1, j), (i + 1, j + 1)))
-        layers[2].add(((i, j), (i, j + 1), (i + 1, j + 1)))
-    incidences = []
-    for k in (2, 1):
-        for simplex in sorted(layers[k]):
-            for drop in range(k + 1):
-                face, g = canonical(simplex[:drop] + simplex[drop + 1:])
-                layers[k - 1].add(face)
-                incidences.append(Incidence(
-                    upper=str(simplex), lower=str(face),
-                    incidence=(-1) ** drop, periods=g))
-    return RegularCW(name=f"twisted-torus-{n}", dimension=2,
-                     cells=[[str(s) for s in sorted(layer)] for layer in layers],
-                     incidences=incidences, basis_forms=("dx", "dy"))
-
-
 def twisted_tori():
     for n in TORUS_SIDES:
         path = write(f"twisted-torus-{n}.json", dump_json(twisted_torus_cw(n)))
@@ -242,41 +225,6 @@ def twisted_tori():
                 yield [cmd, path, "--system", system, "--format", fmt,
                        "--class=0,0,1"]
         yield ["novikov", path, "--format", fmt, "--class=0,0,1"]
-
-
-def grid_facets(n, klein):
-    """The n x n grid triangulation of the torus; for the Klein bottle,
-    crossing the seam i = n -> 0 reverses the j direction."""
-    def vertex(i, j):
-        if i == n:
-            i, j = 0, (-j if klein else j)
-        return i * n + j % n
-    lines = [f"vertices {n * n}"]
-    for i, j in itertools.product(range(n), repeat=2):
-        a, b = vertex(i, j), vertex(i + 1, j)
-        c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
-        lines += [f"{a} {b} {d}", f"{a} {c} {d}"]
-    return "\n".join(lines) + "\n"
-
-
-def freudenthal_facets(n, dim=3):
-    """The Freudenthal triangulation of the dim-torus on the n^dim grid: in
-    each unit cube, one simplex per permutation of the axes."""
-    def vertex(p):
-        v = 0
-        for x in p:
-            v = v * n + x % n
-        return v
-    lines = [f"vertices {n ** dim}"]
-    for corner in itertools.product(range(n), repeat=dim):
-        for order in itertools.permutations(range(dim)):
-            p = list(corner)
-            simplex = [vertex(p)]
-            for axis in order:
-                p[axis] += 1
-                simplex.append(vertex(p))
-            lines.append(" ".join(map(str, simplex)))
-    return "\n".join(lines) + "\n"
 
 
 def flow(frm, to, sign, period):
@@ -344,8 +292,9 @@ def north_star():
     Novikov commands on the 12 x 12 twisted torus under the zero class and
     a nonzero one."""
     for n, dim in ((4, 3), (3, 4)):
-        yield ["from-triangulation", write(f"freudenthal-{dim}-{n}.facets",
-                                           freudenthal_facets(n, dim))]
+        text = facets_to_text(freudenthal_torus_facets(n, dim))
+        yield ["from-triangulation",
+               write(f"freudenthal-{dim}-{n}.facets", text)]
     path = write("twisted-torus-12.json", dump_json(twisted_torus_cw(12)))
     for cls in ("0,0", "1,1/3"):
         for cmd in ("homology", "cohomology"):
@@ -406,11 +355,12 @@ def invocations():
     for n in GRID_SIDES:
         for name, klein in (("torus", False), ("klein", True)):
             yield ["from-triangulation",
-                   write(f"grid-{name}-{n}.facets", grid_facets(n, klein))]
+                   write(f"grid-{name}-{n}.facets",
+                         facets_to_text(grid_facets(n, klein)))]
     for name, text in SMALL_FACETS:
         yield ["from-triangulation", write(f"{name}.facets", text)]
-    yield ["from-triangulation", write("freudenthal-3.facets",
-                                       freudenthal_facets(3))]
+    yield ["from-triangulation", write(
+        "freudenthal-3.facets", facets_to_text(freudenthal_torus_facets(3)))]
     yield ["from-triangulation", "grid-torus-4.facets", "-o", "grid-torus-4.json"]
     yield ["validate", "grid-torus-4.json"]
     yield ["from-triangulation", write("bad.facets", "vertices 3\n0 0 1\n")]

@@ -90,30 +90,19 @@ def _circle_std() -> CatalogEntry:
 
 def _circle_regular() -> CatalogEntry:
     # Two-vertex, two-edge structure: regular, unlike the one-cell circle.
-    flows = (
-        FlowLine("q1", "p2", +1, periods=(F(1, 4),), unit_tag=+1),
-        FlowLine("q1", "p1", -1, periods=(F(-1, 4),), unit_tag=+1),
-        FlowLine("q2", "p2", +1, periods=(F(-1, 4),), unit_tag=+1),
-        FlowLine("q2", "p1", -1, periods=(F(1, 4),), unit_tag=+1),
-    )
-    datum = MorseDatum(
-        name="circle-regular",
-        dimension=1,
-        basis_forms=("dtheta",),
-        points=(CriticalPoint("p1", 0), CriticalPoint("p2", 0),
-                CriticalPoint("q1", 1), CriticalPoint("q2", 1)),
-        flows=flows,
-    )
     cw = RegularCW(
         name="circle-regular",
         dimension=1,
         cells=(("p1", "p2"), ("q1", "q2")),
-        incidences=tuple(
-            Incidence(f.frm, f.to, f.sign, periods=f.periods,
-                      unit_tag=f.unit_tag)
-            for f in flows),
+        incidences=(
+            Incidence("q1", "p2", +1, periods=(F(1, 4),), unit_tag=+1),
+            Incidence("q1", "p1", -1, periods=(F(-1, 4),), unit_tag=+1),
+            Incidence("q2", "p2", +1, periods=(F(-1, 4),), unit_tag=+1),
+            Incidence("q2", "p1", -1, periods=(F(1, 4),), unit_tag=+1),
+        ),
         basis_forms=("dtheta",),
     )
+    datum = cw_to_morse(cw)
     ex = (
         Expectation("two-cell circle, untwisted", "homology", "trivial",
                     betti=(1, 1)),

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry, NotAUnit
-from .linalg import (Matrix, Reduction, cancel_units, nov_reduce, rank_expsum,
-                     snf_int)
+from .linalg import (Matrix, Reduction, bar, cancel_units, nov_reduce,
+                     rank_expsum, snf_int)
 from .rings import laurent_image
 
 INT = "INT"
@@ -192,29 +192,24 @@ def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
     return HomologySummary(regime=C.regime, degrees=tuple(degrees))
 
 
-def _invert_entry(e):
-    if type(e) is int:
-        return e  # a constant, such as a sum of +-1 transports, is fixed
-    try:
-        return e.invert_exponents()
-    except NotAUnit as exc:
-        raise NonInvertibleEntry(str(exc)) from exc
-
-
 def dualize(C: ChainComplex) -> ChainComplex:
     """Cochain complex: invert every transport of each boundary.
 
-    Inverting a transport negates its exponent (u ↦ u⁻¹ over ℤ[u, u⁻¹]);
-    the flow-line signs are untouched.  Only the stored (nonzero) entries
-    are inverted; zero is its own inverse.  Each matrix keeps its shape,
-    so the result, marked ascending, stores delta_k as its transpose.
+    Inverting a transport negates its exponent (``linalg.bar``, u ↦ u⁻¹
+    over ℤ[u, u⁻¹]); the flow-line signs are untouched.  Only the stored
+    (nonzero) entries are inverted; zero is its own inverse, and a
+    truncated entry raises NonInvertibleEntry.  Each matrix keeps its
+    shape, so the result, marked ascending, stores delta_k as its
+    transpose.
     """
     if C.ascending:
         raise ValueError("dualize expects a descending (chain) complex")
-    diffs = [Matrix(d.rows, d.cols, [{j: _invert_entry(e)
-                                      for j, e in row.items()}
-                                     for row in d.data])
-             for d in C.diffs]
+    try:
+        diffs = [Matrix(d.rows, d.cols, [{j: bar(e) for j, e in row.items()}
+                                         for row in d.data])
+                 for d in C.diffs]
+    except NotAUnit as exc:
+        raise NonInvertibleEntry(str(exc)) from exc
     return ChainComplex(regime=C.regime, generators=C.generators,
                         diffs=diffs, ascending=True, scale=C.scale)
 

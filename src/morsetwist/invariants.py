@@ -15,7 +15,6 @@ from .morse import (
     build_complex,
     build_cochain,
     is_simple,
-    loop_periods,
 )
 
 
@@ -129,6 +128,8 @@ def parallel_form_obstruction(d: MorseDatum, class_vector, depth=16,
 
 def rank_of_class(d: MorseDatum, class_vector, periods=None) -> int:
     """Rank of the subgroup of Q generated by the detectable loop periods:
-    0 when every loop period vanishes, else 1 (rational periods)."""
-    loops = loop_periods(d, class_vector, periods)
-    return 1 if any(p != 0 for p in loops) else 0
+    0 when every loop period vanishes, that is when the class's
+    exponential system is simple, else 1 (rational periods).  A class
+    with more or fewer entries than basis forms is refused, even a zero
+    one."""
+    return int(not is_simple(d, LocalSystem.exp(class_vector), periods))

@@ -2,9 +2,9 @@
 
 * ``cancel_units`` — one sparse pass that cancels every entry that is a
   unit under one rule for every ring: ±1, or a single term ±t^a (±u^k
-  over ℤ[u, u⁻¹]), whose exact inverse is the entry itself or its
-  ``invert_exponents()`` (algebraic Morse reduction).  ``chains.reduce``
-  runs it once across a whole complex, and nothing else calls it.
+  over ℤ[u, u⁻¹]), whose exact inverse is its ``bar`` image under
+  u ↦ u⁻¹ (algebraic Morse reduction).  ``chains.reduce`` runs it once
+  across a whole complex, and nothing else calls it.
 * ``snf_int`` — Smith normal form over the integers, giving ranks and
   torsion invariant factors.
 * ``rank_expsum`` — rank over the fraction field of ℤ[u, u⁻¹].  Distinct
@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd, inf
 
 from .errors import TooManyTerms, ZeroElement
-from .rings import NovElem, laurent
+from .rings import NovElem, _make, laurent
 
 # The largest depth nov_reduce takes: in powers of u, it bounds the terms of
 # a truncated inverse over ℤ[u, u⁻¹] (the sweep's largest has 3,200).
@@ -91,10 +91,10 @@ def _is_unit(e) -> bool:
     return len(terms) == 1 and terms[0][0] in (1, -1)
 
 
-def _unit_inverse(e):
-    """The exact inverse of a unit ±1 or ±t^a, else None."""
-    if not _is_unit(e):
-        return None
+def bar(e):
+    """The bar involution u ↦ u⁻¹ (t^a ↦ t^(-a)) on an entry: an int is
+    fixed, and a unit ±1 or ±t^a goes to its exact inverse.  NotAUnit for
+    a truncated element, whose terms below the floor are unknown."""
     return e if type(e) is int else e.invert_exponents()
 
 
@@ -109,7 +109,7 @@ def cancel_units(A: Matrix):
     (row, col), and replaces the matrix by its Schur complement: the
     pivot's inverse lies in the ring, so A is equivalent to diag(pivots,
     leftover), and rank, invariant factors and torsion all come from the
-    leftover.  Only a pivot's inverse is built, by ``_unit_inverse`` when
+    leftover.  Only a pivot's inverse is built, as its ``bar`` image, when
     it is taken.  A pivot pairs the cells of its row and column;
     ``chains.reduce`` drops them from the generators and the neighbouring
     boundaries.
@@ -161,7 +161,7 @@ def cancel_units(A: Matrix):
         pivots.append((r, c))
         del best[p]
         prow = rows.pop(r)
-        inv = _unit_inverse(prow.pop(c))
+        inv = bar(prow.pop(c))
         pcol = cols.pop(c)
         pcol.discard(r)
         base = p - c
@@ -414,7 +414,9 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
         # in exponent without end.
         terms = a[k][k].terms
         if len(terms) > 1 and all(ci % pc == 0 for ci, _ in terms):
-            inv = NovElem([(ci // pc, x - px) for ci, x in terms]).invert(depth)
+            # U's terms are the pivot's, shifted and divided: still canonical
+            unit = tuple([(ci // pc, x - px) for ci, x in terms])
+            inv = _make(NovElem, unit).invert(depth)
             a[k] = [e if _nov_zero(e) else e * inv for e in a[k]]
             ops += 1
             if ops > max_iter:
@@ -435,7 +437,7 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
                     # top coefficient now smaller than the pivot's: re-pivot
                     restart = True
                     break
-                mono = NovElem.monomial(-q, x - px)
+                mono = laurent(-q, x - px)
                 if is_row:
                     add_row(i, k, mono)
                 else:

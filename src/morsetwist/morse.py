@@ -398,13 +398,6 @@ def _loop_data(d: MorseDatum, per):
     return loops
 
 
-def loop_periods(d: MorseDatum, class_vector, periods=None):
-    """Scalar periods (class . loop) over all detected loops."""
-    if periods is None:
-        periods = flow_periods(d, tuple(Fraction(c) for c in class_vector))
-    return [Fraction(a) for a, _ in _loop_data(d, periods)]
-
-
 def is_simple(d: MorseDatum, sys: LocalSystem, periods=None) -> bool:
     """False when some detected loop has nontrivial holonomy under sys.
 

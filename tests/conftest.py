@@ -5,14 +5,13 @@ independent of any reduction; reference helpers on elements and matrices
 truncation floor, a matrix over ℤ[u, u⁻¹] with the rank of rational
 dense rows); the componentwise (vector) period path that the scalar
 loop periods of ``morsetwist.morse`` must agree with, and the degree-zero
-group read off it; the image of a
-complex over ℤ[u, u⁻¹] in its regime's ring, which the reduction of the
-complex itself must agree with; homology with each boundary reduced on
-its own, which the unit pass across the whole complex must agree with;
-a seeded family of Morse data whose Novikov answers depend on the depth;
-a twisted triangulated torus; grid triangulations of the torus and the
-Klein bottle, Freudenthal tori and seeded random facet lists; the
-eagerly re-keyed unit pass that the lazily re-keyed heap of
+group read off it; the image of a complex over ℤ[u, u⁻¹] in its regime's
+ring, which the reduction of the complex itself must agree with;
+homology with each boundary reduced on its own, which the unit pass
+across the whole complex must agree with; a seeded family of Morse data
+whose Novikov answers depend on the depth; seeded random facet lists
+(the twisted torus, grid and Freudenthal spaces are in ``spaces.py``);
+the eagerly re-keyed unit pass that the lazily re-keyed heap of
 ``morsetwist.linalg.cancel_units`` must agree with; and the Novikov leaf
 that cleared a unit pivot's row and column by whole-row and whole-column
 operations, which ``morsetwist.linalg._nov_leaf`` must agree with; and
@@ -45,8 +44,9 @@ from morsetwist.linalg import (
     Reduction,
     _as_nov,
     _divisibility_chain,
+    _is_unit,
     _nov_zero,
-    _unit_inverse,
+    bar,
     cancel_units,
     nov_reduce,
     rank_expsum,
@@ -352,51 +352,7 @@ def depth_sensitive_data(rng, count):
     return out
 
 
-# --- a twisted triangulated torus ------------------------------------------
-
-def twisted_torus_cw(n):
-    """The n x n triangulated torus as the quotient of the triangulated
-    plane by Z^2 translations.  A plane simplex is canonical when its
-    smallest vertex lies in [0, n)^2; each face of a canonical simplex is a
-    canonical face translated by g*n, and g is the incidence's periods."""
-    def canonical(simplex):
-        a, b = min(simplex)
-        g = (a // n, b // n)
-        return tuple((x - g[0] * n, y - g[1] * n) for x, y in simplex), g
-
-    layers = [set(), set(), set()]
-    for i, j in itertools.product(range(n), repeat=2):
-        layers[2].add(((i, j), (i + 1, j), (i + 1, j + 1)))
-        layers[2].add(((i, j), (i, j + 1), (i + 1, j + 1)))
-    incidences = []
-    for k in (2, 1):
-        for simplex in sorted(layers[k]):
-            for drop in range(k + 1):
-                face, g = canonical(simplex[:drop] + simplex[drop + 1:])
-                layers[k - 1].add(face)
-                incidences.append(Incidence(
-                    upper=str(simplex), lower=str(face),
-                    incidence=(-1) ** drop, periods=g))
-    return RegularCW(name=f"twisted-torus-{n}", dimension=2,
-                     cells=[[str(s) for s in sorted(layer)] for layer in layers],
-                     incidences=incidences, basis_forms=("dx", "dy"))
-
-
-def grid_facets(n, klein=False) -> FacetList:
-    """The n x n grid triangulation of the torus; for the Klein bottle,
-    crossing the seam i = n -> 0 reverses the j direction."""
-    def vertex(i, j):
-        if i == n:
-            i, j = 0, (-j if klein else j)
-        return i * n + j % n
-    facets = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vertex(i, j), vertex(i + 1, j)
-            c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
-            facets += [(a, b, d), (a, c, d)]
-    return FacetList(n * n, tuple(facets))
-
+# --- seeded random facet lists ---------------------------------------------
 
 def random_facet_lists(rng, count):
     """Seeded pure simplicial complexes: 1 to 12 distinct facets of one
@@ -410,28 +366,6 @@ def random_facet_lists(rng, count):
         unique = {frozenset(f): f for f in sorted(facets)}
         out.append(FacetList(vertices, tuple(unique.values())))
     return out
-
-
-def freudenthal_torus_facets(n, dim=3) -> FacetList:
-    """The Freudenthal triangulation of the dim-torus on the n^dim grid,
-    n >= 3: in each unit cube, one simplex per permutation of the axes,
-    walking from the cube's low corner to its high corner one axis at a
-    time."""
-    def vertex(p):
-        v = 0
-        for x in p:
-            v = v * n + x % n
-        return v
-    facets = []
-    for corner in itertools.product(range(n), repeat=dim):
-        for order in itertools.permutations(range(dim)):
-            p = list(corner)
-            simplex = [vertex(p)]
-            for axis in order:
-                p[axis] += 1
-                simplex.append(vertex(p))
-            facets.append(tuple(simplex))
-    return FacetList(n ** dim, tuple(facets))
 
 
 # --- the eager unit pass ----------------------------------------------------
@@ -450,11 +384,10 @@ def unit_pivots_eager(A):
 
     def put(i, j, v):
         rows[i][j] = v
-        inv = _unit_inverse(v)
-        if inv is None:
-            inverses.pop((i, j), None)
+        if _is_unit(v):
+            inverses[i, j] = bar(v)
         else:
-            inverses[i, j] = inv
+            inverses.pop((i, j), None)
 
     for i, row in enumerate(A.entries):
         nonzero = [j for j, e in enumerate(row) if e]

@@ -1,0 +1,74 @@
+"""The test spaces that the property suites and ``scripts/cli_sweep.py``
+both build: the twisted triangulated torus, grid triangulations of the
+torus and the Klein bottle, and Freudenthal tori.  A plain module, with
+no pytest import, so that a script can import it too."""
+
+import itertools
+
+from morsetwist.cw import FacetList, Incidence, RegularCW
+
+
+def twisted_torus_cw(n):
+    """The n x n triangulated torus as the quotient of the triangulated
+    plane by Z^2 translations.  A plane simplex is canonical when its
+    smallest vertex lies in [0, n)^2; each face of a canonical simplex is a
+    canonical face translated by g*n, and g is the incidence's periods."""
+    def canonical(simplex):
+        a, b = min(simplex)
+        g = (a // n, b // n)
+        return tuple((x - g[0] * n, y - g[1] * n) for x, y in simplex), g
+
+    layers = [set(), set(), set()]
+    for i, j in itertools.product(range(n), repeat=2):
+        layers[2].add(((i, j), (i + 1, j), (i + 1, j + 1)))
+        layers[2].add(((i, j), (i, j + 1), (i + 1, j + 1)))
+    incidences = []
+    for k in (2, 1):
+        for simplex in sorted(layers[k]):
+            for drop in range(k + 1):
+                face, g = canonical(simplex[:drop] + simplex[drop + 1:])
+                layers[k - 1].add(face)
+                incidences.append(Incidence(
+                    upper=str(simplex), lower=str(face),
+                    incidence=(-1) ** drop, periods=g))
+    return RegularCW(name=f"twisted-torus-{n}", dimension=2,
+                     cells=[[str(s) for s in sorted(layer)] for layer in layers],
+                     incidences=incidences, basis_forms=("dx", "dy"))
+
+
+def grid_facets(n, klein=False) -> FacetList:
+    """The n x n grid triangulation of the torus; for the Klein bottle,
+    crossing the seam i = n -> 0 reverses the j direction."""
+    def vertex(i, j):
+        if i == n:
+            i, j = 0, (-j if klein else j)
+        return i * n + j % n
+    facets = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i, j + 1), vertex(i + 1, j + 1)
+            facets += [(a, b, d), (a, c, d)]
+    return FacetList(n * n, tuple(facets))
+
+
+def freudenthal_torus_facets(n, dim=3) -> FacetList:
+    """The Freudenthal triangulation of the dim-torus on the n^dim grid,
+    n >= 3: in each unit cube, one simplex per permutation of the axes,
+    walking from the cube's low corner to its high corner one axis at a
+    time."""
+    def vertex(p):
+        v = 0
+        for x in p:
+            v = v * n + x % n
+        return v
+    facets = []
+    for corner in itertools.product(range(n), repeat=dim):
+        for order in itertools.permutations(range(dim)):
+            p = list(corner)
+            simplex = [vertex(p)]
+            for axis in order:
+                p[axis] += 1
+                simplex.append(vertex(p))
+            facets.append(tuple(simplex))
+    return FacetList(n ** dim, tuple(facets))

@@ -7,15 +7,13 @@ from fractions import Fraction as F
 import pytest
 from conftest import (
     depth_sensitive_data,
-    freudenthal_torus_facets,
     from_rows,
-    grid_facets,
     homology_per_matrix,
     image_complex,
     random_facet_lists,
     specialise,
-    twisted_torus_cw,
 )
+from spaces import freudenthal_torus_facets, grid_facets, twisted_torus_cw
 
 import morsetwist.chains as chains
 import morsetwist.linalg as linalg
@@ -32,11 +30,16 @@ from morsetwist.chains import (
     validate_complex,
 )
 from morsetwist.cw import cw_to_morse, simplicial_boundary, steenrod_boundary
-from morsetwist.errors import Indeterminate, InvalidComplex, MissingUnitTag
+from morsetwist.errors import (
+    Indeterminate,
+    InvalidComplex,
+    MissingUnitTag,
+    NonInvertibleEntry,
+)
 from morsetwist.linalg import (
     Matrix,
     _as_nov,
-    _unit_inverse,
+    _is_unit,
     cancel_units,
     nov_reduce,
     rank_expsum,
@@ -142,6 +145,18 @@ def test_dualize_inverts_nonzero_entries_only(monkeypatch):
     assert len(calls) == nonzero < sum(d.rows * d.cols for d in C.diffs)
     assert [d.entries for d in image_complex(D).diffs] == before
     assert all(e for e in calls)
+
+
+def test_dualize_refuses_a_truncated_entry():
+    # u ↦ u⁻¹ would turn the unknown terms below the floor into unknown
+    # terms above it, so the dual has no such entry
+    x = laurent(1, 0).invert(4)
+    assert x.floor is not None
+    C = ChainComplex(regime="NOV", generators=(("p",), ("q",)),
+                     diffs=(Matrix(1, 1, [{0: x}]),), scale=1)
+    with pytest.raises(NonInvertibleEntry, match="truncated") as info:
+        dualize(C)
+    assert type(info.value) is NonInvertibleEntry
 
 
 def test_nov_homology_with_torsion():
@@ -292,7 +307,7 @@ def test_specialised_leftover_has_no_unit():
                         rest = specialise(cancel_units(U)[1], C.scale)
                         assert not [e for row in rest.data
                                     for e in row.values()
-                                    if _unit_inverse(e) is not None], rest
+                                    if _is_unit(e)], rest
                         assert cancel_units(rest) == ((), rest)
 
 

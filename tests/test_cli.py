@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import freudenthal_torus_facets, grid_facets, twisted_torus_cw
+from spaces import freudenthal_torus_facets, grid_facets, twisted_torus_cw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -733,10 +733,12 @@ def test_empty_boundaries_are_not_reduced(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("system", ["exp", "nov", "trivial"])
-@pytest.mark.parametrize("cls, n", [("1,0,1", 3), ("1", 1)])
+@pytest.mark.parametrize("cls, n", [("1,0,1", 3), ("1", 1), ("0", 1),
+                                    ("0,0,0", 3)])
 def test_obstructions_class_of_the_wrong_length(capsys, system, cls, n):
     # the class periods are read before the class is checked against the
-    # basis forms, so a longer class must not index past a flow's periods
+    # basis forms, so a longer class must not index past a flow's periods;
+    # a zero class is refused as well, also where no system reads it
     out, err = run(capsys, "obstructions", "--example", "torus",
                    "--system", system, f"--class={cls}", code=2)
     assert out == ""

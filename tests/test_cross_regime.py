@@ -10,7 +10,7 @@ every rank, so exponential cohomology has the ranks of homology.
 
 from fractions import Fraction
 
-from conftest import twisted_torus_cw
+from spaces import twisted_torus_cw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

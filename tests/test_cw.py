@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import freudenthal_torus_facets, grid_facets
+from spaces import freudenthal_torus_facets, grid_facets
 
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
 from morsetwist.chains import euler_cells, homology, validate_complex

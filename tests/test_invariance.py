@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from conftest import twisted_torus_cw
+from spaces import twisted_torus_cw
 
 from morsetwist.catalog import get_example
 from morsetwist.chains import homology

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from morsetwist.catalog import get_example
-from morsetwist.errors import ZeroClass
+from morsetwist.errors import ParseError, ZeroClass
 from morsetwist.invariants import (
     check_inequalities,
     hspace_obstruction,
@@ -82,6 +82,10 @@ def test_rank_of_class():
     assert rank_of_class(CIRCLE, (F(1),)) == 1
     assert rank_of_class(CIRCLE, (F(0),)) == 0
     assert rank_of_class(GENUS2, (F(1), F(1), F(0), F(0))) == 1
+    # a zero class of the wrong length is refused like a nonzero one
+    for cls in ((F(0),), (F(0),) * 3, (F(1),)):
+        with pytest.raises(ParseError, match=f"has {len(cls)} entries for 2"):
+            rank_of_class(TORUS, cls)
 
 
 def test_novikov_euler_identity():

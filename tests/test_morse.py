@@ -35,7 +35,6 @@ from morsetwist.morse import (
     gauge_transform,
     is_simple,
     lift_cover,
-    loop_periods,
     potential_shift,
     rescale_datum,
 )
@@ -326,7 +325,6 @@ def test_scalar_loop_periods_equal_vector_reference():
                 for f in dv.flows:
                     assert (flow_period(f, class_support(cls))
                             == flow_period_vector(f, cls))
-                assert loop_periods(dv, cls) == loop_periods_vector(dv, cls)
                 assert rank_of_class(dv, cls) == rank_of_class_vector(dv, cls)
                 for sys_ in (LocalSystem.trivial(), LocalSystem.unit_rep(),
                              LocalSystem.exp(cls), LocalSystem.nov(cls)):

@@ -9,12 +9,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import (
-    grid_facets,
-    homology_per_matrix,
-    random_facet_lists,
-    twisted_torus_cw,
-)
+from conftest import homology_per_matrix, random_facet_lists
+from spaces import grid_facets, twisted_torus_cw
 
 from morsetwist import reduce
 from morsetwist.catalog import example_names, get_example
