@@ -37,7 +37,9 @@ run to thousands of terms; and at the very end ``homology`` and
 ``cohomology``, trivial and under ``exp``/``nov`` with the class 1,0, on
 the 3 x 3 twisted torus written as a Morse datum with one flow's sign
 flipped, whose ``∂²`` violations have at least two cells at each end of
-the composite.  The broken files hold period
+the composite; after them, two checks that fail on valid input: zero
+counts below the Klein bottle's Novikov bounds, and ``validate`` of
+``rp2`` with one flow's unit tag flipped.  The broken files hold period
 values of every JSON type, padded and non-ASCII-digit strings, in a flow
 and in a CW incidence, and one flow with both a bad unit tag and a bad
 period.
@@ -328,6 +330,19 @@ def flipped_torus():
             yield [cmd, path, "--system", system, "--class=1,0"]
 
 
+def failed_checks():
+    """Checks that fail on valid input and exit 1: ``novikov --zeros`` on
+    the Klein bottle under the zero class, below its bounds, in text and
+    JSON; and ``validate`` of ``rp2`` with its second flow's unit tag set
+    to 1, whose untwisted ``∂²`` is 0 but whose unit-tag ``∂²`` is not."""
+    for fmt in ("text", "json"):
+        yield ["novikov", "--example", "klein", "--class=0",
+               "--zeros", "1,1,0", "--format", fmt]
+    rp2 = json.loads(dump_json(get_example("rp2").datum))
+    rp2["flows"][1]["unit_tag"] = 1
+    yield ["validate", write("rp2-retagged.json", json.dumps(rp2))]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -383,6 +398,7 @@ def invocations():
     yield from north_star()
     yield from long_inverses()
     yield from flipped_torus()
+    yield from failed_checks()
 
 
 def run():

@@ -299,11 +299,6 @@ def rank_expsum(A: Matrix) -> Reduction:
     return Reduction(k)
 
 
-def _nov_zero(e: NovElem) -> bool:
-    """Zero as far as the truncation lets us see."""
-    return not e.terms
-
-
 def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
     """Diagonalize over the Novikov ring.  A truncated entry
     (``ValueError``) and a depth above ``MAX_TERMS`` (``TooManyTerms``) are
@@ -332,15 +327,19 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
     the given depth, and the rest of its row and column by exact zeros; a
     non-unit pivot c·t^a·U first has its unit U divided out of its row,
     then is reduced by integer-Euclidean steps on top coefficients.  Each
-    nonzero a unit pivot clears and each step is one op; runs that exhaust
-    max_iter report status "stuck" instead of raising.
+    nonzero a unit pivot clears, each unit divided out and each step is
+    one op.  The leaf reports status "stuck" instead of raising, at one
+    return per cause: the op count passes max_iter at a unit pivot, at a
+    unit divided out or at a Euclidean step; a top exponent falls below
+    the work floor; off-diagonal residue is left after the loop; or a
+    diagonal entry is not a monomial times a unit.  Only the last keeps
+    the units counted before it as the partial rank; the others give 0.
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
     a = [[_as_nov(e) for e in row] for row in A.entries]
     zero = NovElem.zero()
     ops = 0
-    stuck = False
     # Non-unit clearing on exact entries can descend in exponent forever;
     # once a top exponent falls this far below everything in the input we
     # give up early rather than grind through the whole op budget.
@@ -366,7 +365,7 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
         for i in range(k, m):
             for j in range(k, n):
                 e = a[i][j]
-                if _nov_zero(e):
+                if not e:
                     continue
                 c, x = e.top()
                 key = (abs(c), -x, i, j)
@@ -394,8 +393,7 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
             ops += sum(1 for i in below if a[i][k].terms)
             ops += sum(1 for j in right if row[j].terms)
             if ops > max_iter:
-                stuck = True
-                break
+                return Reduction(0, status="stuck")
             if below and right:
                 inv = row[k].invert(depth)
                 for i in below:
@@ -417,21 +415,19 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
             # U's terms are the pivot's, shifted and divided: still canonical
             unit = tuple([(ci // pc, x - px) for ci, x in terms])
             inv = _make(NovElem, unit).invert(depth)
-            a[k] = [e if _nov_zero(e) else e * inv for e in a[k]]
+            a[k] = [e * inv if e else e for e in a[k]]
             ops += 1
             if ops > max_iter:
-                stuck = True
-                break
+                return Reduction(0, status="stuck")
         # Then Euclidean monomial steps on the top coefficients.
         progressed = False
         restart = False
         for (i, j, is_row) in [(i, k, True) for i in range(k + 1, m)] + \
                               [(k, j, False) for j in range(k + 1, n)]:
-            while not _nov_zero(a[i][j]):
+            while a[i][j]:
                 c, x = a[i][j].top()
                 if x < work_floor:
-                    stuck = True
-                    break
+                    return Reduction(0, status="stuck")
                 q = c // pc
                 if q == 0:
                     # top coefficient now smaller than the pivot's: re-pivot
@@ -445,37 +441,30 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
                 progressed = True
                 ops += 1
                 if ops > max_iter:
-                    stuck = True
-                    break
-            if stuck or restart:
+                    return Reduction(0, status="stuck")
+            if restart:
                 break
-        if stuck:
-            break
         if restart or progressed:
             continue  # re-select pivot at the same k
         k += 1
 
+    # off-diagonal residue anywhere means we did not actually finish
+    if any(i != j and a[i][j] for i in range(m) for j in range(n)):
+        return Reduction(0, status="stuck")
     units = 0
     nonunit = []
-    # off-diagonal residue anywhere means we did not actually finish
-    stuck = stuck or any(i != j and not _nov_zero(a[i][j])
-                         for i in range(m) for j in range(n))
-    if not stuck:
-        for e in (a[i][i] for i in range(min(m, n))):
-            if _nov_zero(e):
-                continue
-            c, x = e.top()
-            if abs(c) == 1:
-                units += 1
-            elif all(ci % c == 0 for ci, _ in e.terms):
-                # report Nov/|c| only when the entry is (monomial)*(unit),
-                # i.e. every coefficient is a multiple of the top one
-                nonunit.append(abs(c))
-            else:
-                stuck = True
-                break
-    if stuck:
-        return Reduction(units, status="stuck")
+    for e in (a[i][i] for i in range(min(m, n))):
+        if not e:
+            continue
+        c, x = e.top()
+        if abs(c) == 1:
+            units += 1
+        elif all(ci % c == 0 for ci, _ in e.terms):
+            # report Nov/|c| only when the entry is (monomial)*(unit),
+            # i.e. every coefficient is a multiple of the top one
+            nonunit.append(abs(c))
+        else:
+            return Reduction(units, status="stuck")
     chain = _divisibility_chain(nonunit)
     return Reduction(units + len(chain), tuple(v for v in chain if v > 1))
 

@@ -404,12 +404,12 @@ def is_simple(d: MorseDatum, sys: LocalSystem, periods=None) -> bool:
     Sound but incomplete: only parallel-line and 1-skeleton loops are seen.
     ``periods`` are the flows' class periods, computed when not given."""
     sys.check_compatible(d)
+    if sys.flavor == TRIVIAL:
+        return True
     if periods is None:
         periods = flow_periods(d, sys.class_vector)
     loops = _loop_data(d, periods)
     if sys.flavor == UNIT_REP:
         return all(unit == 1 for _, unit in loops)
-    if sys.flavor in (EXP, NOV_SYS):
-        return all(a == 0 for a, _ in loops)
-    return True
+    return all(a == 0 for a, _ in loops)
 

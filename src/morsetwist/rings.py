@@ -256,15 +256,6 @@ class NovElem:
         c, e = _int_cast(coeff), _rat(exp)
         return _make(NovElem, ((c, e),) if c else ())
 
-    @property
-    def is_zero(self) -> bool:
-        """No known terms.  A truncated element may still hide lower terms."""
-        return not self.terms
-
-    @property
-    def exact(self) -> bool:
-        return self.floor is None
-
     def _coerce(self, other):
         if isinstance(other, NovElem):
             return other
@@ -302,22 +293,18 @@ class NovElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        sf, of = self.floor, o.floor
+        if sf is None and of is None:
+            return _make(NovElem, _mul_terms(self.terms, o.terms))
+        if (sf is None and not self.terms) or (of is None and not o.terms):
+            return NovElem.zero()
         # Unknown tails only pollute the product below top(a)+floor(b) and
-        # top(b)+floor(a); everything above both is exact.
-        floor = None
-        if o.floor is not None:
-            top = self.terms[0][1] if self.terms else self.floor
-            floor = None if top is None else _max_floor(floor, top + o.floor)
-            if top is None and self.floor is not None:
-                floor = _max_floor(floor, self.floor + o.floor)
-        if self.floor is not None:
-            top = o.terms[0][1] if o.terms else o.floor
-            floor = None if top is None else _max_floor(floor, top + self.floor)
-        if (self.floor is not None or o.floor is not None) and floor is None:
-            # One factor is completely unknown or exactly zero.
-            if (self.exact and self.is_zero) or (o.exact and o.is_zero):
-                return NovElem.zero()
-            return _make(NovElem, (), _max_floor(self.floor, o.floor))
+        # top(b)+floor(a); everything above both is exact.  A factor with
+        # no known term tops at its floor.
+        top_s = self.terms[0][1] if self.terms else sf
+        top_o = o.terms[0][1] if o.terms else of
+        floor = _max_floor(None if of is None else top_s + of,
+                           None if sf is None else top_o + sf)
         return _make(NovElem, _cut(_mul_terms(self.terms, o.terms), floor), floor)
 
     __rmul__ = __mul__

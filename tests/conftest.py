@@ -45,7 +45,6 @@ from morsetwist.linalg import (
     _as_nov,
     _divisibility_chain,
     _is_unit,
-    _nov_zero,
     bar,
     cancel_units,
     nov_reduce,
@@ -448,6 +447,11 @@ def unit_pivots_eager(A):
 
 
 # --- the Novikov leaf with whole-row and whole-column unit steps -------------
+
+def _nov_zero(e: NovElem) -> bool:
+    """Zero as far as the truncation lets us see."""
+    return not e.terms
+
 
 def nov_leaf_reference(A, depth, max_iter):
     """``linalg._nov_leaf`` as it was before a unit pivot updated only the

@@ -68,6 +68,13 @@ def test_novikov_with_zeros(capsys):
                  "--class", "1,0,0,0", "--zeros", "1,4,1")
     assert "degree 1: b=2 q=0" in out
     assert "slack 1,2,1 -> pass" in out
+    # a bound that fails is a math failure, in text and in JSON
+    klein = ("novikov", "--example", "klein", "--class=0", "--zeros", "1,1,0")
+    out, _ = run(capsys, *klein, code=1)
+    assert out.splitlines()[-1] == "zero-count bounds: slack 0,-1,-1 -> FAIL"
+    out, _ = run(capsys, *klein, "--format", "json", code=1)
+    obj = json.loads(out)
+    assert obj["slack"] == [0, -1, -1] and obj["pass"] is False
 
 
 def test_euler(capsys):
@@ -107,6 +114,16 @@ def test_validate_ok_and_fail(tmp_path, capsys):
     bad.write_text(dump_json(dataclasses.replace(d, flows=tuple(flows))))
     out, _ = run(capsys, "validate", str(bad), code=1)
     assert "FAIL" in out
+
+    # retag the second flow: the untwisted d1.d2 is still 0*2 = 0, but the
+    # unit-tag composite is 2*2
+    flows = list(d.flows)
+    flows[1] = dataclasses.replace(flows[1], unit_tag=1)
+    tagged = tmp_path / "tagged.json"
+    tagged.write_text(dump_json(dataclasses.replace(d, flows=tuple(flows))))
+    out, _ = run(capsys, "validate", str(tagged), code=1)
+    assert out.splitlines() == ["FAIL unit-tag complex: d.d != 0: composite "
+                                "through degree 1 has entry (0,0) = 4"]
 
     ugly = tmp_path / "ugly.json"
     ugly.write_text("{nope")

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from spaces import freudenthal_torus_facets, grid_facets
@@ -18,7 +19,7 @@ from morsetwist.cw import (
     steenrod_boundary,
     validate_regular,
 )
-from morsetwist.errors import MalformedFacets, NotRegular
+from morsetwist.errors import MalformedFacets, MissingHolonomy, NotRegular
 from morsetwist.morse import (
     CriticalPoint,
     FlowLine,
@@ -45,6 +46,12 @@ def test_one_cell_circle_not_regular():
     v = validate_regular(cw)
     assert v is not None
     assert v.kind == "edge-endpoints"
+    doubled = RegularCW(name="doubled-incidence", dimension=1,
+                        cells=(("p", "r"), ("q",)),
+                        incidences=(Incidence("q", "p", -1),
+                                    Incidence("q", "r", 2)))
+    v = validate_regular(doubled)
+    assert (v.kind, v.cells) == ("incidence-value", ("q", "r"))
 
 
 def test_validate_rp2_triangulated():
@@ -75,6 +82,11 @@ def test_steenrod_matches_morse_random_unit_rep():
         M = build_complex(cw_to_morse(cw), LocalSystem.unit_rep())
         assert C.diffs[0].entries == M.diffs[0].entries
         assert homology(C).betti == homology(M).betti
+    untagged = replace(base_cw, incidences=(
+        replace(base_cw.incidences[0], unit_tag=None),
+        *base_cw.incidences[1:]))
+    with pytest.raises(MissingHolonomy):
+        steenrod_boundary(untagged, LocalSystem.unit_rep())
 
 
 def test_nonregular_rejected_by_steenrod():

@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, for the package's
-modules and for ``tests/*.py`` and ``scripts/*.py``; and every top-level
+modules and for ``tests/*.py`` and ``scripts/*.py``; every top-level
 private name of the package is used somewhere in the package outside its
-own definition.
+own definition; and every top-level public name is used so too, or by a
+script, or is exported by the package's ``__init__.py``.
 
 The package's ``__init__.py`` is skipped (its imports are the public
 re-exports), and so are ``from __future__`` imports.
@@ -51,9 +52,9 @@ SRC = sorted(Path(morsetwist.__file__).parent.glob("*.py"))
 SRC_TREES = {p: ast.parse(p.read_text(), filename=str(p)) for p in SRC}
 
 
-def private_definitions(tree):
-    """(name, defining statement) for every top-level private function,
-    class or constant; dunder names are not private."""
+def definitions(tree):
+    """(name, defining statement) for every top-level function, class or
+    constant but the dunder names."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -66,7 +67,7 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield name, node
 
 
@@ -78,13 +79,39 @@ def references(tree, name):
             yield node
 
 
+def unused_definitions(path, private, trees):
+    """(name, line) for ``path``'s top-level names, private or public, that
+    no statement of ``trees`` uses outside the name's own definition."""
+    for name, definition in definitions(SRC_TREES[path]):
+        if name.startswith("_") != private:
+            continue
+        own = {id(n) for n in ast.walk(definition)}
+        if not any(id(n) not in own for tree in trees
+                   for n in references(tree, name)):
+            yield name, definition.lineno
+
+
 @pytest.mark.parametrize("path", SRC, ids=module_id)
 def test_private_names_are_used_in_src(path):
     # a private helper that only the tests call belongs in the tests
-    unused = []
-    for name, definition in private_definitions(SRC_TREES[path]):
-        own = {id(n) for n in ast.walk(definition)}
-        if not any(id(n) not in own for tree in SRC_TREES.values()
-                   for n in references(tree, name)):
-            unused.append(f"{module_id(path)}:{definition.lineno}: {name}")
+    unused = [f"{module_id(path)}:{line}: {name}" for name, line
+              in unused_definitions(path, True, SRC_TREES.values())]
     assert not unused, "private name never used in src/:\n" + "\n".join(unused)
+
+
+SCRIPT_TREES = [ast.parse(p.read_text(), filename=str(p))
+                for p in sorted(ROOT.glob("scripts/*.py"))]
+EXPORTS = {alias.asname or alias.name
+           for node in SRC_TREES[Path(morsetwist.__file__)].body
+           if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+@pytest.mark.parametrize("path", SRC, ids=module_id)
+def test_public_names_are_used_or_exported(path):
+    # public API that nothing calls, in the package or its scripts, and
+    # that the package does not export is dead code
+    trees = [*SRC_TREES.values(), *SCRIPT_TREES]
+    unused = [f"{module_id(path)}:{line}: {name}" for name, line
+              in unused_definitions(path, False, trees) if name not in EXPORTS]
+    assert not unused, ("public name neither used in src/ or scripts/ nor "
+                        "exported:\n" + "\n".join(unused))

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from morsetwist.catalog import get_example
-from morsetwist.errors import ParseError, ZeroClass
+from morsetwist.errors import Indeterminate, ParseError, ZeroClass
 from morsetwist.invariants import (
     check_inequalities,
     hspace_obstruction,
@@ -50,6 +50,13 @@ def test_check_inequalities_circle_and_failure():
     rep = check_inequalities((0, 2, 1), nn0)
     assert not rep.passed
     assert rep.slack[0] < 0
+    with pytest.raises(ValueError, match="2 zero counts for 3 degrees"):
+        check_inequalities((0, 2), nn0)
+
+    stuck = novikov_numbers(TORUS, (F(2, 3), F(2, 3)), max_iter=0)
+    assert not stuck.complete
+    with pytest.raises(Indeterminate):
+        check_inequalities((1, 2, 1), stuck)
 
 
 def test_hspace_obstruction_matrix():

@@ -87,6 +87,18 @@ def test_nov_invert_truncated_input_keeps_its_floor():
     assert inv.terms == ((1, F(0)), (-1, F(-1)))
 
 
+def test_nov_product_floor_follows_the_tops():
+    # floor = max(top(a) + floor(b), top(b) + floor(a)) over the factors
+    # with a floor; one with no known term tops at its floor
+    assert NovElem((), F(-2)) * laurent(3, 1) == NovElem((), F(-1))
+    assert NovElem((), F(-2)) * NovElem((), F(-3)) == NovElem((), F(-5))
+    # (t^2 + t + O(t^(<=0))) * (1 + 2t^(-1) + O(t^(<=-3))): max(-1, 0)
+    assert (NovElem([(1, 2), (1, 1)], F(0)) * NovElem([(1, 0), (2, -1)], F(-3))
+            == NovElem([(1, 2), (3, 1)], F(0)))
+    # an exact zero times anything is the exact zero
+    assert NovElem.zero() * NovElem((), F(-2)) == NovElem.zero()
+
+
 def test_nov_invert_nonunit_rejected():
     with pytest.raises(NotAUnit):
         NovElem([(2, 0)]).invert(4)
@@ -287,7 +299,7 @@ def test_novelem_kernels_equal_raw_reference(a, b, k, s):
     check(k - a, NovElem(neg(A) + [(k, 0)], a.floor))
     for got in (a * k, k * a):
         check(got, NovElem(products(A, [(k, 0)]), got.floor))
-    if a.exact:
+    if a.floor is None:
         check(a.invert_exponents(), NovElem([(c, -e) for c, e in A]))
     else:
         with pytest.raises(NotAUnit):
@@ -339,7 +351,7 @@ def test_arithmetic_on_canonical_operands_never_renormalises(monkeypatch):
         cls = type(xs[0])
         results += [cls.zero(), cls.one(), cls.monomial(-1, F(1, 2))]
     results += [a.invert_exponents() for a in exps + novs
-                if getattr(a, "exact", True)]
+                if getattr(a, "floor", None) is None]
     results += [a.invert(4) for a in novs if a.is_unit()]
     assert calls == [] and len(results) > 400
     ExpSum([(1, 0)])
