@@ -28,7 +28,6 @@ from .invariants import (
     hspace_obstruction,
     novikov_numbers,
     parallel_form_obstruction,
-    rank_of_class,
 )
 from .linalg import Matrix, nov_reduce, rank_expsum, snf_int
 from .morse import (

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .catalog import example_names, get_example, run_all
 from .chains import (
+    INT,
     HomologySummary,
     euler_cells,
     euler_homology,
@@ -27,7 +28,6 @@ from .invariants import (
     hspace_obstruction,
     novikov_numbers,
     parallel_form_obstruction,
-    rank_of_class,
 )
 from .morse import (
     LocalSystem,
@@ -35,6 +35,7 @@ from .morse import (
     build_cochain,
     build_complex,
     flow_periods,
+    is_simple,
 )
 from .rings import parse_rational
 from .serial import decimals, dump_json, facets_from_text, load_json
@@ -120,7 +121,7 @@ def _emit(obj, args, text_lines):
             print(line)
 
 
-def _print_summary(summary: HomologySummary, args, symbol="H_"):
+def _print_summary(summary: HomologySummary, args, symbol):
     lines = []
     for k, d in enumerate(summary.degrees):
         lines.append(f"{symbol}{k} = "
@@ -156,20 +157,26 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_homology(args) -> int:
+def _complex(args, build):
+    """``build`` (``build_complex`` or ``build_cochain``) applied to the
+    datum and the system that ``args`` name."""
     d = _load_datum(args)
-    sys_ = LocalSystem.named(args.system, _parse_class(args.class_vector))
-    summary = homology(build_complex(d, sys_), depth=args.depth,
-                       max_iter=args.max_iter)
-    return _print_summary(summary, args, symbol="H_")
+    return build(d, LocalSystem.named(args.system,
+                                      _parse_class(args.class_vector)))
+
+
+def _homology(cpx, args) -> HomologySummary:
+    return homology(cpx, depth=args.depth, max_iter=args.max_iter)
+
+
+def cmd_homology(args) -> int:
+    return _print_summary(_homology(_complex(args, build_complex), args),
+                          args, "H_")
 
 
 def cmd_cohomology(args) -> int:
-    d = _load_datum(args)
-    sys_ = LocalSystem.named(args.system, _parse_class(args.class_vector))
-    summary = homology(build_cochain(d, sys_), depth=args.depth,
-                       max_iter=args.max_iter)
-    return _print_summary(summary, args, symbol="H^")  # renders H^0, H^1, ...
+    return _print_summary(_homology(_complex(args, build_cochain), args),
+                          args, "H^")
 
 
 def cmd_novikov(args) -> int:
@@ -207,12 +214,9 @@ def cmd_novikov(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    d = _load_datum(args)
-    sys_ = LocalSystem.named(args.system, _parse_class(args.class_vector))
-    cpx = build_complex(d, sys_)
+    cpx = _complex(args, build_complex)
     chi_cells = euler_cells(cpx)
-    summary = homology(cpx, depth=args.depth, max_iter=args.max_iter)
-    chi_hom = euler_homology(summary)
+    chi_hom = euler_homology(_homology(cpx, args))
     obj = {"cells": chi_cells, "homology": chi_hom,
            "agree": chi_cells == chi_hom}
     _emit(obj, args, [f"euler (cells) = {chi_cells}",
@@ -225,25 +229,31 @@ def cmd_obstructions(args) -> int:
     d = _load_datum(args)
     cls = _parse_class(args.class_vector)
     sys_ = LocalSystem.named(args.system, cls)
-    # every check below reads the same class period of each flow
+    # one class period per flow, one simplicity test and one reduction per
+    # system serve every verdict below
     periods = None if cls is None else flow_periods(d, cls)
-    verdicts = [hspace_obstruction(d, sys_, depth=args.depth,
-                                   max_iter=args.max_iter, periods=periods)]
-    if cls is not None and any(c != 0 for c in cls):
-        verdicts.append(parallel_form_obstruction(
-            d, cls, depth=args.depth, max_iter=args.max_iter,
-            periods=periods))
+    simple = is_simple(d, sys_, periods)
+    summary = None if simple else _homology(build_complex(d, sys_, periods),
+                                            args)
+    verdicts = [hspace_obstruction(sys_, simple, summary)]
+    rank = None
+    if cls is not None:
+        exp = LocalSystem.exp(cls)
+        if any(c != 0 for c in cls):
+            if sys_ != exp or simple:
+                summary = _homology(build_complex(d, exp, periods), args)
+            verdicts.append(parallel_form_obstruction(cls, summary))
+        # exp and nov under one class read the same loop periods
+        rank = int(not (simple if sys_.regime != INT
+                        else is_simple(d, exp, periods)))
     obj = {"verdicts": [
         {"kind": v.kind, "triggered": v.triggered, "witness": v.witness}
         for v in verdicts]}
-    if cls is not None:
-        obj["rank_of_class"] = rank_of_class(d, cls, periods)
-    lines = []
-    for v in verdicts:
-        lines.append(f"{v.kind}: {'TRIGGERED' if v.triggered else 'clear'}"
-                     + (f" ({v.witness})" if v.witness else ""))
-    if cls is not None:
-        lines.append(f"rank of class: {obj['rank_of_class']}")
+    lines = [f"{v.kind}: {'TRIGGERED' if v.triggered else 'clear'}"
+             + (f" ({v.witness})" if v.witness else "") for v in verdicts]
+    if rank is not None:
+        obj["rank_of_class"] = rank
+        lines.append(f"rank of class: {rank}")
     _emit(obj, args, lines)
     return EXIT_OK
 

@@ -6,16 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import EXPSUM, euler_cells, homology
+from .chains import EXPSUM, HomologySummary, euler_homology, homology
 from .errors import Indeterminate, ZeroClass
-from .morse import (
-    UNIT_REP,
-    LocalSystem,
-    MorseDatum,
-    build_complex,
-    build_cochain,
-    is_simple,
-)
+from .morse import UNIT_REP, LocalSystem, MorseDatum, build_complex
 
 
 @dataclass(frozen=True)
@@ -72,16 +65,13 @@ class ObstructionVerdict:
             raise ValueError("a triggered verdict needs a witness")
 
 
-def hspace_obstruction(d: MorseDatum, sys: LocalSystem, depth=16,
-                       max_iter=10000, periods=None) -> ObstructionVerdict:
-    """Triggered when the system is not simple AND some degree of twisted
-    homology is nonzero — which rules out an associative H-space structure.
-    ``periods`` are the flows' class periods, computed when not given."""
-    simple = is_simple(d, sys, periods)
+def hspace_obstruction(sys: LocalSystem, simple: bool,
+                       summary: HomologySummary | None) -> ObstructionVerdict:
+    """Triggered when the system is not ``simple`` AND some degree of its
+    twisted homology ``summary`` is nonzero — which rules out an associative
+    H-space structure.  ``summary`` may be None only for a simple system."""
     if simple:
         return ObstructionVerdict("H_SPACE", False)
-    summary = homology(build_complex(d, sys, periods), depth=depth,
-                       max_iter=max_iter)
     if not summary.complete:
         raise Indeterminate("a degree's reduction is stuck; "
                             "H-space verdict unknown")
@@ -100,22 +90,20 @@ def hspace_obstruction(d: MorseDatum, sys: LocalSystem, depth=16,
                  f"is nonzero in degree(s) {nonzero}"))
 
 
-def parallel_form_obstruction(d: MorseDatum, class_vector, depth=16,
-                              max_iter=10000,
-                              periods=None) -> ObstructionVerdict:
+def parallel_form_obstruction(class_vector,
+                              summary: HomologySummary) -> ObstructionVerdict:
     """Triggered when the exponentially twisted cochain cohomology is nonzero
     in some degree — which blocks any metric making the form parallel.
-    ``periods`` are the flows' class periods, computed when not given."""
+    ``summary`` is the homology of the class's exponential chain complex:
+    u ↦ u⁻¹ is a ring automorphism and a transpose keeps rank, so the
+    cochain complex has its Betti numbers and its Euler number."""
     cv = tuple(Fraction(c) for c in class_vector)
     if all(c == 0 for c in cv):
         raise ZeroClass("parallel-form obstruction needs a nonzero class")
-    sys = LocalSystem.exp(cv)
-    cochain = build_cochain(d, sys, periods)
-    summary = homology(cochain, depth=depth, max_iter=max_iter)
     nonzero = [k for k, s in enumerate(summary.degrees) if s.betti > 0]
     if not nonzero:
         return ObstructionVerdict("PARALLEL_FORM", False)
-    chi = euler_cells(cochain)
+    chi = euler_homology(summary)
     note = ""
     if chi != 0:
         note = (f"; Euler number {chi} != 0 already forces the verdict for "
@@ -124,12 +112,3 @@ def parallel_form_obstruction(d: MorseDatum, class_vector, depth=16,
         "PARALLEL_FORM", True,
         witness=(f"twisted cochain cohomology nonzero in degree(s) "
                  f"{nonzero} for class {','.join(str(c) for c in cv)}{note}"))
-
-
-def rank_of_class(d: MorseDatum, class_vector, periods=None) -> int:
-    """Rank of the subgroup of Q generated by the detectable loop periods:
-    0 when every loop period vanishes, that is when the class's
-    exponential system is simple, else 1 (rational periods).  A class
-    with more or fewer entries than basis forms is refused, even a zero
-    one."""
-    return int(not is_simple(d, LocalSystem.exp(class_vector), periods))

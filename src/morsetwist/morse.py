@@ -264,9 +264,8 @@ def _assemble(d: MorseDatum, gens, weights):
                  for k in range(1, d.dimension + 1))
 
 
-def build_cochain(d: MorseDatum, sys: LocalSystem,
-                  periods=None) -> ChainComplex:
-    return dualize(build_complex(d, sys, periods))
+def build_cochain(d: MorseDatum, sys: LocalSystem) -> ChainComplex:
+    return dualize(build_complex(d, sys))
 
 
 def gauge_transform(d: MorseDatum, g: dict) -> MorseDatum:
@@ -312,11 +311,11 @@ def rescale_datum(d: MorseDatum, s) -> MorseDatum:
     return replace(d, flows=flows)
 
 
-def lift_cover(d: MorseDatum, group: DeckGroup | None = None) -> MorseDatum:
-    """Finite-cover lift: points become (point, deck element); a flow q->p
-    tagged g lifts to (q,gamma) -> (p, gamma*g) with the same sign.  The
-    output is untwisted (no tags, no periods)."""
-    group = group or d.deck_group
+def lift_cover(d: MorseDatum) -> MorseDatum:
+    """Finite-cover lift over the datum's deck group: points become (point,
+    deck element); a flow q->p tagged g lifts to (q,gamma) -> (p, gamma*g)
+    with the same sign.  The output is untwisted (no tags, no periods)."""
+    group = d.deck_group
     if group is None:
         raise MissingDeckTag("no deck group declared")
     for f in d.flows:

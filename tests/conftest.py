@@ -18,7 +18,8 @@ operations, which ``morsetwist.linalg._nov_leaf`` must agree with; and
 the JSON reader that checked each record's fields by building its name
 sets and location text per record, and parsed each period on its own
 through ``Fraction(str)``, which ``morsetwist.serial.load_json`` must
-agree with."""
+agree with; and the H-space verdict of a datum under a system, composed
+from its simplicity and its homology as ``obstructions`` composes it."""
 
 import heapq
 import itertools
@@ -35,10 +36,12 @@ from morsetwist.chains import (
     ChainComplex,
     DegreeSummary,
     HomologySummary,
+    homology,
     validate_complex,
 )
 from morsetwist.cw import FacetList, Incidence, RegularCW
 from morsetwist.errors import MorsetwistError, ParseError
+from morsetwist.invariants import hspace_obstruction
 from morsetwist.linalg import (
     Matrix,
     Reduction,
@@ -60,6 +63,8 @@ from morsetwist.morse import (
     DeckGroup,
     FlowLine,
     MorseDatum,
+    build_complex,
+    is_simple,
 )
 from morsetwist.rings import ExpSum, NovElem, laurent, laurent_image
 
@@ -255,6 +260,12 @@ def h0_vector(d, sys, sign_loop):
 
 def rank_of_class_vector(d, class_vector):
     return 1 if any(loop_periods_vector(d, class_vector)) else 0
+
+
+def hspace_verdict(d, sys):
+    simple = is_simple(d, sys)
+    return hspace_obstruction(
+        sys, simple, None if simple else homology(build_complex(d, sys)))
 
 
 # --- the image of a complex over ℤ[u, u⁻¹] ----------------------------------

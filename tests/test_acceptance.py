@@ -7,11 +7,11 @@ lines; each test also asserts, so a plain pytest run is still a gate.
 import random
 from fractions import Fraction as F
 
-from conftest import agrees_with, from_rows, rank_int_bruteforce
+from conftest import agrees_with, from_rows, hspace_verdict, rank_int_bruteforce
 from morsetwist.catalog import get_example, run_all
 from morsetwist.chains import euler_cells, euler_homology, homology, validate_complex
 from morsetwist.cw import FacetList, cw_to_morse, from_simplicial
-from morsetwist.invariants import check_inequalities, hspace_obstruction, novikov_numbers
+from morsetwist.invariants import check_inequalities, novikov_numbers
 from morsetwist.linalg import snf_int
 from morsetwist.morse import (
     LocalSystem,
@@ -122,13 +122,13 @@ def test_criterion_5_genus2_cochain_suite():
 
 def test_criterion_6_hspace_obstructions():
     g2 = get_example("genus2").datum
-    ok = hspace_obstruction(g2, LocalSystem.exp((F(1), F(0), F(0), F(0)))).triggered
-    ok = ok and hspace_obstruction(get_example("rpn(4)").datum,
+    ok = hspace_verdict(g2, LocalSystem.exp((F(1), F(0), F(0), F(0)))).triggered
+    ok = ok and hspace_verdict(get_example("rpn(4)").datum,
+                               LocalSystem.unit_rep()).triggered
+    ok = ok and not hspace_verdict(get_example("rpn(3)").datum,
                                    LocalSystem.unit_rep()).triggered
-    ok = ok and not hspace_obstruction(get_example("rpn(3)").datum,
-                                       LocalSystem.unit_rep()).triggered
-    ok = ok and not hspace_obstruction(get_example("torus").datum,
-                                       LocalSystem.exp((F(1), F(0)))).triggered
+    ok = ok and not hspace_verdict(get_example("torus").datum,
+                                   LocalSystem.exp((F(1), F(0)))).triggered
     _verdict(6, "H-space verdicts: genus-2 exp and even projective space "
                 "triggered; odd projective space and twisted torus clear", ok)
 

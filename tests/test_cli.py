@@ -612,16 +612,34 @@ def test_class_without_a_value_is_usage_error(capsys, argv):
 def test_obstructions_compute_each_flow_period_once(capsys, monkeypatch,
                                                     system):
     # the simplicity test, both obstruction complexes and the rank of the
-    # class all read one class period per flow: 16 flows, 16 periods
+    # class all read one class period per flow: 16 flows, 16 periods.  Each
+    # system's complex is built, checked and reduced (one unit pass per
+    # boundary, 2 boundaries) once, and the exponential one serves the
+    # parallel-form verdict too; the loops are walked once, the rank of the
+    # class reading the simplicity of an exp or nov system under its class.
+    # Calls are counted wherever the package binds each function.
     import morsetwist.morse as morse_module
     calls = []
     original = morse_module.flow_period
     monkeypatch.setattr(morse_module, "flow_period",
                         lambda f, cv: calls.append(f) or original(f, cv))
+    import morsetwist.chains as chains
+    homes = {"build_complex": morse_module, "validate_complex": chains,
+             "cancel_units": linalg, "_loop_data": morse_module}
+    counted = {name: [] for name in homes}
+    for name, seen in counted.items():
+        fn = getattr(homes[name], name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("morsetwist") and \
+                    getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, lambda *a, _fn=fn, _seen=seen,
+                                    **kw: _seen.append(a) or _fn(*a, **kw))
     out, _ = run(capsys, "obstructions", "--example", "genus2",
                  "--system", system, "--class=1,1/2,0,-1")
     assert "PARALLEL_FORM: TRIGGERED" in out
     assert len(calls) == 16
+    assert tuple(len(seen) for seen in counted.values()) == \
+        {"exp": (1, 1, 2, 1), "nov": (2, 2, 4, 1), "trivial": (1, 1, 2, 1)}[system]
 
 
 @pytest.mark.parametrize("command", ["homology", "validate",

@@ -5,7 +5,9 @@ and twisted triangulated tori under random classes.
 convention onto the Novikov one, so a complete Novikov b_k is the
 exponential rank of H_k for the same class.  A coboundary is its
 boundary transposed under the ring automorphism t ↦ t⁻¹, which keeps
-every rank, so exponential cohomology has the ranks of homology.
+every rank, so exponential cohomology has the ranks of homology, and the
+parallel-form verdict read off the chain complex is the one read off the
+cochain complex.
 """
 
 from fractions import Fraction
@@ -15,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsetwist.catalog import example_names, get_example
-from morsetwist.chains import homology
+from morsetwist.chains import euler_cells, euler_homology, homology
 from morsetwist.cw import cw_to_morse
-from morsetwist.invariants import novikov_numbers
+from morsetwist.invariants import novikov_numbers, parallel_form_obstruction
 from morsetwist.morse import LocalSystem, build_cochain, build_complex
 
 DATA = ([get_example(n).datum for n in example_names() if n != "rpn(N)"]
@@ -48,5 +50,11 @@ def test_novikov_b_is_the_exponential_rank(case):
 def test_exponential_cohomology_has_the_ranks_of_homology(case):
     d, cls = case
     sys = LocalSystem.exp(cls)
-    assert homology(build_cochain(d, sys)).betti == \
-        homology(build_complex(d, sys)).betti, (d.name, cls)
+    cochain = build_cochain(d, sys)
+    chains = homology(build_complex(d, sys))
+    cochains = homology(cochain)
+    assert cochains.betti == chains.betti, (d.name, cls)
+    if any(cls):
+        assert parallel_form_obstruction(cls, chains) == \
+            parallel_form_obstruction(cls, cochains), (d.name, cls)
+        assert euler_homology(chains) == euler_cells(cochain), (d.name, cls)

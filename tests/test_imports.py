@@ -1,8 +1,10 @@
 """Every name a module imports is used in that module, for the package's
 modules and for ``tests/*.py`` and ``scripts/*.py``; every top-level
 private name of the package is used somewhere in the package outside its
-own definition; and every top-level public name is used so too, or by a
-script, or is exported by the package's ``__init__.py``.
+own definition; every top-level public name is used so too, or by a
+script, or is exported by the package's ``__init__.py``; and every
+parameter with a default on a top-level function of the package is set by
+some call in the package or its scripts.
 
 The package's ``__init__.py`` is skipped (its imports are the public
 re-exports), and so are ``from __future__`` imports.
@@ -115,3 +117,54 @@ def test_public_names_are_used_or_exported(path):
               in unused_definitions(path, False, trees) if name not in EXPORTS]
     assert not unused, ("public name neither used in src/ or scripts/ nor "
                         "exported:\n" + "\n".join(unused))
+
+
+def calls_by_name(trees):
+    """Every call in ``trees``, keyed by the bare or attribute name of the
+    function it calls."""
+    calls: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call, position, name):
+    """True when ``call`` sets the parameter ``name`` at ``position`` (None
+    for a keyword-only one), by keyword, by position, or through ``*``/``**``
+    unpacking."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def defaulted_parameters(fn):
+    """(position or None, name) of every parameter of ``fn`` with a default."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    first = len(positional) - len(a.defaults)
+    yield from ((i, p.arg) for i, p in enumerate(positional) if i >= first)
+    yield from ((None, p.arg) for p, default in zip(a.kwonlyargs, a.kw_defaults)
+                if default is not None)
+
+
+@pytest.mark.parametrize("path", SRC, ids=module_id)
+def test_optional_parameters_are_set_by_some_call(path):
+    # a parameter whose default every call in the package and its scripts
+    # keeps is a knob that nothing turns
+    calls = calls_by_name([*SRC_TREES.values(), *SCRIPT_TREES])
+    unset = [f"{module_id(path)}:{fn.lineno}: {fn.name}({name}=)"
+             for fn in SRC_TREES[path].body
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for position, name in defaulted_parameters(fn)
+             if not any(passes(c, position, name)
+                        for c in calls.get(fn.name, []))]
+    assert not unset, ("optional parameter that no call in src/ or scripts/ "
+                       "sets:\n" + "\n".join(unset))

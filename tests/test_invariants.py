@@ -2,16 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import hspace_verdict
 from morsetwist.catalog import get_example
+from morsetwist.chains import homology
 from morsetwist.errors import Indeterminate, ParseError, ZeroClass
 from morsetwist.invariants import (
     check_inequalities,
-    hspace_obstruction,
     novikov_numbers,
     parallel_form_obstruction,
-    rank_of_class,
 )
-from morsetwist.morse import LocalSystem
+from morsetwist.morse import LocalSystem, build_complex, is_simple
 
 CIRCLE = get_example("circle-std").datum
 TORUS = get_example("torus").datum
@@ -60,39 +60,47 @@ def test_check_inequalities_circle_and_failure():
 
 
 def test_hspace_obstruction_matrix():
-    assert hspace_obstruction(GENUS2, LocalSystem.exp((F(1), F(0), F(0), F(0)))).triggered
-    assert hspace_obstruction(RP2, LocalSystem.unit_rep()).triggered
-    assert not hspace_obstruction(TORUS, LocalSystem.exp((F(1), F(0)))).triggered
-    assert not hspace_obstruction(TORUS, LocalSystem.trivial()).triggered
-    assert hspace_obstruction(get_example("rpn(4)").datum,
+    assert hspace_verdict(GENUS2, LocalSystem.exp((F(1), F(0), F(0), F(0)))).triggered
+    assert hspace_verdict(RP2, LocalSystem.unit_rep()).triggered
+    assert not hspace_verdict(TORUS, LocalSystem.exp((F(1), F(0)))).triggered
+    assert not hspace_verdict(TORUS, LocalSystem.trivial()).triggered
+    assert hspace_verdict(get_example("rpn(4)").datum,
+                          LocalSystem.unit_rep()).triggered
+    assert not hspace_verdict(get_example("rpn(3)").datum,
                               LocalSystem.unit_rep()).triggered
-    assert not hspace_obstruction(get_example("rpn(3)").datum,
-                                  LocalSystem.unit_rep()).triggered
 
 
 def test_hspace_never_triggered_for_trivial():
     for name in ["circle-std", "rp2", "torus", "klein", "genus2"]:
         d = get_example(name).datum
-        assert not hspace_obstruction(d, LocalSystem.trivial()).triggered
+        assert not hspace_verdict(d, LocalSystem.trivial()).triggered
+
+
+def exp_summary(d, cls):
+    return homology(build_complex(d, LocalSystem.exp(cls)))
 
 
 def test_parallel_form_obstruction():
-    v = parallel_form_obstruction(GENUS2, (F(1), F(0), F(0), F(0)))
+    cls = (F(1), F(0), F(0), F(0))
+    v = parallel_form_obstruction(cls, exp_summary(GENUS2, cls))
     assert v.triggered
     assert "Euler" in v.witness
-    assert not parallel_form_obstruction(TORUS, (F(1), F(0))).triggered
+    cls = (F(1), F(0))
+    assert not parallel_form_obstruction(cls, exp_summary(TORUS, cls)).triggered
     with pytest.raises(ZeroClass):
-        parallel_form_obstruction(RP2, (F(0),))
+        parallel_form_obstruction((F(0),), exp_summary(RP2, (F(0),)))
 
 
 def test_rank_of_class():
-    assert rank_of_class(CIRCLE, (F(1),)) == 1
-    assert rank_of_class(CIRCLE, (F(0),)) == 0
-    assert rank_of_class(GENUS2, (F(1), F(1), F(0), F(0))) == 1
+    # the rank of a class is 1 exactly when its exponential system is not
+    # simple
+    assert not is_simple(CIRCLE, LocalSystem.exp((F(1),)))
+    assert is_simple(CIRCLE, LocalSystem.exp((F(0),)))
+    assert not is_simple(GENUS2, LocalSystem.exp((F(1), F(1), F(0), F(0))))
     # a zero class of the wrong length is refused like a nonzero one
     for cls in ((F(0),), (F(0),) * 3, (F(1),)):
         with pytest.raises(ParseError, match=f"has {len(cls)} entries for 2"):
-            rank_of_class(TORUS, cls)
+            is_simple(TORUS, LocalSystem.exp(cls))
 
 
 def test_novikov_euler_identity():
