@@ -39,10 +39,12 @@ the 3 x 3 twisted torus written as a Morse datum with one flow's sign
 flipped, whose ``∂²`` violations have at least two cells at each end of
 the composite; after them, two checks that fail on valid input: zero
 counts below the Klein bottle's Novikov bounds, and ``validate`` of
-``rp2`` with one flow's unit tag flipped.  The broken files hold period
-values of every JSON type, padded and non-ASCII-digit strings, in a flow
-and in a CW incidence, and one flow with both a bad unit tag and a bad
-period.
+``rp2`` with one flow's unit tag flipped; and last of all ``obstructions``
+on two circles whose second one is twisted, and the Novikov commands on a
+datum that a depth-16 leaf misreads, at depths 16 and 32.  The broken
+files hold period values of every JSON type, padded and non-ASCII-digit
+strings, in a flow and in a CW incidence, and one flow with both a bad
+unit tag and a bad period.
 The twisted tori, grid surfaces and Freudenthal tori come from
 ``tests/spaces.py``, the module the property suites build them from, so
 the sweep and the suites check the same spaces.  Files are written to a
@@ -73,9 +75,11 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 # the spaces the property suites build too; tests/ is not a package
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 from spaces import (
+    false_zero,
     freudenthal_torus_facets,
     grid_facets,
     twisted_torus_cw,
+    two_circles,
 )
 
 SYSTEMS = ("trivial", "unit-rep", "exp", "nov")
@@ -343,6 +347,22 @@ def failed_checks():
     yield ["validate", write("rp2-retagged.json", json.dumps(rp2))]
 
 
+def hidden_twists():
+    """Answers that an incomplete test once hid: ``obstructions`` on two
+    circles whose twisted one is listed second, in text and JSON; and
+    ``novikov`` and ``homology --system nov`` on a datum whose Novikov leaf
+    at the default depth reads a nonzero entry as zero, at that depth and
+    at depth 32."""
+    path = write("two-circles.json", json.dumps(two_circles()))
+    for fmt in ("text", "json"):
+        yield ["obstructions", path, "--system", "exp", "--class=1",
+               "--format", fmt]
+    path = write("false-zero.json", json.dumps(false_zero()))
+    for depth in ([], ["--depth", "32"]):
+        yield ["novikov", path, "--class=1", *depth]
+        yield ["homology", path, "--system", "nov", "--class=1", *depth]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -399,6 +419,7 @@ def invocations():
     yield from long_inverses()
     yield from flipped_torus()
     yield from failed_checks()
+    yield from hidden_twists()
 
 
 def run():

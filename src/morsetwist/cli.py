@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .catalog import example_names, get_example, run_all
 from .chains import (
-    INT,
     HomologySummary,
     euler_cells,
     euler_homology,
@@ -30,12 +29,14 @@ from .invariants import (
     parallel_form_obstruction,
 )
 from .morse import (
+    TRIVIAL,
+    UNIT_REP,
     LocalSystem,
     MorseDatum,
     build_cochain,
     build_complex,
     flow_periods,
-    is_simple,
+    gauge_walk,
 )
 from .rings import parse_rational
 from .serial import decimals, dump_json, facets_from_text, load_json
@@ -229,23 +230,26 @@ def cmd_obstructions(args) -> int:
     d = _load_datum(args)
     cls = _parse_class(args.class_vector)
     sys_ = LocalSystem.named(args.system, cls)
-    # one class period per flow, one simplicity test and one reduction per
-    # system serve every verdict below
-    periods = None if cls is None else flow_periods(d, cls)
-    simple = is_simple(d, sys_, periods)
+    exp = None if cls is None else LocalSystem.exp(cls)
+    # the systems are checked before any period is computed; one class
+    # period per flow, one gauge walk and one reduction per system serve
+    # every verdict below
+    sys_.check_compatible(d)
+    if exp is not None:
+        exp.check_compatible(d)
+    periods = flow_periods(d, cls or ())
+    exact, trivial = gauge_walk(d, periods)
+    simple = {TRIVIAL: True, UNIT_REP: trivial}.get(sys_.flavor, exact)
     summary = None if simple else _homology(build_complex(d, sys_, periods),
                                             args)
     verdicts = [hspace_obstruction(sys_, simple, summary)]
     rank = None
-    if cls is not None:
-        exp = LocalSystem.exp(cls)
-        if any(c != 0 for c in cls):
+    if exp is not None:
+        if any(cls):
             if sys_ != exp or simple:
                 summary = _homology(build_complex(d, exp, periods), args)
             verdicts.append(parallel_form_obstruction(cls, summary))
-        # exp and nov under one class read the same loop periods
-        rank = int(not (simple if sys_.regime != INT
-                        else is_simple(d, exp, periods)))
+        rank = int(not exact)
     obj = {"verdicts": [
         {"kind": v.kind, "triggered": v.triggered, "witness": v.witness}
         for v in verdicts]}

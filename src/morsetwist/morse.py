@@ -209,11 +209,9 @@ def flow_period(f: FlowLine, support) -> Fraction:
 
 
 def flow_periods(d: MorseDatum, class_vector) -> list:
-    """The class period of every flow, in flow order; 0s for a zero class.
-    Class entries past the basis forms are ignored (``check_compatible``
-    rejects such a class)."""
+    """The class period of every flow, in flow order; 0s for a zero class."""
     if any(class_vector):
-        support = class_support(class_vector[:len(d.basis_forms)])
+        support = class_support(class_vector)
         return [flow_period(f, support) for f in d.flows]
     return [0] * len(d.flows)
 
@@ -337,78 +335,50 @@ def lift_cover(d: MorseDatum) -> MorseDatum:
                       basis_forms=(), points=points, flows=tuple(flows))
 
 
-# --- loop detection ---------------------------------------------------------
+# --- simplicity ------------------------------------------------------------
 
-def _loop_data(d: MorseDatum, per):
-    """Loop units detectable from the datum, given each flow's class
-    period ``per`` (``flow_periods``).
-
-    Returns the loops, each a pair (period, unit): period is the class
-    applied to the componentwise period around the loop, unit the product
-    of +-1 unit tags (1 when tags are absent).  By linearity the
-    scalar is carried instead of the vector.  Sources: pairs of parallel
-    flow lines anywhere, plus independent cycles of the index <= 1
-    skeleton."""
+def gauge_walk(d: MorseDatum, per):
+    """(periods exact, tags trivial) for the flows' class periods ``per``
+    (``flow_periods``) and unit tags (1 when absent).  A spanning forest of
+    the flow graph, every component and every index, sets a potential h
+    and a sign g at each point, and one pass over the flows checks
+    per(f) = h(frm) − h(to) and tag(f) = g(frm)·g(to).  Both hold exactly
+    when the periods are a potential shift of zero and the tags a gauge
+    change of 1: when the transports are a coboundary."""
     flows = d.flows
-    tag = [1 if f.unit_tag is None else f.unit_tag for f in flows]
-    loops = []
-
-    # parallel flow lines: up one, down the other
-    by_pair: dict = {}
-    down: dict = {}  # point -> indices of the flows down from it
+    tags = [1 if f.unit_tag is None else f.unit_tag for f in flows]
+    touching = {p.id: [] for p in d.points}
     for i, f in enumerate(flows):
-        by_pair.setdefault((f.frm, f.to), []).append(i)
-        down.setdefault(f.frm, []).append(i)
-    for fams in by_pair.values():
-        base = fams[0]
-        for other in fams[1:]:
-            loops.append((per[other] - per[base], tag[other] * tag[base]))
-
-    # 1-skeleton cycles: index-0 points joined through index-1 points
-    verts = [p.id for p in d.points_of_index(0)]
-    edges = []  # (u, v, period u->v, unit u->v)
-    for q in d.points_of_index(1):
-        ds = down.get(q.id, [])
-        for x, i in enumerate(ds):
-            for j in ds[x + 1:]:
-                # reversed flow i then flow j: transport from to(i) to to(j)
-                edges.append((flows[i].to, flows[j].to, per[j] - per[i],
-                              tag[i] * tag[j]))
-    pot = {}
-    if verts:
-        pot[verts[0]] = (0, 1)
-        frontier = [verts[0]]
-        adj: dict = {}
-        for u, v, pv, un in edges:
-            adj.setdefault(u, []).append((v, pv, un))
-            adj.setdefault(v, []).append((u, -pv, un))
-        while frontier:
-            u = frontier.pop()
-            for v, pv, un in adj.get(u, []):
-                if v not in pot:
-                    base_pv, base_un = pot[u]
-                    pot[v] = (base_pv + pv, base_un * un)
-                    frontier.append(v)
-        for u, v, pv, un in edges:
-            if u in pot and v in pot:
-                pu, uu = pot[u]
-                pvv, uv = pot[v]
-                loops.append((pu + pv - pvv, uu * un * uv))
-    return loops
+        touching[f.frm].append(i)
+        touching[f.to].append(i)
+    h, g = {}, {}
+    for root in touching:
+        if root in h:
+            continue
+        h[root], g[root] = 0, 1
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for i in touching[u]:
+                f, a = flows[i], per[i]
+                v = f.to if f.frm == u else f.frm
+                if v not in h:
+                    h[v] = (h[u] if not a else h[u] - a if v == f.to
+                            else h[u] + a)
+                    g[v] = g[u] * tags[i]
+                    stack.append(v)
+    exact = all(h[f.frm] == h[f.to] if not a else a == h[f.frm] - h[f.to]
+                for f, a in zip(flows, per))
+    trivial = all(t == g[f.frm] * g[f.to] for f, t in zip(flows, tags))
+    return exact, trivial
 
 
-def is_simple(d: MorseDatum, sys: LocalSystem, periods=None) -> bool:
-    """False when some detected loop has nontrivial holonomy under sys.
-
-    Sound but incomplete: only parallel-line and 1-skeleton loops are seen.
-    ``periods`` are the flows' class periods, computed when not given."""
+def is_simple(d: MorseDatum, sys: LocalSystem) -> bool:
+    """Whether sys is trivial on the datum: its class periods are a
+    potential shift of zero (EXP, NOV) or its unit tags a gauge change of
+    1 (UNIT_REP), by ``gauge_walk``."""
     sys.check_compatible(d)
     if sys.flavor == TRIVIAL:
         return True
-    if periods is None:
-        periods = flow_periods(d, sys.class_vector)
-    loops = _loop_data(d, periods)
-    if sys.flavor == UNIT_REP:
-        return all(unit == 1 for _, unit in loops)
-    return all(a == 0 for a, _ in loops)
-
+    exact, trivial = gauge_walk(d, flow_periods(d, sys.class_vector))
+    return trivial if sys.flavor == UNIT_REP else exact

@@ -3,9 +3,12 @@ expansion and integer invariant factors from determinantal divisors, both
 independent of any reduction; reference helpers on elements and matrices
 (a matrix from dense rows, exponent rescaling, agreement above a
 truncation floor, a matrix over ℤ[u, u⁻¹] with the rank of rational
-dense rows); the componentwise (vector) period path that the scalar
-loop periods of ``morsetwist.morse`` must agree with, and the degree-zero
-group read off it; the image of a complex over ℤ[u, u⁻¹] in its regime's
+dense rows); the componentwise (vector) loop periods of the parallel
+flows and the 1-skeleton cycles, whose every nontrivial loop
+``morsetwist.morse.is_simple`` must see, and the degree-zero group read
+off them; simplicity by exact elimination of the flows × points
+incidence matrix over ℚ and GF(2), which ``is_simple`` must agree with;
+the image of a complex over ℤ[u, u⁻¹] in its regime's
 ring, which the reduction of the complex itself must agree with;
 homology with each boundary reduced on its own, which the unit pass
 across the whole complex must agree with; a seeded family of Morse data
@@ -260,6 +263,63 @@ def h0_vector(d, sys, sign_loop):
 
 def rank_of_class_vector(d, class_vector):
     return 1 if any(loop_periods_vector(d, class_vector)) else 0
+
+
+# --- simplicity by exact elimination ----------------------------------------
+
+def _rank_q(rows):
+    """Rank over ℚ by Gauss–Jordan elimination on ``Fraction`` rows."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i, r in enumerate(rows):
+            if i != rank and r[c]:
+                f = r[c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(r, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _rank_gf2(rows):
+    """Rank over GF(2) of rows given as int bit masks."""
+    basis = {}  # leading bit -> row
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            if top not in basis:
+                basis[top] = r
+                break
+            r ^= basis[top]
+    return len(basis)
+
+
+def is_simple_elimination(d, sys):
+    """Whether sys is trivial on d, from the flows × points incidence
+    matrix (+1 at the source, −1 at the target): the class periods are a
+    potential shift of zero iff appending them as a column keeps the rank
+    over ℚ, and the unit tags a gauge change of 1 iff appending the tags
+    (−1 as 1) keeps the rank of the incidence mod 2 over GF(2)."""
+    sys.check_compatible(d)
+    if sys.flavor == TRIVIAL:
+        return True
+    col = {p.id: j for j, p in enumerate(d.points)}
+    if sys.flavor == UNIT_REP:
+        rows = [1 << col[f.frm] | 1 << col[f.to] for f in d.flows]
+        tagged = [r | (f.unit_tag == -1) << len(col)
+                  for r, f in zip(rows, d.flows)]
+        return _rank_gf2(tagged) == _rank_gf2(rows)
+    rows = []
+    for f in d.flows:
+        r = [0] * (len(col) + 1)
+        r[col[f.frm]], r[col[f.to]] = 1, -1
+        rows.append(r)
+    periods = [r[:-1] + [flow_period_vector(f, sys.class_vector)]
+               for r, f in zip(rows, d.flows)]
+    return _rank_q(periods) == _rank_q(rows)
 
 
 def hspace_verdict(d, sys):

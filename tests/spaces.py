@@ -1,6 +1,8 @@
 """The test spaces that the property suites and ``scripts/cli_sweep.py``
 both build: the twisted triangulated torus, grid triangulations of the
-torus and the Klein bottle, and Freudenthal tori.  A plain module, with
+torus and the Klein bottle, Freudenthal tori, and two Morse data in
+their JSON form: two circles whose second one is twisted, and a datum
+whose Novikov rank a truncated inverse misreads.  A plain module, with
 no pytest import, so that a script can import it too."""
 
 import itertools
@@ -72,3 +74,33 @@ def freudenthal_torus_facets(n, dim=3) -> FacetList:
                 simplex.append(vertex(p))
             facets.append(tuple(simplex))
     return FacetList(n ** dim, tuple(facets))
+
+
+def _flow(frm, to, sign, period):
+    return {"from": frm, "to": to, "sign": sign, "periods": [period]}
+
+
+def two_circles():
+    """Two disjoint circles: an untwisted one (p, q) listed first, then
+    one with two minima a, b and two saddles x, y whose periods ±1/4 add
+    up to 1 around it."""
+    points = [{"id": p, "index": int(p in "qxy")} for p in "pqabxy"]
+    flows = [_flow("q", "p", 1, "0"), _flow("q", "p", -1, "0"),
+             _flow("x", "a", 1, "1/4"), _flow("x", "b", -1, "-1/4"),
+             _flow("y", "b", 1, "1/4"), _flow("y", "a", -1, "-1/4")]
+    return {"name": "two-circles", "dimension": 1, "basis_forms": ["theta"],
+            "points": points, "flows": flows}
+
+
+def false_zero():
+    """∂_1 = [[1 − t^(−1), 2], [2, 4·(1 + t^(−1) + … + t^(−16))]] under
+    the class 1, with determinant −4t^(−17): rank 2, so b = (0, 0) and
+    q = (1, 0).  At depth 16 the leaf's truncated inverse cannot reach
+    the t^(−17) term and reads the entry that holds it as zero; at depth
+    32 it reaches it."""
+    points = [{"id": p, "index": int(p in "xy")} for p in "abxy"]
+    flows = [_flow("x", "a", 1, "0"), _flow("x", "a", -1, "1"),
+             *[_flow("x", "b", 1, "0")] * 2, *[_flow("y", "a", 1, "0")] * 2,
+             *[_flow("y", "b", 1, str(i)) for i in range(17) for _ in range(4)]]
+    return {"name": "false-zero", "dimension": 1, "basis_forms": ["theta"],
+            "points": points, "flows": flows}

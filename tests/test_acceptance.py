@@ -8,9 +8,10 @@ import random
 from fractions import Fraction as F
 
 from conftest import agrees_with, from_rows, hspace_verdict, rank_int_bruteforce
+from spaces import twisted_torus_cw
 from morsetwist.catalog import get_example, run_all
 from morsetwist.chains import euler_cells, euler_homology, homology, validate_complex
-from morsetwist.cw import FacetList, cw_to_morse, from_simplicial
+from morsetwist.cw import FacetList, cw_to_morse, from_simplicial, steenrod_boundary
 from morsetwist.invariants import check_inequalities, novikov_numbers
 from morsetwist.linalg import snf_int
 from morsetwist.morse import (
@@ -72,31 +73,26 @@ def test_criterion_3_lifted_cover():
 
 
 def test_criterion_4_cw_morse_agreement():
-    from morsetwist.cw import Incidence, RegularCW, steenrod_boundary
-    base = get_example("circle-regular").cw
-    rng = random.Random(4)
+    # two models of one space, a Morse datum and a regular CW complex,
+    # have one homology: the circle with one minimum and one saddle and
+    # as two vertices and two edges, the torus with one critical point of
+    # each index but 1 and as the n x n triangulated torus
+    circle = [(0,), (1,), (F(-2, 3),)]
+    torus = [(0, 0), (1, 0), (1, F(1, 3)), (F(-1, 2), 2)]
+    models = [(get_example("circle-std").datum,
+               get_example("circle-regular").cw, circle),
+              *((get_example("torus").datum, twisted_torus_cw(n), torus)
+                for n in (3, 4))]
     ok = True
-    systems = [("trivial", None)] + [("unit-rep", None)] * 20
-    for flavor, _ in systems:
-        if flavor == "trivial":
-            cw = base
-            sys_ = LocalSystem.trivial()
-        else:
-            cw = RegularCW(
-                name=base.name, dimension=1, cells=base.cells,
-                incidences=tuple(
-                    Incidence(i.upper, i.lower, i.incidence,
-                              periods=i.periods,
-                              unit_tag=rng.choice([1, -1]))
-                    for i in base.incidences),
-                basis_forms=base.basis_forms)
-            sys_ = LocalSystem.unit_rep()
-        C = steenrod_boundary(cw, sys_)
-        M = build_complex(cw_to_morse(cw), sys_)
-        ok = ok and [m.entries for m in C.diffs] == [m.entries for m in M.diffs]
-        ok = ok and _summaries_equal(homology(C), homology(M))
-    _verdict(4, "two-cell circle: cellular and Morse boundaries identical "
-                "under trivial + 20 random unit systems", ok)
+    for d, cw, classes in models:
+        for sys_ in [LocalSystem.trivial(),
+                     *(LocalSystem.named(flavor, cls) for cls in classes
+                       for flavor in ("exp", "nov"))]:
+            ok = ok and _summaries_equal(homology(build_complex(d, sys_)),
+                                         homology(steenrod_boundary(cw, sys_)))
+    _verdict(4, "circle and torus: Morse datum and CW complex agree in "
+                "Betti numbers and torsion, trivially and under zero and "
+                "nonzero exp/nov classes", ok)
 
 
 def test_criterion_5_genus2_cochain_suite():

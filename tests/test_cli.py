@@ -8,7 +8,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from spaces import freudenthal_torus_facets, grid_facets, twisted_torus_cw
+from spaces import (
+    false_zero,
+    freudenthal_torus_facets,
+    grid_facets,
+    twisted_torus_cw,
+    two_circles,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -515,6 +521,34 @@ def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):
                    "H-space verdict unknown\n")
 
 
+def test_twisted_circle_listed_second_is_not_simple(tmp_path, capsys):
+    # the class has period 1 around the second circle, so the system is
+    # not simple and the class has rank 1
+    path = tmp_path / "two-circles.json"
+    path.write_text(json.dumps(two_circles()))
+    out, _ = run(capsys, "obstructions", str(path), "--system", "exp",
+                 "--class=1")
+    lines = out.splitlines()
+    assert lines[0].startswith("H_SPACE: TRIGGERED")
+    assert lines[-1] == "rank of class: 1"
+
+
+def test_novikov_rank_past_the_depth_is_stuck(tmp_path, capsys):
+    # the determinant of ∂_1 is −4t^(−17): at depth 16 the leaf reads rank
+    # 1, which the rank over the fraction field refuses, and at depth 32
+    # the leaf reads rank 2
+    path = tmp_path / "false-zero.json"
+    path.write_text(json.dumps(false_zero()))
+    out, _ = run(capsys, "novikov", str(path), "--class=1", code=1)
+    assert out.splitlines()[1:] == ["degree 0: b=1 q=0 (stuck)",
+                                    "degree 1: b=1 q=0 (stuck)"]
+    out, _ = run(capsys, "novikov", str(path), "--class=1", "--depth", "32")
+    assert out.splitlines()[1:] == ["degree 0: b=0 q=1", "degree 1: b=0 q=0"]
+    out, _ = run(capsys, "homology", str(path), "--system", "nov",
+                 "--class=1", "--depth", "32")
+    assert out.splitlines() == ["H_0 = Nov/4", "H_1 = 0"]
+
+
 def test_novikov_unit_pivots_are_not_charged_to_max_iter(capsys):
     # every pivot of this input is an exact unit ±t^a, so the op budget
     # is never touched; the answer is the one an unbudgeted run gives
@@ -608,15 +642,22 @@ def test_class_without_a_value_is_usage_error(capsys, argv):
     assert "error: argument --class: expected one argument" in err
 
 
-@pytest.mark.parametrize("system", ["exp", "nov", "trivial"])
+@pytest.mark.parametrize("example,system,cls,flows,counts", [
+    pytest.param("genus2", "exp", "1,1/2,0,-1", 16, (1, 1, 2, 1), id="exp"),
+    pytest.param("genus2", "nov", "1,1/2,0,-1", 16, (2, 2, 4, 1), id="nov"),
+    pytest.param("genus2", "trivial", "1,1/2,0,-1", 16, (1, 1, 2, 1),
+                 id="trivial"),
+    pytest.param("rp2", "unit-rep", "1", 4, (2, 2, 4, 1), id="rp2-unit-rep"),
+])
 def test_obstructions_compute_each_flow_period_once(capsys, monkeypatch,
-                                                    system):
+                                                    example, system, cls,
+                                                    flows, counts):
     # the simplicity test, both obstruction complexes and the rank of the
-    # class all read one class period per flow: 16 flows, 16 periods.  Each
-    # system's complex is built, checked and reduced (one unit pass per
-    # boundary, 2 boundaries) once, and the exponential one serves the
-    # parallel-form verdict too; the loops are walked once, the rank of the
-    # class reading the simplicity of an exp or nov system under its class.
+    # class all read one class period per flow.  Each system's complex is
+    # built, checked and reduced (one unit pass per boundary, 2 boundaries)
+    # once, and the exponential one serves the parallel-form verdict too;
+    # one gauge walk gives the unit verdict and the period verdict, which
+    # serve the simplicity of the system and the rank of the class.
     # Calls are counted wherever the package binds each function.
     import morsetwist.morse as morse_module
     calls = []
@@ -625,7 +666,7 @@ def test_obstructions_compute_each_flow_period_once(capsys, monkeypatch,
                         lambda f, cv: calls.append(f) or original(f, cv))
     import morsetwist.chains as chains
     homes = {"build_complex": morse_module, "validate_complex": chains,
-             "cancel_units": linalg, "_loop_data": morse_module}
+             "cancel_units": linalg, "gauge_walk": morse_module}
     counted = {name: [] for name in homes}
     for name, seen in counted.items():
         fn = getattr(homes[name], name)
@@ -634,12 +675,11 @@ def test_obstructions_compute_each_flow_period_once(capsys, monkeypatch,
                     getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, lambda *a, _fn=fn, _seen=seen,
                                     **kw: _seen.append(a) or _fn(*a, **kw))
-    out, _ = run(capsys, "obstructions", "--example", "genus2",
-                 "--system", system, "--class=1,1/2,0,-1")
+    out, _ = run(capsys, "obstructions", "--example", example,
+                 "--system", system, f"--class={cls}")
     assert "PARALLEL_FORM: TRIGGERED" in out
-    assert len(calls) == 16
-    assert tuple(len(seen) for seen in counted.values()) == \
-        {"exp": (1, 1, 2, 1), "nov": (2, 2, 4, 1), "trivial": (1, 1, 2, 1)}[system]
+    assert len(calls) == flows
+    assert tuple(len(seen) for seen in counted.values()) == counts
 
 
 @pytest.mark.parametrize("command", ["homology", "validate",
@@ -771,9 +811,8 @@ def test_empty_boundaries_are_not_reduced(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("cls, n", [("1,0,1", 3), ("1", 1), ("0", 1),
                                     ("0,0,0", 3)])
 def test_obstructions_class_of_the_wrong_length(capsys, system, cls, n):
-    # the class periods are read before the class is checked against the
-    # basis forms, so a longer class must not index past a flow's periods;
-    # a zero class is refused as well, also where no system reads it
+    # the class is checked against the basis forms before any period is
+    # read; a zero class is refused as well, also where no system reads it
     out, err = run(capsys, "obstructions", "--example", "torus",
                    "--system", system, f"--class={cls}", code=2)
     assert out == ""
