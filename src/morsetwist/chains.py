@@ -171,14 +171,13 @@ def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
     Degree k sits between the matrices below and above it, whose ranks
     serve chains and cochains alike; its torsion comes from the matrix
     into it, above for chains and below for cochains.  A stuck degree
-    shows the reduced complex's counts, and so does a Novikov boundary
-    whose leaf rank is not ``rank_expsum``'s (``_novikov``)."""
+    shows the reduced complex's counts."""
     bad = validate_complex(C)
     if bad is not None:
         raise InvalidComplex(bad.describe())
     R = reduce(C)
     leaf = {INT: snf_int, EXPSUM: rank_expsum}.get(C.regime) or (
-        lambda d: _novikov(d, depth * C.scale, max_iter))
+        lambda d: nov_reduce(d, depth=depth * C.scale, max_iter=max_iter))
     data = [Reduction(0), *(leaf(d) if any(d.data) else Reduction(0)
                             for d in R.diffs), Reduction(0)]
     degrees = []
@@ -191,18 +190,6 @@ def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
         into = below if C.ascending else above
         degrees.append(DegreeSummary(betti, into.torsion, status))
     return HomologySummary(regime=C.regime, degrees=tuple(degrees))
-
-
-def _novikov(d: Matrix, depth, max_iter) -> Reduction:
-    """``nov_reduce`` at ``depth``, stuck unless its rank is the rank over
-    the fraction field of ℤ[u, u⁻¹], which the Novikov field extends, so
-    the two ranks agree: a truncated inverse can read an entry whose known
-    terms cancel above its floor as zero, and a leaf that took it for zero
-    has guessed."""
-    r = nov_reduce(d, depth=depth, max_iter=max_iter)
-    if r.status == "complete" and r.rank != rank_expsum(d).rank:
-        return Reduction(r.rank, status="stuck")
-    return r
 
 
 def dualize(C: ChainComplex) -> ChainComplex:

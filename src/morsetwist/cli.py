@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .catalog import example_names, get_example, run_all
 from .chains import (
+    INT,
     HomologySummary,
     euler_cells,
     euler_homology,
@@ -29,7 +30,6 @@ from .invariants import (
     parallel_form_obstruction,
 )
 from .morse import (
-    TRIVIAL,
     UNIT_REP,
     LocalSystem,
     MorseDatum,
@@ -37,6 +37,7 @@ from .morse import (
     build_complex,
     flow_periods,
     gauge_walk,
+    is_simple,
 )
 from .rings import parse_rational
 from .serial import decimals, dump_json, facets_from_text, load_json
@@ -231,15 +232,21 @@ def cmd_obstructions(args) -> int:
     cls = _parse_class(args.class_vector)
     sys_ = LocalSystem.named(args.system, cls)
     exp = None if cls is None else LocalSystem.exp(cls)
-    # the systems are checked before any period is computed; one class
+    # both systems are checked before any period is computed; one class
     # period per flow, one gauge walk and one reduction per system serve
     # every verdict below
     sys_.check_compatible(d)
     if exp is not None:
         exp.check_compatible(d)
     periods = flow_periods(d, cls or ())
-    exact, trivial = gauge_walk(d, periods)
-    simple = {TRIVIAL: True, UNIT_REP: trivial}.get(sys_.flavor, exact)
+    if sys_.flavor == UNIT_REP and exp is not None:
+        # the unit verdict and the class rank read two facts of one walk
+        exact, simple = gauge_walk(d, periods)
+    else:
+        simple = is_simple(d, sys_, periods)
+        # exp and nov under one class read the same periods
+        exact = None if exp is None else (
+            simple if sys_.regime != INT else is_simple(d, exp, periods))
     summary = None if simple else _homology(build_complex(d, sys_, periods),
                                             args)
     verdicts = [hspace_obstruction(sys_, simple, summary)]

@@ -331,9 +331,11 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
     one op.  The leaf reports status "stuck" instead of raising, at one
     return per cause: the op count passes max_iter at a unit pivot, at a
     unit divided out or at a Euclidean step; a top exponent falls below
-    the work floor; off-diagonal residue is left after the loop; or a
-    diagonal entry is not a monomial times a unit.  Only the last keeps
-    the units counted before it as the partial rank; the others give 0.
+    the work floor; off-diagonal residue is left after the loop; a
+    diagonal entry is not a monomial times a unit; or an entry whose known
+    terms all cancelled above its floor was read as zero and the rank
+    falls short of ``rank_expsum``'s.  The last two keep the rank counted
+    as the partial rank; the others give 0.
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
@@ -466,7 +468,13 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
         else:
             return Reduction(units, status="stuck")
     chain = _divisibility_chain(nonunit)
-    return Reduction(units + len(chain), tuple(v for v in chain if v > 1))
+    rank = units + len(chain)
+    # the Novikov field extends the fraction field of ℤ[u, u⁻¹], so a rank
+    # read with such a zero is right exactly when it is rank_expsum's
+    if (any(not e and e.floor is not None for row in a for e in row)
+            and rank != rank_expsum(A).rank):
+        return Reduction(rank, status="stuck")
+    return Reduction(rank, tuple(v for v in chain if v > 1))
 
 
 def _divisibility_chain(values):

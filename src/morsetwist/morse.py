@@ -373,12 +373,15 @@ def gauge_walk(d: MorseDatum, per):
     return exact, trivial
 
 
-def is_simple(d: MorseDatum, sys: LocalSystem) -> bool:
+def is_simple(d: MorseDatum, sys: LocalSystem, periods=None) -> bool:
     """Whether sys is trivial on the datum: its class periods are a
     potential shift of zero (EXP, NOV) or its unit tags a gauge change of
-    1 (UNIT_REP), by ``gauge_walk``."""
+    1 (UNIT_REP), by ``gauge_walk``.  ``periods`` are the flows' class
+    periods, computed when not given."""
     sys.check_compatible(d)
     if sys.flavor == TRIVIAL:
         return True
-    exact, trivial = gauge_walk(d, flow_periods(d, sys.class_vector))
+    if periods is None:
+        periods = flow_periods(d, sys.class_vector)
+    exact, trivial = gauge_walk(d, periods)
     return trivial if sys.flavor == UNIT_REP else exact

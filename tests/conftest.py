@@ -535,7 +535,7 @@ def nov_leaf_reference(A, depth, max_iter):
     the given depth; a non-unit pivot c·t^a·U first has its unit U divided
     out of its row, then is reduced by integer-Euclidean steps on top
     coefficients.  Runs that exhaust max_iter report status "stuck"
-    instead of raising.
+    instead of raising, and so do runs whose rank is not the exact one.
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
@@ -676,7 +676,11 @@ def nov_leaf_reference(A, depth, max_iter):
     if stuck:
         return Reduction(unit_count, status="stuck")
     chain = _divisibility_chain(nonunit)
-    return Reduction(unit_count + len(chain), tuple(v for v in chain if v > 1))
+    rank = unit_count + len(chain)
+    # a truncated zero read as zero shows as a rank below the exact one
+    if rank != rank_expsum(A).rank:
+        return Reduction(rank, status="stuck")
+    return Reduction(rank, tuple(v for v in chain if v > 1))
 
 
 # --- per-element reference of the JSON reader -------------------------------

@@ -319,8 +319,7 @@ def test_one_unit_pass_per_twisted_boundary(monkeypatch, flavor, cls):
     # cells of their shared degree that the top pass paired, which are
     # its columns for chains and cochains alike; homology runs the pass
     # through reduce only, and its leaves get the reduced boundaries; the
-    # pass is counted wherever the package binds it; a Novikov boundary
-    # goes to both leaves, its rank checked against the exponential one
+    # pass is counted wherever the package binds it
     assert not hasattr(chains, "specialise")
     calls, leaves = [], []
     original = linalg.cancel_units
@@ -352,10 +351,8 @@ def test_one_unit_pass_per_twisted_boundary(monkeypatch, flavor, cls):
         assert (second.rows, second.cols) == \
             (lower.rows, lower.cols - len(paired))
         assert R.counts() == (1, 2, 1)
-        per_boundary = 2 if flavor == "nov" else 1
-        assert leaves == [d for d in R.diffs if any(d.data)
-                          for _ in range(per_boundary)]
-        assert len(leaves) == (2 * per_boundary if any(cls) else 0)
+        assert leaves == [d for d in R.diffs if any(d.data)]
+        assert len(leaves) == (2 if any(cls) else 0)
 
 
 def test_replaced_boundaries_are_read_with_the_complex():

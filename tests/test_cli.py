@@ -819,6 +819,36 @@ def test_obstructions_class_of_the_wrong_length(capsys, system, cls, n):
     assert err == f"error: class vector has {n} entries for 2 basis forms\n"
 
 
+def test_obstructions_check_the_class_before_the_complex(capsys, tmp_path):
+    # rp2 with its second flow's unit tag set to 1: its unit-tag complex
+    # fails ∂², which a class of the right length reaches and one of the
+    # wrong length does not
+    rp2 = json.loads(dump_json(get_example("rp2").datum))
+    rp2["flows"][1]["unit_tag"] = 1
+    path = tmp_path / "rp2-retagged.json"
+    path.write_text(json.dumps(rp2))
+    out, err = run(capsys, "obstructions", str(path), "--system", "unit-rep",
+                   "--class=1,2", code=2)
+    assert (out, err) == ("", "error: class vector has 2 entries for 1 "
+                              "basis forms\n")
+    out, err = run(capsys, "obstructions", str(path), "--system", "unit-rep",
+                   "--class=1", code=1)
+    assert (out, err) == ("", "error: d.d != 0: composite through degree 1 "
+                              "has entry (0,0) = 4\n")
+
+
+@pytest.mark.parametrize("system, walks", [("trivial", 0), ("unit-rep", 1)])
+def test_obstructions_without_a_class_walk_only_for_units(capsys, monkeypatch,
+                                                          system, walks):
+    import morsetwist.morse as morse_module
+    seen = []
+    original = morse_module.gauge_walk
+    monkeypatch.setattr(morse_module, "gauge_walk",
+                        lambda *a: seen.append(a) or original(*a))
+    run(capsys, "obstructions", "--example", "rp2", "--system", system)
+    assert len(seen) == walks
+
+
 # --- random argv ------------------------------------------------------------
 
 # Free text holds no digit and no "/": every number comes from a bounded

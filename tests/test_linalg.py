@@ -21,6 +21,7 @@ import morsetwist.linalg as linalg
 from morsetwist.cw import cw_to_morse, from_simplicial, steenrod_boundary
 from morsetwist.errors import TooManyTerms, ZeroElement
 from morsetwist.linalg import (
+    Reduction,
     _divisibility_chain,
     _is_unit,
     _nov_leaf,
@@ -460,6 +461,17 @@ def _nov_unit(rng):
     if rng.random() < 0.5:
         return NovElem.monomial(rng.choice([1, -1]), a)
     return NovElem([(rng.choice([1, -1]), a), (rng.choice([-2, 1, 3]), a - 1)])
+
+
+def test_nov_reduce_refuses_a_truncated_zero_that_drops_rank():
+    # determinant −4t^(−17): at depth 16 the Schur complement's known
+    # terms all cancel and the leaf reads rank 1, which the rank over the
+    # fraction field refuses; at depth 32 it reaches the t^(−17) term
+    A = M([[NovElem([(1, 0), (-1, -1)]), 2],
+           [2, NovElem([(4, -i) for i in range(17)])]])
+    assert rank_expsum(A) == Reduction(2)
+    assert nov_reduce(A, depth=16) == Reduction(1, status="stuck")
+    assert nov_reduce(A, depth=32) == Reduction(2, (4,))
 
 
 def test_nov_leaf_equals_whole_row_and_column_reference():
