@@ -41,10 +41,11 @@ the composite; after them, two checks that fail on valid input: zero
 counts below the Klein bottle's Novikov bounds, and ``validate`` of
 ``rp2`` with one flow's unit tag flipped; and last of all ``obstructions``
 on two circles whose second one is twisted, and the Novikov commands on a
-datum that a depth-16 leaf misreads, at depths 16 and 32.  The broken
-files hold period values of every JSON type, padded and non-ASCII-digit
-strings, in a flow and in a CW incidence, and one flow with both a bad
-unit tag and a bad period.
+datum that a depth-16 leaf misreads, at depths 16 and 32, and ``euler``
+on it.  The torsion block and ``rp2.facets`` are read from
+``docs/examples``.  The broken files hold period values of every JSON
+type, padded and non-ASCII-digit strings, in a flow and in a CW
+incidence, and one flow with both a bad unit tag and a bad period.
 The twisted tori, grid surfaces and Freudenthal tori come from
 ``tests/spaces.py``, the module the property suites build them from, so
 the sweep and the suites check the same spaces.  Files are written to a
@@ -104,7 +105,7 @@ SMALL_FACETS = (("points", "vertices 3\n0\n2\n"),
                 ("bowtie", "vertices 5\n0 1 2\n0 3 4\n"),
                 ("three-on-an-edge", "vertices 5\n0 1 2\n0 1 3\n1 0 4\n"),
                 ("unused", "vertices 9\n6 4 1\n4 6 8\n1 8 4\n"))
-FACETS = os.path.join(ROOT, "docs", "examples", "rp2.facets")
+EXAMPLES = os.path.join(ROOT, "docs", "examples")
 
 
 def call(argv):
@@ -154,6 +155,12 @@ def write(name, text):
     with open(name, "w") as fh:
         fh.write(text)
     return name
+
+
+def copy_example(name):
+    """A file of ``docs/examples``, copied under its own name."""
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        return write(name, fh.read())
 
 
 def files():
@@ -235,20 +242,6 @@ def twisted_tori():
 
 def flow(frm, to, sign, period):
     return {"from": frm, "to": to, "sign": sign, "periods": [period]}
-
-
-def torsion_block():
-    """d_1 = 0 from paired +-1 flows, d_2 = [[2, 4], [4, 2]] with mixed
-    periods: untwisted, H_0 = Z, H_1 = Z/2 + Z/6, H_2 = 0."""
-    flows = [flow(q, "p", sign, "0") for q in ("a", "b") for sign in (1, -1)]
-    for src, dst, count in (("x", "a", 2), ("x", "b", 4),
-                            ("y", "a", 4), ("y", "b", 2)):
-        flows += [flow(src, dst, 1, str(Fraction(i, 2))) for i in range(count)]
-    points = [{"id": "p", "index": 0}, {"id": "a", "index": 1},
-              {"id": "b", "index": 1}, {"id": "x", "index": 2},
-              {"id": "y", "index": 2}]
-    return {"name": "torsion-block", "dimension": 2, "basis_forms": ["theta"],
-            "points": points, "flows": flows}
 
 
 def error_inputs():
@@ -352,7 +345,8 @@ def hidden_twists():
     circles whose twisted one is listed second, in text and JSON; and
     ``novikov`` and ``homology --system nov`` on a datum whose Novikov leaf
     at the default depth reads a nonzero entry as zero, at that depth and
-    at depth 32."""
+    at depth 32, then ``euler --system nov`` on it at the default depth,
+    in text and JSON."""
     path = write("two-circles.json", json.dumps(two_circles()))
     for fmt in ("text", "json"):
         yield ["obstructions", path, "--system", "exp", "--class=1",
@@ -361,6 +355,8 @@ def hidden_twists():
     for depth in ([], ["--depth", "32"]):
         yield ["novikov", path, "--class=1", *depth]
         yield ["homology", path, "--system", "nov", "--class=1", *depth]
+    for fmt in ([], ["--format", "json"]):
+        yield ["euler", path, "--system", "nov", "--class=1", *fmt]
 
 
 def invocations():
@@ -378,8 +374,7 @@ def invocations():
         yield ["homology", path]
         if "-shift" in path or "-scale" in path:
             yield from grid([path], nforms)
-    with open(FACETS) as fh:
-        write("rp2.facets", fh.read())
+    copy_example("rp2.facets")
     yield ["from-triangulation", "rp2.facets"]
     yield ["from-triangulation", "rp2.facets", "-o", "rp2-from-facets.json"]
     yield ["validate", "rp2-from-facets.json"]
@@ -410,7 +405,7 @@ def invocations():
     yield ["homology"]
     yield ["homology", "--example", "torus", "--depth", "0"]
     yield from twisted_tori()
-    path = write("torsion-block.json", json.dumps(torsion_block()))
+    path = copy_example("torsion-block.json")
     yield ["validate", path]
     yield from grid([path], 1)
     yield from error_inputs()

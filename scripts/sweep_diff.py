@@ -7,12 +7,13 @@
 
 Each changed line is printed as its 1-based line number, its kind and its
 argv, then the count of each kind.  The kinds are ``stuck→complete``,
-``stuck→stuck`` (the partial counts changed), ``complete→stuck`` and
-``changed`` (a complete answer that differs).  A line is stuck when its
-stdout or stderr holds the word ``stuck``, as every report of a stuck
-Novikov reduction does.  The exit status is 1 if the two sweeps do not run
-the same argv sequence, if any line went from complete to stuck, or if any
-complete answer changed; 2 on a usage error; else 0.  Stdlib only.
+``stuck→stuck`` (a stuck degree's torsion or status changed),
+``complete→stuck`` and ``changed`` (a complete answer that differs).  A
+line is stuck when its stdout or stderr holds the word ``stuck``, as
+every report of a stuck Novikov reduction does.  The exit status is 1 if
+the two sweeps do not run the same argv sequence, if any line went from
+complete to stuck, or if any complete answer changed; 2 on a usage
+error; else 0.  Stdlib only.
 """
 
 import json

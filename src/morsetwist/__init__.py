@@ -17,7 +17,6 @@ from .cw import (
     RegularCW,
     cw_to_morse,
     from_simplicial,
-    steenrod_boundary,
     validate_regular,
 )
 from .errors import MorsetwistError

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Indeterminate, InvalidComplex, NonInvertibleEntry, NotAUnit
+from .errors import InvalidComplex, NonInvertibleEntry, NotAUnit
 from .linalg import (Matrix, Reduction, bar, cancel_units, nov_reduce,
                      rank_expsum, snf_int)
 from .rings import laurent_image
@@ -164,14 +164,15 @@ def reduce(C: ChainComplex) -> ChainComplex:
 
 
 def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
-    """Betti ranks plus torsion per degree; NOV stuck reductions are flagged,
-    not guessed.  ∂² is checked on C, then the regime's leaf runs on each
-    non-empty boundary of ``reduce(C)``: ``snf_int``, ``rank_expsum``, or
-    ``nov_reduce`` at ``depth·scale`` (``depth`` on the image in t).
-    Degree k sits between the matrices below and above it, whose ranks
-    serve chains and cochains alike; its torsion comes from the matrix
-    into it, above for chains and below for cochains.  A stuck degree
-    shows the reduced complex's counts."""
+    """Betti ranks plus torsion per degree.  ∂² is checked on C, then the
+    regime's leaf runs on each non-empty boundary of ``reduce(C)``:
+    ``snf_int``, ``rank_expsum``, or ``nov_reduce`` at ``depth·scale``
+    (``depth`` on the image in t).  Degree k sits between the matrices
+    below and above it, and its Betti number is its reduced cell count
+    less their ranks, for chains and cochains alike; every rank is exact,
+    so every Betti number is.  Its torsion and status come from the
+    matrix into it, above for chains and below for cochains: a stuck
+    degree has an exact Betti number and unknown torsion."""
     bad = validate_complex(C)
     if bad is not None:
         raise InvalidComplex(bad.describe())
@@ -183,12 +184,9 @@ def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
     degrees = []
     for k, count in enumerate(R.counts()):
         below, above = data[k], data[k + 1]
-        betti = count - below.rank - above.rank
-        status = "complete"
-        if "stuck" in (below.status, above.status):
-            status, betti = "stuck", max(betti, 0)
         into = below if C.ascending else above
-        degrees.append(DegreeSummary(betti, into.torsion, status))
+        degrees.append(DegreeSummary(count - below.rank - above.rank,
+                                     into.torsion, into.status))
     return HomologySummary(regime=C.regime, degrees=tuple(degrees))
 
 
@@ -219,6 +217,6 @@ def euler_cells(C: ChainComplex) -> int:
 
 
 def euler_homology(S: HomologySummary) -> int:
-    if not S.complete:
-        raise Indeterminate("a degree's reduction is stuck; Euler number unknown")
+    """The alternating sum of the Betti numbers, exact in every degree,
+    stuck ones included."""
     return sum((-1) ** k * d.betti for k, d in enumerate(S.degrees))

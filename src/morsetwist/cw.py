@@ -1,5 +1,6 @@
-"""Regular CW complexes: validation, twisted cellular boundaries,
-simplicial ingestion, and the correspondence with Morse data.
+"""Regular CW complexes: validation, simplicial ingestion, and the
+correspondence with Morse data, through which a twisted cellular
+boundary is ``build_complex(cw_to_morse(cw), sys)``.
 
 Regularity is what makes a twisted cellular boundary well defined: every
 incidence number is +-1, each pair of cells two dimensions apart has
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import INT, ChainComplex
-from .errors import MalformedFacets, MissingHolonomy, MissingUnitTag, NotRegular
+from .errors import MalformedFacets, NotRegular
 from .linalg import Matrix
-from .morse import (CriticalPoint, FlowLine, LocalSystem, MorseDatum,
-                    build_complex, check_dimension)
+from .morse import CriticalPoint, FlowLine, MorseDatum, check_dimension
 from .rings import fraction_tuple
 
 
@@ -115,18 +115,6 @@ def validate_regular(cw: RegularCW):
                     "boundary-squared", (bottom, top),
                     f"incidence products sum to {total[bottom]}, expected 0")
     return squared
-
-
-def steenrod_boundary(cw: RegularCW, sys: LocalSystem) -> ChainComplex:
-    """Twisted cellular boundary: entry (lower, upper) = incidence number
-    times the system weight of the incidence's holonomy.  It is
-    ``build_complex`` of ``cw_to_morse(cw)``: an exponential or Novikov
-    boundary is returned over ℤ[u, u⁻¹], u = t^(1/scale), with its
-    ``scale``."""
-    try:
-        return build_complex(cw_to_morse(cw), sys)
-    except MissingUnitTag as exc:
-        raise MissingHolonomy(str(exc)) from exc
 
 
 def cw_to_morse(cw: RegularCW) -> MorseDatum:

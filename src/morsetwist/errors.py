@@ -49,10 +49,6 @@ class UnknownGroupElement(MorsetwistError):
     """Deck tag not an element of the declared deck group."""
 
 
-class MissingHolonomy(MorsetwistError):
-    """CW incidence lacks the holonomy data the bound system needs."""
-
-
 class NotRegular(MorsetwistError):
     """CW complex failed a regularity check."""
 

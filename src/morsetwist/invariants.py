@@ -16,7 +16,7 @@ class NovikovNumbers:
     class_vector: tuple
     b: tuple       # rank of twisted homology per degree
     q: tuple       # minimal torsion generator count per degree
-    status: tuple  # "complete" | "stuck" per degree
+    status: tuple  # "complete" | "stuck" (q unknown) per degree
 
     @property
     def complete(self) -> bool:

@@ -10,16 +10,18 @@
 * ``rank_expsum`` — rank over the fraction field of ℤ[u, u⁻¹].  Distinct
   exponents evaluate to linearly independent reals, so the formal rank
   equals the real one.
-* ``nov_reduce`` — valuation-pivoted diagonalization over the Novikov
-  ring, with truncated unit inversion and an explicit iteration budget.
+* ``nov_reduce`` — torsion by valuation-pivoted diagonalization over the
+  Novikov ring, with truncated unit inversion and an explicit iteration
+  budget; its rank is ``rank_expsum``'s.
 
 The reducers are the leaves of ``chains.homology``, which hands them the
 small boundaries of the reduced complex: each returns one ``Reduction``
 (rank, torsion, status) and runs no unit pass of its own.  Bareiss
-elimination serves ``rank_expsum``; one Euclidean loop over the Novikov
-ring, whose exponent-0 part is the integers, serves ``snf_int`` and
-``nov_reduce``.  Called directly on a whole matrix, a reducer is dense,
-and ``nov_reduce`` charges every pivot, units included, to ``max_iter``.
+elimination serves ``rank_expsum`` and the rank of ``nov_reduce``; one
+Euclidean loop over the Novikov ring, whose exponent-0 part is the
+integers, serves ``snf_int`` and the torsion of ``nov_reduce``.  Called
+directly on a whole matrix, a reducer is dense, and ``nov_reduce``
+charges every pivot, units included, to ``max_iter``.
 A twisted complex is assembled over ℤ[u, u⁻¹], u = t^(1/L), and the pass
 and the leaves run on it as it is, on ints and int exponents in units of
 1/L.  All functions are pure.  ``Matrix`` stores only nonzero entries,
@@ -227,8 +229,9 @@ def _as_nov(e) -> NovElem:
 class Reduction:
     """What a reducer returns in every regime: the rank, the invariant
     factors that are not units (integer torsion, or the orders |c| of
-    Novikov cyclic summands), and "complete" or "stuck".  A stuck rank is
-    the leaf's partial count and no answer."""
+    Novikov cyclic summands), and "complete" or "stuck".  Stuck means the
+    torsion is unknown: ``nov_reduce``'s rank is exact all the same, and
+    the Novikov leaf it runs reports rank 0 when stuck."""
     rank: int
     torsion: tuple = ()
     status: str = "complete"  # "complete" | "stuck"
@@ -300,14 +303,18 @@ def rank_expsum(A: Matrix) -> Reduction:
 
 
 def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
-    """Diagonalize over the Novikov ring.  A truncated entry
+    """Rank and torsion over the Novikov ring.  A truncated entry
     (``ValueError``) and a depth above ``MAX_TERMS`` (``TooManyTerms``) are
-    refused before any pivot.  Over ℤ[u, u⁻¹], ``depth`` counts powers of
-    u.  The torsion is the orders |c| of the cyclic summands Nov/c, in a
-    divisibility chain.  Every pivot, a unit ±t^a included, is charged
-    against ``max_iter``; ``chains.reduce`` cancels those units first, free
-    of charge, so ``chains.homology`` budgets the leaf on its leftover only.
-    A stuck run's partial rank is returned as it is and is no answer.
+    refused before any pivot.  The rank is ``rank_expsum``'s: the Novikov
+    field extends the fraction field of ℤ[u, u⁻¹], and a field extension
+    keeps rank, so it is exact whatever the budget.  The torsion and the
+    status come from the leaf, which diagonalizes A at ``depth`` (powers
+    of u over ℤ[u, u⁻¹]): the orders |c| of the cyclic summands Nov/c, in
+    a divisibility chain.  A leaf whose rank differs from the exact one
+    read a truncated entry as zero, so the result is stuck.  Every pivot,
+    a unit ±t^a included, is charged against ``max_iter``;
+    ``chains.reduce`` cancels those units first, free of charge, so
+    ``chains.homology`` budgets the leaf on its leftover only.
     """
     if any(getattr(e, "floor", None) is not None
            for row in A.data for e in row.values()):
@@ -315,7 +322,9 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
     if depth > MAX_TERMS:
         raise TooManyTerms(f"Novikov depth {depth} in powers of u exceeds "
                            f"the cap of {MAX_TERMS} inverse terms")
-    return _nov_leaf(A, depth, max_iter)
+    leaf = _nov_leaf(A, depth, max_iter)
+    rank = rank_expsum(A).rank
+    return leaf if leaf.rank == rank else Reduction(rank, status="stuck")
 
 
 def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
@@ -331,11 +340,11 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
     one op.  The leaf reports status "stuck" instead of raising, at one
     return per cause: the op count passes max_iter at a unit pivot, at a
     unit divided out or at a Euclidean step; a top exponent falls below
-    the work floor; off-diagonal residue is left after the loop; a
-    diagonal entry is not a monomial times a unit; or an entry whose known
-    terms all cancelled above its floor was read as zero and the rank
-    falls short of ``rank_expsum``'s.  The last two keep the rank counted
-    as the partial rank; the others give 0.
+    the work floor; off-diagonal residue is left after the loop; or a
+    diagonal entry is not a monomial times a unit.  Every stuck exit
+    reports rank 0.  An entry whose known terms all cancelled above its
+    floor reads as zero, so a complete rank can fall short of the exact
+    one; ``nov_reduce`` checks it against ``rank_expsum``.
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
@@ -466,15 +475,9 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
             # i.e. every coefficient is a multiple of the top one
             nonunit.append(abs(c))
         else:
-            return Reduction(units, status="stuck")
+            return Reduction(0, status="stuck")
     chain = _divisibility_chain(nonunit)
-    rank = units + len(chain)
-    # the Novikov field extends the fraction field of ℤ[u, u⁻¹], so a rank
-    # read with such a zero is right exactly when it is rank_expsum's
-    if (any(not e and e.floor is not None for row in a for e in row)
-            and rank != rank_expsum(A).rank):
-        return Reduction(rank, status="stuck")
-    return Reduction(rank, tuple(v for v in chain if v > 1))
+    return Reduction(units + len(chain), tuple(v for v in chain if v > 1))
 
 
 def _divisibility_chain(values):

@@ -126,9 +126,6 @@ class MorseDatum:
                     f"flow {f.frm}->{f.to} carries {len(f.periods)} periods "
                     f"for {len(self.basis_forms)} basis forms")
 
-    def points_of_index(self, k):
-        return tuple(p for p in self.points if p.index == k)
-
 
 @dataclass(frozen=True)
 class LocalSystem:

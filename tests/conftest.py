@@ -189,9 +189,9 @@ def loop_data_vector(d):
         for other in fams[1:]:
             loops.append((vec_sub(other.periods, fams[0].periods),
                           tag(other) * tag(fams[0])))
-    verts = [p.id for p in d.points_of_index(0)]
+    verts = [p.id for p in d.points if p.index == 0]
     edges = []
-    for q in d.points_of_index(1):
+    for q in (p for p in d.points if p.index == 1):
         down = [f for f in d.flows if f.frm == q.id]
         for f1, f2 in itertools.combinations(down, 2):
             edges.append((f1.to, f2.to, vec_sub(f2.periods, f1.periods),
@@ -353,21 +353,21 @@ def image_complex(C):
 def pass_then_leaf(A, leaf):
     """A reducer as it was when it ran its own unit pass: cancel A's units,
     run ``leaf`` on the leftover less its zero rows and columns, and count
-    each cancelled pivot as one more rank when the leaf completes."""
+    each cancelled pivot as one more rank; every leaf's rank is exact, a
+    stuck one's included."""
     pivots, rest = cancel_units(A)
     rows = [row for row in rest.data if row]
     new = {j: n for n, j in enumerate(sorted({j for row in rows for j in row}))}
     r = leaf(Matrix(len(rows), len(new), [{new[j]: e for j, e in row.items()}
                                           for row in rows]))
-    units = len(pivots) if r.status == "complete" else 0
-    return Reduction(units + r.rank, r.torsion, r.status)
+    return Reduction(len(pivots) + r.rank, r.torsion, r.status)
 
 
 def homology_per_matrix(C, depth=16, max_iter=10000):
     """``chains.homology`` as it was before the unit pass ran across the
     whole complex: each stored boundary goes through the unit pass and its
     regime's leaf as it is, whatever the boundaries beside it paired.
-    Ranks and torsion are read off per degree the same way."""
+    Ranks, torsion and status are read off per degree the same way."""
     assert validate_complex(C) is None
     data = []
     for d in C.diffs:
@@ -385,12 +385,9 @@ def homology_per_matrix(C, depth=16, max_iter=10000):
     for k, count in enumerate(C.counts()):
         below = data[k - 1] if k else none
         above = data[k] if k < len(data) else none
-        betti = count - below.rank - above.rank
-        status = "complete"
-        if "stuck" in (below.status, above.status):
-            status, betti = "stuck", max(betti, 0)
-        torsion = below.torsion if C.ascending else above.torsion
-        degrees.append(DegreeSummary(betti, tuple(torsion), status))
+        into = below if C.ascending else above
+        degrees.append(DegreeSummary(count - below.rank - above.rank,
+                                     tuple(into.torsion), into.status))
     return HomologySummary(C.regime, tuple(degrees))
 
 
@@ -534,8 +531,9 @@ def nov_leaf_reference(A, depth, max_iter):
     lowest (row, col).  Unit pivots are cleared with truncated inverses at
     the given depth; a non-unit pivot c·t^a·U first has its unit U divided
     out of its row, then is reduced by integer-Euclidean steps on top
-    coefficients.  Runs that exhaust max_iter report status "stuck"
-    instead of raising, and so do runs whose rank is not the exact one.
+    coefficients.  Runs that exhaust max_iter report status "stuck" and
+    rank 0 instead of raising; a truncated entry whose known terms all
+    cancelled reads as zero, as in the leaf.
     """
     depth = Fraction(depth)
     m, n = A.rows, A.cols
@@ -674,13 +672,9 @@ def nov_leaf_reference(A, depth, max_iter):
                     stuck = True
                     break
     if stuck:
-        return Reduction(unit_count, status="stuck")
+        return Reduction(0, status="stuck")
     chain = _divisibility_chain(nonunit)
-    rank = unit_count + len(chain)
-    # a truncated zero read as zero shows as a rank below the exact one
-    if rank != rank_expsum(A).rank:
-        return Reduction(rank, status="stuck")
-    return Reduction(rank, tuple(v for v in chain if v > 1))
+    return Reduction(unit_count + len(chain), tuple(v for v in chain if v > 1))
 
 
 # --- per-element reference of the JSON reader -------------------------------

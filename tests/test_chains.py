@@ -29,9 +29,8 @@ from morsetwist.chains import (
     homology,
     validate_complex,
 )
-from morsetwist.cw import cw_to_morse, simplicial_boundary, steenrod_boundary
+from morsetwist.cw import cw_to_morse, simplicial_boundary
 from morsetwist.errors import (
-    Indeterminate,
     InvalidComplex,
     MissingUnitTag,
     NonInvertibleEntry,
@@ -131,7 +130,8 @@ def test_dual_int_is_plain_transpose():
 
 
 def test_dualize_inverts_nonzero_entries_only(monkeypatch):
-    C = steenrod_boundary(twisted_torus_cw(4), LocalSystem.exp((F(1), F(-1, 3))))
+    C = build_complex(cw_to_morse(twisted_torus_cw(4)),
+                      LocalSystem.exp((F(1), F(-1, 3))))
     # the expected dual, built from the dense view of the image: invert
     # all, zeros included, and keep each matrix's shape
     before = [[[_as_nov(e).invert_exponents() for e in row]
@@ -177,11 +177,12 @@ def test_euler():
 
 
 def test_euler_indeterminate_on_stuck():
+    # a stuck degree's Betti number is exact; only its torsion is unknown
     from morsetwist.chains import DegreeSummary, HomologySummary
     s = HomologySummary(regime="NOV", degrees=(
-        DegreeSummary(betti=1), DegreeSummary(betti=0, status="stuck")))
-    with pytest.raises(Indeterminate):
-        euler_homology(s)
+        DegreeSummary(betti=1), DegreeSummary(betti=3, status="stuck"),
+        DegreeSummary(betti=1, status="stuck")))
+    assert euler_homology(s) == 1 - 3 + 1
 
 
 def test_ascending_torsion_bookkeeping():
@@ -334,8 +335,8 @@ def test_one_unit_pass_per_twisted_boundary(monkeypatch, flavor, cls):
     for leaf in ("rank_expsum", "nov_reduce"):
         monkeypatch.setattr(chains, leaf, lambda A, *args, _leaf=getattr(
             chains, leaf), **kw: leaves.append(A) or _leaf(A, *args, **kw))
-    chain = steenrod_boundary(twisted_torus_cw(4),
-                              LocalSystem.named(flavor, cls))
+    chain = build_complex(cw_to_morse(twisted_torus_cw(4)),
+                          LocalSystem.named(flavor, cls))
     for C in (chain, dualize(chain)):
         calls.clear()
         R = chains.reduce(C)
@@ -400,8 +401,8 @@ def test_boundary_squared_over_u_reads_as_its_image(flavor, name, flip, cls):
 
 def test_stuck_degree_over_u_reads_as_its_image():
     # the unit q2 -> p2 is cancelled over ℤ[u, u⁻¹]; beside it, 2 - t^(-1)
-    # leaves the Novikov leaf stuck, and the stuck degrees show the partial
-    # counts of the image's reduction, not the cancelled unit
+    # leaves the Novikov leaf stuck, and only degree 0, the one that
+    # boundary maps into, is stuck, as in the image's reduction
     points = (CriticalPoint("p", 0), CriticalPoint("p2", 0),
               CriticalPoint("q", 1), CriticalPoint("q2", 1))
     flows = (FlowLine("q", "p", 1, periods=(0,)),
@@ -411,16 +412,19 @@ def test_stuck_degree_over_u_reads_as_its_image():
     d = MorseDatum("stuck-beside-a-unit", 1, ("theta",), points, flows)
     C = build_complex(d, LocalSystem.nov((1,)))
     S = homology(C)
-    assert [s.status for s in S.degrees] == ["stuck", "stuck"]
+    assert [s.status for s in S.degrees] == ["stuck", "complete"]
+    assert S.betti == (0, 0)
     assert S == homology(image_complex(C))
 
 
 def _no_worse(got, ref, full):
+    # every Betti number is the reference's, since both read exact ranks;
     # a degree that the per-matrix reference completes is completed with
     # the same answer; one it leaves stuck may complete, and then gives the
     # reference's answer at the full budget wherever that one is complete
     moved = 0
     for g, r, f in zip(got.degrees, ref.degrees, full.degrees, strict=True):
+        assert g.betti == r.betti == f.betti
         if r.status == "complete":
             assert g == r
         elif g.status == "complete":

@@ -501,8 +501,9 @@ def test_novikov_depth_past_the_term_cap_is_math_error(capsys, monkeypatch,
 
 
 def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):
-    # boundary 2 - t^(-1) under class 1: not c·t^a times a unit, so both
-    # Novikov degrees are stuck and no verdict can be read from them
+    # boundary 2 - t^(-1) under class 1: not c·t^a times a unit, so the
+    # torsion of H_0 is unknown and no verdict can be read; H_1 is 0, the
+    # exact rank 1 of the boundary leaving no cycle
     flows = [{"from": "q", "to": "p", "sign": sign, "periods": [period]}
              for sign, period in ((1, "0"), (1, "0"), (-1, "1"))]
     path = tmp_path / "stuck.json"
@@ -513,7 +514,7 @@ def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):
     out, _ = run(capsys, "homology", str(path), "--system", "nov",
                  "--class", "1", code=1)
     assert out.splitlines() == ["H_0 = indeterminate (reduction stuck)",
-                                "H_1 = indeterminate (reduction stuck)"]
+                                "H_1 = 0"]
     out, err = run(capsys, "obstructions", str(path), "--system", "nov",
                    "--class", "1", code=1)
     assert out == ""
@@ -534,14 +535,14 @@ def test_twisted_circle_listed_second_is_not_simple(tmp_path, capsys):
 
 
 def test_novikov_rank_past_the_depth_is_stuck(tmp_path, capsys):
-    # the determinant of ∂_1 is −4t^(−17): at depth 16 the leaf reads rank
-    # 1, which the rank over the fraction field refuses, and at depth 32
-    # the leaf reads rank 2
+    # the determinant of ∂_1 is −4t^(−17): b is the rank over the fraction
+    # field, 2, at every depth; at depth 16 the leaf reads rank 1, so the
+    # torsion of degree 0 is unknown, and at depth 32 it reads rank 2
     path = tmp_path / "false-zero.json"
     path.write_text(json.dumps(false_zero()))
     out, _ = run(capsys, "novikov", str(path), "--class=1", code=1)
-    assert out.splitlines()[1:] == ["degree 0: b=1 q=0 (stuck)",
-                                    "degree 1: b=1 q=0 (stuck)"]
+    assert out.splitlines()[1:] == ["degree 0: b=0 q=0 (stuck)",
+                                    "degree 1: b=0 q=0"]
     out, _ = run(capsys, "novikov", str(path), "--class=1", "--depth", "32")
     assert out.splitlines()[1:] == ["degree 0: b=0 q=1", "degree 1: b=0 q=0"]
     out, _ = run(capsys, "homology", str(path), "--system", "nov",

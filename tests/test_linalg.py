@@ -18,7 +18,7 @@ from conftest import (
 )
 from spaces import grid_facets, twisted_torus_cw
 import morsetwist.linalg as linalg
-from morsetwist.cw import cw_to_morse, from_simplicial, steenrod_boundary
+from morsetwist.cw import cw_to_morse, from_simplicial
 from morsetwist.errors import TooManyTerms, ZeroElement
 from morsetwist.linalg import (
     Reduction,
@@ -358,12 +358,14 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
                     _nov_inexact, unit_share=0.6)
         r = pass_then_leaf(A, lambda rest: nov_reduce(rest, depth=8))
         leaf = nov_reduce(A, depth=8)
+        assert r.rank == leaf.rank, A
         if "stuck" in (r.status, leaf.status):
             continue
         both += 1
-        assert (r.rank, r.torsion) == (leaf.rank, leaf.torsion), A
+        assert r.torsion == leaf.torsion, A
     # 39 of 40 complete both ways; in the other the unit pass's Schur fill
-    # widens an entry's exponent span past depth 8 and the leaf is stuck
+    # widens an entry's exponent span past depth 8, and the leaf's torsion
+    # is stuck
     assert both >= 39
 
 
@@ -390,8 +392,8 @@ def test_lazy_unit_pass_equals_eager_reference():
                         size=14, density=rng.uniform(0.1, 0.6))
             cases.append(A)
     for n in range(8, 13):
-        C = steenrod_boundary(from_simplicial(grid_facets(n, klein=True)),
-                              LocalSystem.trivial())
+        C = build_complex(cw_to_morse(from_simplicial(
+            grid_facets(n, klein=True))), LocalSystem.trivial())
         cases += C.diffs
     # boundaries over ℤ[u, u⁻¹] that mix int ±1 with ±u^k
     for n in range(3, 7):
@@ -465,12 +467,14 @@ def _nov_unit(rng):
 
 def test_nov_reduce_refuses_a_truncated_zero_that_drops_rank():
     # determinant −4t^(−17): at depth 16 the Schur complement's known
-    # terms all cancel and the leaf reads rank 1, which the rank over the
-    # fraction field refuses; at depth 32 it reaches the t^(−17) term
+    # terms all cancel and the leaf reads rank 1, so its torsion is no
+    # answer, while the rank is the fraction field's; at depth 32 the
+    # leaf reaches the t^(−17) term
     A = M([[NovElem([(1, 0), (-1, -1)]), 2],
            [2, NovElem([(4, -i) for i in range(17)])]])
     assert rank_expsum(A) == Reduction(2)
-    assert nov_reduce(A, depth=16) == Reduction(1, status="stuck")
+    assert _nov_leaf(A, 16, 10000) == Reduction(1)
+    assert nov_reduce(A, depth=16) == Reduction(2, status="stuck")
     assert nov_reduce(A, depth=32) == Reduction(2, (4,))
 
 
@@ -488,6 +492,7 @@ def test_nov_leaf_equals_whole_row_and_column_reference():
         budget = rng.choice([0, 1, 3, 10, inf])
         got, want = _nov_leaf(A, 1, budget), nov_leaf_reference(A, 1, budget)
         assert got == want, A
+        assert nov_reduce(A, 1, budget).rank == rank_expsum(A).rank, A
         seen[got.status] += 1
         seen["torsion"] += bool(got.torsion)
     for _ in range(300):
@@ -498,6 +503,7 @@ def test_nov_leaf_equals_whole_row_and_column_reference():
         budget = rng.choice([0, 1, 2, 5, 10, 30, 1000])
         got = _nov_leaf(A, depth, budget)
         assert got == nov_leaf_reference(A, depth, budget), (A, depth, budget)
+        assert nov_reduce(A, depth, budget).rank == rank_expsum(A).rank, A
         seen[got.status] += 1
         seen["torsion"] += bool(got.torsion)
     # rows that are unit multiples or sums of earlier rows: the Schur
@@ -508,6 +514,7 @@ def test_nov_leaf_equals_whole_row_and_column_reference():
         A, depth, budget = _dependent_rows(rng)
         got = _nov_leaf(A, depth, budget)
         assert got == nov_leaf_reference(A, depth, budget), (A, depth, budget)
+        assert nov_reduce(A, depth, budget).rank == rank_expsum(A).rank, A
         seen[got.status] += 1
     assert min(seen.values()) >= 40, seen
 

@@ -61,8 +61,8 @@ def test_every_kind_is_counted(tmp_path):
 
 
 def test_stuck_lines_alone_pass(tmp_path):
-    # a stuck answer that completes or changes its partial counts is no
-    # regression
+    # a stuck answer that completes, or whose torsion or status changes,
+    # is no regression
     new = [OLD[0], record(["novikov", "b"], "H_1 = 0\n"),
            record(["novikov", "c"], "b_0 = 0 (stuck)\n"), *OLD[3:]]
     code, out, _ = sweep_diff(tmp_path, OLD, new)
