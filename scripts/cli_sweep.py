@@ -39,13 +39,17 @@ the 3 x 3 twisted torus written as a Morse datum with one flow's sign
 flipped, whose ``∂²`` violations have at least two cells at each end of
 the composite; after them, two checks that fail on valid input: zero
 counts below the Klein bottle's Novikov bounds, and ``validate`` of
-``rp2`` with one flow's unit tag flipped; and last of all ``obstructions``
-on two circles whose second one is twisted, and the Novikov commands on a
-datum that a depth-16 leaf misreads, at depths 16 and 32, and ``euler``
-on it.  The torsion block and ``rp2.facets`` are read from
-``docs/examples``.  The broken files hold period values of every JSON
-type, padded and non-ASCII-digit strings, in a flow and in a CW
-incidence, and one flow with both a bad unit tag and a bad period.
+``rp2`` with one flow's unit tag flipped; then ``obstructions`` on two
+circles whose second one is twisted, and the Novikov commands on a datum
+that a depth-16 leaf misreads, at depths 16 and 32, and ``euler`` on it;
+and last of all a sign or incidence number of 2, which no reader
+refuses: ``validate`` and ``homology`` of a CW complex with the incidence
+number 2 (an ``incidence-value`` violation, exit 1) and ``homology`` of a
+datum with the flow sign 2 (exit 2).  The torsion block and
+``rp2.facets`` are read from ``docs/examples``.  The broken files hold
+period values of every JSON type, padded and non-ASCII-digit strings, in
+a flow and in a CW incidence, and one flow with both a bad unit tag and a
+bad period.
 The twisted tori, grid surfaces and Freudenthal tori come from
 ``tests/spaces.py``, the module the property suites build them from, so
 the sweep and the suites check the same spaces.  Files are written to a
@@ -202,8 +206,8 @@ def files():
     out.append((write("rp2-flipped.json", json.dumps(flipped)), 1))
     cw = get_example("rp2-triangulated").cw
     incs = list(cw.incidences)
-    k = next(i for i, inc in enumerate(incs) if inc.upper.count(".") == 2)
-    incs[k] = replace(incs[k], incidence=-incs[k].incidence)
+    k = next(i for i, inc in enumerate(incs) if inc.frm.count(".") == 2)
+    incs[k] = replace(incs[k], sign=-incs[k].sign)
     out.append((write("rp2-cw-flipped.json",
                       dump_json(replace(cw, incidences=tuple(incs)))), 0))
     out.append((write("not-json.json", "{nope"), 0))
@@ -359,6 +363,24 @@ def hidden_twists():
         yield ["euler", path, "--system", "nov", "--class=1", *fmt]
 
 
+def bad_signs():
+    """A sign or incidence number of 2, which each reader lets through:
+    ``validate`` and ``homology`` of a CW complex with the incidence number
+    2, refused by its regularity check (exit 1), and ``homology`` of a
+    datum with the flow sign 2, refused by the datum (exit 2)."""
+    cw = {"name": "doubled-incidence", "dimension": 1,
+          "cells": [["p", "r"], ["q"]],
+          "incidences": [{"upper": "q", "lower": "p", "incidence": -1},
+                         {"upper": "q", "lower": "r", "incidence": 2}]}
+    path = write("incidence-2.json", json.dumps(cw))
+    yield ["validate", path]
+    yield ["homology", path]
+    datum = {"name": "sign-2", "dimension": 1, "basis_forms": [],
+             "points": [{"id": "p", "index": 0}, {"id": "q", "index": 1}],
+             "flows": [{"from": "q", "to": "p", "sign": 2, "periods": []}]}
+    yield ["homology", write("sign-2.json", json.dumps(datum))]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -415,6 +437,7 @@ def invocations():
     yield from flipped_torus()
     yield from failed_checks()
     yield from hidden_twists()
+    yield from bad_signs()
 
 
 def run():

@@ -13,7 +13,6 @@ from .chains import (
 from .catalog import CatalogEntry, get_example, run_all
 from .cw import (
     FacetList,
-    Incidence,
     RegularCW,
     cw_to_morse,
     from_simplicial,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import homology
-from .cw import FacetList, Incidence, RegularCW, from_simplicial, cw_to_morse
+from .cw import FacetList, RegularCW, from_simplicial, cw_to_morse
 from .errors import InvalidComplex, UnknownExample
 from .invariants import novikov_numbers
 from .morse import (
@@ -95,10 +95,10 @@ def _circle_regular() -> CatalogEntry:
         dimension=1,
         cells=(("p1", "p2"), ("q1", "q2")),
         incidences=(
-            Incidence("q1", "p2", +1, periods=(F(1, 4),), unit_tag=+1),
-            Incidence("q1", "p1", -1, periods=(F(-1, 4),), unit_tag=+1),
-            Incidence("q2", "p2", +1, periods=(F(-1, 4),), unit_tag=+1),
-            Incidence("q2", "p1", -1, periods=(F(1, 4),), unit_tag=+1),
+            FlowLine("q1", "p2", +1, periods=(F(1, 4),), unit_tag=+1),
+            FlowLine("q1", "p1", -1, periods=(F(-1, 4),), unit_tag=+1),
+            FlowLine("q2", "p2", +1, periods=(F(-1, 4),), unit_tag=+1),
+            FlowLine("q2", "p1", -1, periods=(F(1, 4),), unit_tag=+1),
         ),
         basis_forms=("dtheta",),
     )

@@ -92,14 +92,14 @@ _REGIME_LABEL = {"INT": "Z", "EXPSUM": "R", "NOV": "Nov"}
 
 
 def _degree_text(regime, betti, torsion, status="complete"):
-    if status != "complete":
-        return "indeterminate (reduction stuck)"
     label = _REGIME_LABEL[regime]
     parts = []
     if betti == 1:
         parts.append(label)
     elif betti > 1:
         parts.append(f"{label}^{betti}")
+    if status != "complete":
+        parts.append("torsion unknown (reduction stuck)")
     for t in torsion:
         parts.append(f"{label}/{t}")
     return " + ".join(parts) if parts else "0"

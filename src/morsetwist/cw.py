@@ -2,36 +2,25 @@
 correspondence with Morse data, through which a twisted cellular
 boundary is ``build_complex(cw_to_morse(cw), sys)``.
 
-Regularity is what makes a twisted cellular boundary well defined: every
-incidence number is +-1, each pair of cells two dimensions apart has
-exactly two cells between them, whose incidence products cancel, and each
-1-cell has two distinct endpoint vertices.  Holonomy (periods / unit tags)
-lives on the incidence records, one transport per incident pair.
+Each incidence is held as the ``FlowLine`` it becomes (k-cell ``frm``,
+(k-1)-cell ``to``, incidence number ``sign``, and the holonomy of the
+pair), and ``cw_to_morse`` passes it on as it is.  Regularity is what
+makes a twisted cellular boundary well defined: every incidence number is
++-1, each pair of cells two dimensions apart has exactly two cells
+between them, whose incidence products cancel, and each 1-cell has two
+distinct endpoint vertices.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chains import INT, ChainComplex
 from .errors import MalformedFacets, NotRegular
 from .linalg import Matrix
 from .morse import CriticalPoint, FlowLine, MorseDatum, check_dimension
-from .rings import fraction_tuple
-
-
-@dataclass(frozen=True)
-class Incidence:
-    upper: str           # the k-cell
-    lower: str           # the (k-1)-cell on its boundary
-    incidence: int       # [upper : lower], must be +-1
-    periods: tuple = ()
-    unit_tag: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "periods", fraction_tuple(self.periods))
 
 
 @dataclass(frozen=True)
@@ -39,7 +28,7 @@ class RegularCW:
     name: str
     dimension: int
     cells: tuple          # per degree: tuple of cell labels
-    incidences: tuple
+    incidences: tuple     # one FlowLine per incidence, frm the k-cell
     basis_forms: tuple = ()
 
     def __post_init__(self):
@@ -75,20 +64,20 @@ def validate_regular(cw: RegularCW):
             deg[c] = k
     below: dict = {}
     for inc in cw.incidences:
-        if inc.upper not in deg or inc.lower not in deg:
-            return CWViolation("unknown-cell", (inc.upper, inc.lower),
+        if inc.frm not in deg or inc.to not in deg:
+            return CWViolation("unknown-cell", (inc.frm, inc.to),
                               "incidence references an undeclared cell")
-        if deg[inc.upper] != deg[inc.lower] + 1:
-            return CWViolation("degree-gap", (inc.upper, inc.lower),
+        if deg[inc.frm] != deg[inc.to] + 1:
+            return CWViolation("degree-gap", (inc.frm, inc.to),
                               "incidence must connect adjacent degrees")
-        if inc.incidence not in (1, -1):
-            return CWViolation("incidence-value", (inc.upper, inc.lower),
-                              f"incidence number {inc.incidence} is not +-1")
-        below.setdefault(inc.upper, []).append(inc)
+        if inc.sign not in (1, -1):
+            return CWViolation("incidence-value", (inc.frm, inc.to),
+                              f"incidence number {inc.sign} is not +-1")
+        below.setdefault(inc.frm, []).append(inc)
     # each 1-cell must have two distinct endpoints with opposite signs
     for e in cw.cells[1] if cw.dimension >= 1 else ():
         faces = below.get(e, [])
-        ends = [(i.lower, i.incidence) for i in faces]
+        ends = [(i.to, i.sign) for i in faces]
         if len(ends) != 2 or len({v for v, _ in ends}) != 2 \
                 or sorted(s for _, s in ends) != [-1, 1]:
             return CWViolation("edge-endpoints", (e,),
@@ -103,9 +92,9 @@ def validate_regular(cw: RegularCW):
         count: dict = {}
         total: dict = {}
         for f in faces:
-            for g in below.get(f.lower, []):
-                count[g.lower] = count.get(g.lower, 0) + 1
-                total[g.lower] = total.get(g.lower, 0) + f.incidence * g.incidence
+            for g in below.get(f.to, []):
+                count[g.to] = count.get(g.to, 0) + 1
+                total[g.to] = total.get(g.to, 0) + f.sign * g.sign
         for bottom, c in count.items():
             if c != 2:
                 return CWViolation("diamond", (bottom, top),
@@ -118,19 +107,17 @@ def validate_regular(cw: RegularCW):
 
 
 def cw_to_morse(cw: RegularCW) -> MorseDatum:
-    """One critical point per cell (index = dimension), one flow line per
-    incidence (sign = incidence number), holonomy copied across."""
+    """One critical point per cell (index = dimension), and the incidence
+    records as the flow lines; a record with no periods, under n >= 1
+    basis forms, is replaced by one with n zero periods."""
     bad = validate_regular(cw)
     if bad is not None:
         raise NotRegular(bad.describe())
     points = tuple(CriticalPoint(id=c, index=k)
                    for k, layer in enumerate(cw.cells) for c in layer)
-    nforms = len(cw.basis_forms)
-    flows = tuple(
-        FlowLine(frm=i.upper, to=i.lower, sign=i.incidence,
-                 periods=i.periods if i.periods else (Fraction(0),) * nforms,
-                 unit_tag=i.unit_tag)
-        for i in cw.incidences)
+    zeros = (Fraction(0),) * len(cw.basis_forms)
+    flows = tuple(i if i.periods or not zeros else replace(i, periods=zeros)
+                  for i in cw.incidences)
     return MorseDatum(name=cw.name, dimension=cw.dimension,
                       basis_forms=cw.basis_forms, points=points, flows=flows)
 
@@ -224,8 +211,7 @@ def from_simplicial(fl: FacetList) -> RegularCW:
     label = {s: _cell_label(s) for layer in layers for s in layer}
     cells = tuple(tuple(label[s] for s in layer) for layer in layers)
     incidences = tuple(
-        Incidence(upper=label[s], lower=label[s[:i] + s[i + 1:]],
-                  incidence=(-1) ** i)
+        FlowLine(frm=label[s], to=label[s[:i] + s[i + 1:]], sign=(-1) ** i)
         for k in range(1, len(layers)) for s in layers[k]
         for i in range(k + 1))
     return RegularCW(name="simplicial", dimension=len(layers) - 1,

@@ -62,16 +62,14 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class FlowLine:
-    frm: str                 # index-k critical point (the source of the flow)
-    to: str                  # index-(k-1) critical point
-    sign: int                # epsilon(nu)
+    frm: str                 # index-k critical point, or a CW incidence's k-cell
+    to: str                  # index-(k-1) critical point, or its (k-1)-cell
+    sign: int                # epsilon(nu), or the incidence number
     periods: tuple = ()      # one exact rational per declared basis form
     unit_tag: int | None = None
     deck_tag: str | None = None
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"flow sign must be +-1, got {self.sign}")
         object.__setattr__(self, "periods", fraction_tuple(self.periods))
 
 
@@ -116,6 +114,8 @@ class MorseDatum:
             if not 0 <= p.index <= self.dimension:
                 raise ValueError(f"index of {p.id} out of range 0..{self.dimension}")
         for f in self.flows:
+            if f.sign not in (1, -1):
+                raise ValueError(f"flow sign must be +-1, got {f.sign}")
             if f.frm not in index or f.to not in index:
                 raise ValueError(f"flow {f.frm}->{f.to} references unknown points")
             if index[f.frm] != index[f.to] + 1:

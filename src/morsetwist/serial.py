@@ -10,22 +10,17 @@ from __future__ import annotations
 
 import functools
 import json
-from fractions import Fraction
 
-from .cw import FacetList, Incidence, RegularCW
+from .cw import FacetList, RegularCW
 from .errors import ParseError
 from .morse import CriticalPoint, DeckGroup, FlowLine, MorseDatum
 from .rings import parse_rational
 
 
-def _rat_out(x: Fraction) -> str:
-    return str(x)
-
-
 @functools.cache
-def _allowed(required, optional) -> frozenset:
-    """Built once per record layout: the callers pass six literal pairs."""
-    return frozenset(required + optional)
+def _key_sets(required, optional) -> tuple:
+    """(required, allowed) keys, built once per layout of six literal pairs."""
+    return frozenset(required), frozenset(required + optional)
 
 
 def _at(where) -> str:
@@ -40,7 +35,7 @@ def _check_fields(obj: dict, required: tuple, optional: tuple, where):
     for k in required:
         if k not in obj:
             raise ParseError(f"{_at(where)}: missing field {k!r}")
-    allowed = _allowed(required, optional)
+    allowed = _key_sets(required, optional)[1]
     if not allowed.issuperset(obj):
         k = next(k for k in obj if k not in allowed)
         raise ParseError(f"{_at(where)}: unknown field {k!r}")
@@ -109,7 +104,7 @@ def datum_to_dict(d: MorseDatum) -> dict:
     }
     for f in d.flows:
         rec = {"from": f.frm, "to": f.to, "sign": f.sign,
-               "periods": [_rat_out(p) for p in f.periods]}
+               "periods": list(map(str, f.periods))}
         if f.unit_tag is not None:
             rec["unit_tag"] = f.unit_tag
         if f.deck_tag is not None:
@@ -125,8 +120,15 @@ def datum_to_dict(d: MorseDatum) -> dict:
     return out
 
 
+_FLOW = ("from", "to", "sign", "periods"), ("unit_tag", "deck_tag")
+_INCIDENCE = ("upper", "lower", "incidence"), ("periods", "unit_tag")
+
+
 @_value_errors_as_parse_errors
 def datum_from_dict(obj: dict) -> MorseDatum:
+    """Each flow is read once: key-set and type tests pass it, or its field,
+    sign, periods and unit tag checks, in that order, build its first error.
+    A sign other than +-1 is left to the datum's own checks."""
     _check_fields(obj, ("name", "dimension", "basis_forms", "points", "flows"),
                   ("deck_group",), "datum")
     points = []
@@ -136,17 +138,21 @@ def datum_from_dict(obj: dict) -> MorseDatum:
         points.append(CriticalPoint(id=str(p["id"]),
                                     index=_int(p, "index", where)))
     parse = _rational_parser()
+    need, known = _key_sets(*_FLOW)
     flows = []
     for i, f in enumerate(_list(obj, "flows", "datum")):
-        where = ("flows", i)
-        _check_fields(f, ("from", "to", "sign", "periods"),
-                      ("unit_tag", "deck_tag"), where)
+        if not (type(f) is dict and need <= f.keys() <= known
+                and type(f["sign"]) is int and type(f["periods"]) is list):
+            _check_fields(f, *_FLOW, ("flows", i))
+            _int(f, "sign", ("flows", i))
+            _list(f, "periods", ("flows", i))
+        periods = parse(f["periods"])
+        unit_tag = f.get("unit_tag")
+        if type(unit_tag) is not int and "unit_tag" in f:
+            _int(f, "unit_tag", ("flows", i))
         flows.append(FlowLine(
-            frm=str(f["from"]), to=str(f["to"]), sign=_int(f, "sign", where),
-            periods=parse(_list(f, "periods", where)),
-            unit_tag=None if "unit_tag" not in f else _int(f, "unit_tag", where),
-            deck_tag=None if "deck_tag" not in f else str(f["deck_tag"]),
-        ))
+            str(f["from"]), str(f["to"]), f["sign"], periods, unit_tag,
+            str(f["deck_tag"]) if "deck_tag" in f else None))
     deck = None
     if "deck_group" in obj:
         g = obj["deck_group"]
@@ -173,9 +179,9 @@ def cw_to_dict(cw: RegularCW) -> dict:
         "incidences": [],
     }
     for i in cw.incidences:
-        rec = {"upper": i.upper, "lower": i.lower, "incidence": i.incidence}
+        rec = {"upper": i.frm, "lower": i.to, "incidence": i.sign}
         if i.periods:
-            rec["periods"] = [_rat_out(p) for p in i.periods]
+            rec["periods"] = list(map(str, i.periods))
         if i.unit_tag is not None:
             rec["unit_tag"] = i.unit_tag
         out["incidences"].append(rec)
@@ -184,25 +190,33 @@ def cw_to_dict(cw: RegularCW) -> dict:
 
 @_value_errors_as_parse_errors
 def cw_from_dict(obj: dict) -> RegularCW:
+    """Each incidence record is read once, as a flow is, into the
+    ``FlowLine`` (upper, lower, incidence); an incidence number other than
+    +-1 is left to ``validate_regular``."""
     _check_fields(obj, ("name", "dimension", "cells", "incidences"),
                   ("basis_forms",), "cw")
     basis_forms = tuple(str(b) for b in (
         _list(obj, "basis_forms", "cw") if "basis_forms" in obj else ()))
     parse = _rational_parser()
+    need, known = _key_sets(*_INCIDENCE)
     incidences = []
     for i, rec in enumerate(_list(obj, "incidences", "cw")):
-        where = ("incidences", i)
-        _check_fields(rec, ("upper", "lower", "incidence"),
-                      ("periods", "unit_tag"), where)
-        periods = parse(_list(rec, "periods", where)) if "periods" in rec else ()
+        if not (type(rec) is dict and need <= rec.keys() <= known
+                and type(rec["incidence"]) is int
+                and type(rec.get("periods", [])) is list):
+            _check_fields(rec, *_INCIDENCE, ("incidences", i))
+            _int(rec, "incidence", ("incidences", i))
+            _list(rec, "periods", ("incidences", i))
+        periods = parse(rec.get("periods", ()))
         if periods and len(periods) != len(basis_forms):
-            raise ParseError(f"{_at(where)}: {len(periods)} periods for "
-                             f"{len(basis_forms)} basis forms")
-        incidences.append(Incidence(
-            upper=str(rec["upper"]), lower=str(rec["lower"]),
-            incidence=_int(rec, "incidence", where), periods=periods,
-            unit_tag=None if "unit_tag" not in rec else _int(rec, "unit_tag", where),
-        ))
+            raise ParseError(f"{_at(('incidences', i))}: {len(periods)} "
+                             f"periods for {len(basis_forms)} basis forms")
+        unit_tag = rec.get("unit_tag")
+        if type(unit_tag) is not int and "unit_tag" in rec:
+            _int(rec, "unit_tag", ("incidences", i))
+        incidences.append(FlowLine(
+            str(rec["upper"]), str(rec["lower"]), rec["incidence"], periods,
+            unit_tag))
     cells = _list(obj, "cells", "cw")
     return RegularCW(
         name=str(obj["name"]), dimension=_int(obj, "dimension", "cw"),

@@ -42,7 +42,7 @@ from morsetwist.chains import (
     homology,
     validate_complex,
 )
-from morsetwist.cw import FacetList, Incidence, RegularCW
+from morsetwist.cw import FacetList, RegularCW
 from morsetwist.errors import MorsetwistError, ParseError
 from morsetwist.invariants import hspace_obstruction
 from morsetwist.linalg import (
@@ -765,9 +765,9 @@ def _cw_ref(obj):
         if periods and len(periods) != len(basis_forms):
             raise ParseError(f"{where}: {len(periods)} periods for "
                              f"{len(basis_forms)} basis forms")
-        incidences.append(Incidence(
-            upper=str(rec["upper"]), lower=str(rec["lower"]),
-            incidence=_typed_ref(rec, "incidence", where, int, "an integer"),
+        incidences.append(FlowLine(
+            frm=str(rec["upper"]), to=str(rec["lower"]),
+            sign=_typed_ref(rec, "incidence", where, int, "an integer"),
             periods=periods,
             unit_tag=None if "unit_tag" not in rec else _typed_ref(
                 rec, "unit_tag", where, int, "an integer")))

@@ -7,7 +7,8 @@ no pytest import, so that a script can import it too."""
 
 import itertools
 
-from morsetwist.cw import FacetList, Incidence, RegularCW
+from morsetwist.cw import FacetList, RegularCW
+from morsetwist.morse import FlowLine
 
 
 def twisted_torus_cw(n):
@@ -30,9 +31,9 @@ def twisted_torus_cw(n):
             for drop in range(k + 1):
                 face, g = canonical(simplex[:drop] + simplex[drop + 1:])
                 layers[k - 1].add(face)
-                incidences.append(Incidence(
-                    upper=str(simplex), lower=str(face),
-                    incidence=(-1) ** drop, periods=g))
+                incidences.append(FlowLine(
+                    frm=str(simplex), to=str(face), sign=(-1) ** drop,
+                    periods=g))
     return RegularCW(name=f"twisted-torus-{n}", dimension=2,
                      cells=[[str(s) for s in sorted(layer)] for layer in layers],
                      incidences=incidences, basis_forms=("dx", "dy"))

@@ -233,8 +233,8 @@ def test_cw_with_flipped_two_cell_incidence(tmp_path, capsys):
     # one 2-cell record flipped: every diamond keeps two cells, d.d != 0
     cw = get_example("rp2-triangulated").cw
     incs = list(cw.incidences)
-    k = next(i for i, inc in enumerate(incs) if inc.upper.count(".") == 2)
-    incs[k] = replace(incs[k], incidence=-incs[k].incidence)
+    k = next(i for i, inc in enumerate(incs) if inc.frm.count(".") == 2)
+    incs[k] = replace(incs[k], sign=-incs[k].sign)
     path = tmp_path / "flipped.json"
     path.write_text(dump_json(replace(cw, incidences=tuple(incs))))
 
@@ -244,6 +244,29 @@ def test_cw_with_flipped_two_cell_incidence(tmp_path, capsys):
     out, err = run(capsys, "homology", str(path), code=1)
     assert out == ""
     assert err.startswith("error: boundary-squared ")
+
+
+def test_a_sign_or_incidence_of_two_keeps_its_error(tmp_path, capsys):
+    """A CW complex refuses the incidence number 2 by its regularity check
+    (exit 1), a datum the flow sign 2 by its own checks (exit 2)."""
+    cw = {"name": "doubled-incidence", "dimension": 1,
+          "cells": [["p", "r"], ["q"]],
+          "incidences": [{"upper": "q", "lower": "p", "incidence": -1},
+                         {"upper": "q", "lower": "r", "incidence": 2}]}
+    path = tmp_path / "incidence-2.json"
+    path.write_text(json.dumps(cw))
+    why = "incidence-value at ('q', 'r'): incidence number 2 is not +-1"
+    out, _ = run(capsys, "validate", str(path), code=1)
+    assert out == f"FAIL regularity: {why}\n"
+    out, err = run(capsys, "homology", str(path), code=1)
+    assert (out, err) == ("", f"error: {why}\n")
+    datum = {"name": "sign-2", "dimension": 1, "basis_forms": [],
+             "points": [{"id": "p", "index": 0}, {"id": "q", "index": 1}],
+             "flows": [{"from": "q", "to": "p", "sign": 2, "periods": []}]}
+    path = tmp_path / "sign-2.json"
+    path.write_text(json.dumps(datum))
+    out, err = run(capsys, "homology", str(path), code=2)
+    assert (out, err) == ("", "error: flow sign must be +-1, got 2\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,8 +289,8 @@ def test_out_of_range_budget_is_usage_error(capsys, argv):
 def _flipped_rp2_cw():
     cw = get_example("rp2-triangulated").cw
     incs = list(cw.incidences)
-    k = next(i for i, inc in enumerate(incs) if inc.upper.count(".") == 2)
-    incs[k] = replace(incs[k], incidence=-incs[k].incidence)
+    k = next(i for i, inc in enumerate(incs) if inc.frm.count(".") == 2)
+    incs[k] = replace(incs[k], sign=-incs[k].sign)
     return replace(cw, incidences=tuple(incs))
 
 
@@ -513,7 +536,7 @@ def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):
         "flows": flows}))
     out, _ = run(capsys, "homology", str(path), "--system", "nov",
                  "--class", "1", code=1)
-    assert out.splitlines() == ["H_0 = indeterminate (reduction stuck)",
+    assert out.splitlines() == ["H_0 = torsion unknown (reduction stuck)",
                                 "H_1 = 0"]
     out, err = run(capsys, "obstructions", str(path), "--system", "nov",
                    "--class", "1", code=1)

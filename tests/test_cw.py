@@ -2,16 +2,16 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
-from spaces import freudenthal_torus_facets, grid_facets
+from spaces import freudenthal_torus_facets, grid_facets, twisted_torus_cw
 
 from morsetwist.catalog import RP2_SIX_VERTEX_FACETS, get_example
 from morsetwist.chains import euler_cells, homology, validate_complex
 from morsetwist.cw import (
     MAX_FACES,
     FacetList,
-    Incidence,
     RegularCW,
     cw_to_morse,
     from_simplicial,
@@ -40,15 +40,15 @@ def test_one_cell_circle_not_regular():
     # single vertex, single edge: the edge lacks two distinct endpoints
     cw = RegularCW(name="one-cell-circle", dimension=1,
                    cells=(("p",), ("q",)),
-                   incidences=(Incidence("q", "p", +1),
-                               Incidence("q", "p", -1)))
+                   incidences=(FlowLine("q", "p", +1),
+                               FlowLine("q", "p", -1)))
     v = validate_regular(cw)
     assert v is not None
     assert v.kind == "edge-endpoints"
     doubled = RegularCW(name="doubled-incidence", dimension=1,
                         cells=(("p", "r"), ("q",)),
-                        incidences=(Incidence("q", "p", -1),
-                                    Incidence("q", "r", 2)))
+                        incidences=(FlowLine("q", "p", -1),
+                                    FlowLine("q", "r", 2)))
     v = validate_regular(doubled)
     assert (v.kind, v.cells) == ("incidence-value", ("q", "r"))
 
@@ -75,15 +75,14 @@ def test_steenrod_matches_morse_random_unit_rep():
         cw = RegularCW(
             name=base_cw.name, dimension=1, cells=base_cw.cells,
             incidences=tuple(
-                Incidence(i.upper, i.lower, i.incidence, periods=i.periods,
-                          unit_tag=t)
+                replace(i, unit_tag=t)
                 for i, t in zip(base_cw.incidences, tags)),
             basis_forms=base_cw.basis_forms)
         lower, upper = cw.cells
         cellular = [[0] * len(upper) for _ in lower]
         for i in cw.incidences:
-            cellular[lower.index(i.lower)][upper.index(i.upper)] += \
-                i.incidence * i.unit_tag
+            cellular[lower.index(i.to)][upper.index(i.frm)] += \
+                i.sign * i.unit_tag
         M = build_complex(cw_to_morse(cw), LocalSystem.unit_rep())
         assert M.diffs[0].entries == cellular
     untagged = replace(base_cw, incidences=(
@@ -93,10 +92,35 @@ def test_steenrod_matches_morse_random_unit_rep():
         build_complex(cw_to_morse(untagged), LocalSystem.unit_rep())
 
 
+def test_cw_to_morse_reuses_the_incidence_records():
+    cw = twisted_torus_cw(4)
+    d = cw_to_morse(cw)
+    assert len(d.flows) == len(cw.incidences)
+    assert all(f is i for f, i in zip(d.flows, cw.incidences))
+    # one record with no periods under two basis forms: only it is replaced
+    incs = list(cw.incidences)
+    incs[5] = replace(incs[5], periods=())
+    bare = replace(cw, incidences=tuple(incs))
+    flows = cw_to_morse(bare).flows
+    assert [k for k, (f, i) in enumerate(zip(flows, bare.incidences))
+            if f is not i] == [5]
+    assert flows[5] == replace(incs[5], periods=(0, 0))
+    assert all(type(p) is Fraction for p in flows[5].periods)
+
+
+def test_a_sign_of_two_is_refused_by_the_datum_not_the_record():
+    f = FlowLine("q", "p", 2)
+    assert f.sign == 2
+    with pytest.raises(ValueError, match=r"flow sign must be \+-1, got 2"):
+        MorseDatum(name="two", dimension=1, basis_forms=(),
+                   points=(CriticalPoint("p", 0), CriticalPoint("q", 1)),
+                   flows=(f,))
+
+
 def test_nonregular_rejected_by_steenrod():
     cw = RegularCW(name="bad", dimension=1, cells=(("p",), ("q",)),
-                   incidences=(Incidence("q", "p", +1),
-                               Incidence("q", "p", -1)))
+                   incidences=(FlowLine("q", "p", +1),
+                               FlowLine("q", "p", -1)))
     with pytest.raises(NotRegular):
         build_complex(cw_to_morse(cw), LocalSystem.trivial())
 
@@ -246,8 +270,7 @@ def dense_violation(cw: RegularCW):
         name=cw.name, dimension=cw.dimension, basis_forms=(),
         points=tuple(CriticalPoint(c, k)
                      for k, layer in enumerate(cw.cells) for c in layer),
-        flows=tuple(FlowLine(i.upper, i.lower, i.incidence)
-                    for i in cw.incidences))
+        flows=cw.incidences)
     return validate_complex(build_complex(datum, LocalSystem.trivial()))
 
 
@@ -258,7 +281,7 @@ def mutate(cw: RegularCW, rng) -> RegularCW:
         k = rng.randrange(len(incs))
         op = rng.choice(["flip", "flip", "drop", "duplicate"])
         if op == "flip":
-            incs[k] = Incidence(incs[k].upper, incs[k].lower, -incs[k].incidence)
+            incs[k] = FlowLine(incs[k].frm, incs[k].to, -incs[k].sign)
         elif op == "drop":
             del incs[k]
         else:

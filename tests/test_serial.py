@@ -1,5 +1,6 @@
 import copy
 import io
+import itertools
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -283,7 +284,8 @@ def test_parse_rational_equals_fraction_of_the_stripped_string():
 ], ids=["sign", "periods", "non-str-first", "unhashable", "periods-list",
         "sign-str", "missing", "unknown", "not-object"])
 def test_first_error_of_a_malformed_flow_is_the_reference_one(record):
-    """Field checks, then the sign, then the periods, then the unit tag."""
+    """Field checks, then the sign's type, then the periods, then the unit
+    tag; a sign of 2 is no read error, so a bad period is the first."""
     obj = {"name": "x", "dimension": 1, "basis_forms": ["t"],
            "points": [{"id": "p", "index": 0}, {"id": "a", "index": 1}],
            "flows": [{"from": "a", "to": "p", "sign": 1, "periods": ["1"]},
@@ -292,3 +294,46 @@ def test_first_error_of_a_malformed_flow_is_the_reference_one(record):
     want = _outcome(load_json_reference, text)
     assert want[0] == "ParseError"
     assert _outcome(load_json, text) == want
+
+
+def test_sign_two_is_reported_after_every_record_is_read(tmp_path, capsys):
+    """The datum checks a sign of 2 with its other per-flow checks, after
+    the reader: a bad period on a later flow is the first error."""
+    flows = [{"from": "a", "to": "p", "sign": 2, "periods": ["1"]},
+             {"from": "a", "to": "p", "sign": 1, "periods": ["x"]}]
+    obj = {"name": "x", "dimension": 1, "basis_forms": ["t"],
+           "points": [{"id": "p", "index": 0}, {"id": "a", "index": 1}],
+           "flows": flows}
+    want = ("ParseError", "bad rational 'x': want p/q with integers")
+    assert _outcome(load_json, json.dumps(obj)) == want
+    assert _outcome(load_json_reference, json.dumps(obj)) == want
+    path = tmp_path / "sign-2.json"
+    path.write_text(json.dumps(obj))
+    assert main(["homology", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {want[1]}\n"
+    flows[1]["periods"] = ["1"]
+    path.write_text(json.dumps(obj))
+    assert main(["homology", str(path)]) == 2
+    assert capsys.readouterr().err == "error: flow sign must be +-1, got 2\n"
+
+
+@pytest.mark.parametrize("name", ["circle-regular", "rp2-triangulated"])
+def test_cw_records_of_any_incidence_parse_like_the_reference(name):
+    """An incidence number of 0, 2 or -2 is read, not refused, and a
+    record's periods may be absent, empty or full, with or without basis
+    forms."""
+    doc = json.loads(dump_json(get_example(name).cw))
+    nforms = len(doc.get("basis_forms", []))
+    for number, periods in itertools.product(
+            (1, 0, 2, -2), (None, [], ["1/3"] * nforms)):
+        mutant = copy.deepcopy(doc)
+        rec = mutant["incidences"][1]
+        rec["incidence"] = number
+        rec.pop("periods", None)
+        if periods is not None:
+            rec["periods"] = periods
+        text = json.dumps(mutant)
+        got = _outcome(load_json, text)
+        assert got[0] == "ok", text
+        assert got == _outcome(load_json_reference, text), text
+        assert got[1].incidences[1].sign == number
