@@ -20,7 +20,7 @@ Freudenthal 3-torus, and with ``-o`` on a grid torus, then ``validate``
 of the written file; ``example list/show/run``; the exponential and
 Novikov regimes on twisted triangulated tori up to 8 x 8, whose boundary
 entries and reductions carry multi-term sums (the larger grids and tori
-fill in heavily during the unit pass, so its heap re-queues units), and
+fill in heavily during the unit pass), and
 on the tori up to 5 x 5 also ``cohomology --system nov``, ``euler`` under
 both systems and ``obstructions --system exp``; one torus under a nonzero
 class that kills every period, so every transport is 1; a datum whose
@@ -42,10 +42,12 @@ counts below the Klein bottle's Novikov bounds, and ``validate`` of
 ``rp2`` with one flow's unit tag flipped; then ``obstructions`` on two
 circles whose second one is twisted, and the Novikov commands on a datum
 that a depth-16 leaf misreads, at depths 16 and 32, and ``euler`` on it;
-and last of all a sign or incidence number of 2, which no reader
+and then a sign or incidence number of 2, which no reader
 refuses: ``validate`` and ``homology`` of a CW complex with the incidence
 number 2 (an ``incidence-value`` violation, exit 1) and ``homology`` of a
-datum with the flow sign 2 (exit 2).  The torsion block and
+datum with the flow sign 2 (exit 2); and last of all
+``from-triangulation`` on the 32 x 32 grid torus and Klein bottle,
+where the unit pass's pivot order shapes the leftover most.  The torsion block and
 ``rp2.facets`` are read from ``docs/examples``.  The broken files hold
 period values of every JSON type, padded and non-ASCII-digit strings, in
 a flow and in a CW incidence, and one flow with both a bad unit tag and a
@@ -381,6 +383,13 @@ def bad_signs():
     yield ["homology", write("sign-2.json", json.dumps(datum))]
 
 
+def large_grids():
+    for name, klein in (("torus", False), ("klein", True)):
+        yield ["from-triangulation",
+               write(f"grid-{name}-32.facets",
+                     facets_to_text(grid_facets(32, klein)))]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -438,6 +447,7 @@ def invocations():
     yield from failed_checks()
     yield from hidden_twists()
     yield from bad_signs()
+    yield from large_grids()
 
 
 def run():

@@ -69,25 +69,31 @@ def hspace_obstruction(sys: LocalSystem, simple: bool,
                        summary: HomologySummary | None) -> ObstructionVerdict:
     """Triggered when the system is not ``simple`` AND some degree of its
     twisted homology ``summary`` is nonzero — which rules out an associative
-    H-space structure.  ``summary`` may be None only for a simple system."""
+    H-space structure.  ``summary`` may be None only for a simple system.
+    Betti numbers are exact, so a stuck degree (torsion unknown) witnesses
+    by its b > 0 and its torsion is named as unknown in the witness; with
+    no witness and a stuck degree the verdict is ``Indeterminate``."""
     if simple:
         return ObstructionVerdict("H_SPACE", False)
-    if not summary.complete:
-        raise Indeterminate("a degree's reduction is stuck; "
-                            "H-space verdict unknown")
     # a unit-representation run counts only free rank, so an all-torsion
     # degree does not get silently promoted to nonzero
     torsion = sys.regime != EXPSUM and sys.flavor != UNIT_REP
     nonzero = [k for k, s in enumerate(summary.degrees)
                if s.betti > 0 or (torsion and s.torsion)]
+    unknown = [k for k, s in enumerate(summary.degrees)
+               if s.status == "stuck"]
     if not nonzero:
+        if unknown:
+            raise Indeterminate("a degree's reduction is stuck; "
+                                "H-space verdict unknown")
         return ObstructionVerdict("H_SPACE", False)
     cls_txt = (" class " + ",".join(str(c) for c in sys.class_vector)
                if sys.class_vector else "")
+    note = f"; torsion unknown in degree(s) {unknown}" if unknown else ""
     return ObstructionVerdict(
         "H_SPACE", True,
         witness=(f"system {sys.flavor}{cls_txt} is not simple and homology "
-                 f"is nonzero in degree(s) {nonzero}"))
+                 f"is nonzero in degree(s) {nonzero}{note}"))
 
 
 def parallel_form_obstruction(class_vector,

@@ -3,8 +3,11 @@
 * ``cancel_units`` — one sparse pass that cancels every entry that is a
   unit under one rule for every ring: ±1, or a single term ±t^a (±u^k
   over ℤ[u, u⁻¹]), whose exact inverse is its ``bar`` image under
-  u ↦ u⁻¹ (algebraic Morse reduction).  ``chains.reduce`` runs it once
-  across a whole complex, and nothing else calls it.
+  u ↦ u⁻¹ (algebraic Morse reduction).  Pivots come cheapest first by
+  Markowitz cost as queued, from one stack per cost; each unit keeps an
+  item in some stack, so the pass ends only when no unit is left.
+  ``chains.reduce`` runs it once across a whole complex, and nothing
+  else calls it.
 * ``snf_int`` — Smith normal form over the integers, giving ranks and
   torsion invariant factors.
 * ``rank_expsum`` — rank over the fraction field of ℤ[u, u⁻¹].  Distinct
@@ -32,7 +35,6 @@ share one shape, so nothing here asks which way a matrix points.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
@@ -106,33 +108,29 @@ def cancel_units(A: Matrix):
     Returns (pivots, leftover Matrix), the pivots as the (row, col) of A
     that each step pivoted on, in order, and the leftover over every row
     and column of A that no pivot took, in A's order, zero ones included;
-    with no unit to take, that is ((), A).  Each step takes the unit of
-    lowest Markowitz cost (row nnz - 1)·(col nnz - 1), ties to the lowest
-    (row, col), and replaces the matrix by its Schur complement: the
-    pivot's inverse lies in the ring, so A is equivalent to diag(pivots,
-    leftover), and rank, invariant factors and torsion all come from the
-    leftover.  Only a pivot's inverse is built, as its ``bar`` image, when
-    it is taken.  A pivot pairs the cells of its row and column;
-    ``chains.reduce`` drops them from the generators and the neighbouring
-    boundaries.
+    with no unit to take, that is ((), A).  Each step pivots on a unit and
+    replaces the matrix by its Schur complement: the pivot's inverse lies
+    in the ring, so A is equivalent to diag(pivots, leftover), and rank,
+    invariant factors and torsion all come from the leftover.  Only a
+    pivot's inverse is built, as its ``bar`` image, when it is taken.  A
+    pivot pairs the cells of its row and column; ``chains.reduce`` drops
+    them from the generators and the neighbouring boundaries.
+
+    Pivots go cheapest first by the Markowitz cost (row nnz - 1)·(col
+    nnz - 1), as queued: one stack per cost holds the packed positions
+    row·ncols + col of units, each queued when the pass starts and again
+    whenever the Schur update writes it.  ``k`` is the lowest cost whose
+    stack may be nonempty.  An item popped from stack k whose entry is
+    gone or no longer a unit is dropped; one whose unit now costs other
+    than k (its row or column shrank or grew since) is queued again at
+    that cost; otherwise its unit is the pivot.  Every unit entry thus
+    keeps an item in some stack, so when every stack is empty, no unit is
+    left: the pass cancels every unit.
     """
     ncols = A.cols
-    span = A.rows * ncols
     rows = {}       # row -> {col: nonzero entry}
     cols = {}       # col -> set of rows holding a nonzero entry there
-    # Lazily re-keyed heap.  A unit u at (row, col) sits at position
-    # row·ncols + col, and its heap items are the ints key·span + position,
-    # which order exactly like (key, row, col) tuples.  best[u] is the key
-    # of unit u's live item (an older item of u is dropped when it
-    # surfaces) and never exceeds u's cost: after a pivot a unit is offered
-    # again only if its row or column got shorter or its entry was
-    # rewritten, and queued only if its cost fell below best[u]; a live
-    # item that surfaces below its unit's cost is queued again at that
-    # cost.  So the first live item popped at its cost is the lowest-cost
-    # unit, ties to the lowest (row, col), exactly as if every cost were
-    # re-keyed after every pivot.
-    best = {}
-    heap = []
+    stacks = {}     # cost -> packed positions of units queued at that cost
     for i, row in enumerate(A.data):
         if row:
             rows[i] = dict(row)
@@ -142,79 +140,67 @@ def cancel_units(A: Matrix):
         rk = len(row) - 1
         for j, e in row.items():
             if _is_unit(e):
-                p = i * ncols + j
-                best[p] = k = rk * (len(cols[j]) - 1)
-                heap.append(k * span + p)
-    if not heap:
+                stacks.setdefault(rk * (len(cols[j]) - 1), []).append(
+                    i * ncols + j)
+    if not stacks:
         return (), A
-    heapq.heapify(heap)
 
     pivots = []
-    while heap:
-        key, p = divmod(heapq.heappop(heap), span)
-        if best.get(p) != key:
+    k = min(stacks)
+    while True:
+        stack = stacks[k]
+        if not stack:
+            del stacks[k]
+            if not stacks:
+                break
+            k = min(stacks)
             continue
+        p = stack.pop()
         r, c = divmod(p, ncols)
-        k = (len(rows[r]) - 1) * (len(cols[c]) - 1)
-        if key < k:
-            best[p] = k
-            heapq.heappush(heap, k * span + p)
+        prow = rows.get(r)
+        if prow is None or c not in prow or not _is_unit(prow[c]):
+            continue
+        cost = (len(prow) - 1) * (len(cols[c]) - 1)
+        if cost != k:
+            stacks.setdefault(cost, []).append(p)
+            if cost < k:
+                k = cost
             continue
         pivots.append((r, c))
-        del best[p]
-        prow = rows.pop(r)
+        del rows[r]
         inv = bar(prow.pop(c))
         pcol = cols.pop(c)
         pcol.discard(r)
-        base = p - c
-        col_len = {}    # col -> its length before the pivot
         for j in prow:
-            best.pop(base + j, None)
-            col = cols[j]
-            col_len[j] = len(col)
-            col.discard(r)
-        offers = []     # positions of units to offer again
+            cols[j].discard(r)
         for i in pcol:
             row = rows[i]
-            before = len(row)
             base = i * ncols
-            best.pop(base + c, None)
             f = row.pop(c) * inv
             for j, x in prow.items():
+                col = cols[j]
                 if j in row:
                     v = row[j] - f * x
                     if not v:
                         del row[j]
-                        best.pop(base + j, None)
-                        cols[j].discard(i)
+                        col.discard(i)
                         continue
                 else:
                     v = -(f * x)
                     if not v:
                         continue
-                    cols[j].add(i)
+                    col.add(i)
                 row[j] = v
                 if _is_unit(v):
-                    offers.append(base + j)
-                else:
-                    best.pop(base + j, None)
+                    cost = (len(row) - 1) * (len(col) - 1)
+                    stacks.setdefault(cost, []).append(base + j)
+                    if cost < k:
+                        k = cost
             if not row:
                 del rows[i]
-            elif len(row) < before:
-                offers += [base + j for j, e in row.items() if _is_unit(e)]
         for j in prow:
-            col = cols[j]
-            if not col:
+            if not cols[j]:
                 del cols[j]
-            elif len(col) < col_len[j]:
-                offers += [i * ncols + j for i in col
-                           if _is_unit(rows[i][j])]
-        for p in offers:
-            i, j = divmod(p, ncols)
-            k = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            if k < best.get(p, inf):
-                best[p] = k
-                heapq.heappush(heap, k * span + p)
 
     prows, pcols = map(set, zip(*pivots))
     rest = [rows.get(i, {}) for i in range(A.rows) if i not in prows]

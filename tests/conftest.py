@@ -14,8 +14,8 @@ homology with each boundary reduced on its own, which the unit pass
 across the whole complex must agree with; a seeded family of Morse data
 whose Novikov answers depend on the depth; seeded random facet lists
 (the twisted torus, grid and Freudenthal spaces are in ``spaces.py``);
-the eagerly re-keyed unit pass that the lazily re-keyed heap of
-``morsetwist.linalg.cancel_units`` must agree with; and the Novikov leaf
+the unit pass of ``morsetwist.linalg.cancel_units`` replayed eagerly
+along its own pivots, whose leftover it must leave; and the Novikov leaf
 that cleared a unit pivot's row and column by whole-row and whole-column
 operations, which ``morsetwist.linalg._nov_leaf`` must agree with; and
 the JSON reader that checked each record's fields by building its name
@@ -24,7 +24,6 @@ through ``Fraction(str)``, which ``morsetwist.serial.load_json`` must
 agree with; and the H-space verdict of a datum under a system, composed
 from its simplicity and its homology as ``obstructions`` composes it."""
 
-import heapq
 import itertools
 import json
 import re
@@ -435,83 +434,34 @@ def random_facet_lists(rng, count):
     return out
 
 
-# --- the eager unit pass ----------------------------------------------------
+# --- the unit pass replayed ------------------------------------------------
 
-def unit_pivots_eager(A):
-    """``linalg.cancel_units`` with an eagerly re-keyed heap and the same
-    unit rule, read from the dense view: after every pivot, every unit of
-    every row and column the pivot touched is pushed again at its current
-    cost, so the heap always holds each live unit at its cost and stale
-    items are dropped when they surface.  Returns (the (row, col) pivots in
-    the order taken, leftover as dense rows over every row and column that
-    no pivot took, zero ones included)."""
-    rows = {}       # row -> {col: nonzero entry}
-    cols = {}       # col -> set of rows holding a nonzero entry there
-    inverses = {}   # (row, col) -> inverse of the unit last written there
-
-    def put(i, j, v):
-        rows[i][j] = v
-        if _is_unit(v):
-            inverses[i, j] = bar(v)
-        else:
-            inverses.pop((i, j), None)
-
-    for i, row in enumerate(A.entries):
-        nonzero = [j for j, e in enumerate(row) if e]
-        if nonzero:
-            rows[i] = {}
-            for j in nonzero:
-                put(i, j, row[j])
-                cols.setdefault(j, set()).add(i)
-
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    heap = [(cost(i, j), i, j) for i, j in inverses]
-    heapq.heapify(heap)
-    pivots = []
-    while heap:
-        key, r, c = heapq.heappop(heap)
-        if c not in rows.get(r, ()) or (r, c) not in inverses \
-                or key != cost(r, c):
-            continue
-        inv = inverses[r, c]
-        pivots.append((r, c))
-        prow = rows.pop(r)
-        del prow[c]
-        pcol = cols.pop(c)
-        pcol.discard(r)
-        for j in prow:
-            cols[j].discard(r)
-        for i in pcol:
-            row = rows[i]
-            f = row.pop(c) * inv
-            for j, x in prow.items():
-                v = row[j] - f * x if j in row else -(f * x)
-                if v:
-                    put(i, j, v)
-                    cols[j].add(i)
-                elif j in row:
-                    del row[j]
-                    cols[j].discard(i)
-            if not row:
-                del rows[i]
-        for j in prow:
-            if not cols[j]:
-                del cols[j]
-        for i in pcol:
-            for j in rows.get(i, ()):
-                if (i, j) in inverses:
-                    heapq.heappush(heap, (cost(i, j), i, j))
-        for j in prow:
-            for i in cols.get(j, ()):
-                if (i, j) in inverses:
-                    heapq.heappush(heap, (cost(i, j), i, j))
-
-    prows, pcols = {r for r, _ in pivots}, {c for _, c in pivots}
-    live_cols = [j for j in range(A.cols) if j not in pcols]
-    return pivots, [[rows.get(i, {}).get(j, 0) for j in live_cols]
-                    for i in range(A.rows) if i not in prows]
+def unit_pass_replay(A, pivots):
+    """``linalg.cancel_units`` replayed along the given pivots on the dense
+    view: each pivot must be a unit, in a row and column that no earlier
+    pivot took, when its turn comes, and its row and column go by an
+    eager Schur complement with its ``bar`` inverse.  Returns the leftover
+    as dense rows over every row and column that no pivot took, zero ones
+    included."""
+    a = A.entries
+    live_rows, live_cols = set(range(A.rows)), set(range(A.cols))
+    for r, c in pivots:
+        assert r in live_rows and c in live_cols and _is_unit(a[r][c]), \
+            (r, c)
+        inv = bar(a[r][c])
+        live_rows.discard(r)
+        live_cols.discard(c)
+        prow = [(j, a[r][j]) for j in live_cols if a[r][j]]
+        for i in live_rows:
+            row = a[i]
+            if not row[c]:
+                continue
+            f = row[c] * inv
+            for j, x in prow:
+                v = row[j] - f * x if row[j] else -(f * x)
+                row[j] = v if v else 0
+            row[c] = 0
+    return [[a[i][j] for j in sorted(live_cols)] for i in sorted(live_rows)]
 
 
 # --- the Novikov leaf with whole-row and whole-column unit steps -------------

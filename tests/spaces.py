@@ -2,13 +2,15 @@
 both build: the twisted triangulated torus, grid triangulations of the
 torus and the Klein bottle, Freudenthal tori, and two Morse data in
 their JSON form: two circles whose second one is twisted, and a datum
-whose Novikov rank a truncated inverse misreads.  A plain module, with
+whose Novikov rank a truncated inverse misreads; and the product of two
+Morse data.  A plain module, with
 no pytest import, so that a script can import it too."""
 
 import itertools
+from fractions import Fraction
 
 from morsetwist.cw import FacetList, RegularCW
-from morsetwist.morse import FlowLine
+from morsetwist.morse import CriticalPoint, FlowLine, MorseDatum
 
 
 def twisted_torus_cw(n):
@@ -105,3 +107,30 @@ def false_zero():
              *[_flow("y", "b", 1, str(i)) for i in range(17) for _ in range(4)]]
     return {"name": "false-zero", "dimension": 1, "basis_forms": ["theta"],
             "points": points, "flows": flows}
+
+
+def product(a, b) -> MorseDatum:
+    """The product of Morse data a and b: a point (x, y) of index
+    ind x + ind y for each pair of points; a flow x -> x' of a gives
+    (x, y) -> (x', y) with its sign, and a flow y -> y' of b gives
+    (x, y) -> (x, y') with sign (-1)^(ind x) times its own, so the boundary
+    is ∂x ⊗ y + (-1)^|x| x ⊗ ∂y.  The periods of a flow are padded with
+    zeros for the other factor's forms, so a class on the product is a
+    class of a followed by one of b.  Unit and deck tags are dropped."""
+    def pid(x, y):
+        return f"({x},{y})"
+    pad_a = (Fraction(0),) * len(b.basis_forms)
+    pad_b = (Fraction(0),) * len(a.basis_forms)
+    flows = [FlowLine(pid(f.frm, y.id), pid(f.to, y.id), f.sign,
+                      f.periods + pad_a)
+             for f in a.flows for y in b.points]
+    flows += [FlowLine(pid(x.id, g.frm), pid(x.id, g.to),
+                       (-1) ** x.index * g.sign, pad_b + g.periods)
+              for x in a.points for g in b.flows]
+    return MorseDatum(
+        name=f"{a.name} x {b.name}", dimension=a.dimension + b.dimension,
+        basis_forms=tuple(f"{f}_1" for f in a.basis_forms)
+        + tuple(f"{f}_2" for f in b.basis_forms),
+        points=tuple(CriticalPoint(pid(x.id, y.id), x.index + y.index)
+                     for x in a.points for y in b.points),
+        flows=tuple(flows))

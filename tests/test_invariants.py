@@ -1,17 +1,22 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from conftest import hspace_verdict
 from morsetwist.catalog import get_example
 from morsetwist.chains import homology
+from morsetwist.cli import main
 from morsetwist.errors import Indeterminate, ParseError, ZeroClass
 from morsetwist.invariants import (
     check_inequalities,
+    hspace_obstruction,
     novikov_numbers,
     parallel_form_obstruction,
 )
 from morsetwist.morse import LocalSystem, build_complex, is_simple
+from morsetwist.serial import load_json
 
 CIRCLE = get_example("circle-std").datum
 TORUS = get_example("torus").datum
@@ -68,6 +73,34 @@ def test_hspace_obstruction_matrix():
                           LocalSystem.unit_rep()).triggered
     assert not hspace_verdict(get_example("rpn(3)").datum,
                               LocalSystem.unit_rep()).triggered
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
+def test_hspace_verdict_with_a_stuck_degree(capsys):
+    # torsion-block under class 1: H_0 = Nov is exact and the torsion of
+    # H_1 is stuck, so b_0 > 0 witnesses the verdict and the witness names
+    # the degree whose torsion is unknown
+    path = EXAMPLES / "torsion-block.json"
+    assert main(["obstructions", str(path), "--system", "nov",
+                 "--class=1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "H_SPACE: TRIGGERED (system NOV class 1 is not simple and homology "
+        "is nonzero in degree(s) [0]; torsion unknown in degree(s) [1])")
+    # the stuck circle: b = 0 in every degree and the torsion of H_0 is
+    # unknown, so nothing witnesses the verdict and none is read
+    flows = [{"from": "q", "to": "p", "sign": sign, "periods": [period]}
+             for sign, period in ((1, "0"), (1, "0"), (-1, "1"))]
+    d = load_json(json.dumps({
+        "name": "stuck-circle", "dimension": 1, "basis_forms": ["theta"],
+        "points": [{"id": "p", "index": 0}, {"id": "q", "index": 1}],
+        "flows": flows}))
+    sys = LocalSystem.nov((F(1),))
+    summary = homology(build_complex(d, sys))
+    assert [s.status for s in summary.degrees] == ["stuck", "complete"]
+    with pytest.raises(Indeterminate):
+        hspace_obstruction(sys, is_simple(d, sys), summary)
 
 
 def test_hspace_never_triggered_for_trivial():

@@ -14,7 +14,7 @@ from conftest import (
     pass_then_leaf,
     rank_int_bruteforce,
     specialise,
-    unit_pivots_eager,
+    unit_pass_replay,
 )
 from spaces import grid_facets, twisted_torus_cw
 import morsetwist.linalg as linalg
@@ -369,11 +369,37 @@ def test_unit_pass_then_leaf_equals_leaf_alone(minors_oracle):
     assert both >= 39
 
 
-def test_lazy_unit_pass_equals_eager_reference():
-    # the lazily re-keyed heap must take the eager heap's pivots in the same
-    # order, since the pivots decide which cells reduce drops from the
-    # generators and the next boundary, and leave the same leftover, over
-    # every row and column that no pivot took
+def _markowitz_costs(A):
+    """(row nnz - 1)·(col nnz - 1) of every unit entry of A, by position."""
+    col_len = {}
+    for row in A.data:
+        for j in row:
+            col_len[j] = col_len.get(j, 0) + 1
+    return {(i, j): (len(row) - 1) * (col_len[j] - 1)
+            for i, row in enumerate(A.data)
+            for j, e in row.items() if _is_unit(e)}
+
+
+def _check_unit_pass(A):
+    """Run the unit pass on A and check it against its replay: every pivot
+    is a unit when its turn comes, the leftover is the replay's, stores
+    nonzero entries only and holds no unit, and the first pivot costs the
+    least of A's units.  Returns (pivots, leftover as dense rows)."""
+    pivots, rest = cancel_units(A)
+    assert all(e for row in rest.data for e in row.values()), A
+    assert rest.entries == unit_pass_replay(A, pivots), A
+    assert not any(_is_unit(e) for row in rest.data for e in row.values()), A
+    if pivots:
+        costs = _markowitz_costs(A)
+        assert costs[pivots[0]] == min(costs.values()), A
+    return list(pivots), rest.entries
+
+
+def test_unit_pass_replays_to_its_leftover_and_leaves_no_unit():
+    # the pass is free to take its units in any order that keeps each pivot
+    # a unit: the pivots are checked by replaying them, and the leftover by
+    # what the replay leaves; that no unit is left is what chains.reduce
+    # relies on, and the first pivot is the cheapest one A offers
     rng = random.Random(31415)
     regimes = [
         (0, lambda r: r.choice([1, -1]), lambda r: r.choice([-3, 2, 4])),
@@ -402,10 +428,45 @@ def test_lazy_unit_pass_equals_eager_reference():
             for cls in ((0, 0), (1, F(1, 3))):
                 cases += build_complex(d, system(cls)).diffs
     for A in cases:
-        pivots, rest = cancel_units(A)
-        # the leftover stores nonzero entries only, so each absent one is 0
-        assert all(e for row in rest.data for e in row.values())
-        assert (list(pivots), rest.entries) == unit_pivots_eager(A), A
+        _check_unit_pass(A)
+
+
+def test_unit_pass_drops_an_item_whose_entry_is_gone():
+    # the four units cost 2, 2, 1, 1 and are queued in row order, so (1, 1)
+    # is popped first: its update cancels (0, 0), whose item is dropped, as
+    # are those of (1, 0) and (0, 1), whose row or column it took
+    assert _check_unit_pass(M([[1, 1, 2], [1, 1, 0]])) == ([(1, 1)],
+                                                           [[0, 2]])
+    # here the update overwrites (0, 0) by 1 - (-1) = 2, not a unit
+    assert _check_unit_pass(M([[1, 1], [-1, 1]])) == ([(1, 1)], [[2]])
+
+
+def test_unit_pass_queues_a_unit_whose_column_grew_at_its_new_cost():
+    # (0, 0) costs 1·2 and goes first; its fill puts -4 into column 1 at
+    # rows 1 and 2, so (3, 1), queued at 3·1, surfaces costing 3·2 and is
+    # queued again at 6, after (4, 5), which costs 2·2
+    A = M([[1, 2, 0, 0, 0, 0, 0, 0],
+           [2, 0, 0, 0, 0, 0, 0, 0],
+           [2, 0, 0, 0, 0, 0, 0, 0],
+           [0, 1, 2, 2, 2, 0, 0, 0],
+           [0, 0, 0, 0, 0, 1, 2, 2],
+           [0, 0, 0, 0, 0, 2, 0, 0],
+           [0, 0, 0, 0, 0, 2, 0, 0]])
+    assert _check_unit_pass(A) == ([(0, 0), (4, 5), (3, 1)],
+                                   [[8, 8, 8, 0, 0], [8, 8, 8, 0, 0],
+                                    [0, 0, 0, -4, -4], [0, 0, 0, -4, -4]])
+
+
+def test_unit_pass_takes_a_unit_whose_row_shrank_before_its_old_cost():
+    # (0, 0) costs 1 and goes first; its update cancels 6 - 3·2 in row 2,
+    # so (2, 2), queued at 3·1 on top of (1, 4), surfaces costing 1·1, is
+    # queued again at 1 and taken before (1, 4), which still costs 3
+    A = M([[1, 2, 0, 0, 0, 0, 0, 0],
+           [0, 0, 0, 0, 1, 2, 2, 2],
+           [3, 6, 1, 5, 0, 0, 0, 0],
+           [0, 0, 2, 0, 2, 0, 0, 0]])
+    assert _check_unit_pass(A) == ([(0, 0), (2, 2), (1, 4)],
+                                   [[0, -10, -4, -4, -4]])
 
 
 def test_unit_free_matrix_is_its_own_leftover():
