@@ -9,15 +9,16 @@ the torsion of H^k is read from the other side.  ``reduce`` cancels every
 unit incidence across the complex and returns the smaller complex that
 is left; ``homology`` reads each degree off that complex with its
 regime's leaf reducer.  A twisted (exponential or Novikov) complex holds
-its matrices over ℤ[u, u⁻¹], u = t^(1/scale), and is checked, reduced and
-reported there.
+its matrices over ℤ[u, u⁻¹], u = t^(1/scale), and is checked, reduced,
+dualized and reported there.  Every entry is exact: truncated series
+exist only inside the Novikov leaf, ``linalg._nov_leaf``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidComplex, NonInvertibleEntry, NotAUnit
+from .errors import InvalidComplex
 from .linalg import (Matrix, Reduction, bar, cancel_units, nov_reduce,
                      rank_expsum, snf_int)
 from .rings import laurent_image
@@ -195,19 +196,15 @@ def dualize(C: ChainComplex) -> ChainComplex:
 
     Inverting a transport negates its exponent (``linalg.bar``, u ↦ u⁻¹
     over ℤ[u, u⁻¹]); the flow-line signs are untouched.  Only the stored
-    (nonzero) entries are inverted; zero is its own inverse, and a
-    truncated entry raises NonInvertibleEntry.  Each matrix keeps its
-    shape, so the result, marked ascending, stores delta_k as its
-    transpose.
+    (nonzero) entries are inverted; zero is its own inverse.  Each matrix
+    keeps its shape, so the result, marked ascending, stores delta_k as
+    its transpose.
     """
     if C.ascending:
         raise ValueError("dualize expects a descending (chain) complex")
-    try:
-        diffs = [Matrix(d.rows, d.cols, [{j: bar(e) for j, e in row.items()}
-                                         for row in d.data])
-                 for d in C.diffs]
-    except NotAUnit as exc:
-        raise NonInvertibleEntry(str(exc)) from exc
+    diffs = [Matrix(d.rows, d.cols, [{j: bar(e) for j, e in row.items()}
+                                     for row in d.data])
+             for d in C.diffs]
     return ChainComplex(regime=C.regime, generators=C.generators,
                         diffs=diffs, ascending=True, scale=C.scale)
 

@@ -13,16 +13,8 @@ class ZeroElement(MorsetwistError):
     """Operation undefined on the zero element."""
 
 
-class NotAUnit(MorsetwistError):
-    """Inversion requested for a non-invertible element."""
-
-
 class InvalidComplex(MorsetwistError):
     """Chain complex failed the boundary-squared check."""
-
-
-class NonInvertibleEntry(MorsetwistError):
-    """Dualization hit a transport that cannot be inverted."""
 
 
 class TooManyTerms(MorsetwistError):

@@ -15,7 +15,8 @@
   equals the real one.
 * ``nov_reduce`` — torsion by valuation-pivoted diagonalization over the
   Novikov ring, with truncated unit inversion and an explicit iteration
-  budget; its rank is ``rank_expsum``'s.
+  budget; its rank is ``rank_expsum``'s.  Only its leaf makes truncated
+  series, by ``_unit_inverse``; every entry in and out is exact.
 
 The reducers are the leaves of ``chains.homology``, which hands them the
 small boundaries of the reduced complex: each returns one ``Reduction``
@@ -35,6 +36,7 @@ share one shape, so nothing here asks which way a matrix points.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
@@ -97,8 +99,7 @@ def _is_unit(e) -> bool:
 
 def bar(e):
     """The bar involution u ↦ u⁻¹ (t^a ↦ t^(-a)) on an entry: an int is
-    fixed, and a unit ±1 or ±t^a goes to its exact inverse.  NotAUnit for
-    a truncated element, whose terms below the floor are unknown."""
+    fixed, and a unit ±1 or ±t^a goes to its exact inverse."""
     return e if type(e) is int else e.invert_exponents()
 
 
@@ -289,7 +290,7 @@ def rank_expsum(A: Matrix) -> Reduction:
 
 
 def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
-    """Rank and torsion over the Novikov ring.  A truncated entry
+    """Rank and torsion over the Novikov ring.  A depth ≤ 0
     (``ValueError``) and a depth above ``MAX_TERMS`` (``TooManyTerms``) are
     refused before any pivot.  The rank is ``rank_expsum``'s: the Novikov
     field extends the fraction field of ℤ[u, u⁻¹], and a field extension
@@ -302,15 +303,45 @@ def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
     ``chains.reduce`` cancels those units first, free of charge, so
     ``chains.homology`` budgets the leaf on its leftover only.
     """
-    if any(getattr(e, "floor", None) is not None
-           for row in A.data for e in row.values()):
-        raise ValueError("nov_reduce requires exact (untruncated) entries")
+    if depth <= 0:
+        raise ValueError(f"Novikov depth must be > 0, got {depth}")
     if depth > MAX_TERMS:
         raise TooManyTerms(f"Novikov depth {depth} in powers of u exceeds "
                            f"the cap of {MAX_TERMS} inverse terms")
     leaf = _nov_leaf(A, depth, max_iter)
     rank = rank_expsum(A).rank
     return leaf if leaf.rank == rank else Reduction(rank, status="stuck")
+
+
+def _unit_inverse(x: NovElem, depth) -> NovElem:
+    """Truncated inverse of a Novikov unit x (top coefficient ±1) at a
+    depth > 0: its floor is its own top exponent minus depth, or higher
+    when x is truncated.  An unknown part at or below x's floor f changes
+    the inverse at or below f − 2·e0, where e0 is x's top exponent.  By
+    long division: each step moves the remainder's top term into the
+    quotient, at one product per term of x."""
+    n0, e0 = x.terms[0]
+    # x = n0 t^e0 (1 + w) with w strictly below exponent 0; divide 1 by
+    # 1 + w down to t^(-depth) or, for a truncated x, its floor shifted to
+    # exponent 0.  A step only adds remainder terms below its own, so those
+    # at or below the cut are never kept.
+    cut = -depth if x.floor is None else max(-depth, x.floor - e0)
+    w = [(c * n0, e - e0) for c, e in x.terms[1:]]  # n0 in {1,-1}
+    zero = e0 - e0  # 0 in the exponents' type
+    rem, heap, quot = {zero: 1}, [zero], []  # heap: negated exponents
+    while heap:
+        e = -heapq.heappop(heap)
+        c = rem.pop(e)
+        if c:
+            quot.append((c * n0, e - e0))
+            for cw, ew in w:
+                y = e + ew
+                if y > cut:
+                    if y not in rem:
+                        rem[y] = 0
+                        heapq.heappush(heap, -y)
+                    rem[y] -= c * cw
+    return _make(NovElem, tuple(quot), cut - e0)
 
 
 def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
@@ -392,7 +423,7 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
             if ops > max_iter:
                 return Reduction(0, status="stuck")
             if below and right:
-                inv = row[k].invert(depth)
+                inv = _unit_inverse(row[k], depth)
                 for i in below:
                     ri = a[i]
                     f = ri[k] * inv
@@ -411,7 +442,7 @@ def _nov_leaf(A: Matrix, depth, max_iter) -> Reduction:
         if len(terms) > 1 and all(ci % pc == 0 for ci, _ in terms):
             # U's terms are the pivot's, shifted and divided: still canonical
             unit = tuple([(ci // pc, x - px) for ci, x in terms])
-            inv = _make(NovElem, unit).invert(depth)
+            inv = _unit_inverse(_make(NovElem, unit), depth)
             a[k] = [e * inv if e else e for e in a[k]]
             ops += 1
             if ops > max_iter:

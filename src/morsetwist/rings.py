@@ -3,19 +3,20 @@
 Every twisted complex is built, checked and reduced as ints and
 ``NovElem``s: sums of monomials ``c * u^k`` with int coefficients and,
 over ℤ[u, u⁻¹] (``laurent``), int exponents; ``laurent_image`` reads one
-in t = u^scale.  A truncation floor marks where a series computed by
-unit inversion stops being known.  ``ExpSum`` holds such sums with
-rational coefficients; no reduction computes in it.
+in t = u^scale.  ``ExpSum`` holds such sums with rational coefficients;
+no reduction computes in it.  A ``NovElem`` from any public path is exact
+(``floor`` None): truncated series exist only inside ``linalg._nov_leaf``,
+whose unit inverses carry a floor at or below which terms are unknown,
+and ``+``, ``−`` and ``·`` keep every result term above it.
 
 Every element holds a canonical term tuple: ``(coeff, exp)`` pairs whose
 exponents are distinct exact rationals in strictly descending order, with
 no zero coefficient; coefficients are ``int`` in a ``NovElem`` and
-``Fraction`` in an ``ExpSum``, and every term of a truncated ``NovElem``
-lies above its floor.  The constructors ``NovElem(raw)``/``ExpSum(raw)``
-(via ``_merge_terms``) and ``monomial`` are the only paths that accept
-outside values, and they cast and check every one.  Arithmetic on two
-canonical operands builds a canonical result directly (``_add_terms``,
-``_mul_terms``, ``_make``) and never re-normalises it.
+``Fraction`` in an ``ExpSum``.  The constructors ``NovElem(raw)``/
+``ExpSum(raw)`` (via ``_merge_terms``) and ``monomial`` are the only paths
+that accept outside values, and they cast and check every one.  Arithmetic
+on two canonical operands builds a canonical result directly
+(``_add_terms``, ``_mul_terms``, ``_make``) and never re-normalises it.
 
 All exponents are exact rationals.  Transcendental period values coming
 from angular forms are stored after dividing by one full turn, so a half
@@ -25,11 +26,10 @@ automorphism and changes no rank, unit status, or torsion downstream.
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
 
-from .errors import NotAUnit, ParseError, ZeroElement
+from .errors import ParseError, ZeroElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -226,19 +226,17 @@ class ExpSum:
 
 
 class NovElem:
-    """Element of the rational-exponent Novikov ring, optionally truncated.
+    """Element of the rational-exponent Novikov ring.
 
-    ``floor`` is None for an exact element.  When set, stored terms all have
-    exponent > floor and anything at or below the floor is unknown.
+    ``floor`` is None for an exact element, the only kind outside the leaf.
+    When set, stored terms all have exponent > floor; the rest is unknown.
     """
 
     __slots__ = ("terms", "floor")
 
-    def __init__(self, raw_terms=(), floor=None):
-        terms = _merge_terms(raw_terms, _int_cast)
-        f = None if floor is None else _rat(floor)
-        object.__setattr__(self, "terms", _cut(terms, f))
-        object.__setattr__(self, "floor", f)
+    def __init__(self, raw_terms=()):
+        object.__setattr__(self, "terms", _merge_terms(raw_terms, _int_cast))
+        object.__setattr__(self, "floor", None)
 
     def __setattr__(self, *a):
         raise AttributeError("NovElem is immutable")
@@ -327,47 +325,7 @@ class NovElem:
         c, e = self.terms[0]
         return c, e
 
-    def is_unit(self) -> bool:
-        return bool(self.terms) and self.terms[0][0] in (1, -1)
-
-    def invert(self, depth) -> "NovElem":
-        """Truncated inverse: result floor is its own top exponent minus
-        depth, or higher when the input is truncated.  An unknown part at or
-        below the input's floor f changes the inverse at or below f − 2·e0,
-        where e0 is the input's top exponent.  By long division: each step
-        moves the remainder's top term into the quotient, at one product
-        per term of the input."""
-        depth = _rat(depth)
-        if depth <= 0:
-            raise ValueError("inversion depth must be > 0")
-        if not self.is_unit():
-            raise NotAUnit(f"not a Novikov unit: {self.render()}")
-        n0, e0 = self.terms[0]
-        # self = n0 t^e0 (1 + w) with w strictly below exponent 0; divide 1
-        # by 1 + w down to t^(-depth) or, for a truncated input, its floor
-        # shifted to exponent 0.  A step only adds remainder terms below its
-        # own, so those at or below the cut are never kept.
-        cut = -depth if self.floor is None else max(-depth, self.floor - e0)
-        w = [(c * n0, e - e0) for c, e in self.terms[1:]]  # n0 in {1,-1}
-        zero = e0 - e0  # 0 in the exponents' type
-        rem, heap, quot = {zero: 1}, [zero], []  # heap: negated exponents
-        while heap:
-            e = -heapq.heappop(heap)
-            c = rem.pop(e)
-            if c:
-                quot.append((c * n0, e - e0))
-                for cw, ew in w:
-                    x = e + ew
-                    if x > cut:
-                        if x not in rem:
-                            rem[x] = 0
-                            heapq.heappush(heap, -x)
-                        rem[x] -= c * cw
-        return _make(NovElem, tuple(quot), cut - e0)
-
     def invert_exponents(self) -> "NovElem":
-        if self.floor is not None:
-            raise NotAUnit("cannot invert exponents of a truncated element")
         return _make(NovElem, tuple([(c, -e) for c, e in reversed(self.terms)]))
 
     def render(self) -> str:

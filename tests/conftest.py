@@ -1,8 +1,9 @@
 """Answer oracles shared by the tests: integer rank by exhaustive minor
 expansion and integer invariant factors from determinantal divisors, both
 independent of any reduction; reference helpers on elements and matrices
-(a matrix from dense rows, exponent rescaling, agreement above a
-truncation floor, a matrix over ℤ[u, u⁻¹] with the rank of rational
+(a matrix from dense rows, a truncated series and the unit test as the
+Novikov leaf builds and reads them, exponent rescaling, agreement above
+a truncation floor, a matrix over ℤ[u, u⁻¹] with the rank of rational
 dense rows); the componentwise (vector) loop periods of the parallel
 flows and the 1-skeleton cycles, whose every nontrivial loop
 ``morsetwist.morse.is_simple`` must see, and the degree-zero group read
@@ -50,6 +51,7 @@ from morsetwist.linalg import (
     _as_nov,
     _divisibility_chain,
     _is_unit,
+    _unit_inverse,
     bar,
     cancel_units,
     nov_reduce,
@@ -68,7 +70,14 @@ from morsetwist.morse import (
     build_complex,
     is_simple,
 )
-from morsetwist.rings import ExpSum, NovElem, laurent, laurent_image
+from morsetwist.rings import (
+    ExpSum,
+    NovElem,
+    _cut,
+    _make,
+    laurent,
+    laurent_image,
+)
 
 
 def _det(rows):
@@ -129,13 +138,30 @@ def from_rows(entries):
                   [{j: e for j, e in enumerate(r) if e} for r in entries])
 
 
+def nov(raw_terms, floor=None):
+    """``NovElem(raw_terms)``, truncated at ``floor`` when it is not None:
+    its terms at or below the floor are dropped and read as unknown, as in
+    a truncated inverse of the Novikov leaf.  No public path makes one."""
+    x = NovElem(raw_terms)
+    if floor is None:
+        return x
+    floor = Fraction(floor)
+    return _make(NovElem, _cut(x.terms, floor), floor)
+
+
+def nov_unit(x) -> bool:
+    """Whether a ``NovElem`` is a Novikov unit: its top coefficient is ±1,
+    the leaf's test for a unit pivot."""
+    return bool(x.terms) and abs(x.terms[0][0]) == 1
+
+
 def rescale(x, s):
     """An ``ExpSum`` or ``NovElem`` under t ↦ t^s, s > 0: every exponent,
     and a truncation floor, times s."""
     terms = [(c, e * s) for c, e in x.terms]
     if isinstance(x, ExpSum):
         return ExpSum(terms)
-    return NovElem(terms, None if x.floor is None else x.floor * s)
+    return nov(terms, None if x.floor is None else x.floor * s)
 
 
 def laurent_matrix(rows):
@@ -535,7 +561,7 @@ def nov_leaf_reference(A, depth, max_iter):
             swap_cols(k, piv[1])
         pc, px = a[k][k].top()
         if abs(pc) == 1:
-            inv = a[k][k].invert(depth)
+            inv = _unit_inverse(a[k][k], depth)
             for i in range(k + 1, m):
                 if not _nov_zero(a[i][k]):
                     add_row(i, k, -(a[i][k] * inv))
@@ -559,7 +585,8 @@ def nov_leaf_reference(A, depth, max_iter):
         # in exponent without end.
         terms = a[k][k].terms
         if len(terms) > 1 and all(ci % pc == 0 for ci, _ in terms):
-            inv = NovElem([(ci // pc, x - px) for ci, x in terms]).invert(depth)
+            inv = _unit_inverse(NovElem([(ci // pc, x - px) for ci, x in terms]),
+                                depth)
             a[k] = [e if _nov_zero(e) else e * inv for e in a[k]]
             ops += 1
             if ops > max_iter:

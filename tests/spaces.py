@@ -2,9 +2,9 @@
 both build: the twisted triangulated torus, grid triangulations of the
 torus and the Klein bottle, Freudenthal tori, and two Morse data in
 their JSON form: two circles whose second one is twisted, and a datum
-whose Novikov rank a truncated inverse misreads; and the product of two
-Morse data.  A plain module, with
-no pytest import, so that a script can import it too."""
+whose Novikov rank a truncated inverse misreads; the product of two
+Morse data; and a cyclic datum with no unit incidence.  A plain module,
+with no pytest import, so that a script can import it too."""
 
 import itertools
 from fractions import Fraction
@@ -133,4 +133,22 @@ def product(a, b) -> MorseDatum:
         + tuple(f"{f}_2" for f in b.basis_forms),
         points=tuple(CriticalPoint(pid(x.id, y.id), x.index + y.index)
                      for x in a.points for y in b.points),
+        flows=tuple(flows))
+
+
+def cyclic_datum(n) -> MorseDatum:
+    """Points a_i of index 0 and b_i of index 1, i mod n: each b_i has two
+    flows to a_i, sign +1 with period 0 and sign -1 with period 1, and two
+    to a_(i+1), sign +1 with period 0.  Its boundary is (1 − u)·I + 2·P,
+    with P the cyclic shift, and no entry is a unit of ℤ[u, u⁻¹]."""
+    zero, one = (Fraction(0),), (Fraction(1),)
+    flows = []
+    for i in range(n):
+        a, b, a_next = f"a{i}", f"b{i}", f"a{(i + 1) % n}"
+        flows += [FlowLine(b, a, 1, zero), FlowLine(b, a, -1, one),
+                  FlowLine(b, a_next, 1, zero), FlowLine(b, a_next, 1, zero)]
+    return MorseDatum(
+        name=f"cyclic-{n}", dimension=1, basis_forms=("theta",),
+        points=tuple(CriticalPoint(f"{p}{i}", int(p == "b"))
+                     for p in "ab" for i in range(n)),
         flows=tuple(flows))

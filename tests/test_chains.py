@@ -30,11 +30,7 @@ from morsetwist.chains import (
     validate_complex,
 )
 from morsetwist.cw import cw_to_morse, simplicial_boundary
-from morsetwist.errors import (
-    InvalidComplex,
-    MissingUnitTag,
-    NonInvertibleEntry,
-)
+from morsetwist.errors import InvalidComplex, MissingUnitTag
 from morsetwist.linalg import (
     Matrix,
     _as_nov,
@@ -147,16 +143,19 @@ def test_dualize_inverts_nonzero_entries_only(monkeypatch):
     assert all(e for e in calls)
 
 
-def test_dualize_refuses_a_truncated_entry():
-    # u ↦ u⁻¹ would turn the unknown terms below the floor into unknown
-    # terms above it, so the dual has no such entry
-    x = laurent(1, 0).invert(4)
-    assert x.floor is not None
-    C = ChainComplex(regime="NOV", generators=(("p",), ("q",)),
-                     diffs=(Matrix(1, 1, [{0: x}]),), scale=1)
-    with pytest.raises(NonInvertibleEntry, match="truncated") as info:
-        dualize(C)
-    assert type(info.value) is NonInvertibleEntry
+def test_homology_refuses_a_novikov_depth_at_most_zero():
+    # nov_reduce refuses the depth on every boundary the unit pass leaves,
+    # a unit pivot 1 + u⁻¹ and a lone non-unit 2 alike
+    u = laurent(1, 0) + laurent(1, -1)
+    for rows in ([[u, 2], [2, 3]], [[2]]):
+        gens = (tuple(f"p{i}" for i in range(len(rows))),
+                tuple(f"q{j}" for j in range(len(rows[0]))))
+        C = ChainComplex(regime="NOV", generators=gens,
+                         diffs=(from_rows(rows),), scale=1)
+        assert homology(C).complete
+        for depth in (0, F(-1)):
+            with pytest.raises(ValueError, match="depth must be > 0"):
+                homology(C, depth=depth)
 
 
 def test_nov_homology_with_torsion():
@@ -270,6 +269,34 @@ def test_laurent_assembly_reduces_like_its_image():
                     depth_sensitive += len(by_depth) > 1
     assert min(seen.values()) >= 20, seen
     assert depth_sensitive >= 4, depth_sensitive
+
+
+def test_assembly_dual_and_reduction_hold_exact_entries_only():
+    # a truncated series exists only inside the Novikov leaf: every entry
+    # that build_complex, dualize and reduce return is an int or a
+    # NovElem with no floor, on the catalog, the depth-sensitive family
+    # and the twisted tori, under every flavor, zero and nonzero classes
+    rng = random.Random(16180)
+    seen = 0
+    for d in _corpus():
+        n = len(d.basis_forms)
+        nonzero = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                        for _ in range(n))
+        for flavor in ("trivial", "unit-rep", "exp", "nov"):
+            for cls in ((F(0),) * n, nonzero):
+                try:
+                    chain = build_complex(d, LocalSystem.named(flavor, cls))
+                except MissingUnitTag:
+                    continue
+                for C in (chain, dualize(chain)):
+                    for D in (C, chains.reduce(C)):
+                        for e in (e for m in D.diffs for row in m.data
+                                  for e in row.values()):
+                            assert type(e) is int or (
+                                type(e) is NovElem and e.floor is None), \
+                                (d.name, flavor, cls, e)
+                            seen += type(e) is NovElem
+    assert seen > 1000, seen
 
 
 def test_novikov_depth_is_counted_in_powers_of_u():

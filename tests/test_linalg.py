@@ -503,17 +503,17 @@ def test_one_unit_rule_for_every_ring():
         assert not _is_unit(e), e
 
 
-def test_nov_reduce_rejects_truncated_entries_before_any_pivot(monkeypatch):
-    # a truncated ±t^a looks like a unit and a truncated 2 + t^(-1) does
-    # not, but neither is exact; the pass never sees the exact unit 1
-    import morsetwist.linalg as linalg
+def test_nov_reduce_refuses_a_depth_at_most_zero_before_any_pivot(
+        monkeypatch):
+    # a unit pivot 1 + u⁻¹ would need an inverse at that depth and the
+    # single non-unit 2 needs none, but both are refused alike
+    u = laurent(1, 0) + laurent(1, -1)
     calls = []
-    monkeypatch.setattr(linalg, "cancel_units", calls.append)
-    for entries in ([[1, NovElem([(1, 1)], floor=-3)],
-                     [NovElem([(2, 0), (1, -1)], floor=-2), 0]],
-                    [[NovElem([(-1, 0)], floor=-1), 0], [0, 1]]):
-        with pytest.raises(ValueError, match="exact"):
-            nov_reduce(M(entries))
+    monkeypatch.setattr(linalg, "_nov_leaf", lambda *a: calls.append(a))
+    for entries in ([[u, 2], [2, 3]], [[2]]):
+        for depth in (0, F(-1, 2)):
+            with pytest.raises(ValueError, match="depth must be > 0"):
+                nov_reduce(M(entries), depth=depth)
     assert calls == []
 
 

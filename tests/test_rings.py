@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agrees_with, rescale
+from conftest import agrees_with, nov, nov_unit, rescale
 from morsetwist import rings
-from morsetwist.errors import NotAUnit, ZeroElement
-from morsetwist.rings import ExpSum, NovElem, laurent
+from morsetwist.errors import ZeroElement
+from morsetwist.linalg import _unit_inverse
+from morsetwist.rings import ExpSum, NovElem, laurent, laurent_image
 
 
 def test_normalize_cancellation():
@@ -51,26 +52,31 @@ def test_nov_top():
 
 
 def test_nov_is_unit():
-    assert NovElem([(1, F(1, 2)), (-1, F(-1, 2))]).is_unit()
-    assert not NovElem([(-2, F(3))]).is_unit()
-    assert NovElem([(-1, F(1, 2)), (-1, F(-1, 2))]).is_unit()
-    assert not NovElem.zero().is_unit()
+    # a top coefficient ±1 is a unit: its truncated inverse multiplies
+    # back to 1 above its floor
+    units = [NovElem([(1, F(1, 2)), (-1, F(-1, 2))]),
+             NovElem([(-1, F(1, 2)), (-1, F(-1, 2))])]
+    for u in units:
+        assert nov_unit(u)
+        assert agrees_with(u * _unit_inverse(u, F(8)), NovElem.one())
+    assert not nov_unit(NovElem([(-2, F(3))]))
+    assert not nov_unit(NovElem.zero())
 
 
 def test_nov_invert_geometric_series():
     u = NovElem([(1, F(1, 2)), (-1, F(-1, 2))])
-    inv = u.invert(5)
+    inv = _unit_inverse(u, F(5))
     assert inv.terms == tuple((1, F(-1, 2) - k) for k in range(5))
     assert inv.floor == F(-11, 2)
 
 
 def test_nov_invert_one():
-    assert NovElem.one().invert(7).terms == ((1, F(0)),)
+    assert _unit_inverse(NovElem.one(), F(7)).terms == ((1, F(0)),)
 
 
 def test_nov_invert_negative_unit():
     u = NovElem([(-1, F(1, 2)), (-1, F(-1, 2))])
-    inv = u.invert(3)
+    inv = _unit_inverse(u, F(3))
     assert inv.terms == ((-1, F(-1, 2)), (1, F(-3, 2)), (-1, F(-5, 2)))
     assert inv.floor == F(-7, 2)
     # multiply back: 1 above the product floor
@@ -81,27 +87,23 @@ def test_nov_invert_negative_unit():
 def test_nov_invert_truncated_input_keeps_its_floor():
     # 1 + t^(-1) + O(t^(<-2)) agrees with the exact 1 + t^(-1) + t^(-3)
     # above -2, so its inverse is known only above -2 as well
-    inv = NovElem([(1, 0), (1, -1)], floor=-2).invert(8)
+    inv = _unit_inverse(nov([(1, 0), (1, -1)], floor=-2), F(8))
     assert inv.floor == -2
-    assert agrees_with(inv, NovElem([(1, 0), (1, -1), (1, -3)]).invert(8))
+    exact = NovElem([(1, 0), (1, -1), (1, -3)])
+    assert agrees_with(inv, _unit_inverse(exact, F(8)))
     assert inv.terms == ((1, F(0)), (-1, F(-1)))
 
 
 def test_nov_product_floor_follows_the_tops():
     # floor = max(top(a) + floor(b), top(b) + floor(a)) over the factors
     # with a floor; one with no known term tops at its floor
-    assert NovElem((), F(-2)) * laurent(3, 1) == NovElem((), F(-1))
-    assert NovElem((), F(-2)) * NovElem((), F(-3)) == NovElem((), F(-5))
+    assert nov((), F(-2)) * laurent(3, 1) == nov((), F(-1))
+    assert nov((), F(-2)) * nov((), F(-3)) == nov((), F(-5))
     # (t^2 + t + O(t^(<=0))) * (1 + 2t^(-1) + O(t^(<=-3))): max(-1, 0)
-    assert (NovElem([(1, 2), (1, 1)], F(0)) * NovElem([(1, 0), (2, -1)], F(-3))
-            == NovElem([(1, 2), (3, 1)], F(0)))
+    assert (nov([(1, 2), (1, 1)], F(0)) * nov([(1, 0), (2, -1)], F(-3))
+            == nov([(1, 2), (3, 1)], F(0)))
     # an exact zero times anything is the exact zero
-    assert NovElem.zero() * NovElem((), F(-2)) == NovElem.zero()
-
-
-def test_nov_invert_nonunit_rejected():
-    with pytest.raises(NotAUnit):
-        NovElem([(2, 0)]).invert(4)
+    assert NovElem.zero() * nov((), F(-2)) == NovElem.zero()
 
 
 def test_nov_invert_multiplies_back_to_one_above_its_floor():
@@ -117,9 +119,9 @@ def test_nov_invert_multiplies_back_to_one_above_its_floor():
                    top - F(rng.randint(1, 12), rng.choice([1, 2, 3, 5])))
                   for _ in range(rng.randint(1, 4))]
         floor = rng.choice([None, top - F(rng.randint(2, 9), 2)])
-        x = NovElem(terms, floor)
-        depth = rng.choice([F(1, 2), 3, F(17, 3), 12])
-        inv = x.invert(depth)
+        x = nov(terms, floor)
+        depth = rng.choice([F(1, 2), F(3), F(17, 3), F(12)])
+        inv = _unit_inverse(x, depth)
         assert agrees_with(x * inv, NovElem.one()), (x, depth)
         longest = max(longest, len(inv.terms))
     assert longest > 100
@@ -128,7 +130,7 @@ def test_nov_invert_multiplies_back_to_one_above_its_floor():
 def test_nov_invert_long_series_closed_form():
     # (1 + u⁻¹)⁻¹ = Σ (−1)^k u^(−k) over ℤ[u, u⁻¹], one term per division
     # step, to a u-depth of 20,000
-    inv = (laurent(1, 0) + laurent(1, -1)).invert(20000)
+    inv = _unit_inverse(laurent(1, 0) + laurent(1, -1), F(20000))
     assert inv.terms == tuple(((-1) ** k, -k) for k in range(20000))
     assert inv.floor == -20000
 
@@ -138,7 +140,7 @@ def test_rescale():
     assert rescale(e, 2) == ExpSum([(1, 2), (-1, -2)])
     assert rescale(ExpSum.zero(), F(3, 7)) == ExpSum.zero()
     u = NovElem([(1, F(1, 2)), (-1, F(-1, 2))])
-    assert rescale(u, 3).is_unit()
+    assert nov_unit(rescale(u, 3))
 
 
 def test_render_text():
@@ -149,7 +151,7 @@ def test_render_text():
         (ExpSum([(1, F(-1, 2)), (-1, F(1, 2))]), "-t^(1/2) + t^(-1/2)"),
         (ExpSum([(F(2, 3), F(5, 7)), (-4, 0), (1, -3)]),
          "2/3*t^(5/7) - 4 + t^(-3)"),
-        (NovElem([(3, F(1, 2)), (-1, F(-2, 3))], floor=F(-5)),
+        (nov([(3, F(1, 2)), (-1, F(-2, 3))], floor=F(-5)),
          "3*t^(1/2) - t^(-2/3) + O(t^(<-5))"),
     ]
     for e, text in cases:
@@ -186,11 +188,11 @@ def test_nov_ring_laws(a, b):
     assert a * NovElem.one() == a
 
 
-@given(novelems(coeff_min=-3, coeff_max=3).filter(lambda e: e.is_unit()),
+@given(novelems(coeff_min=-3, coeff_max=3).filter(nov_unit),
        st.sampled_from([F(3), F(10)]))
 @settings(max_examples=100)
 def test_nov_invert_roundtrip(u, depth):
-    inv = u.invert(depth)
+    inv = _unit_inverse(u, depth)
     assert agrees_with(u * inv, NovElem.one())
 
 
@@ -198,8 +200,8 @@ def test_nov_invert_roundtrip(u, depth):
 @settings(max_examples=100)
 def test_nov_unit_agrees_with_bruteforce(e):
     # unit iff a truncated inverse at depth 8 multiplies back to 1
-    if e.is_unit():
-        assert agrees_with(e * e.invert(8), NovElem.one())
+    if nov_unit(e):
+        assert agrees_with(e * _unit_inverse(e, F(8)), NovElem.one())
     else:
         if not e.terms:
             return
@@ -229,7 +231,7 @@ def raw_terms(coeffs):
 
 
 exp_sums = raw_terms(small_rats | st.integers(-3, 3)).map(ExpSum)
-nov_elems = st.builds(NovElem, raw_terms(st.integers(-3, 3)), floors)
+nov_elems = st.builds(nov, raw_terms(st.integers(-3, 3)), floors)
 scales = st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6)
 
 
@@ -288,23 +290,41 @@ def _floor(a, b):
 def test_novelem_kernels_equal_raw_reference(a, b, k, s):
     A, B = list(a.terms), list(b.terms)
     floor = _floor(a.floor, b.floor)
-    check(a + b, NovElem(A + B, floor))
-    check(a - b, NovElem(A + neg(B), floor))
+    check(a + b, nov(A + B, floor))
+    check(a - b, nov(A + neg(B), floor))
     prod = a * b
-    check(prod, NovElem(products(A, B), prod.floor))
-    check(-a, NovElem(neg(A), a.floor))
+    check(prod, nov(products(A, B), prod.floor))
+    check(-a, nov(neg(A), a.floor))
     for got in (a + k, k + a):
-        check(got, NovElem(A + [(k, 0)], a.floor))
-    check(a - k, NovElem(A + [(-k, 0)], a.floor))
-    check(k - a, NovElem(neg(A) + [(k, 0)], a.floor))
+        check(got, nov(A + [(k, 0)], a.floor))
+    check(a - k, nov(A + [(-k, 0)], a.floor))
+    check(k - a, nov(neg(A) + [(k, 0)], a.floor))
     for got in (a * k, k * a):
-        check(got, NovElem(products(A, [(k, 0)]), got.floor))
+        check(got, nov(products(A, [(k, 0)]), got.floor))
     if a.floor is None:
         check(a.invert_exponents(), NovElem([(c, -e) for c, e in A]))
-    else:
-        with pytest.raises(NotAUnit):
-            a.invert_exponents()
     check(NovElem.monomial(k, s), NovElem([(k, s)]))
+
+
+def test_public_novelem_operations_stay_exact():
+    # NovElem(raw) has no floor, and neither has anything a public
+    # operation makes from exact operands and ints
+    rng = random.Random(31337)
+
+    def raw():
+        return [(rng.randint(-3, 3), F(rng.randint(-6, 6), rng.choice([1, 2, 3])))
+                for _ in range(rng.randint(0, 4))]
+
+    made = []
+    for _ in range(300):
+        a, b, k = NovElem(raw()), NovElem(raw()), rng.randint(-3, 3)
+        c, e = rng.choice([1, -1, 2, -5]), rng.randint(-4, 4)
+        made += [a, a + b, a - b, a * b, -a, a + k, k + a, a - k, k - a,
+                 a * k, k * a, a.invert_exponents(), NovElem.monomial(c, e),
+                 laurent(c, e), laurent_image(laurent(c, e) + k, 3),
+                 laurent_image(k or 1, 2)]
+    assert all(type(x) is NovElem and x.floor is None for x in made)
+    assert sum(bool(x.terms) for x in made) > 4000
 
 
 def invert_reference(u, depth):
@@ -313,20 +333,20 @@ def invert_reference(u, depth):
     w = [(c * n0, e - e0) for c, e in u.terms[1:]]
     inv = power = [(1, 0)]
     while power:
-        power = list(NovElem([(-c, e) for c, e in products(power, w)],
-                             -depth).terms)
+        power = list(nov([(-c, e) for c, e in products(power, w)],
+                         -depth).terms)
         inv = inv + power
     floor = -e0 - depth
     if u.floor is not None:  # unknown terms at or below f move 1/u at f - 2e0
         floor = max(floor, u.floor - 2 * e0)
-    return NovElem([(c * n0, e - e0) for c, e in inv], floor)
+    return nov([(c * n0, e - e0) for c, e in inv], floor)
 
 
-@given(nov_elems.filter(NovElem.is_unit),
+@given(nov_elems.filter(nov_unit),
        st.sampled_from([F(1, 2), F(1), F(3), F(8)]))
 @settings(max_examples=300)
 def test_nov_invert_equals_raw_reference(u, depth):
-    check(u.invert(depth), invert_reference(u, depth))
+    check(_unit_inverse(u, depth), invert_reference(u, depth))
 
 
 def test_arithmetic_on_canonical_operands_never_renormalises(monkeypatch):
@@ -337,7 +357,7 @@ def test_arithmetic_on_canonical_operands_never_renormalises(monkeypatch):
                 for _ in range(rng.randint(0, 4))]
 
     exps = [ExpSum(raw([1, -1, 2, F(-1, 3)])) for _ in range(20)]
-    novs = [NovElem(raw([1, -1, 2]), rng.choice([None, F(-2), F(0)]))
+    novs = [nov(raw([1, -1, 2]), rng.choice([None, F(-2), F(0)]))
             for _ in range(20)]
     calls = []
     merge = rings._merge_terms
@@ -352,7 +372,7 @@ def test_arithmetic_on_canonical_operands_never_renormalises(monkeypatch):
         results += [cls.zero(), cls.one(), cls.monomial(-1, F(1, 2))]
     results += [a.invert_exponents() for a in exps + novs
                 if getattr(a, "floor", None) is None]
-    results += [a.invert(4) for a in novs if a.is_unit()]
+    results += [_unit_inverse(a, F(4)) for a in novs if nov_unit(a)]
     assert calls == [] and len(results) > 400
     ExpSum([(1, 0)])
     assert len(calls) == 1  # the raw constructor still merges and checks
