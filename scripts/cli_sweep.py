@@ -47,7 +47,9 @@ refuses: ``validate`` and ``homology`` of a CW complex with the incidence
 number 2 (an ``incidence-value`` violation, exit 1) and ``homology`` of a
 datum with the flow sign 2 (exit 2); and last of all
 ``from-triangulation`` on the 32 x 32 grid torus and Klein bottle,
-where the unit pass's pivot order shapes the leftover most.  The torsion block and
+where the unit pass's pivot order shapes the leftover most; and after
+everything, ``homology`` of ``rp2`` and of a CW circle whose last record
+is malformed in each way the record reader reports first.  The torsion block and
 ``rp2.facets`` are read from ``docs/examples``.  The broken files hold
 period values of every JSON type, padded and non-ASCII-digit strings, in
 a flow and in a CW incidence, and one flow with both a bad unit tag and a
@@ -390,6 +392,33 @@ def large_grids():
                      facets_to_text(grid_facets(32, klein)))]
 
 
+def malformed_records():
+    """``homology`` of ``rp2`` and of ``circle-regular``'s CW complex with
+    the last flow or incidence record malformed, one way per file: not an
+    object, a missing field, an unknown field, a string sign or incidence
+    number, periods that are not a list, a string unit tag, and two
+    periods for one basis form, so every first error the record reader
+    builds is answered."""
+    for name, doc, key, sign in (
+            ("rp2", get_example("rp2").datum, "flows", "sign"),
+            ("circle-cw", get_example("circle-regular").cw, "incidences",
+             "incidence")):
+        doc = json.loads(dump_json(doc))
+        rec = doc[key][-1]
+        to = list(rec)[1]
+        for label, bad in (
+                ("not-object", [rec]),
+                ("missing", {k: v for k, v in rec.items() if k != to}),
+                ("unknown", {**rec, "period": ["1"]}),
+                ("string-sign", {**rec, sign: str(rec[sign])}),
+                ("periods-string", {**rec, "periods": "1"}),
+                ("string-tag", {**rec, "unit_tag": "1"}),
+                ("period-count", {**rec, "periods": ["1", "0"]})):
+            doc[key][-1] = bad
+            yield ["homology",
+                   write(f"{name}-record-{label}.json", json.dumps(doc))]
+
+
 def invocations():
     for e in entries():
         yield from grid(["--example", e.name], len(e.datum.basis_forms))
@@ -448,6 +477,7 @@ def invocations():
     yield from hidden_twists()
     yield from bad_signs()
     yield from large_grids()
+    yield from malformed_records()
 
 
 def run():

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidComplex
-from .linalg import (Matrix, Reduction, bar, cancel_units, nov_reduce,
-                     rank_expsum, snf_int)
+from .linalg import (Matrix, Reduction, bar, cancel_units, check_depth,
+                     nov_reduce, rank_expsum, snf_int)
 from .rings import laurent_image
 
 INT = "INT"
@@ -168,12 +168,14 @@ def homology(C: ChainComplex, depth=16, max_iter=10000) -> HomologySummary:
     """Betti ranks plus torsion per degree.  ∂² is checked on C, then the
     regime's leaf runs on each non-empty boundary of ``reduce(C)``:
     ``snf_int``, ``rank_expsum``, or ``nov_reduce`` at ``depth·scale``
-    (``depth`` on the image in t).  Degree k sits between the matrices
-    below and above it, and its Betti number is its reduced cell count
-    less their ranks, for chains and cochains alike; every rank is exact,
-    so every Betti number is.  Its torsion and status come from the
-    matrix into it, above for chains and below for cochains: a stuck
+    (``depth`` on the image in t; ``check_depth`` refuses it first).  The
+    Betti number of degree k is its reduced cell count less the ranks of
+    the matrices below and above it, for chains and cochains alike; every
+    rank is exact, so every Betti number is.  Torsion and status come from
+    the matrix into k, above for chains and below for cochains: a stuck
     degree has an exact Betti number and unknown torsion."""
+    if C.regime == NOV:
+        check_depth(depth * C.scale)
     bad = validate_complex(C)
     if bad is not None:
         raise InvalidComplex(bad.describe())

@@ -289,25 +289,29 @@ def rank_expsum(A: Matrix) -> Reduction:
     return Reduction(k)
 
 
-def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
-    """Rank and torsion over the Novikov ring.  A depth ≤ 0
-    (``ValueError``) and a depth above ``MAX_TERMS`` (``TooManyTerms``) are
-    refused before any pivot.  The rank is ``rank_expsum``'s: the Novikov
-    field extends the fraction field of ℤ[u, u⁻¹], and a field extension
-    keeps rank, so it is exact whatever the budget.  The torsion and the
-    status come from the leaf, which diagonalizes A at ``depth`` (powers
-    of u over ℤ[u, u⁻¹]): the orders |c| of the cyclic summands Nov/c, in
-    a divisibility chain.  A leaf whose rank differs from the exact one
-    read a truncated entry as zero, so the result is stuck.  Every pivot,
-    a unit ±t^a included, is charged against ``max_iter``;
-    ``chains.reduce`` cancels those units first, free of charge, so
-    ``chains.homology`` budgets the leaf on its leftover only.
-    """
+def check_depth(depth):
+    """ValueError for a Novikov depth ≤ 0, TooManyTerms above MAX_TERMS."""
     if depth <= 0:
         raise ValueError(f"Novikov depth must be > 0, got {depth}")
     if depth > MAX_TERMS:
         raise TooManyTerms(f"Novikov depth {depth} in powers of u exceeds "
                            f"the cap of {MAX_TERMS} inverse terms")
+
+
+def nov_reduce(A: Matrix, depth=16, max_iter=10000) -> Reduction:
+    """Rank and torsion over the Novikov ring, at a depth that
+    ``check_depth`` passes before any pivot.  The rank is
+    ``rank_expsum``'s: the Novikov field extends the fraction field of
+    ℤ[u, u⁻¹], and a field extension keeps rank, so it is exact whatever
+    the budget.  The torsion and the status come from the leaf, which
+    diagonalizes A at ``depth`` (powers of u over ℤ[u, u⁻¹]): the orders
+    |c| of the cyclic summands Nov/c, in a divisibility chain.  A leaf
+    whose rank differs from the exact one read a truncated entry as zero,
+    so the result is stuck.  Every pivot, a unit ±t^a included, is charged
+    against ``max_iter``; ``chains.reduce`` cancels those units first,
+    free of charge, so ``chains.homology`` budgets the leaf on its
+    leftover only."""
+    check_depth(depth)
     leaf = _nov_leaf(A, depth, max_iter)
     rank = rank_expsum(A).rank
     return leaf if leaf.rank == rank else Reduction(rank, status="stuck")

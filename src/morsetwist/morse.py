@@ -34,7 +34,7 @@ from .errors import (
     UnknownGroupElement,
 )
 from .linalg import Matrix
-from .rings import fraction_tuple, laurent
+from .rings import laurent
 
 TRIVIAL = "TRIVIAL"
 UNIT_REP = "UNIT_REP"
@@ -62,15 +62,14 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class FlowLine:
+    """A flow line or CW incidence.  ``periods`` is kept as given: exact
+    rationals (``Fraction`` or ``int``), one per basis form (or none)."""
     frm: str                 # index-k critical point, or a CW incidence's k-cell
     to: str                  # index-(k-1) critical point, or its (k-1)-cell
     sign: int                # epsilon(nu), or the incidence number
-    periods: tuple = ()      # one exact rational per declared basis form
+    periods: tuple = ()
     unit_tag: int | None = None
     deck_tag: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "periods", fraction_tuple(self.periods))
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,14 @@ class DeckGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
+        elements = set(self.elements)
         for a in self.elements:
             for b in self.elements:
                 if (a, b) not in self.table:
                     raise ValueError(f"multiplication table missing ({a},{b})")
+                if self.table[(a, b)] not in elements:
+                    raise ValueError(f"multiplication table ({a},{b}) is not "
+                                     f"an element: {self.table[(a, b)]!r}")
 
     def mul(self, a, b):
         try:

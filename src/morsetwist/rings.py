@@ -18,10 +18,10 @@ that accept outside values, and they cast and check every one.  Arithmetic
 on two canonical operands builds a canonical result directly
 (``_add_terms``, ``_mul_terms``, ``_make``) and never re-normalises it.
 
-All exponents are exact rationals.  Transcendental period values coming
-from angular forms are stored after dividing by one full turn, so a half
-loop is 1/2; uniform positive rescaling of every exponent is a ring
-automorphism and changes no rank, unit status, or torsion downstream.
+All exponents are exact rationals, each read from text once, by
+``parse_rational``.  Angular periods are stored after dividing by one full
+turn, so a half loop is 1/2; uniform positive rescaling of every exponent
+is a ring automorphism and changes no rank, unit status, or torsion.
 """
 
 from __future__ import annotations
@@ -412,12 +412,3 @@ def parse_rational(text) -> Fraction:
         raise ParseError(f"bad rational {text!r}: want p/q with integers")
     num, _, den = s.partition("/")
     return Fraction(int(num), int(den or 1))
-
-
-def fraction_tuple(values) -> tuple:
-    """``values`` as a tuple of ``Fraction``s; a tuple of ``Fraction``s is
-    kept as it is, and so is each ``Fraction`` in it."""
-    if type(values) is tuple and (not values
-                                  or set(map(type, values)) == {Fraction}):
-        return values
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)

@@ -3,7 +3,9 @@ line-oriented facet list for triangulations.
 
 Rationals are serialized as "p/q" strings (or "n" when integral) so files
 stay exact.  Unknown fields are rejected rather than ignored: silently
-dropping a typo'd "period" key would change the mathematics.
+dropping a typo'd "period" key would change the mathematics.  Flows and CW
+incidences are read by one loop, ``_flow_lines``, and ``load_json`` raises
+a constructor's ``ValueError`` as ``ParseError``.
 """
 
 from __future__ import annotations
@@ -82,18 +84,6 @@ def _rational_parser():
     return parse_periods
 
 
-def _value_errors_as_parse_errors(fn):
-    """Constructors check their own invariants with ValueError; at the file
-    boundary those are malformed input."""
-    @functools.wraps(fn)
-    def wrapper(obj):
-        try:
-            return fn(obj)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    return wrapper
-
-
 def datum_to_dict(d: MorseDatum) -> dict:
     out = {
         "name": d.name,
@@ -124,11 +114,37 @@ _FLOW = ("from", "to", "sign", "periods"), ("unit_tag", "deck_tag")
 _INCIDENCE = ("upper", "lower", "incidence"), ("periods", "unit_tag")
 
 
-@_value_errors_as_parse_errors
-def datum_from_dict(obj: dict) -> MorseDatum:
-    """Each flow is read once: key-set and type tests pass it, or its field,
+def _flow_lines(records, name, layout, forms=None) -> tuple:
+    """The records of list ``name``, keyed as ``layout`` says, as
+    ``FlowLine``s.  Key-set and type tests pass a record, or its field,
     sign, periods and unit tag checks, in that order, build its first error.
-    A sign other than +-1 is left to the datum's own checks."""
+    ``forms`` (CW only) checks the period count here; a datum checks it."""
+    (frm, to, sign, *_), _ = layout
+    need, known = _key_sets(*layout)
+    parse = _rational_parser()
+    lines = []
+    for i, rec in enumerate(records):
+        if not (type(rec) is dict and need <= rec.keys() <= known
+                and type(rec[sign]) is int
+                and type(rec.get("periods", [])) is list):
+            _check_fields(rec, *layout, (name, i))
+            _int(rec, sign, (name, i))
+            _list(rec, "periods", (name, i))
+        periods = parse(rec.get("periods", ()))
+        if forms is not None and periods and len(periods) != forms:
+            raise ParseError(f"{_at((name, i))}: {len(periods)} "
+                             f"periods for {forms} basis forms")
+        unit_tag = rec.get("unit_tag")
+        if type(unit_tag) is not int and "unit_tag" in rec:
+            _int(rec, "unit_tag", (name, i))
+        lines.append(FlowLine(
+            str(rec[frm]), str(rec[to]), rec[sign], periods, unit_tag,
+            str(rec["deck_tag"]) if "deck_tag" in rec else None))
+    return tuple(lines)
+
+
+def datum_from_dict(obj: dict) -> MorseDatum:
+    """A sign other than +-1 is left to the datum's own checks."""
     _check_fields(obj, ("name", "dimension", "basis_forms", "points", "flows"),
                   ("deck_group",), "datum")
     points = []
@@ -137,22 +153,7 @@ def datum_from_dict(obj: dict) -> MorseDatum:
         _check_fields(p, ("id", "index"), (), where)
         points.append(CriticalPoint(id=str(p["id"]),
                                     index=_int(p, "index", where)))
-    parse = _rational_parser()
-    need, known = _key_sets(*_FLOW)
-    flows = []
-    for i, f in enumerate(_list(obj, "flows", "datum")):
-        if not (type(f) is dict and need <= f.keys() <= known
-                and type(f["sign"]) is int and type(f["periods"]) is list):
-            _check_fields(f, *_FLOW, ("flows", i))
-            _int(f, "sign", ("flows", i))
-            _list(f, "periods", ("flows", i))
-        periods = parse(f["periods"])
-        unit_tag = f.get("unit_tag")
-        if type(unit_tag) is not int and "unit_tag" in f:
-            _int(f, "unit_tag", ("flows", i))
-        flows.append(FlowLine(
-            str(f["from"]), str(f["to"]), f["sign"], periods, unit_tag,
-            str(f["deck_tag"]) if "deck_tag" in f else None))
+    flows = _flow_lines(_list(obj, "flows", "datum"), "flows", _FLOW)
     deck = None
     if "deck_group" in obj:
         g = obj["deck_group"]
@@ -167,7 +168,7 @@ def datum_from_dict(obj: dict) -> MorseDatum:
     return MorseDatum(
         name=str(obj["name"]), dimension=_int(obj, "dimension", "datum"),
         basis_forms=tuple(str(b) for b in _list(obj, "basis_forms", "datum")),
-        points=tuple(points), flows=tuple(flows), deck_group=deck)
+        points=tuple(points), flows=flows, deck_group=deck)
 
 
 def cw_to_dict(cw: RegularCW) -> dict:
@@ -188,56 +189,39 @@ def cw_to_dict(cw: RegularCW) -> dict:
     return out
 
 
-@_value_errors_as_parse_errors
 def cw_from_dict(obj: dict) -> RegularCW:
-    """Each incidence record is read once, as a flow is, into the
-    ``FlowLine`` (upper, lower, incidence); an incidence number other than
-    +-1 is left to ``validate_regular``."""
+    """Incidence records are read as flows are, into ``FlowLine``s (upper,
+    lower, incidence); an incidence number other than +-1 is left to
+    ``validate_regular``."""
     _check_fields(obj, ("name", "dimension", "cells", "incidences"),
                   ("basis_forms",), "cw")
     basis_forms = tuple(str(b) for b in (
         _list(obj, "basis_forms", "cw") if "basis_forms" in obj else ()))
-    parse = _rational_parser()
-    need, known = _key_sets(*_INCIDENCE)
-    incidences = []
-    for i, rec in enumerate(_list(obj, "incidences", "cw")):
-        if not (type(rec) is dict and need <= rec.keys() <= known
-                and type(rec["incidence"]) is int
-                and type(rec.get("periods", [])) is list):
-            _check_fields(rec, *_INCIDENCE, ("incidences", i))
-            _int(rec, "incidence", ("incidences", i))
-            _list(rec, "periods", ("incidences", i))
-        periods = parse(rec.get("periods", ()))
-        if periods and len(periods) != len(basis_forms):
-            raise ParseError(f"{_at(('incidences', i))}: {len(periods)} "
-                             f"periods for {len(basis_forms)} basis forms")
-        unit_tag = rec.get("unit_tag")
-        if type(unit_tag) is not int and "unit_tag" in rec:
-            _int(rec, "unit_tag", ("incidences", i))
-        incidences.append(FlowLine(
-            str(rec["upper"]), str(rec["lower"]), rec["incidence"], periods,
-            unit_tag))
+    incidences = _flow_lines(_list(obj, "incidences", "cw"), "incidences",
+                             _INCIDENCE, len(basis_forms))
     cells = _list(obj, "cells", "cw")
     return RegularCW(
         name=str(obj["name"]), dimension=_int(obj, "dimension", "cw"),
         cells=tuple(tuple(str(c) for c in _list(cells, k, "cw cells"))
                     for k in range(len(cells))),
-        incidences=tuple(incidences), basis_forms=basis_forms)
+        incidences=incidences, basis_forms=basis_forms)
 
 
 def load_json(text: str):
-    """Dispatch on the envelope layout: flows -> MorseDatum, cells -> RegularCW."""
+    """Dispatch on the envelope layout: flows -> MorseDatum, cells ->
+    RegularCW; a constructor's ``ValueError`` is raised as ``ParseError``."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
-    if "flows" in obj:
-        return datum_from_dict(obj)
-    if "cells" in obj:
-        return cw_from_dict(obj)
-    raise ParseError("object has neither 'flows' nor 'cells'")
+    if "flows" not in obj and "cells" not in obj:
+        raise ParseError("object has neither 'flows' nor 'cells'")
+    try:
+        return datum_from_dict(obj) if "flows" in obj else cw_from_dict(obj)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def dump_json(value) -> str:

@@ -737,14 +737,14 @@ def _cw_ref(obj):
         where = f"incidences[{i}]"
         _fields_ref(rec, ["upper", "lower", "incidence"],
                     ["periods", "unit_tag"], where)
+        sign = _typed_ref(rec, "incidence", where, int, "an integer")
         periods = tuple(parse_rational_reference(p) for p in (_typed_ref(
             rec, "periods", where, list, "a list") if "periods" in rec else ()))
         if periods and len(periods) != len(basis_forms):
             raise ParseError(f"{where}: {len(periods)} periods for "
                              f"{len(basis_forms)} basis forms")
         incidences.append(FlowLine(
-            frm=str(rec["upper"]), to=str(rec["lower"]),
-            sign=_typed_ref(rec, "incidence", where, int, "an integer"),
+            frm=str(rec["upper"]), to=str(rec["lower"]), sign=sign,
             periods=periods,
             unit_tag=None if "unit_tag" not in rec else _typed_ref(
                 rec, "unit_tag", where, int, "an integer")))

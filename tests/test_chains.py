@@ -30,7 +30,7 @@ from morsetwist.chains import (
     validate_complex,
 )
 from morsetwist.cw import cw_to_morse, simplicial_boundary
-from morsetwist.errors import InvalidComplex, MissingUnitTag
+from morsetwist.errors import InvalidComplex, MissingUnitTag, TooManyTerms
 from morsetwist.linalg import (
     Matrix,
     _as_nov,
@@ -144,10 +144,11 @@ def test_dualize_inverts_nonzero_entries_only(monkeypatch):
 
 
 def test_homology_refuses_a_novikov_depth_at_most_zero():
-    # nov_reduce refuses the depth on every boundary the unit pass leaves,
-    # a unit pivot 1 + u⁻¹ and a lone non-unit 2 alike
+    # the depth is refused on every Novikov complex: on a unit pivot
+    # 1 + u⁻¹, on a lone non-unit 2, and on the boundary [1], which the
+    # unit pass cancels, so no leaf runs; a depth past MAX_TERMS likewise
     u = laurent(1, 0) + laurent(1, -1)
-    for rows in ([[u, 2], [2, 3]], [[2]]):
+    for rows in ([[u, 2], [2, 3]], [[2]], [[1]]):
         gens = (tuple(f"p{i}" for i in range(len(rows))),
                 tuple(f"q{j}" for j in range(len(rows[0]))))
         C = ChainComplex(regime="NOV", generators=gens,
@@ -156,6 +157,22 @@ def test_homology_refuses_a_novikov_depth_at_most_zero():
         for depth in (0, F(-1)):
             with pytest.raises(ValueError, match="depth must be > 0"):
                 homology(C, depth=depth)
+        with pytest.raises(TooManyTerms, match="exceeds the cap"):
+            homology(C, depth=linalg.MAX_TERMS + 1)
+    assert homology(C, depth=linalg.MAX_TERMS).complete  # the cap itself
+    # the torus under the zero class, whose every boundary is cancelled,
+    # and the depth in t is counted in powers of u = t^(1/scale)
+    torus = build_complex(get_example("torus").datum, LocalSystem.nov((0, 0)))
+    assert not any(any(d.data) for d in chains.reduce(torus).diffs)
+    with pytest.raises(ValueError, match="depth must be > 0"):
+        homology(torus, depth=0)
+    with pytest.raises(TooManyTerms):
+        homology(torus, depth=2 * 10**6)
+    circle = build_complex(get_example("circle-std").datum,
+                           LocalSystem.nov((F(1, 7),)))
+    assert circle.scale == 14
+    with pytest.raises(TooManyTerms, match="Novikov depth 1000006 "):
+        homology(circle, depth=F(1000006, 14))
 
 
 def test_nov_homology_with_torsion():

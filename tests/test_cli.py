@@ -523,6 +523,29 @@ def test_novikov_depth_past_the_term_cap_is_math_error(capsys, monkeypatch,
     run(capsys, *argv, "--depth", "7")
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "--example", "torus", "--system", "nov", "--class=0,0"],
+    ["novikov", "--example", "torus", "--class=0,0"],
+])
+def test_novikov_depth_past_the_term_cap_is_refused_on_any_complex(capsys,
+                                                                    argv):
+    # under the zero class every torus boundary is cancelled by the unit
+    # pass, so no Novikov leaf runs; the depth is refused all the same
+    out, err = run(capsys, *argv, "--depth", "2000000", code=1)
+    assert out == ""
+    assert err == ("error: Novikov depth 2000000 in powers of u exceeds the "
+                   "cap of 1000000 inverse terms\n")
+
+
+def test_deck_table_product_outside_the_group_is_parse_error(tmp_path, capsys):
+    obj = json.loads(dump_json(get_example("rp2-lift").datum))
+    obj["deck_group"]["table"]["s"]["s"] = "x"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "homology", str(path), code=2) == (
+        "", "error: multiplication table (s,s) is not an element: 'x'\n")
+
+
 def test_hspace_verdict_on_a_stuck_degree_is_indeterminate(tmp_path, capsys):
     # boundary 2 - t^(-1) under class 1: not c·t^a times a unit, so the
     # torsion of H_0 is unknown and no verdict can be read; H_1 is 0, the

@@ -10,8 +10,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PIN = ("6862 invocations, sha256 "
-       "4d40dd814b6251392a85baa402c7b305cf8cacd01662ed9fe9aeb70c92c2da3a")
+PIN = ("6876 invocations, sha256 "
+       "1f8045e7b7b672e094745882724e628445b581b0ec2abcd944f32a708a394c54")
 
 
 def test_cli_sweep_digest_is_pinned():

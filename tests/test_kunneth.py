@@ -4,10 +4,16 @@ of H_i(A) ⊗ H_j(B) over i + j = n plus Tor(H_i(A), H_j(B)) over
 i + j = n − 1, and H^n(A × B) the sum of H^i(A) ⊗ H^j(B) over i + j = n
 plus Tor(H^i(A), H^j(B)) over i + j = n + 1; over the fraction field of
 the exponential regime, Betti numbers convolve, of chains and of
-cochains.  The grid triangulations fill the unit pass with units."""
+cochains.  The Novikov ring is a PID, and the Novikov complex of a
+product under the joined class is the tensor product of its factors'
+over it, so the same Künneth formula holds there, with Nov/c in place of
+ℤ/c; it is checked wherever every summary is complete.  Triples are
+products of a pair and a third factor.  The grid triangulations fill the
+unit pass with units."""
 
 import random
 from fractions import Fraction as F
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -18,12 +24,13 @@ from morsetwist.chains import homology
 from morsetwist.cw import cw_to_morse, from_simplicial
 from morsetwist.morse import LocalSystem, build_cochain, build_complex
 
-SPACES = {name: get_example(name).datum
-          for name in ("circle-std", "rp2", "klein", "torus")}
+SMALL = ("circle-std", "rp2", "klein", "torus")  # triples of 64 cells at most
+SPACES = {name: get_example(name).datum for name in SMALL}
 SPACES.update({f"grid-{kind}-{n}": cw_to_morse(from_simplicial(
     grid_facets(n, kind == "klein")))
     for n in (3, 4) for kind in ("torus", "klein")})
 
+NOV_SPACES = {**SPACES, "genus2": get_example("genus2").datum}
 BUILD = {"chains": build_complex, "cochains": build_cochain}
 TOR_SHIFT = {"chains": 1, "cochains": -1}
 
@@ -128,3 +135,59 @@ def test_kunneth_oracle_on_known_products():
     assert invariant_factors([]) == ()
     assert groups(product(SPACES["rp2"], SPACES["rp2"]),
                   LocalSystem.trivial(), "chains") == kunneth_int(rp2, rp2)
+
+
+def kunneth(factors, shift):
+    """``kunneth_int`` folded over the groups of each factor in turn."""
+    return reduce(lambda h, g: kunneth_int(h, g, shift), factors)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_triples_follow_kunneth_over_the_integers(seed):
+    rng = random.Random(f"kunneth-triples:{seed}")
+    trivial = LocalSystem.trivial()
+    for _ in range(4):
+        names = [rng.choice(SMALL) for _ in range(3)]
+        factors = [SPACES[n] for n in names]
+        P = reduce(product, factors)
+        for direction in BUILD:
+            assert groups(P, trivial, direction) == kunneth(
+                [groups(x, trivial, direction) for x in factors],
+                TOR_SHIFT[direction]), (names, direction)
+
+
+def nov_groups(d, cls, direction):
+    """(betti, torsion) per degree under ``nov``, None when a degree is
+    stuck."""
+    summary = homology(BUILD[direction](d, LocalSystem.nov(cls)))
+    return [(s.betti, s.torsion) for s in summary.degrees] \
+        if summary.complete else None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_products_follow_kunneth_over_the_novikov_ring(seed):
+    # pairs may take the genus-2 surface, whose Novikov H_1 has rank 2
+    # under a nonzero class; a factor's class is zero one time in three,
+    # so that its homology, torsion included, survives into the product
+    rng = random.Random(f"kunneth-nov:{seed}")
+    complete, torsion, betti = 0, 0, 0
+    for arity in (2, 2, 2, 2, 2, 3, 3, 3):
+        pool = SMALL + ("genus2",) * (arity == 2)
+        names = [rng.choice(pool) for _ in range(arity)]
+        factors = [NOV_SPACES[n] for n in names]
+        classes = [tuple(0 for _ in x.basis_forms) if rng.random() < 1 / 3
+                   else random_class(rng, x) for x in factors]
+        P = reduce(product, factors)
+        for direction in BUILD:
+            parts = [nov_groups(x, c, direction)
+                     for x, c in zip(factors, classes)]
+            got = nov_groups(P, sum(classes, ()), direction)
+            if got is None or None in parts:
+                continue
+            assert got == kunneth(parts, TOR_SHIFT[direction]), \
+                (names, classes, direction)
+            complete += 1
+            torsion += any(t for _, t in got)
+            betti += any(b for b, _ in got)
+    assert complete >= 10 and torsion >= 2 and betti >= 4, \
+        (complete, torsion, betti)

@@ -184,6 +184,13 @@ def test_lift_cover_trivial_group():
     assert s.torsion(1) == (2,)
 
 
+def test_deck_group_refuses_a_product_outside_it():
+    # checked when the group is built, not when a lift first multiplies
+    with pytest.raises(ValueError, match=r"\(s,s\) is not an element: 'x'"):
+        DeckGroup(elements=("e", "s"), table={
+            ("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "x"})
+
+
 def test_lift_missing_tags():
     with pytest.raises(MissingDeckTag, match="has no deck tag"):
         lift_cover(replace(RP2, deck_group=DeckGroup(
@@ -361,3 +368,65 @@ def test_loop_in_a_later_component():
         assert not is_simple(d, sys_)
         assert not is_simple_elimination(d, sys_)
     assert is_simple(d, LocalSystem.exp((0,)))
+
+
+def _check_periods(lines, nforms, optional=False):
+    """Each line holds a tuple of exact rationals, Fractions or ints (no
+    bool, float or str), one per basis form; a CW record may hold none."""
+    for f in lines:
+        assert type(f.periods) is tuple, f
+        assert all(type(p) in (F, int) for p in f.periods), f
+        assert len(f.periods) == nforms or optional and not f.periods, f
+
+
+def test_every_flow_line_the_package_builds_holds_exact_periods():
+    # FlowLine keeps the periods it is handed, so every path that builds
+    # one must hand it exact rationals: the reader, the CW paths, the
+    # catalog, and the datum transforms
+    from pathlib import Path
+
+    from spaces import grid_facets, twisted_torus_cw
+
+    from morsetwist.catalog import example_names
+    from morsetwist.cw import cw_to_morse, from_simplicial
+    from morsetwist.serial import dump_json, facets_from_text, load_json
+
+    def check_datum(d):
+        _check_periods(d.flows, len(d.basis_forms))
+
+    def check_cw(cw):
+        _check_periods(cw.incidences, len(cw.basis_forms), optional=True)
+        check_datum(cw_to_morse(cw))
+
+    examples = Path(__file__).resolve().parent.parent / "docs" / "examples"
+    check_datum(load_json((examples / "torsion-block.json").read_text()))
+    check_cw(from_simplicial(facets_from_text(
+        (examples / "rp2.facets").read_text())))
+    for n in (3, 4, 5):
+        cw = twisted_torus_cw(n)
+        check_cw(cw)
+        check_cw(load_json(dump_json(cw)))
+        for klein in (False, True):
+            check_cw(from_simplicial(grid_facets(n, klein)))
+    rng = random.Random(7707)
+    names = [n for n in example_names() if n != "rpn(N)"] + ["rpn(3)"]
+    for name in names:
+        e = get_example(name)
+        d = e.datum
+        check_datum(d)
+        check_datum(load_json(dump_json(d)))
+        if e.cw is not None:
+            check_cw(e.cw)
+            check_cw(load_json(dump_json(e.cw)))
+        if e.facets is not None:
+            check_cw(from_simplicial(e.facets))
+        n = len(d.basis_forms)
+        h = {p.id: tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
+                         for _ in range(n)) for p in d.points}
+        shifted = potential_shift(d, h)
+        check_datum(shifted)
+        check_datum(rescale_datum(shifted, F(rng.randint(1, 7),
+                                             rng.randint(1, 5))))
+        check_datum(rescale_datum(d, rng.randint(1, 3)))
+        if d.deck_group is not None:
+            check_datum(lift_cover(d))

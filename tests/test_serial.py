@@ -281,11 +281,18 @@ def test_parse_rational_equals_fraction_of_the_stripped_string():
     {"from": "a", "to": "p", "sign": 1, "periods": ["1"], "zeta": 1,
      "alpha": 2},
     [],
+    {"from": "a", "to": "p", "sign": 1, "periods": ["1"], "unit_tag": "1"},
+    {"from": "a", "to": "p", "sign": 1, "periods": ["1", "0"]},
+    {"from": "a", "to": "p", "sign": 1, "periods": ["1", "0"],
+     "unit_tag": "1"},
 ], ids=["sign", "periods", "non-str-first", "unhashable", "periods-list",
-        "sign-str", "missing", "unknown", "not-object"])
+        "sign-str", "missing", "unknown", "not-object", "unit-tag-str",
+        "period-count", "period-count-and-tag"])
 def test_first_error_of_a_malformed_flow_is_the_reference_one(record):
     """Field checks, then the sign's type, then the periods, then the unit
-    tag; a sign of 2 is no read error, so a bad period is the first."""
+    tag; a sign of 2 is no read error, so a bad period is the first.  The
+    datum checks its period count after every record is read, so a bad
+    unit tag comes before a wrong count."""
     obj = {"name": "x", "dimension": 1, "basis_forms": ["t"],
            "points": [{"id": "p", "index": 0}, {"id": "a", "index": 1}],
            "flows": [{"from": "a", "to": "p", "sign": 1, "periods": ["1"]},
@@ -337,3 +344,19 @@ def test_cw_records_of_any_incidence_parse_like_the_reference(name):
         assert got[0] == "ok", text
         assert got == _outcome(load_json_reference, text), text
         assert got[1].incidences[1].sign == number
+    # one malformed record per first error, as a flow's: fields, the type
+    # of the incidence number, periods (their count included), unit tag
+    rec = doc["incidences"][1]
+    for bad in ([rec], {k: v for k, v in rec.items() if k != "lower"},
+                {**rec, "period": ["1"]}, {**rec, "incidence": "1"},
+                {**rec, "incidence": "1", "periods": ["x"]},
+                {**rec, "periods": "1"}, {**rec, "periods": ["x"]},
+                {**rec, "unit_tag": "1"},
+                {**rec, "periods": ["1"] * (nforms + 1)},
+                {**rec, "periods": ["1"] * (nforms + 1), "unit_tag": "1"}):
+        mutant = copy.deepcopy(doc)
+        mutant["incidences"][1] = bad
+        text = json.dumps(mutant)
+        got = _outcome(load_json, text)
+        assert got[0] == "ParseError", text
+        assert got == _outcome(load_json_reference, text), text
